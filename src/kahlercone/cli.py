@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -74,16 +73,29 @@ def _parse_points(text: str, n: int):
     return points
 
 
+def _sample_points(args, form: CubicForm):
+    if args.samples < 1:
+        raise KahlerConeError(f"--samples must be at least 1, "
+                              f"got {args.samples}")
+    hint = None
+    if args.hint:
+        hints = _parse_points(args.hint, form.n)
+        if len(hints) != 1:
+            raise KahlerConeError("--hint must be exactly one point")
+        (hint,) = hints
+    return cone_sample(form, args.samples, seed=args.seed, hint=hint)
+
+
 def _points_for(args, form: CubicForm):
-    if getattr(args, "points", None):
-        return _parse_points(args.points, form.n)
-    count = getattr(args, "samples", None)
-    if count:
-        hint = None
-        if getattr(args, "hint", None):
-            (hint,) = _parse_points(args.hint, form.n)
-        return cone_sample(form, count, seed=args.seed, hint=hint)
-    raise KahlerConeError("no points given: pass --points or --samples")
+    if args.points:
+        points = _parse_points(args.points, form.n)
+    elif args.samples is not None:
+        points = _sample_points(args, form)
+    else:
+        raise KahlerConeError("no points given: pass --points or --samples")
+    if not points:
+        raise KahlerConeError(f"no points in --points {args.points!r}")
+    return points
 
 
 def _form_echo(form: CubicForm) -> dict:
@@ -145,10 +157,7 @@ def _cmd_cone_check(args):
 
 def _cmd_cone_sample(args):
     form = _load_form(args)
-    hint = None
-    if args.hint:
-        (hint,) = _parse_points(args.hint, form.n)
-    points = cone_sample(form, args.samples, seed=args.seed, hint=hint)
+    points = _sample_points(args, form)
     doc = {"schemaVersion": SCHEMA_VERSION, "command": "cone-sample",
            "form": _form_echo(form), "seed": args.seed,
            "points": [[format_scalar(v) for v in y] for y in points]}
@@ -213,8 +222,7 @@ def _cmd_verify(args):
     form = _load_form(args)
     points = _points_for(args, form)
     summary = verify_identity(form, points, mode=args.mode,
-                              convention=args.convention, seed=args.seed,
-                              threads=args.threads)
+                              convention=args.convention, seed=args.seed)
     doc = {"schemaVersion": SCHEMA_VERSION, "command": "verify"}
     doc.update(summary.to_json_dict(include_timing=args.timing))
     doc["form"] = _form_echo(form)
@@ -327,11 +335,11 @@ def _add_form_arguments(p):
                    help="human-readable output")
 
 
-def _add_point_arguments(p, samples_default=None):
+def _add_point_arguments(p):
     p.add_argument("--points", "--point", dest="points",
                    help="semicolon-separated points of comma-separated "
                         "rationals")
-    p.add_argument("--samples", type=int, default=samples_default,
+    p.add_argument("--samples", type=int,
                    help="sample this many interior points instead")
     p.add_argument("--hint", help="known interior point for the sampler")
     p.add_argument("--seed", type=int, default=0, help="sampler seed")
@@ -378,12 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the curvature identity")
     _add_form_arguments(p)
-    _add_point_arguments(p, samples_default=None)
+    _add_point_arguments(p)
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--convention", choices=("standard", "negated"),
                    default="standard")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker pool size (default: available parallelism)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timing in the report "
                         "(off by default so reports are byte-reproducible)")

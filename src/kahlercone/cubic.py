@@ -28,7 +28,7 @@ from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
                      ParseError, SamplingExhausted)
 from .linalg import Sym3Tensor, SymMatrix, inertia
 from .poly import Poly
-from .scalars import Complex
+from .scalars import Complex, format_point
 
 __all__ = [
     "CubicForm",
@@ -64,7 +64,7 @@ class ConePoint:
 class CubicForm:
     """A homogeneous cubic f in n variables with exact rational coefficients."""
 
-    __slots__ = ("n", "monomials", "_f3")
+    __slots__ = ("n", "monomials", "_poly", "_f3")
 
     def __init__(self, n, monomials):
         if n < 1:
@@ -84,6 +84,7 @@ class CubicForm:
             clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.monomials = {e: c for e, c in sorted(clean.items(), reverse=True)
                           if c != 0}
+        self._poly = Poly(n, self.monomials)
         self._f3 = None
 
     @property
@@ -97,18 +98,12 @@ class CubicForm:
         return self._f3
 
     def as_poly(self) -> Poly:
-        return Poly(self.n, dict(self.monomials))
+        """The form as a polynomial; shared, and never modified in place."""
+        return self._poly
 
     def evaluate(self, y):
         self._check_len(y)
-        total = 0
-        for exp, coeff in self.monomials.items():
-            term = coeff
-            for v, e in zip(y, exp):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
+        return self._poly.evaluate(y)
 
     def gradient(self, y):
         self._check_len(y)
@@ -353,7 +348,7 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     if hint is not None:
         hint = tuple(Fraction(v) for v in hint)
         if cone_contains(form, hint) is not Membership.INTERIOR:
-            raise NotInCone("hint point is not interior")
+            raise NotInCone(f"hint point {format_point(hint)} is not interior")
     rng = random.Random(seed)
     n = form.n
     found = []

@@ -28,17 +28,18 @@ available by passing convention="negated", which negates the left side.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cubic import CubicForm, Membership, cone_contains
-from .errors import (DimensionMismatch, NotInCone, SingularMatrix,
-                     SingularMetric, ZeroVector)
+from .errors import (DimensionMismatch, KahlerConeError, NotInCone,
+                     SingularMatrix, SingularMetric, ZeroVector)
 from .linalg import CurvTensor, Sym3Tensor, SymMatrix, contract, invert
 from .report import PointResult, VerificationSummary
-from .scalars import Complex, is_exact_scalar
+from .scalars import Complex, format_point
 
 __all__ = [
     "MetricJet",
@@ -59,29 +60,56 @@ CONVENTIONS = ("standard", "negated")
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric with its first and second y-derivatives and inverse at a point."""
+    """Metric with its first and second y-derivatives and inverse at a point.
+
+    `kahler_metric` decides membership and builds the jet once per point;
+    both curvature sides, the Christoffel symbols and the fibre-metric
+    checks read everything they need from it.
+    """
     g: SymMatrix
     dg: Sym3Tensor        # dg[i,j,k] = d g[i,j] / d y_k, fully symmetric
     d2g: CurvTensor       # d2g[i,j,k,l] = d^2 g[i,j] / d y_k d y_l
     ginv: SymMatrix
+    f: object             # f(y)
 
-
-def _is_exact_point(y) -> bool:
-    return all(is_exact_scalar(v) for v in y)
+    def christoffels(self):
+        """Christoffel symbols: purely imaginary, symmetric in the lower
+        pair; gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j]."""
+        n = self.g.n
+        half = Fraction(1, 2)
+        out = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    s = sum(self.ginv[i, l] * self.dg[l, k, j]
+                            for l in range(n))
+                    out[i][j][k] = Complex(s - s, -half * s)
+        return out
 
 
 def _require_interior(form: CubicForm, y):
-    if _is_exact_point(y):
-        if cone_contains(form, y) is not Membership.INTERIOR:
-            raise NotInCone(f"point {tuple(y)} is not interior")
-    else:
-        if not form.evaluate(y) > 0:
-            raise NotInCone(f"f is not positive at {tuple(y)}")
+    # exact even for float points: Fraction(float) is the float's exact value
+    exact = [Fraction(v) for v in y]
+    if cone_contains(form, exact) is not Membership.INTERIOR:
+        raise NotInCone(f"point {format_point(y)} is not interior")
 
 
 def norm_function(form: CubicForm, y):
     """The norm function N = 8 f(y), the argument of the Kahler potential."""
     return 8 * form.evaluate(y)
+
+
+def _metric(form: CubicForm, y):
+    """f, grad f, Hess f, 1/f and g at y, over whatever scalars y holds."""
+    fval = form.evaluate(y)
+    grad = form.gradient(y)
+    hess = form.hessian(y)
+    p1 = 1 / fval
+    p2 = p1 * p1
+    g = SymMatrix.build(
+        form.n,
+        lambda i, j: -QUARTER * (hess[i, j] * p1 - grad[i] * grad[j] * p2))
+    return fval, grad, hess, p1, g
 
 
 def kahler_metric(form: CubicForm, y) -> MetricJet:
@@ -93,17 +121,11 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
     """
     _require_interior(form, y)
     n = form.n
-    fval = form.evaluate(y)
-    grad = form.gradient(y)
-    hess = form.hessian(y)
+    fval, grad, hess, p1, g = _metric(form, y)
     f3 = form.third_tensor
-    p1 = 1 / fval if not is_exact_scalar(fval) else Fraction(1) / fval
     p2 = p1 * p1
     p3 = p2 * p1
     p4 = p2 * p2
-
-    g = SymMatrix.build(
-        n, lambda i, j: -QUARTER * (hess[i, j] * p1 - grad[i] * grad[j] * p2))
 
     def dg_entry(i, j, k):
         return -QUARTER * (
@@ -128,22 +150,47 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
                    + hess[k, l] * grad[i] * grad[j]) * p3
             - 6 * grad[i] * grad[j] * grad[k] * grad[l] * p4)
 
-    d2g = CurvTensor(n, zero=g[0, 0] - g[0, 0])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    d2g[i, j, k, l] = d2g_entry(i, j, k, l)
+    # d2g is fully symmetric: one evaluation per index multiset
+    d2g = CurvTensor(n, zero=fval - fval)
+    for idx in itertools.combinations_with_replacement(range(n), 4):
+        v = d2g_entry(*idx)
+        for perm in set(itertools.permutations(idx)):
+            d2g[perm] = v
 
     try:
         ginv = invert(g)
     except SingularMatrix as exc:
         raise SingularMetric(str(exc)) from exc
-    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv)
+    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, f=fval)
 
 
-def _lhs_from_parts(d2g: CurvTensor, dg: Sym3Tensor, ginv: SymMatrix) -> CurvTensor:
-    return (d2g - contract(dg, dg, ginv)).scale(QUARTER)
+def _lhs(jet: MetricJet) -> CurvTensor:
+    return (jet.d2g - contract(jet.dg, jet.dg, jet.ginv)).scale(QUARTER)
+
+
+def _rhs(form: CubicForm, jet: MetricJet) -> CurvTensor:
+    n = form.n
+    scale = 1 / (64 * jet.f * jet.f)
+    g = jet.g
+    yukawa_part = contract(form.third_tensor, form.third_tensor, jet.ginv)
+    out = CurvTensor(n, zero=jet.f - jet.f)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    out[i, j, k, l] = (g[i, j] * g[k, l] + g[i, l] * g[k, j]
+                                       - scale * yukawa_part[i, j, k, l])
+    return out
+
+
+def _sides(form: CubicForm, jet: MetricJet, convention: str):
+    """Both sides of the identity from one jet, under the given convention."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    lhs = _lhs(jet)
+    if convention == "negated":
+        lhs = lhs.scale(-1)
+    return lhs, _rhs(form, jet)
 
 
 def curvature_lhs(form: CubicForm, y, method: str = "closed",
@@ -155,21 +202,10 @@ def curvature_lhs(form: CubicForm, y, method: str = "closed",
     backend) as an independent oracle for the derivative expressions.
     """
     if method == "closed":
-        jet = kahler_metric(form, y)
-        return _lhs_from_parts(jet.d2g, jet.dg, jet.ginv)
+        return _lhs(kahler_metric(form, y))
     if method != "fd":
         raise ValueError(f"unknown method {method!r}")
     return _curvature_fd(form, [float(v) for v in y], step)
-
-
-def _metric_values(form: CubicForm, y) -> SymMatrix:
-    n = form.n
-    fval = form.evaluate(y)
-    grad = form.gradient(y)
-    hess = form.hessian(y)
-    return SymMatrix.build(
-        n, lambda i, j: -0.25 * (hess[i, j] / fval
-                                 - grad[i] * grad[j] / (fval * fval)))
 
 
 def _curvature_fd(form: CubicForm, y, h: float) -> CurvTensor:
@@ -183,8 +219,8 @@ def _curvature_fd(form: CubicForm, y, h: float) -> CurvTensor:
     def g_at(shift):
         key = tuple(shift)
         if key not in cache:
-            cache[key] = _metric_values(form, [a + s * h
-                                               for a, s in zip(y, shift)])
+            cache[key] = _metric(form, [a + s * h
+                                        for a, s in zip(y, shift)])[-1]
         return cache[key]
 
     first = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
@@ -225,46 +261,19 @@ def _curvature_fd(form: CubicForm, y, h: float) -> CurvTensor:
                     for (a, b) in ((i, j), (j, i)):
                         for (c, d) in ((k, l), (l, k)):
                             d2g[a, b, c, d] = v
-    ginv = invert(g_at(zero))
-    return _lhs_from_parts(d2g, dg, ginv)
+    g = g_at(zero)
+    return _lhs(MetricJet(g=g, dg=dg, d2g=d2g, ginv=invert(g),
+                          f=form.evaluate(y)))
 
 
 def curvature_rhs(form: CubicForm, y) -> CurvTensor:
     """Curvature tensor from the metric products and the third-derivative side."""
-    jet = kahler_metric(form, y)
-    return _rhs_from_parts(form, y, jet)
-
-
-def _rhs_from_parts(form: CubicForm, y, jet: MetricJet) -> CurvTensor:
-    n = form.n
-    fval = form.evaluate(y)
-    scale = 1 / (64 * fval * fval) if not is_exact_scalar(fval) \
-        else Fraction(1, 64) / (fval * fval)
-    g = jet.g
-    yukawa_part = contract(form.third_tensor, form.third_tensor, jet.ginv)
-    out = CurvTensor(n, zero=g[0, 0] - g[0, 0])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out[i, j, k, l] = (g[i, j] * g[k, l] + g[i, l] * g[k, j]
-                                       - scale * yukawa_part[i, j, k, l])
-    return out
+    return _rhs(form, kahler_metric(form, y))
 
 
 def christoffels(form: CubicForm, y):
-    """Christoffel symbols of the cone metric: purely imaginary, symmetric
-    in the lower pair; gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j]."""
-    jet = kahler_metric(form, y)
-    n = form.n
-    half = Fraction(1, 2)
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = sum(jet.ginv[i, l] * jet.dg[l, k, j] for l in range(n))
-                out[i][j][k] = Complex(s - s, -half * s)
-    return out
+    """Christoffel symbols of the cone metric (see MetricJet.christoffels)."""
+    return kahler_metric(form, y).christoffels()
 
 
 def sectional(form: CubicForm, y, v):
@@ -275,7 +284,7 @@ def sectional(form: CubicForm, y, v):
     if all(z.is_zero() for z in vv):
         raise ZeroVector("sectional curvature needs a nonzero direction")
     jet = kahler_metric(form, y)
-    r = _lhs_from_parts(jet.d2g, jet.dg, jet.ginv)
+    r = _lhs(jet)
     n = form.n
     num = Complex(Fraction(0))
     den = Complex(Fraction(0))
@@ -306,19 +315,14 @@ class CurvatureReport:
 
 def curvature_report(form: CubicForm, y,
                      convention: str = "standard") -> CurvatureReport:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     jet = kahler_metric(form, y)
-    lhs = _lhs_from_parts(jet.d2g, jet.dg, jet.ginv)
-    if convention == "negated":
-        lhs = lhs.scale(-1)
-    rhs = _rhs_from_parts(form, y, jet)
+    lhs, rhs = _sides(form, jet, convention)
     residual = lhs - rhs
     return CurvatureReport(
         y=tuple(y),
-        potential_arg=norm_function(form, y),
+        potential_arg=8 * jet.f,
         yukawa=form.third_tensor.scale(Fraction(1, 2)),
-        christoffel=christoffels(form, y),
+        christoffel=jet.christoffels(),
         lhs=lhs,
         rhs=rhs,
         residual=residual,
@@ -329,47 +333,37 @@ def curvature_report(form: CubicForm, y,
 
 def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
                     convention: str = "standard", seed: Optional[int] = None,
-                    rel_tol: float = 1e-9,
-                    threads: Optional[int] = None) -> VerificationSummary:
+                    rel_tol: float = 1e-9) -> VerificationSummary:
     """Check the curvature identity at each point and summarize.
 
     Exact mode demands a bit-exact zero residual; float mode compares the
     maximum entrywise residual against `rel_tol` relative to the larger of
-    the two sides. Results are assembled in input order, so the summary is
-    deterministic regardless of how points are scheduled.
+    the two sides. An empty point list is an error, never a vacuous pass.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+    if not points:
+        raise KahlerConeError("no points to verify")
     start = time.perf_counter()
-
-    def check(y):
-        yy = tuple(Fraction(v) for v in y) if mode == "exact" \
-            else tuple(float(v) for v in y)
-        report = curvature_report(form, yy, convention=convention)
-        max_abs = report.max_abs_residual
+    scalar = Fraction if mode == "exact" else float
+    results = []
+    for y in points:
+        yy = tuple(scalar(v) for v in y)
+        lhs, rhs = _sides(form, kahler_metric(form, yy), convention)
+        max_abs = (lhs - rhs).max_abs()
         if mode == "exact":
             ok = max_abs == 0
             rel = None
         else:
-            scale = max(report.lhs.max_abs(), report.rhs.max_abs(), 1e-300)
+            scale = max(lhs.max_abs(), rhs.max_abs(), 1e-300)
             rel = max_abs / scale
             ok = rel < rel_tol
-        return PointResult(y=yy, verdict="PASS" if ok else "FAIL",
-                           max_abs_residual=max_abs, max_rel_residual=rel)
-
-    if threads and threads > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, points))
-    else:
-        results = [check(y) for y in points]
+        results.append(PointResult(y=yy, verdict="PASS" if ok else "FAIL",
+                                   max_abs_residual=max_abs,
+                                   max_rel_residual=rel))
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     overall = "PASS" if all(r.verdict == "PASS" for r in results) else "FAIL"
-    note = "no points" if not results else None
     return VerificationSummary(
         form_text=form.to_text(), n=form.n, mode=mode, convention=convention,
-        seed=seed, points=results, overall=overall, timing_ms=elapsed_ms,
-        note=note)
+        seed=seed, points=results, overall=overall, timing_ms=elapsed_ms)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import format_scalar
+from .scalars import format_point, format_scalar
 
 SCHEMA_VERSION = 1
 
@@ -39,7 +39,6 @@ class VerificationSummary:
     points: Sequence[PointResult]
     overall: str
     timing_ms: int
-    note: Optional[str] = None
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         doc = {
@@ -61,8 +60,6 @@ class VerificationSummary:
             ],
             "overall": self.overall,
         }
-        if self.note:
-            doc["note"] = self.note
         if include_timing:
             doc["timingMs"] = self.timing_ms
         return doc
@@ -78,12 +75,9 @@ def render_text(summary: VerificationSummary) -> str:
         f"convention={summary.convention})",
     ]
     for p in summary.points:
-        coords = ", ".join(str(format_scalar(v)) for v in p.y)
         extra = (f"  rel={p.max_rel_residual:.3e}"
                  if p.max_rel_residual is not None else "")
-        lines.append(f"  y=({coords}): {p.verdict}  "
+        lines.append(f"  y={format_point(p.y)}: {p.verdict}  "
                      f"max|residual|={format_scalar(p.max_abs_residual)}{extra}")
-    if summary.note:
-        lines.append(f"note: {summary.note}")
     lines.append(f"overall: {summary.overall}   [{summary.timing_ms} ms]")
     return "\n".join(lines) + "\n"

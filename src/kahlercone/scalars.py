@@ -15,6 +15,7 @@ __all__ = [
     "Complex",
     "as_exact_vector",
     "as_float_vector",
+    "format_point",
     "format_scalar",
     "is_exact_scalar",
     "parse_rational",
@@ -51,6 +52,11 @@ def format_scalar(x) -> str | float:
     if isinstance(x, Complex):
         return format_complex(x)
     return float(x)
+
+
+def format_point(y) -> str:
+    """A point as "(1, -2/3)" for messages and text reports."""
+    return "(" + ", ".join(str(format_scalar(v)) for v in y) + ")"
 
 
 def format_complex(z: "Complex") -> str:

@@ -45,12 +45,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cubic import CubicForm, Membership, cone_contains
-from .errors import NotInCone, SingularHessian, SingularMatrix, ZeroLambda
-from .geometry import MetricJet, christoffels, kahler_metric
+from .cubic import CubicForm
+from .errors import SingularHessian, SingularMatrix, ZeroLambda
+from .geometry import MetricJet, kahler_metric
 from .linalg import (CurvTensor, SymMatrix, contract, identity_rows,
                      invert, invert_rows, mat_mul)
-from .scalars import Complex
+from .scalars import Complex, format_point
 
 __all__ = [
     "AffineCheckResult",
@@ -107,7 +107,8 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     try:
         hinv = invert(hess)
     except SingularMatrix as exc:
-        raise SingularHessian(f"Hess f is singular at {y}") from exc
+        raise SingularHessian(f"Hess f is singular at {format_point(y)}") \
+            from exc
     f3 = form.third_tensor
     aff = affine_metric(form, y)
     da = f3.scale(Fraction(-4))
@@ -162,16 +163,13 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     if lam.is_zero():
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
-    if cone_contains(form, y) is not Membership.INTERIOR:
-        raise NotInCone(f"Im t = {y} is not interior")
+    jet = kahler_metric(form, y)      # NotInCone unless Im t is interior
     n = form.n
-    fval = form.evaluate(y)
     grad = form.gradient(y)
-    kval = 8 * fval
+    kval = 8 * jet.f
     half = Fraction(1, 2)
-    k_log = tuple(Complex(Fraction(0), -half * grad[i] / fval)
+    k_log = tuple(Complex(Fraction(0), -half * grad[i] / jet.f)
                   for i in range(n))
-    jet = kahler_metric(form, y)
     g, ginv = jet.g, jet.ginv
     lam_bar = lam.conj()
 
@@ -213,9 +211,9 @@ def _gamma_printed(form, y, lam, k_log, jet):
     """
     n = form.n
     zero = Complex(Fraction(0))
-    base = christoffels(form, y)
+    base = jet.christoffels()
     hess = form.hessian(y)
-    kval = 8 * form.evaluate(y)
+    kval = 8 * jet.f
     lam_inv = Complex(Fraction(1)) / lam
     gamma = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     for i in range(n):
@@ -297,10 +295,8 @@ def _entry_tables(form: CubicForm, tm: TildeMetric, scaling: str):
     potential lam lambar K, the scaling under which the matrix is Kahler.
     """
     n = form.n
-    y = tm.y
-    fval = form.evaluate(y)
-    grad = form.gradient(y)
-    kval = 8 * fval
+    grad = form.gradient(tm.y)
+    kval = tm.norm_value
     k_log = tm.k_log
     jet = tm.jet
     g, dg = jet.g, jet.dg
@@ -432,7 +428,7 @@ def tilde_christoffel_check(tm: TildeMetric,
             gamma[a][b][c] == gamma[a][c][b]
             for a in range(n + 1) for b in range(n + 1) for c in range(n + 1))
 
-    base = christoffels(form, tm.y)
+    base = tm.jet.christoffels()
     lam, k_log = tm.lam, tm.k_log
     relation = {"corrected": True, "as-printed": True}
     for i in range(n):

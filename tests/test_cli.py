@@ -71,7 +71,42 @@ def test_point_outside_cone_maps_to_exit_2(capsys):
     code, out = run_inproc(capsys, "metric", "--form", "y1^3",
                            "--points", "-1")
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "NotInCone"
+    error = json.loads(out)["error"]
+    assert error["type"] == "NotInCone"
+    assert error["message"] == "point (-1) is not interior"
+    assert "Fraction(" not in error["message"]
+
+
+def test_float_mode_decides_membership_exactly(capsys):
+    # f = 2 > 0 at (1, 1), but Hess f is positive definite: outside the cone
+    for command in ("verify", "metric"):
+        code, out = run_inproc(capsys, command, "--mode", "float", "--form",
+                               "y1^3+y2^3", "--points", "1,1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "NotInCone"
+
+
+def test_nonpositive_sample_count_exits_2(capsys):
+    for argv in (["verify", "--form", "y1*y2^2", "--samples", "-1"],
+                 ["cone", "sample", "--form", "y1*y2^2", "--samples", "-1"],
+                 ["cone", "sample", "--form", "y1*y2^2", "--samples", "0"]):
+        code, out = run_inproc(capsys, *argv)
+        assert code == 2
+        assert "--samples" in json.loads(out)["error"]["message"]
+
+
+def test_hint_must_be_one_point(capsys):
+    code, out = run_inproc(capsys, "cone", "sample", "--form", "y1^3",
+                           "--hint", "1,2")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "KahlerConeError"
+
+
+def test_empty_point_list_exits_2(capsys):
+    code, out = run_inproc(capsys, "verify", "--form", "y1*y2^2",
+                           "--points", ";")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "KahlerConeError"
 
 
 def test_verify_with_sampled_points(capsys):

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from kahlercone import (Membership, NotInCone, ZeroVector, christoffels,
-                        cone_contains, curvature_lhs, curvature_report,
-                        curvature_rhs, inertia, kahler_metric,
-                        norm_function, parse_text, sectional,
+from kahlercone import (KahlerConeError, Membership, NotInCone, ZeroVector,
+                        christoffels, cone_contains, curvature_lhs,
+                        curvature_report, curvature_rhs, inertia,
+                        kahler_metric, norm_function, parse_text, sectional,
                         verify_identity)
 from kahlercone.linalg import mat_vec
 
@@ -241,10 +241,10 @@ def test_verify_exact_summary():
     assert all(p.max_abs_residual == 0 for p in s.points)
 
 
-def test_verify_empty_is_vacuous_pass():
+def test_verify_empty_is_rejected():
     f = parse_text("y1^3", 1)
-    s = verify_identity(f, [], mode="exact")
-    assert s.overall == "PASS" and s.note == "no points"
+    with pytest.raises(KahlerConeError):
+        verify_identity(f, [], mode="exact")
 
 
 def test_verify_negated_convention_fails():
@@ -258,15 +258,6 @@ def test_verify_propagates_not_in_cone():
     f = parse_text("y1^3", 1)
     with pytest.raises(NotInCone):
         verify_identity(f, [(F(-1),)])
-
-
-def test_verify_threads_do_not_change_results():
-    rng = random.Random(71)
-    form, pts = random_cubic_with_cone(rng, 2, points_needed=6)
-    a = verify_identity(form, pts, mode="exact", threads=1)
-    b = verify_identity(form, pts, mode="exact", threads=4)
-    assert [p.y for p in a.points] == [p.y for p in b.points]
-    assert a.overall == b.overall == "PASS"
 
 
 def test_identity_scales_past_the_suite_range():
