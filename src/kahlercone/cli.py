@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cubic import (CubicForm, cone_contains, cone_sample,
+from .cubic import (ConePoint, CubicForm, cone_contains, cone_sample,
                     norm_identity_check, parse_text)
 from .errors import KahlerConeError, ParseError
 from .geometry import curvature_report, kahler_metric, verify_identity
@@ -45,7 +45,8 @@ def _load_form(args) -> CubicForm:
         try:
             with open(args.form_file, "r", encoding="utf-8") as fh:
                 return CubicForm.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError,
+                TypeError, ZeroDivisionError) as exc:
             raise KahlerConeError(f"cannot load form file: {exc}") from exc
     if not args.form:
         raise KahlerConeError("one of --form or --form-file is required")
@@ -264,8 +265,7 @@ def _cmd_cone_metric(args):
     lines = []
     ok = True
     for y, x in zip(points, xs):
-        x = x if x is not None else (Fraction(0),) * form.n
-        t = [Complex(a, b) for a, b in zip(x, y)]
+        t = ConePoint(y, x).complexified()
         tm = build_tilde_metric(form, t, lam)
         inv = tilde_inverse_check(tm)
         chris = tilde_christoffel_check(tm, form)

@@ -37,7 +37,8 @@ from typing import Optional, Sequence
 from .cubic import CubicForm, Membership, cone_contains
 from .errors import (DimensionMismatch, KahlerConeError, NotInCone,
                      SingularMatrix, SingularMetric, ZeroVector)
-from .linalg import CurvTensor, Sym3Tensor, SymMatrix, contract, invert
+from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, contract, invert,
+                     raise_index)
 from .report import PointResult, VerificationSummary
 from .scalars import Complex, format_point
 
@@ -71,20 +72,15 @@ class MetricJet:
     d2g: CurvTensor       # d2g[i,j,k,l] = d^2 g[i,j] / d y_k d y_l
     ginv: SymMatrix
     f: object             # f(y)
+    grad: list            # grad f(y)
+    hess: SymMatrix       # Hess f(y)
 
     def christoffels(self):
         """Christoffel symbols: purely imaginary, symmetric in the lower
         pair; gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j]."""
-        n = self.g.n
         half = Fraction(1, 2)
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    s = sum(self.ginv[i, l] * self.dg[l, k, j]
-                            for l in range(n))
-                    out[i][j][k] = Complex(s - s, -half * s)
-        return out
+        return [[[Complex(v - v, -half * v) for v in row] for row in u.rows()]
+                for u in raise_index(self.dg, self.ginv)]
 
 
 def _require_interior(form: CubicForm, y):
@@ -161,7 +157,8 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
         ginv = invert(g)
     except SingularMatrix as exc:
         raise SingularMetric(str(exc)) from exc
-    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, f=fval)
+    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, f=fval, grad=grad,
+                     hess=hess)
 
 
 def _lhs(jet: MetricJet) -> CurvTensor:
@@ -214,18 +211,17 @@ def _curvature_fd(form: CubicForm, y, h: float) -> CurvTensor:
     # mixed second = tensor product of two first-derivative stencils
     _require_interior(form, y)
     n = form.n
-    cache = {}
+    zero = (0,) * n
+    cache = {zero: _metric(form, y)}      # _metric tuples by stencil shift
 
     def g_at(shift):
         key = tuple(shift)
         if key not in cache:
-            cache[key] = _metric(form, [a + s * h
-                                        for a, s in zip(y, shift)])[-1]
-        return cache[key]
+            cache[key] = _metric(form, [a + s * h for a, s in zip(y, shift)])
+        return cache[key][-1]
 
     first = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
     second = ((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0))
-    zero = (0,) * n
 
     def shifted(k, s, base=zero):
         out = list(base)
@@ -261,9 +257,9 @@ def _curvature_fd(form: CubicForm, y, h: float) -> CurvTensor:
                     for (a, b) in ((i, j), (j, i)):
                         for (c, d) in ((k, l), (l, k)):
                             d2g[a, b, c, d] = v
-    g = g_at(zero)
-    return _lhs(MetricJet(g=g, dg=dg, d2g=d2g, ginv=invert(g),
-                          f=form.evaluate(y)))
+    fval, grad, hess, _, g = cache[zero]
+    return _lhs(MetricJet(g=g, dg=dg, d2g=d2g, ginv=invert(g), f=fval,
+                          grad=grad, hess=hess))
 
 
 def curvature_rhs(form: CubicForm, y) -> CurvTensor:

@@ -23,6 +23,7 @@ __all__ = [
     "invert",
     "invert_rows",
     "contract",
+    "raise_index",
     "identity_rows",
     "mat_mul",
     "mat_vec",
@@ -381,6 +382,25 @@ def congruence(p_rows, m: SymMatrix) -> SymMatrix:
     return SymMatrix.from_rows(mat_mul(pm, pt))
 
 
+def raise_index(s: Sym3Tensor, minv: SymMatrix):
+    """U[p][j,l] = sum_q Minv[p,q] S[j,l,q], as n SymMatrix (one per p).
+
+    The one place an index of a symmetric 3-tensor is raised with Minv:
+    `contract` and the Christoffel symbols both read it.
+    """
+    if s.n != minv.n:
+        raise DimensionMismatch("tensor and matrix dimensions differ")
+    n = s.n
+    rows = minv.rows()
+    out = [SymMatrix.zeros(n) for _ in range(n)]
+    for j in range(n):
+        for l in range(j, n):
+            sv = [s[j, l, q] for q in range(n)]
+            for p in range(n):
+                out[p][j, l] = sum(m * v for m, v in zip(rows[p], sv))
+    return out
+
+
 def contract(t: Sym3Tensor, s: Sym3Tensor, minv: SymMatrix) -> CurvTensor:
     """CurvTensor R with R[i,j,k,l] = sum_{p,q} Minv[p,q] T[i,k,p] S[j,l,q].
 
@@ -389,22 +409,16 @@ def contract(t: Sym3Tensor, s: Sym3Tensor, minv: SymMatrix) -> CurvTensor:
     if not (t.n == s.n == minv.n):
         raise DimensionMismatch("tensor and matrix dimensions differ")
     n = t.n
-    out = CurvTensor(n, zero=_zero_of(t, s, minv))
-    for i in range(n):
-        for k in range(i, n):
-            tv = [t[i, k, p] for p in range(n)]
-            for j in range(n):
-                for l in range(j, n):
-                    sv = [s[j, l, q] for q in range(n)]
-                    acc = sum(minv[p, q] * tv[p] * sv[q]
-                              for p in range(n) for q in range(n))
-                    out[i, j, k, l] = acc
-                    out[k, j, i, l] = acc
-                    out[i, l, k, j] = acc
-                    out[k, l, i, j] = acc
+    u = raise_index(s, minv)
+    pairs = [(j, l) for j in range(n) for l in range(j, n)]
+    columns = [[u[p][j, l] for p in range(n)] for j, l in pairs]
+    out = CurvTensor(n)                 # every entry is set below
+    for i, k in pairs:
+        tv = [t[i, k, p] for p in range(n)]
+        for (j, l), uv in zip(pairs, columns):
+            acc = sum(a * b for a, b in zip(tv, uv))
+            out[i, j, k, l] = acc
+            out[k, j, i, l] = acc
+            out[i, l, k, j] = acc
+            out[k, l, i, j] = acc
     return out
-
-
-def _zero_of(t, s, minv):
-    probe = t._data[0] * s._data[0] * minv._data[0]
-    return probe - probe

@@ -141,9 +141,6 @@ class Poly:
             total = total + term
         return total
 
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
                 and self.terms == other.terms)

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 __all__ = [
     "Complex",
-    "as_exact_vector",
-    "as_float_vector",
     "format_point",
     "format_scalar",
     "is_exact_scalar",
@@ -27,16 +25,11 @@ def is_exact_scalar(x) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational."""
-    return Fraction(text.strip())
-
-
-def as_exact_vector(values) -> tuple:
-    return tuple(Fraction(v) for v in values)
-
-
-def as_float_vector(values) -> tuple:
-    return tuple(float(v) for v in values)
+    """Parse "p" or "p/q" into an exact rational; ValueError if q is 0."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
 
 
 def format_scalar(x) -> str | float:

@@ -165,10 +165,9 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     y = tuple(v.im for v in t)
     jet = kahler_metric(form, y)      # NotInCone unless Im t is interior
     n = form.n
-    grad = form.gradient(y)
     kval = 8 * jet.f
     half = Fraction(1, 2)
-    k_log = tuple(Complex(Fraction(0), -half * grad[i] / jet.f)
+    k_log = tuple(Complex(Fraction(0), -half * jet.grad[i] / jet.f)
                   for i in range(n))
     g, ginv = jet.g, jet.ginv
     lam_bar = lam.conj()
@@ -197,13 +196,13 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
         inv[i + 1][0] = stated
         inv[0][i + 1] = stated.conj()
 
-    gamma = _gamma_printed(form, y, lam, k_log, jet)
+    gamma = _gamma_printed(form, lam, k_log, jet)
     return TildeMetric(n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log,
                        gtilde=gt, gtilde_inv_stated=inv, gamma_printed=gamma,
                        jet=jet)
 
 
-def _gamma_printed(form, y, lam, k_log, jet):
+def _gamma_printed(form, lam, k_log, jet):
     """The published connection formulas assembled as an (n+1)^3 array.
 
     Index 0 is the fibre direction; entries are symmetric in the lower pair.
@@ -212,7 +211,6 @@ def _gamma_printed(form, y, lam, k_log, jet):
     n = form.n
     zero = Complex(Fraction(0))
     base = jet.christoffels()
-    hess = form.hessian(y)
     kval = 8 * jet.f
     lam_inv = Complex(Fraction(1)) / lam
     gamma = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
@@ -231,7 +229,7 @@ def _gamma_printed(form, y, lam, k_log, jet):
         for j in range(n):
             acc = sum((base[k][i][j] * k_log[k] for k in range(n)),
                       start=zero)
-            ddk = Fraction(-2) * hess[i, j]
+            ddk = Fraction(-2) * jet.hess[i, j]
             v = lam * acc + 2 * lam * k_log[i] * k_log[j] \
                 - lam * Complex(ddk) / kval
             gamma[0][i + 1][j + 1] = v
@@ -295,11 +293,9 @@ def _entry_tables(form: CubicForm, tm: TildeMetric, scaling: str):
     potential lam lambar K, the scaling under which the matrix is Kahler.
     """
     n = form.n
-    grad = form.gradient(tm.y)
     kval = tm.norm_value
     k_log = tm.k_log
-    jet = tm.jet
-    g, dg = jet.g, jet.dg
+    g, dg, grad = tm.jet.g, tm.jet.dg, tm.jet.grad
     two_i = Complex(Fraction(0), Fraction(2))
 
     def dk(k):                      # d/dy_k of K

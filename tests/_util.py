@@ -1,10 +1,25 @@
 """Shared generators for the test suite (seeded, exact)."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import kahlercone
 from kahlercone import (CubicForm, Membership, SamplingExhausted,
                         cone_contains, cone_sample)
+
+
+def run_cli(*argv):
+    """(exit code, stdout) of `python -m kahlercone.cli` in a child process
+    that imports the same package as the tests, with or without PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(kahlercone.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "kahlercone.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stdout
 
 
 def random_fraction(rng, num_bound=6, den_bound=4, nonzero=False):

@@ -7,8 +7,6 @@ rational, stated float tolerances otherwise).
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 
@@ -21,7 +19,7 @@ from kahlercone import (Complex, Membership, cone_contains, cone_sample,
 from kahlercone.linalg import invert_rows, mat_vec
 
 from _util import (random_cubic, random_cubic_with_cone, random_fraction,
-                   random_invertible, suite_forms)
+                   random_invertible, run_cli, suite_forms)
 
 POINTS_PER_FORM = 25
 SEED = 20240811
@@ -237,26 +235,20 @@ def test_criterion_8_invariance_suite():
           f" all exact")
 
 
-def _run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "kahlercone.cli", *argv],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout
-
-
 def test_criterion_9_cli_determinism_and_exit_codes():
     argv = ["verify", "--form", "y1*y2^2", "--samples", "6", "--seed", "21"]
-    code_a, out_a = _run_cli(*argv)
-    code_b, out_b = _run_cli(*argv)
+    code_a, out_a = run_cli(*argv)
+    code_b, out_b = run_cli(*argv)
     assert code_a == code_b == 0
     assert out_a == out_b
     doc = json.loads(out_a)
     assert doc["overall"] == "PASS"
     assert all(p["maxAbsResidual"] == "0" for p in doc["points"])
 
-    code_fail, _ = _run_cli("verify", "--form", "y1^3", "--points", "1",
+    code_fail, _ = run_cli("verify", "--form", "y1^3", "--points", "1",
                             "--convention", "negated")
     assert code_fail == 1
-    code_err, _ = _run_cli("validate", "--form", "y1^2")
+    code_err, _ = run_cli("validate", "--form", "y1^2")
     assert code_err == 2
     print("\nACCEPTANCE 9: PASS - byte-identical JSON for fixed argv+seed; "
           "exit codes 0/1/2 as specified")

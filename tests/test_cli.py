@@ -1,16 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
-import subprocess
-import sys
 
 from kahlercone.cli import main
 
-
-def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "kahlercone.cli", *argv],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+from _util import run_cli
 
 
 def run_inproc(capsys, *argv):
@@ -204,7 +198,7 @@ def test_byte_identical_sampling():
     assert out1 == out2
 
 
-def test_bad_inputs_exit_2(capsys):
+def test_bad_inputs_exit_2(capsys, tmp_path):
     code, out = run_inproc(capsys, "verify", "--form", "y1^3",
                            "--points", "abc")
     assert code == 2 and "bad rational" in json.loads(out)["error"]["message"]
@@ -213,6 +207,27 @@ def test_bad_inputs_exit_2(capsys):
     code, out = run_inproc(capsys, "cone-metric", "--form", "y1^3",
                            "--points", "1", "--lam", "zz")
     assert code == 2
+    # zero denominators and malformed form files: a JSON error, no traceback
+    zero_coeff = tmp_path / "zero_coeff.json"
+    zero_coeff.write_text('{"n": 1, "monomials": '
+                          '[{"exp": [3], "coeff": "1/0"}]}')
+    not_a_dict = tmp_path / "not_a_dict.json"
+    not_a_dict.write_text("[1]")
+    for argv in (("verify", "--form", "y1^3", "--points", "1/0"),
+                 ("cone-metric", "--form", "y1^3", "--points", "1",
+                  "--lam", "1/0"),
+                 ("cone-metric", "--form", "y1^3", "--points", "1",
+                  "--lam", "1+1/0i"),
+                 ("cone-metric", "--form", "y1^3", "--points", "1",
+                  "--x", "1/0"),
+                 ("cone", "check", "--form", "y1^3", "--point", "1/0"),
+                 ("cone", "sample", "--form", "y1^3", "--hint", "1/0"),
+                 ("validate", "--form-file", str(zero_coeff)),
+                 ("validate", "--form-file", str(not_a_dict))):
+        code, out = run_inproc(capsys, *argv)
+        assert code == 2, argv
+        assert "error" in json.loads(out), argv
+        assert "Traceback" not in out, argv
 
 
 def test_text_mode_renders(capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from kahlercone import (KahlerConeError, Membership, NotInCone, ZeroVector,
-                        christoffels, cone_contains, curvature_lhs,
+from kahlercone import (Complex, KahlerConeError, Membership, NotInCone,
+                        ZeroVector, christoffels, cone_contains, curvature_lhs,
                         curvature_report, curvature_rhs, inertia,
                         kahler_metric, norm_function, parse_text, sectional,
                         verify_identity)
@@ -219,6 +219,13 @@ def test_christoffel_product_form_vanishing_mixed():
                 for k in range(2):
                     assert g[i][j][k].re == 0
                     assert g[i][j][k] == g[i][k][j]
+    # the defining single sum over the raised index, at an n = 4 point
+    jet = kahler_metric(parse_text("y1*y2*y3 + y4^3", 4),
+                        [F(2), F(2), F(2), F(-1)])
+    minus_half_i = Complex(F(0), F(-1, 2))
+    assert jet.christoffels() == [[[
+        minus_half_i * sum(jet.ginv[i, l] * jet.dg[l, k, j] for l in range(4))
+        for k in range(4)] for j in range(4)] for i in range(4)]
 
 
 def test_sectional_values_and_scale_invariance():

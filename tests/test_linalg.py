@@ -1,5 +1,6 @@
 """Exact kernel: inertia, inversion, contraction, and their invariants."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -138,7 +139,12 @@ def test_contract_output_has_pair_symmetries():
         s = Sym3Tensor.build(n, lambda i, j, k: F(rng.randint(-4, 4),
                                                   rng.randint(1, 3)))
         m = SymMatrix.from_rows(random_symmetric(rng, n))
-        assert contract(t, s, m).has_pair_symmetries()
+        r = contract(t, s, m)
+        assert r.has_pair_symmetries()
+        # the defining double sum, entry by entry
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            assert r[i, j, k, l] == sum(m[p, q] * t[i, k, p] * s[j, l, q]
+                                        for p in range(n) for q in range(n))
 
 
 def test_symmetric_containers_sort_indices():

@@ -1,12 +1,15 @@
 """Property tests of the metric jet under scaling and GL(n, Z) changes of
-variables, at sampled interior points of y1*y2*y3 + y4^3."""
+variables, at sampled interior points of y1*y2*y3 + y4^3, and of the text
+and JSON round trips of random cubic forms."""
 
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlercone import cone_sample, kahler_metric, parse_text, verify_identity
+from kahlercone import (CubicForm, cone_sample, kahler_metric, parse_text,
+                        verify_identity)
 from kahlercone.linalg import mat_vec
 
 FORM = parse_text("y1*y2*y3 + y4^3", 4)
@@ -21,6 +24,18 @@ positive_rationals = st.builds(F, st.integers(1, 30), st.integers(1, 30))
 # a row operation "add k times row j to row i", i != j
 row_operations = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1),
                            st.integers(-3, 3)).filter(lambda op: op[0] != op[1])
+nonzero_rationals = st.builds(F, st.integers(-30, 30).filter(bool),
+                              st.integers(1, 30))
+
+
+def _cubic_forms(n):
+    exponents = [e for e in itertools.product(range(4), repeat=n)
+                 if sum(e) == 3]
+    return st.dictionaries(st.sampled_from(exponents), nonzero_rationals,
+                           min_size=1).map(lambda monos: CubicForm(n, monos))
+
+
+cubic_forms = st.integers(1, 4).flatmap(_cubic_forms)
 
 
 def _unimodular(ops):
@@ -62,3 +77,10 @@ def test_identity_holds_on_scaled_points(y, c):
     summary = verify_identity(FORM, [[c * v for v in y]])
     assert summary.overall == "PASS"
     assert summary.points[0].max_abs_residual == 0
+
+
+@PROPERTY_SETTINGS
+@given(cubic_forms)
+def test_text_and_json_round_trips(form):
+    assert parse_text(form.to_text(), form.n) == form
+    assert CubicForm.from_json_dict(form.to_json_dict()) == form
