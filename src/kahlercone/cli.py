@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cubic import (ConePoint, CubicForm, cone_contains, cone_sample,
+from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
                     norm_identity_check, parse_text)
 from .errors import KahlerConeError, ParseError
 from .geometry import curvature_report, kahler_metric, verify_identity
@@ -140,9 +140,7 @@ def _cmd_cone_check(args):
     results = []
     lines = []
     for y in _points_for(args, form):
-        verdict = cone_contains(form, y)
-        fval = form.evaluate(y)
-        sig = inertia(form.hessian(y))
+        verdict, fval, sig = _classify(form, y)
         results.append({"y": [format_scalar(v) for v in y],
                         "verdict": verdict.value,
                         "f": format_scalar(fval),

@@ -2,9 +2,10 @@
 
 A form is stored as a map from exponent vectors (summing to 3) to exact
 rational coefficients, together with the constant symmetric tensor of third
-partial derivatives derived at construction. Only homogeneous cubics are
-accepted: the norm-function identity and the cone structure both rest on
-Euler's relation, which fails for inhomogeneous input.
+partial derivatives and an integer multiple of it, each built on first use;
+index-cone membership is decided from the integer one, on Python ints. Only
+homogeneous cubics are accepted: the norm-function identity and the cone
+structure both rest on Euler's relation, which fails for inhomogeneous input.
 
 Text grammar (whitespace insignificant)::
 
@@ -18,10 +19,12 @@ Text grammar (whitespace insignificant)::
 from __future__ import annotations
 
 import enum
+import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
@@ -64,7 +67,7 @@ class ConePoint:
 class CubicForm:
     """A homogeneous cubic f in n variables with exact rational coefficients."""
 
-    __slots__ = ("n", "monomials", "_poly", "_f3")
+    __slots__ = ("n", "monomials", "_poly", "_f3", "_int_f3")
 
     def __init__(self, n, monomials):
         if n < 1:
@@ -86,6 +89,7 @@ class CubicForm:
                           if c != 0}
         self._poly = Poly(n, self.monomials)
         self._f3 = None
+        self._int_f3 = None
 
     @property
     def third_tensor(self) -> Sym3Tensor:
@@ -96,6 +100,20 @@ class CubicForm:
                 self.n,
                 lambda i, j, k: _constant_term(p.diff(i).diff(j).diff(k)))
         return self._f3
+
+    def _integer_third(self):
+        """(c, rows): c > 0 the lcm of the coefficient denominators, and for
+        each stored entry (i, j) of a SymMatrix, in its packed order, the
+        pair (i, j) and the integer row c * f3[i, j, 0..n-1]. The Hessian
+        of c*f at an integer z is then the integer SymMatrix of rows . z."""
+        if self._int_f3 is None:
+            c = math.lcm(*[v.denominator for v in self.monomials.values()])
+            f3 = self.third_tensor
+            n = self.n
+            rows = [((i, j), [int(c * f3[i, j, k]) for k in range(n)])
+                    for j in range(n) for i in range(j + 1)]
+            self._int_f3 = (c, rows)
+        return self._int_f3
 
     def as_poly(self) -> Poly:
         """The form as a polynomial; shared, and never modified in place."""
@@ -167,7 +185,15 @@ class CubicForm:
 
     @classmethod
     def from_json_dict(cls, doc) -> "CubicForm":
-        monos = {tuple(m["exp"]): Fraction(m["coeff"]) for m in doc["monomials"]}
+        monos = {}
+        for m in doc["monomials"]:
+            exp = tuple(m["exp"])
+            try:
+                monos[exp] = Fraction(m["coeff"])
+            except ZeroDivisionError:
+                raise ValueError(f"monomial with exponents {list(exp)} has a "
+                                 f"zero denominator in its coefficient "
+                                 f"{m['coeff']!r}") from None
         return cls(int(doc["n"]), monos)
 
     def __eq__(self, other):
@@ -306,6 +332,40 @@ def parse_text(src: str, n: int) -> CubicForm:
 # ----------------------------------------------------------------------------
 # index-cone membership and sampling
 
+def _classify(form: CubicForm, y):
+    """(verdict, f(y), inertia of Hess f(y)) of a rational point, on ints.
+
+    Both conditions are unchanged by y -> c*y with c > 0, so y is scaled to
+    the integer vector z = l*y, l the lcm of its denominators, and the
+    integer Hessian H = Hess(c*f)(z) of `_integer_third` is formed. Euler's
+    relation for a cubic gives z^T H z = 6*c*f(z) = 6*c*l^3*f(y), which
+    carries the sign of f and recovers f(y) exactly.
+    """
+    if any(isinstance(v, float) for v in y):
+        raise TypeError("cone membership needs exact rational coordinates; "
+                        "pass Fractions, ints, or 'p/q' strings")
+    y = [Fraction(v) for v in y]
+    form._check_len(y)
+    den = math.lcm(*[v.denominator for v in y])
+    z = [v.numerator * (den // v.denominator) for v in y]
+    c, rows = form._integer_third()
+    h = [sum(map(mul, row, z)) for _, row in rows]
+    six_cf = sum((hv if i == j else 2 * hv) * z[i] * z[j]
+                 for ((i, j), _), hv in zip(rows, h))
+    n = form.n
+    sig = inertia(SymMatrix(n, h))
+    plus, minus, zero = sig
+    degenerate = six_cf == 0 or zero > 0
+    compatible = six_cf >= 0 and plus <= 1 and minus <= n - 1
+    if six_cf > 0 and sig == (1, n - 1, 0):
+        verdict = Membership.INTERIOR
+    elif degenerate and compatible:
+        verdict = Membership.BOUNDARY
+    else:
+        verdict = Membership.OUTSIDE
+    return verdict, Fraction(six_cf, 6 * c * den**3), sig
+
+
 def cone_contains(form: CubicForm, y) -> Membership:
     """Exact index-cone membership of a rational point.
 
@@ -313,23 +373,9 @@ def cone_contains(form: CubicForm, y) -> Membership:
     negative eigenvalues. Boundary: f(y) = 0 or the Hessian is singular,
     while nothing already contradicts the interior sign pattern. Outside:
     everything else. Floats are never accepted here; membership is a
-    boundary-sensitive decision and is only made exactly.
+    boundary-sensitive decision and is only made exactly, on integers.
     """
-    if any(isinstance(v, float) for v in y):
-        raise TypeError("cone membership needs exact rational coordinates; "
-                        "pass Fractions, ints, or 'p/q' strings")
-    y = tuple(Fraction(v) for v in y)
-    form._check_len(y)
-    fval = form.evaluate(y)
-    plus, minus, zero = inertia(form.hessian(y))
-    n = form.n
-    if fval > 0 and (plus, minus, zero) == (1, n - 1, 0):
-        return Membership.INTERIOR
-    degenerate = fval == 0 or zero > 0
-    compatible = fval >= 0 and plus <= 1 and minus <= n - 1
-    if degenerate and compatible:
-        return Membership.BOUNDARY
-    return Membership.OUTSIDE
+    return _classify(form, y)[0]
 
 
 def cone_sample(form: CubicForm, count: int, seed: int,

@@ -3,12 +3,16 @@
 Symmetric containers store one entry per index multiset; accessors sort the
 requested indices, so `m[i, j] == m[j, i]` by construction. Dimensions stay
 small here (n of order a few), so storage and cubic-time elimination are not
-a concern; what matters is that everything works verbatim over Fractions,
-floats, and `Complex` values.
+a concern; the cost is in the scalars. Inversion and contraction work
+verbatim over Fractions, floats and `Complex` values. `inertia` is exact
+only: it clears the denominators of its rational input once and eliminates
+fraction-free on Python ints, each of whose operations costs a small
+fraction of a `Fraction` one, and it rejects floats.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -212,60 +216,71 @@ class CurvTensor:
 def inertia(m: SymMatrix):
     """Sylvester inertia (n_plus, n_minus, n_zero) of an exact symmetric matrix.
 
-    Symmetric Gaussian elimination with 1x1/2x2 pivot blocks (Bunch-Kaufman
-    style over the rationals): each step replaces the trailing block by its
-    Schur complement, a congruence transformation, so signs of the pivot
-    blocks accumulate the inertia exactly. No eigenvalue iteration.
+    Fraction-free symmetric elimination on Python ints (Bareiss, Math. Comp.
+    1968) with 1x1/2x2 pivot blocks. The entries are first scaled by the lcm
+    of their denominators. A 1x1 step on pivot d replaces the trailing block
+    by |d| times its Schur complement, a 2x2 step on the block [[0, b],
+    [b, 0]] by |b| times it; each is a positive multiple of a congruence, so
+    the signs of the pivot blocks give the inertia, and the block is then
+    divided by the gcd of its entries to keep the integers small. Every
+    trailing block is a positive multiple of the one rational elimination
+    would reach, so the pivots are chosen as over the rationals. No
+    eigenvalue iteration and no float; raises TypeError on float entries.
     """
     for v in m._data:
         if not is_exact_scalar(v):
             raise TypeError("inertia requires exact rational entries")
     n = m.n
-    a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
+    den = math.lcm(*[v.denominator for v in m._data])
+    packed = iter([v.numerator * (den // v.denominator) for v in m._data])
+    a = [[0] * n for _ in range(n)]
+    for j in range(n):                  # the packed order of SymMatrix
+        for i in range(j + 1):
+            a[i][j] = a[j][i] = next(packed)
     plus = minus = zero = 0
     k = 0
     while k < n:
         # best 1x1 pivot: largest |diagonal| for mild coefficient control
-        piv, best = -1, Fraction(0)
+        piv, best = -1, 0
         for i in range(k, n):
             if abs(a[i][i]) > best:
                 piv, best = i, abs(a[i][i])
         if piv >= 0:
             _sym_swap(a, k, piv)
             d = a[k][k]
+            sign = 1 if d > 0 else -1
             plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
             col = [a[r][k] for r in range(n)]
             for r in range(k + 1, n):
                 for s in range(r, n):
-                    a[r][s] -= col[r] * col[s] / d
-                    a[s][r] = a[r][s]
+                    a[r][s] = a[s][r] = best * a[r][s] - sign * col[r] * col[s]
             k += 1
-            continue
-        # all trailing diagonals vanish: find an off-diagonal 2x2 block
-        off = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if a[i][j] != 0:
-                    off = (i, j)
-                    break
-            if off:
+        else:
+            # all trailing diagonals vanish: find an off-diagonal 2x2 block
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                        if a[i][j] != 0), None)
+            if off is None:
+                zero += n - k
                 break
-        if off is None:
-            zero += n - k
-            break
-        _sym_swap(a, k, off[0])
-        _sym_swap(a, k + 1, off[1])
-        b = a[k][k + 1]
-        # block [[0, b], [b, 0]] has eigenvalues +/- b: one of each sign
-        plus += 1
-        minus += 1
-        u = [a[r][k] for r in range(n)]
-        v = [a[r][k + 1] for r in range(n)]
-        for r in range(k + 2, n):
-            for s in range(r, n):
-                a[r][s] -= (v[r] * u[s] + u[r] * v[s]) / b
-                a[s][r] = a[r][s]
-        k += 2
+            _sym_swap(a, k, off[0])
+            _sym_swap(a, k + 1, off[1])
+            b = a[k][k + 1]
+            sign = 1 if b > 0 else -1
+            # block [[0, b], [b, 0]] has eigenvalues +/- b: one of each sign
+            plus += 1
+            minus += 1
+            u = [a[r][k] for r in range(n)]
+            v = [a[r][k + 1] for r in range(n)]
+            for r in range(k + 2, n):
+                for s in range(r, n):
+                    a[r][s] = a[s][r] = (abs(b) * a[r][s]
+                                         - sign * (v[r] * u[s] + u[r] * v[s]))
+            k += 2
+        g = math.gcd(*[a[r][s] for r in range(k, n) for s in range(r, n)])
+        if g > 1:
+            for r in range(k, n):
+                for s in range(r, n):
+                    a[r][s] = a[s][r] = a[r][s] // g
     return plus, minus, zero
 
 

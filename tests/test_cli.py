@@ -228,6 +228,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         assert code == 2, argv
         assert "error" in json.loads(out), argv
         assert "Traceback" not in out, argv
+    # the zero-denominator message names the monomial and its coefficient
+    code, out = run_inproc(capsys, "validate", "--form-file", str(zero_coeff))
+    assert code == 2 and "Traceback" not in out
+    assert json.loads(out)["error"]["message"] == (
+        "cannot load form file: monomial with exponents [3] has a zero "
+        "denominator in its coefficient '1/0'")
 
 
 def test_text_mode_renders(capsys):
