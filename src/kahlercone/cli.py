@@ -10,21 +10,32 @@ with fields "n" and "monomials"). The variable count is inferred from the
 highest variable index unless --n is given. Points are comma-separated
 rationals; semicolons separate points of dimension > 1 ("1,2;3,4" is two
 2-dimensional points; for n = 1, "1,2,1/3" is three points).
+
+`COMMANDS` is the one table of subcommands: their words, help, arguments
+beyond the form group, and handler; `build_parser` reads nothing else. The
+per-point subcommands (cone check, cone sample, metric, curvature,
+affine-verify, cone-metric) share one handler, `_per_point`: each supplies a
+function from one point to its JSON entry, its text line and its verdict
+(None when the subcommand checks nothing), and `_per_point` builds the
+document, the text and the exit code. `_doc` is the one formatter from
+scalars, points and tensors to JSON values.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
                     norm_identity_check, parse_text)
 from .errors import KahlerConeError, ParseError
-from .geometry import curvature_report, kahler_metric, verify_identity
-from .linalg import hermitian_inertia, inertia
+from .geometry import (CONVENTIONS, MODES, convert_point, curvature_report,
+                       kahler_metric, verify_identity)
+from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, hermitian_inertia,
+                     inertia)
 from .report import SCHEMA_VERSION, render_json, render_text
 from .scalars import Complex, format_scalar, parse_rational
 from .special import (affine_curvature_check, build_tilde_metric,
@@ -41,6 +52,8 @@ def _infer_dimension(src: str) -> int:
 
 
 def _load_form(args) -> CubicForm:
+    if args.n is not None and args.n < 1:
+        raise KahlerConeError(f"--n must be at least 1, got {args.n}")
     if args.form_file:
         try:
             with open(args.form_file, "r", encoding="utf-8") as fh:
@@ -50,7 +63,7 @@ def _load_form(args) -> CubicForm:
             raise KahlerConeError(f"cannot load form file: {exc}") from exc
     if not args.form:
         raise KahlerConeError("one of --form or --form-file is required")
-    n = args.n if args.n else _infer_dimension(args.form)
+    n = args.n if args.n is not None else _infer_dimension(args.form)
     return parse_text(args.form, n)
 
 
@@ -99,201 +112,6 @@ def _points_for(args, form: CubicForm):
     return points
 
 
-def _form_echo(form: CubicForm) -> dict:
-    doc = form.to_json_dict()
-    doc["text"] = form.to_text()
-    return doc
-
-
-def _matrix_doc(m):
-    return [[format_scalar(v) for v in row] for row in m.rows()]
-
-
-def _tensor_doc(t):
-    n = t.n
-    return [[[[format_scalar(t[i, j, k, l]) for l in range(n)]
-              for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def _complex_rows_doc(rows):
-    return [[format_scalar(z) for z in row] for row in rows]
-
-
-def _emit(args, doc: dict, text: str) -> None:
-    sys.stdout.write(text if args.text else render_json(doc))
-
-
-# ----------------------------------------------------------------------------
-# subcommand bodies; each returns a process exit code
-
-def _cmd_validate(args):
-    form = _load_form(args)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "validate",
-           "form": _form_echo(form), "monomialCount": len(form.monomials)}
-    _emit(args, doc, f"valid homogeneous cubic: {form.to_text()}  "
-                     f"(n={form.n}, {len(form.monomials)} monomials)\n")
-    return 0
-
-
-def _cmd_cone_check(args):
-    form = _load_form(args)
-    results = []
-    lines = []
-    for y in _points_for(args, form):
-        verdict, fval, sig = _classify(form, y)
-        results.append({"y": [format_scalar(v) for v in y],
-                        "verdict": verdict.value,
-                        "f": format_scalar(fval),
-                        "hessianInertia": list(sig)})
-        coords = ",".join(str(format_scalar(v)) for v in y)
-        lines.append(f"y=({coords}): {verdict.value}  f={format_scalar(fval)} "
-                     f"inertia={sig}")
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "cone-check",
-           "form": _form_echo(form), "points": results}
-    _emit(args, doc, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_cone_sample(args):
-    form = _load_form(args)
-    points = _sample_points(args, form)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "cone-sample",
-           "form": _form_echo(form), "seed": args.seed,
-           "points": [[format_scalar(v) for v in y] for y in points]}
-    text = "\n".join(",".join(str(format_scalar(v)) for v in y)
-                     for y in points) + "\n"
-    _emit(args, doc, text)
-    return 0
-
-
-def _cmd_metric(args):
-    form = _load_form(args)
-    entries = []
-    lines = []
-    for y in _points_for(args, form):
-        yy = tuple(Fraction(v) for v in y) if args.mode == "exact" \
-            else tuple(float(v) for v in y)
-        jet = kahler_metric(form, yy)
-        entry = {"y": [format_scalar(v) for v in yy],
-                 "g": _matrix_doc(jet.g), "gInv": _matrix_doc(jet.ginv)}
-        if args.mode == "exact":
-            entry["inertia"] = list(inertia(jet.g))
-        entries.append(entry)
-        lines.append(f"y={entry['y']}: g={entry['g']}")
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "metric",
-           "form": _form_echo(form), "mode": args.mode, "points": entries}
-    _emit(args, doc, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_curvature(args):
-    form = _load_form(args)
-    entries = []
-    lines = []
-    for y in _points_for(args, form):
-        yy = tuple(Fraction(v) for v in y) if args.mode == "exact" \
-            else tuple(float(v) for v in y)
-        rep = curvature_report(form, yy, convention=args.convention)
-        n = form.n
-        entries.append({
-            "y": [format_scalar(v) for v in yy],
-            "normFunction": format_scalar(rep.potential_arg),
-            "yukawa": [[[format_scalar(rep.yukawa[i, j, k]) for k in range(n)]
-                        for j in range(n)] for i in range(n)],
-            "christoffel": [[[format_scalar(rep.christoffel[i][j][k])
-                              for k in range(n)] for j in range(n)]
-                            for i in range(n)],
-            "lhs": _tensor_doc(rep.lhs),
-            "rhs": _tensor_doc(rep.rhs),
-            "residual": _tensor_doc(rep.residual),
-            "maxAbsResidual": format_scalar(rep.max_abs_residual),
-        })
-        lines.append(f"y={entries[-1]['y']}: max|lhs-rhs|="
-                     f"{entries[-1]['maxAbsResidual']}")
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "curvature",
-           "form": _form_echo(form), "mode": args.mode,
-           "convention": args.convention, "points": entries}
-    _emit(args, doc, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_verify(args):
-    form = _load_form(args)
-    points = _points_for(args, form)
-    summary = verify_identity(form, points, mode=args.mode,
-                              convention=args.convention, seed=args.seed)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "verify"}
-    doc.update(summary.to_json_dict(include_timing=args.timing))
-    doc["form"] = _form_echo(form)
-    _emit(args, doc, render_text(summary))
-    return 0 if summary.overall == "PASS" else 1
-
-
-def _cmd_affine_verify(args):
-    form = _load_form(args)
-    entries = []
-    lines = []
-    ok = True
-    for y in _points_for(args, form):
-        res = affine_curvature_check(form, y)
-        ok = ok and res.passed
-        entries.append({"y": [format_scalar(v) for v in y],
-                        "passed": res.passed,
-                        "kappa": format_scalar(res.kappa)
-                        if res.kappa is not None else None,
-                        "maxAbsResidual": format_scalar(res.max_abs_residual)})
-        lines.append(f"y={entries[-1]['y']}: "
-                     f"{'PASS' if res.passed else 'FAIL'} "
-                     f"kappa={entries[-1]['kappa']}")
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "affine-verify",
-           "form": _form_echo(form), "points": entries,
-           "overall": "PASS" if ok else "FAIL"}
-    _emit(args, doc, "\n".join(lines) + f"\noverall: {doc['overall']}\n")
-    return 0 if ok else 1
-
-
-def _cmd_cone_metric(args):
-    form = _load_form(args)
-    points = _points_for(args, form)
-    xs = _parse_points(args.x, form.n) if args.x else [None] * len(points)
-    if len(xs) != len(points):
-        raise KahlerConeError("--x must give one group per point")
-    lam = _parse_lambda(args.lam)
-    entries = []
-    lines = []
-    ok = True
-    for y, x in zip(points, xs):
-        t = ConePoint(y, x).complexified()
-        tm = build_tilde_metric(form, t, lam)
-        inv = tilde_inverse_check(tm)
-        chris = tilde_christoffel_check(tm, form)
-        sig = hermitian_inertia(tm.gtilde)
-        ok = ok and inv.passed and chris.passed
-        entries.append({
-            "t": [format_scalar(z) for z in t],
-            "lambda": format_scalar(lam),
-            "normFunction": format_scalar(tm.norm_value),
-            "gTilde": _complex_rows_doc(tm.gtilde),
-            "gTildeInvStated": _complex_rows_doc(tm.gtilde_inv_stated),
-            "inverseCheck": inv.passed,
-            "inertia": list(sig),
-            "christoffelCheck": {
-                "passed": chris.passed,
-                "matches": chris.matches,
-                "lowerSymmetric": chris.lower_symmetric,
-                "recoveryRelation": chris.recovery_relation,
-            },
-        })
-        lines.append(f"t={entries[-1]['t']}: inverse="
-                     f"{'PASS' if inv.passed else 'FAIL'} inertia={sig} "
-                     f"christoffel={'PASS' if chris.passed else 'FAIL'}")
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "cone-metric",
-           "form": _form_echo(form), "points": entries,
-           "overall": "PASS" if ok else "FAIL"}
-    _emit(args, doc, "\n".join(lines) + f"\noverall: {doc['overall']}\n")
-    return 0 if ok else 1
-
-
 def _parse_lambda(text: str) -> Complex:
     try:
         m = re.fullmatch(r"\s*([+-]?[\d/]+)\s*([+-]\s*[\d/]+)\s*i\s*", text)
@@ -305,42 +123,237 @@ def _parse_lambda(text: str) -> Complex:
         raise KahlerConeError(f"bad fibre coordinate {text!r}") from exc
 
 
-def _cmd_identity_n8f(args):
+def _form_echo(form: CubicForm) -> dict:
+    doc = form.to_json_dict()
+    doc["text"] = form.to_text()
+    return doc
+
+
+_RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}
+
+
+def _doc(x, index=()):
+    """JSON value of a scalar (None stays None), or nested lists of them for
+    a point, rows, a Christoffel array or a symmetric or curvature tensor."""
+    rank = _RANK.get(type(x))
+    if rank is not None:
+        if len(index) == rank:
+            return format_scalar(x[index])
+        return [_doc(x, index + (i,)) for i in range(x.n)]
+    if isinstance(x, (list, tuple)):
+        return [_doc(v) for v in x]
+    return None if x is None else format_scalar(x)
+
+
+def _coords(y) -> str:
+    return ",".join(str(format_scalar(v)) for v in y)
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _emit(args, doc: dict, text: str) -> None:
+    sys.stdout.write(text if args.text else render_json(doc))
+
+
+# ----------------------------------------------------------------------------
+# handlers: each takes the command name and the parsed arguments and
+# returns a process exit code
+
+def _per_point(body, points=_points_for, echo=()):
+    """Handler that runs body(args, form, point) -> (entry, line, passed) at
+    each point of points(args, form). The document echoes the options named
+    in `echo`; it has an "overall" verdict, and the text an "overall:" line,
+    when the body checks something (passed is not None)."""
+    def run(command, args):
+        form = _load_form(args)
+        results = [body(args, form, p) for p in points(args, form)]
+        doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
+               "form": _form_echo(form)}
+        doc.update((key, getattr(args, key)) for key in echo)
+        doc["points"] = [entry for entry, _, _ in results]
+        text = "".join(line + "\n" for _, line, _ in results)
+        verdicts = [passed for _, _, passed in results]
+        if None not in verdicts:
+            doc["overall"] = _verdict(all(verdicts))
+            text += f"overall: {doc['overall']}\n"
+        _emit(args, doc, text)
+        return 0 if doc.get("overall", "PASS") == "PASS" else 1
+    return run
+
+
+def _cone_check_point(args, form, y):
+    verdict, fval, sig = _classify(form, y)
+    entry = {"y": _doc(y), "verdict": verdict.value, "f": _doc(fval),
+             "hessianInertia": list(sig)}
+    return (entry, f"y=({_coords(y)}): {verdict.value}  f={entry['f']} "
+                   f"inertia={sig}", None)
+
+
+def _cone_sample_point(args, form, y):
+    return _doc(y), _coords(y), None
+
+
+def _metric_point(args, form, y):
+    y = convert_point(y, args.mode)
+    jet = kahler_metric(form, y)
+    entry = {"y": _doc(y), "g": _doc(jet.g), "gInv": _doc(jet.ginv)}
+    if args.mode == "exact":
+        entry["inertia"] = list(inertia(jet.g))
+    return entry, f"y={entry['y']}: g={entry['g']}", None
+
+
+def _curvature_point(args, form, y):
+    y = convert_point(y, args.mode)
+    rep = curvature_report(form, y, convention=args.convention)
+    entry = {"y": _doc(y), "normFunction": _doc(rep.potential_arg),
+             "yukawa": _doc(rep.yukawa), "christoffel": _doc(rep.christoffel),
+             "lhs": _doc(rep.lhs), "rhs": _doc(rep.rhs),
+             "residual": _doc(rep.residual),
+             "maxAbsResidual": _doc(rep.max_abs_residual)}
+    return (entry, f"y={entry['y']}: max|lhs-rhs|={entry['maxAbsResidual']}",
+            None)
+
+
+def _affine_point(args, form, y):
+    res = affine_curvature_check(form, y)
+    entry = {"y": _doc(y), "passed": res.passed, "kappa": _doc(res.kappa),
+             "maxAbsResidual": _doc(res.max_abs_residual)}
+    return (entry, f"y={entry['y']}: {_verdict(res.passed)} "
+                   f"kappa={entry['kappa']}", res.passed)
+
+
+def _cone_metric_points(args, form):
+    """(t, lambda) per point: t = x + i y, x from --x or 0."""
+    points = _points_for(args, form)
+    xs = _parse_points(args.x, form.n) if args.x else [None] * len(points)
+    if len(xs) != len(points):
+        raise KahlerConeError("--x must give one group per point")
+    lam = _parse_lambda(args.lam)
+    return [(ConePoint(y, x).complexified(), lam) for y, x in zip(points, xs)]
+
+
+def _cone_metric_point(args, form, point):
+    t, lam = point
+    tm = build_tilde_metric(form, t, lam)
+    inv = tilde_inverse_check(tm)
+    chris = tilde_christoffel_check(tm, form)
+    sig = hermitian_inertia(tm.gtilde)
+    entry = {
+        "t": _doc(t),
+        "lambda": _doc(lam),
+        "normFunction": _doc(tm.norm_value),
+        "gTilde": _doc(tm.gtilde),
+        "gTildeInvStated": _doc(tm.gtilde_inv_stated),
+        "inverseCheck": inv.passed,
+        "inertia": list(sig),
+        "christoffelCheck": {
+            "passed": chris.passed,
+            "matches": chris.matches,
+            "lowerSymmetric": chris.lower_symmetric,
+            "recoveryRelation": chris.recovery_relation,
+        },
+    }
+    return (entry, f"t={entry['t']}: inverse={_verdict(inv.passed)} "
+                   f"inertia={sig} christoffel={_verdict(chris.passed)}",
+            inv.passed and chris.passed)
+
+
+def _cmd_validate(command, args):
+    form = _load_form(args)
+    doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
+           "form": _form_echo(form), "monomialCount": len(form.monomials)}
+    _emit(args, doc, f"valid homogeneous cubic: {form.to_text()}  "
+                     f"(n={form.n}, {len(form.monomials)} monomials)\n")
+    return 0
+
+
+def _cmd_verify(command, args):
+    form = _load_form(args)
+    summary = verify_identity(form, _points_for(args, form), mode=args.mode,
+                              convention=args.convention, seed=args.seed)
+    doc = {"schemaVersion": SCHEMA_VERSION, "command": command}
+    doc.update(summary.to_json_dict(include_timing=args.timing))
+    doc["form"] = _form_echo(form)
+    _emit(args, doc, render_text(summary))
+    return 0 if summary.overall == "PASS" else 1
+
+
+def _cmd_identity_n8f(command, args):
     form = _load_form(args)
     res = norm_identity_check(form)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": "identity-n8f",
+    doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
            "form": _form_echo(form), "holds": res.holds}
     if not res.holds:
         exp, got, want = res.counterexample
-        doc["counterexample"] = {"exponents": list(exp),
-                                 "got": format_scalar(got),
-                                 "expected": format_scalar(want)}
+        doc["counterexample"] = {"exponents": list(exp), "got": _doc(got),
+                                 "expected": _doc(want)}
     _emit(args, doc, f"norm function equals 8*f: "
                      f"{'HOLDS' if res.holds else 'FAILS'}\n")
     return 0 if res.holds else 1
 
 
 # ----------------------------------------------------------------------------
+# argument specs: (flags, add_argument keywords)
 
-def _add_form_arguments(p):
-    p.add_argument("--form", help="polynomial text, e.g. 'y1*y2^2 + 2*y2^3'")
-    p.add_argument("--form-file", help="path to a JSON form document")
-    p.add_argument("--n", type=int, help="number of variables "
-                   "(default: highest index appearing in --form)")
-    p.add_argument("--json", dest="text", action="store_false", default=False,
-                   help="JSON output (default)")
-    p.add_argument("--text", dest="text", action="store_true",
-                   help="human-readable output")
+_FORM_ARGS = (
+    (("--form",), dict(help="polynomial text, e.g. 'y1*y2^2 + 2*y2^3'")),
+    (("--form-file",), dict(help="path to a JSON form document")),
+    (("--n",), dict(type=int, help="number of variables "
+                    "(default: highest index appearing in --form)")),
+    (("--json",), dict(dest="text", action="store_false", default=False,
+                       help="JSON output (default)")),
+    (("--text",), dict(dest="text", action="store_true",
+                       help="human-readable output")),
+)
+_POINT_ARGS = (
+    (("--points", "--point"), dict(dest="points", help="semicolon-separated "
+                                   "points of comma-separated rationals")),
+    (("--samples",), dict(type=int,
+                          help="sample this many interior points instead")),
+    (("--hint",), dict(help="known interior point for the sampler")),
+    (("--seed",), dict(type=int, default=0, help="sampler seed")),
+)
+_MODE_ARGS = ((("--mode",), dict(choices=MODES, default="exact")),)
+_CONVENTION_ARGS = ((("--convention",),
+                     dict(choices=CONVENTIONS, default="standard")),)
 
-
-def _add_point_arguments(p):
-    p.add_argument("--points", "--point", dest="points",
-                   help="semicolon-separated points of comma-separated "
-                        "rationals")
-    p.add_argument("--samples", type=int,
-                   help="sample this many interior points instead")
-    p.add_argument("--hint", help="known interior point for the sampler")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
+# (words, help, arguments beyond _FORM_ARGS, handler); a row without a
+# handler groups the subcommands whose words extend its own
+COMMANDS = (
+    (("validate",), "parse and echo a form", (), _cmd_validate),
+    (("cone",), "index-cone membership and sampling", (), None),
+    (("cone", "check"), "classify points", _POINT_ARGS,
+     _per_point(_cone_check_point)),
+    (("cone", "sample"), "sample interior points",
+     ((("--samples",), dict(type=int, default=25)),
+      (("--hint",), dict(help="known interior point")),
+      (("--seed",), dict(type=int, default=0))),
+     _per_point(_cone_sample_point, points=_sample_points, echo=("seed",))),
+    (("metric",), "metric and inverse at points", _POINT_ARGS + _MODE_ARGS,
+     _per_point(_metric_point, echo=("mode",))),
+    (("curvature",), "curvature tensors and residual at points",
+     _POINT_ARGS + _MODE_ARGS + _CONVENTION_ARGS,
+     _per_point(_curvature_point, echo=("mode", "convention"))),
+    (("verify",), "verify the curvature identity",
+     _POINT_ARGS + _MODE_ARGS + _CONVENTION_ARGS
+     + ((("--timing",), dict(action="store_true", help="include wall-clock "
+                             "timing in the report (off by default so "
+                             "reports are byte-reproducible)")),),
+     _cmd_verify),
+    (("affine-verify",), "verify the flat-prepotential curvature identity",
+     _POINT_ARGS, _per_point(_affine_point)),
+    (("cone-metric",),
+     "fibre-extended metric: inverse and connection checks",
+     _POINT_ARGS + ((("--x",), dict(help="real parts of t (defaults to 0)")),
+                    (("--lam",), dict(default="1", help="fibre coordinate, "
+                                      "rational or 'a+bi'"))),
+     _per_point(_cone_metric_point, points=_cone_metric_points)),
+    (("identity-n8f",),
+     "check the norm-function identity N = 8 f symbolically", (),
+     _cmd_identity_n8f),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,73 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kahlercone",
         description="Exact curvature checks for the Kahler geometry of "
                     "cubic-form index cones.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and echo a form")
-    _add_form_arguments(p)
-    p.set_defaults(func=_cmd_validate)
-
-    cone = sub.add_parser("cone", help="index-cone membership and sampling")
-    cone_sub = cone.add_subparsers(dest="cone_command", required=True)
-    p = cone_sub.add_parser("check", help="classify points")
-    _add_form_arguments(p)
-    _add_point_arguments(p)
-    p.set_defaults(func=_cmd_cone_check)
-    p = cone_sub.add_parser("sample", help="sample interior points")
-    _add_form_arguments(p)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--hint", help="known interior point")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_cone_sample)
-
-    p = sub.add_parser("metric", help="metric and inverse at points")
-    _add_form_arguments(p)
-    _add_point_arguments(p)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.set_defaults(func=_cmd_metric)
-
-    p = sub.add_parser("curvature",
-                       help="curvature tensors and residual at points")
-    _add_form_arguments(p)
-    _add_point_arguments(p)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--convention", choices=("standard", "negated"),
-                   default="standard")
-    p.set_defaults(func=_cmd_curvature)
-
-    p = sub.add_parser("verify", help="verify the curvature identity")
-    _add_form_arguments(p)
-    _add_point_arguments(p)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--convention", choices=("standard", "negated"),
-                   default="standard")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing in the report "
-                        "(off by default so reports are byte-reproducible)")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("affine-verify",
-                       help="verify the flat-prepotential curvature identity")
-    _add_form_arguments(p)
-    _add_point_arguments(p)
-    p.set_defaults(func=_cmd_affine_verify)
-
-    p = sub.add_parser("cone-metric",
-                       help="fibre-extended metric: inverse and connection "
-                            "checks")
-    _add_form_arguments(p)
-    _add_point_arguments(p)
-    p.add_argument("--x", help="real parts of t (defaults to 0)")
-    p.add_argument("--lam", default="1",
-                   help="fibre coordinate, rational or 'a+bi'")
-    p.set_defaults(func=_cmd_cone_metric)
-
-    p = sub.add_parser("identity-n8f",
-                       help="check the norm-function identity N = 8 f "
-                            "symbolically")
-    _add_form_arguments(p)
-    p.set_defaults(func=_cmd_identity_n8f)
-
+    groups = {(): top.add_subparsers(dest="command", required=True)}
+    for words, help_text, specs, handler in COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if handler is None:
+            groups[words] = p.add_subparsers(
+                dest="_".join(words + ("command",)), required=True)
+            continue
+        for flags, kwargs in _FORM_ARGS + specs:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=functools.partial(handler, "-".join(words)))
     return top
 
 

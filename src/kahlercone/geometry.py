@@ -29,6 +29,8 @@ available by passing convention="negated", which negates the left side.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +55,29 @@ __all__ = [
     "sectional",
     "verify_identity",
     "norm_function",
+    "convert_point",
 ]
 
 QUARTER = Fraction(1, 4)
 CONVENTIONS = ("standard", "negated")
+MODES = ("exact", "float")
+_TINY = sys.float_info.min       # the smallest normal float
+
+
+def convert_point(y, mode: str) -> tuple:
+    """y in the scalars of `mode`: exact Fractions, or binary64 floats.
+
+    Raises KahlerConeError when a coordinate is beyond the float range.
+    """
+    if mode == "exact":
+        return tuple(Fraction(v) for v in y)
+    if mode != "float":
+        raise ValueError(f"unknown mode {mode!r}")
+    try:
+        return tuple(float(v) for v in y)
+    except OverflowError as exc:
+        raise KahlerConeError(f"a coordinate exceeds the largest float "
+                              f"({sys.float_info.max:.3g})") from exc
 
 
 @dataclass(frozen=True)
@@ -96,8 +117,19 @@ def norm_function(form: CubicForm, y):
 
 
 def _metric(form: CubicForm, y):
-    """f, grad f, Hess f, 1/f and g at y, over whatever scalars y holds."""
+    """f, grad f, Hess f, 1/f and g at y, over whatever scalars y holds.
+
+    Over floats, raises KahlerConeError unless f(y)^4 and 1/f(y)^4, the
+    extreme powers of f in the jet, are normal floats: otherwise f has
+    underflowed to 0 or overflowed, or a power of 1/f would.
+    """
     fval = form.evaluate(y)
+    if isinstance(fval, float):
+        f4 = fval * fval * fval * fval
+        if not (f4 > _TINY and 1 / f4 > _TINY):
+            raise KahlerConeError(f"f{format_point(y)} = {fval} in float "
+                                  f"arithmetic: its 4th power or inverse "
+                                  f"4th power is outside the float range")
     grad = form.gradient(y)
     hess = form.hessian(y)
     p1 = 1 / fval
@@ -157,6 +189,13 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
         ginv = invert(g)
     except SingularMatrix as exc:
         raise SingularMetric(str(exc)) from exc
+    if isinstance(fval, float):
+        triples = itertools.combinations_with_replacement(range(n), 3)
+        values = itertools.chain(*g.rows(), (dg[t] for t in triples),
+                                 d2g.entries(), *ginv.rows())
+        if not all(map(math.isfinite, values)):
+            raise KahlerConeError(f"the float jet at {format_point(y)} "
+                                  f"overflows")
     return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, f=fval, grad=grad,
                      hess=hess)
 
@@ -336,15 +375,14 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
     maximum entrywise residual against `rel_tol` relative to the larger of
     the two sides. An empty point list is an error, never a vacuous pass.
     """
-    if mode not in ("exact", "float"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not points:
         raise KahlerConeError("no points to verify")
     start = time.perf_counter()
-    scalar = Fraction if mode == "exact" else float
     results = []
     for y in points:
-        yy = tuple(scalar(v) for v in y)
+        yy = convert_point(y, mode)
         lhs, rhs = _sides(form, kahler_metric(form, yy), convention)
         max_abs = (lhs - rhs).max_abs()
         if mode == "exact":

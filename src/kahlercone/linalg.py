@@ -330,10 +330,11 @@ def invert_rows(rows):
     """Inverse of a square matrix given as rows; Gauss-Jordan with pivoting.
 
     Works over any field scalar (Fraction, float, Complex). Exact inputs give
-    the exact inverse; raises SingularMatrix on a zero pivot column.
+    the exact inverse: int entries, and int parts of Complex entries, are
+    lifted to Fraction first. Raises SingularMatrix on a zero pivot column.
     """
     n = len(rows)
-    a = [list(r) for r in rows]
+    a = [[_lift_int(v) for v in r] for r in rows]
     for r in a:
         if len(r) != n:
             raise DimensionMismatch("matrix is not square")
@@ -353,6 +354,14 @@ def invert_rows(rows):
                 a[r] = [v - c * w for v, w in zip(a[r], a[col])]
                 inv[r] = [v - c * w for v, w in zip(inv[r], inv[col])]
     return inv
+
+
+def _lift_int(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, Complex):
+        return Complex(_lift_int(x.re), _lift_int(x.im))
+    return x
 
 
 def _like_one(a):

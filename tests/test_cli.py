@@ -80,6 +80,27 @@ def test_float_mode_decides_membership_exactly(capsys):
         assert json.loads(out)["error"]["type"] == "NotInCone"
 
 
+def test_float_mode_range_exits_2(capsys):
+    # a coordinate beyond the float range, f(y) underflowing to 0 and
+    # overflowing to inf, and a jet entry overflowing although f(y) is 1
+    for command, form, points in (
+            ("verify", "y1^3", "1e400"), ("metric", "y1^3", "1e400"),
+            ("curvature", "y1^3", "1e400"),
+            ("verify", "y1*y2^2", "1e-200,1e-200"),
+            ("verify", "y1*y2^2", "1e200,1e200"),
+            ("metric", "y1*y2^2", "1e200,1e200"),
+            ("verify", "y1*y2^2", "1e-100,1e50")):
+        argv = [command, "--form", form, "--points", points]
+        code, out = run_inproc(capsys, *argv, "--mode", "float")
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "KahlerConeError", argv
+        assert "Traceback" not in out and "NaN" not in out, argv
+        code, out = run_inproc(capsys, *argv)
+        assert code == 0, argv
+        if command == "verify":
+            assert json.loads(out)["overall"] == "PASS", argv
+
+
 def test_nonpositive_sample_count_exits_2(capsys):
     for argv in (["verify", "--form", "y1*y2^2", "--samples", "-1"],
                  ["cone", "sample", "--form", "y1*y2^2", "--samples", "-1"],
@@ -228,6 +249,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         assert code == 2, argv
         assert "error" in json.loads(out), argv
         assert "Traceback" not in out, argv
+    for n in ("0", "-1"):
+        code, out = run_inproc(capsys, "verify", "--form", "y1^3", "--n", n,
+                               "--points", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            f"--n must be at least 1, got {n}")
     # the zero-denominator message names the monomial and its coefficient
     code, out = run_inproc(capsys, "validate", "--form-file", str(zero_coeff))
     assert code == 2 and "Traceback" not in out

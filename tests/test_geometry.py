@@ -1,9 +1,11 @@
 """Cone metric, curvature sides, and their invariants."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from kahlercone import (Complex, KahlerConeError, Membership, NotInCone,
                         ZeroVector, christoffels, cone_contains, curvature_lhs,
@@ -89,6 +91,60 @@ def test_rhs_terms_split():
     # 2 g^2 - (1/64) ginv f3^2 at f = y^3, y = 1: 9/8 - 3/4 = 3/8
     f = parse_text("y1^3", 1)
     assert curvature_rhs(f, [F(1)])[0, 0, 0, 0] == F(9, 8) - F(3, 4)
+
+
+def _sympy_sides(form, y):
+    """Both sides of the identity in the geometry module docstring at the
+    rational point y, from sympy derivatives of g = -1/4 d^2 log f, with
+    d/dt_k = -(i/2) d/dy_k and d/dtbar_l = (i/2) d/dy_l."""
+    n = form.n
+    ys = sympy.symbols(f"y1:{n + 1}")
+    f = sum(sympy.Rational(c.numerator, c.denominator)
+            * sympy.prod([v**e for v, e in zip(ys, exp)])
+            for exp, c in form.monomials.items())
+    at = {v: sympy.Rational(c.numerator, c.denominator)
+          for v, c in zip(ys, y)}
+    g = [[-sympy.log(f).diff(a, b) / 4 for b in ys] for a in ys]
+    gv = sympy.Matrix(n, n, lambda i, j: g[i][j].subs(at))
+    ginv = gv.inv()
+    dt = [[[(-sympy.I / 2 * g[i][j].diff(ys[k])).subs(at) for k in range(n)]
+           for j in range(n)] for i in range(n)]
+    dtbar = [[[(sympy.I / 2 * g[i][j].diff(ys[k])).subs(at)
+               for k in range(n)] for j in range(n)] for i in range(n)]
+    f3 = [[[f.diff(a, b, c) for c in ys] for b in ys] for a in ys]
+    fv = f.subs(at)
+    lhs, rhs = {}, {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        lhs[i, j, k, l] = sympy.expand(
+            (-sympy.I / 2 * sympy.I / 2
+             * g[i][j].diff(ys[k], ys[l])).subs(at)
+            - sum(ginv[p, q] * dt[i][q][k] * dtbar[p][j][l]
+                  for p in range(n) for q in range(n)))
+        rhs[i, j, k, l] = sympy.expand(
+            gv[i, j] * gv[k, l] + gv[i, l] * gv[k, j]
+            - sum(ginv[p, q] * f3[i][k][p] * f3[j][l][q]
+                  for p in range(n) for q in range(n)) / (64 * fv**2))
+    return lhs, rhs
+
+
+def test_curvature_sides_match_sympy():
+    rng = random.Random(61)
+    random_form, random_points = random_cubic_with_cone(rng, 2,
+                                                        points_needed=2)
+    cases = [(parse_text("y1^3", 1), [(F(1, 3),), (F(5, 2),)]),
+             (parse_text("y1*y2^2", 2), [(F(1), F(1)), (F(2, 3), F(-3, 2))]),
+             (random_form, random_points)]
+    assert any(c.denominator > 1 for c in random_form.monomials.values())
+    for form, points in cases:
+        for y in points:
+            lhs, rhs = _sympy_sides(form, y)
+            got_lhs, got_rhs = curvature_lhs(form, y), curvature_rhs(form, y)
+            for idx in lhs:
+                assert lhs[idx].is_Rational and rhs[idx].is_Rational
+                assert lhs[idx] == sympy.Rational(got_lhs[idx].numerator,
+                                                  got_lhs[idx].denominator)
+                assert rhs[idx] == sympy.Rational(got_rhs[idx].numerator,
+                                                  got_rhs[idx].denominator)
 
 
 def test_exact_identity_on_suite_points():

@@ -75,6 +75,12 @@ def test_invert_diagonal():
 def test_invert_hand_adjugate():
     m = SymMatrix.from_rows([[F(0), F(2)], [F(2), F(2)]])
     assert invert(m).rows() == [[F(-1, 2), F(1, 2)], [F(1, 2), F(0)]]
+    # int entries are exact: the inverse is in Fractions, not floats
+    want = [[F(1, 2), F(-1, 2)], [F(-1, 2), F(3, 2)]]
+    for inv in (invert_rows([[3, 1], [1, 1]]),
+                invert(SymMatrix(2, [3, 1, 1])).rows()):
+        assert inv == want
+        assert all(type(v) is F for row in inv for v in row)
 
 
 def test_invert_singular_raises():
@@ -101,6 +107,11 @@ def test_invert_complex_rows():
     for r in range(2):
         for c in range(2):
             assert prod[r][c] == (1 if r == c else 0)
+    # the same matrix with int parts: the inverse is exact
+    int_rows = [[Complex(2), Complex(0, 1)], [Complex(0, -1), Complex(1)]]
+    inv = invert_rows(int_rows)
+    assert inv == [[Complex(F(1)), -i], [i, Complex(F(2))]]
+    assert all(type(z.re) is F and type(z.im) is F for row in inv for z in row)
 
 
 def test_contract_scalar_case():

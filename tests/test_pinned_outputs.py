@@ -1,50 +1,141 @@
-"""Exact-mode CLI outputs pinned byte for byte by their sha256.
+"""CLI outputs and option tables pinned byte for byte by their sha256.
 
-A refactor of membership, the jet, the curvature sides or the reports must
-not change any exact value or the report layout. Float mode is not pinned:
-summing in another order may change a float in its last bit.
+A refactor of membership, the jet, the curvature sides, the reports or the
+CLI must not change any exact value, the report layout, an exit code or an
+option. Float mode is not pinned: summing in another order may change a
+float in its last bit.
 """
 
+import argparse
 import hashlib
+import json
 
 import pytest
 
-from kahlercone.cli import main
+from kahlercone.cli import build_parser, main
 
+FORM4 = "1/2*y1*y2*y3 + 2/3*y4^3"
+
+# (argv, exit code, sha256 of stdout)
 PINNED = [
-    (["curvature", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1"],
+    (["curvature", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1"], 0,
      "c087faafdd5b69194790c8feed673571d7656ee28ad07ecdd2946217991599b9"),
     (["cone-metric", "--form", "y1*y2^2", "--points", "1,1", "--lam", "1/2"],
-     "a09a087228daa7373eca6b817bad36fcebcdc088d3247a6234dc28f9b529d8cb"),
-    (["metric", "--form", "y1*y2^2", "--points", "1,1"],
+     0, "a09a087228daa7373eca6b817bad36fcebcdc088d3247a6234dc28f9b529d8cb"),
+    (["metric", "--form", "y1*y2^2", "--points", "1,1"], 0,
      "d26f422c2cb7739acd811cc8337940321933772b42bb182550c47b52b8b36199"),
-    (["verify", "--form", "y1*y2^2", "--samples", "4", "--seed", "12"],
+    (["verify", "--form", "y1*y2^2", "--samples", "4", "--seed", "12"], 0,
      "b3a0acce97d9aec8b9f485e0bd7353b354c9c02f34f8496c050a633c44898c20"),
-    (["affine-verify", "--form", "y1*y2*y3", "--points", "1,1,1;2,1,1"],
+    (["affine-verify", "--form", "y1*y2*y3", "--points", "1,1,1;2,1,1"], 0,
      "a7b77a2f20eefbb668b7e44608bab6858ff6c493f902a7a9701409657efbaa7c"),
     # one Interior, one Boundary and one Outside point, and a hint-free
     # sample, on a form with fractional coefficients
-    (["cone", "check", "--form", "1/2*y1*y2*y3 + 2/3*y4^3",
-      "--points", "4,2,1/2,-1;1/3,2,2,-1;1,1,1,2"],
+    (["cone", "check", "--form", FORM4,
+      "--points", "4,2,1/2,-1;1/3,2,2,-1;1,1,1,2"], 0,
      "3cd7b0da465aab949f959804e81b15ddada436666908b9c41921a1800b771bd2"),
-    (["cone", "check", "--text", "--form", "1/2*y1*y2*y3 + 2/3*y4^3",
-      "--points", "4,2,1/2,-1;1/3,2,2,-1;1,1,1,2"],
+    (["cone", "check", "--text", "--form", FORM4,
+      "--points", "4,2,1/2,-1;1/3,2,2,-1;1,1,1,2"], 0,
      "b22ff16b515078b181f21f71be9958faea7ed52ad84ecf5bda1db49546f91b49"),
-    (["cone", "sample", "--form", "1/2*y1*y2*y3 + 2/3*y4^3",
-      "--samples", "6", "--seed", "5"],
+    (["cone", "sample", "--form", FORM4, "--samples", "6", "--seed", "5"], 0,
      "8340a906bc37b4e20e6f07d42e3ea9a9504e359a20b1a75ae12f068f32985d01"),
+    # the text renderings
+    (["metric", "--text", "--form", "y1*y2^2", "--points", "1,1;1,2"], 0,
+     "ddfb572e24d4208e92ab87a78acebbdc7fc8084af681e7fe4d97d03a6b60533a"),
+    (["curvature", "--text", "--form", "y1*y2*y3 + y4^3",
+      "--points", "2,2,2,-1"], 0,
+     "2a02bb610a350dfeed64c5548e9277487a67db7000ab3d2ebbc0504bfe5a34bc"),
+    (["affine-verify", "--text", "--form", "y1*y2*y3",
+      "--points", "1,1,1;2,1,1"], 0,
+     "f982a03ac23558ec526b98474fee3eeed8bd1998c1c0e42b39c0a53e7ec88226"),
+    (["cone-metric", "--text", "--form", "y1*y2^2", "--points", "1,1",
+      "--lam", "1/2"], 0,
+     "1b88a654df03af1a1cf2e57735d0b06d005c333346031401249dba8d175b9201"),
+    (["validate", "--text", "--form", FORM4], 0,
+     "c09b5b4e2f1bcef57217d455c946b3238f950799d88c5537ec96f4bc897518bf"),
+    (["identity-n8f", "--text", "--form", FORM4], 0,
+     "2bf8b73cae17d6d7be6cb558a110fdbff565fe1baacd7ee47c3d5681ec4221d3"),
+    (["cone", "sample", "--text", "--form", FORM4, "--samples", "6",
+      "--seed", "5"], 0,
+     "24068a7abec45d7d47aaf4b7d2c4cf679b9340961c219e3045b4f25bcacb74a5"),
+    # a failed check (the stated inverse breaks for non-real lambda) and a
+    # domain error, in JSON and in text
+    (["cone-metric", "--form", "y1*y2^2", "--points", "1,1", "--lam", "1+2i"],
+     1, "ac1c41dc9a93329927e5f958a6a997bc3125791ef26829b069ff9f98cde85fde"),
+    (["metric", "--form", "y1^3", "--points", "-1"], 2,
+     "fe8232aa9cddf9bdd291308a72094a08a196e5887ab2a44549204f5fa89c429e"),
+    (["metric", "--text", "--form", "y1^3", "--points", "-1"], 2,
+     "b36cb32884ecb04ec1d0334fb961ef3223c3ec4aaca03e50c01dc7fbeab9871a"),
 ]
 
+# sha256 of each parser level's option table (see _option_table), keyed by
+# the subcommand words; print json.dumps(_option_table(p)) to see one
+PINNED_OPTIONS = {
+    "": "dd7def3159406e01cb656dd9cc2bb511555b4a2806962baca9a426a65414b6aa",
+    "validate":
+        "308423a8f5bbb235a747c3367390de4cd68e48cb5dc5fe65af523cc02384b2d8",
+    "cone": "5326c56845af005166a4c611dd78933ac23f4c9013cb00eeb9fa4d8d6e8f12f8",
+    "cone check":
+        "c1a93e9241d7f8ef3255c70a79b0a28d2584fc7f0026dc59094b19e592af2b3a",
+    "cone sample":
+        "af34611d84c39a6e986702325f90fdb72f2db791e407810d9f54c541948f53a4",
+    "metric":
+        "ce75c35286b6fd8b225775380a7462f8b2929534470ae2f2d04195da10fdccf1",
+    "curvature":
+        "ab7dbfaac76db975f3149d949637830c9a0c404fb73f159a77837eec220b9c4f",
+    "verify":
+        "ff9a065cfdd0000e480c4caa49a8163e9b85b373e0e19b422b58eb6a4c82f498",
+    "affine-verify":
+        "c7dabe76e6422a98a5b41e92b302ec94c02e2a847c93123d0f04259ac9c97381",
+    "cone-metric":
+        "ac69d22310589885de9341b45069cf6f3752e8cedd12d37c7bbf3c5f10e6b058",
+    "identity-n8f":
+        "b8778a34a946fe148cdd7f966c1a8afbc90d920d5d193f96666adc322efb20dc",
+}
 
-def _test_id(argv):
-    """The subcommand words, plus "text" under --text: "cone-check-text"."""
+
+def _test_id(argv, code=0):
+    """The subcommand words, plus "text" under --text and the exit code when
+    it is not 0: "cone-check-text", "metric-text-exit2"."""
     words = [w for w in argv[:2] if not w.startswith("-")]
-    return "-".join(words + ["text"] * ("--text" in argv))
+    return "-".join(words + ["text"] * ("--text" in argv)
+                    + [f"exit{code}"] * (code != 0))
 
 
-@pytest.mark.parametrize("argv,digest", PINNED,
-                         ids=[_test_id(a) for a, _ in PINNED])
-def test_exact_output_is_pinned(capsys, argv, digest):
-    assert main(argv) == 0
+@pytest.mark.parametrize("argv,code,digest", PINNED,
+                         ids=[_test_id(a, c) for a, c, _ in PINNED])
+def test_exact_output_is_pinned(capsys, argv, code, digest):
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _parsers(parser, words=()):
+    """(subcommand words, parser) for the parser and all its subparsers."""
+    yield " ".join(words), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, words + (name,))
+
+
+def _option_table(parser):
+    """Prog, description and, for each option and subcommand, its flags,
+    destination, default, choices, type, action, requiredness and help."""
+    rows = [parser.prog, parser.description]
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            rows.append([a.dest, a.required,
+                         [[c.dest, c.help] for c in a._choices_actions]])
+        else:
+            rows.append([a.option_strings, a.dest, repr(a.default),
+                         list(a.choices) if a.choices else None,
+                         getattr(a.type, "__name__", None), type(a).__name__,
+                         a.required, a.help])
+    return rows
+
+
+def test_option_tables_are_pinned():
+    tables = {words: json.dumps(_option_table(p))
+              for words, p in _parsers(build_parser())}
+    assert {words: hashlib.sha256(t.encode("utf-8")).hexdigest()
+            for words, t in tables.items()} == PINNED_OPTIONS
