@@ -15,11 +15,21 @@ import pytest
 from kahlercone.cli import build_parser, main
 
 FORM4 = "1/2*y1*y2*y3 + 2/3*y4^3"
+# every cubic monomial in three variables, with fractional coefficients
+FORM3 = ("1/2*y1^3 + 3*y1^2*y2 - 1/3*y1^2*y3 + 2/5*y1*y2^2 + 7/4*y1*y2*y3"
+         " - 2/3*y1*y3^2 + 1/6*y2^3 + 5/2*y2^2*y3 - 3/7*y2*y3^2 + 4/3*y3^3")
 
 # (argv, exit code, sha256 of stdout)
 PINNED = [
     (["curvature", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1"], 0,
      "c087faafdd5b69194790c8feed673571d7656ee28ad07ecdd2946217991599b9"),
+    # a dense form at a point with distinct coordinates: no curvature
+    # entry vanishes by sparsity, under either sign convention
+    (["curvature", "--form", FORM3, "--points", "2,1/2,-1"], 0,
+     "56efc697a1a39050f3998a214dd80deb7d0a476b484087bb13f7e02e861e9494"),
+    (["curvature", "--form", FORM3, "--points", "2,1/2,-1",
+      "--convention", "negated"], 0,
+     "b16088ca00ab98274f0e513e25995eb69bb47393a60c9f5a0334cbf3cba905a5"),
     (["cone-metric", "--form", "y1*y2^2", "--points", "1,1", "--lam", "1/2"],
      0, "a09a087228daa7373eca6b817bad36fcebcdc088d3247a6234dc28f9b529d8cb"),
     (["metric", "--form", "y1*y2^2", "--points", "1,1"], 0,
@@ -94,15 +104,27 @@ PINNED_OPTIONS = {
 
 
 def _test_id(argv, code=0):
-    """The subcommand words, plus "text" under --text and the exit code when
-    it is not 0: "cone-check-text", "metric-text-exit2"."""
+    """The subcommand words, plus "text" under --text, "negated" under the
+    negated convention and the exit code when it is not 0:
+    "cone-check-text", "metric-text-exit2", "curvature-negated"."""
     words = [w for w in argv[:2] if not w.startswith("-")]
     return "-".join(words + ["text"] * ("--text" in argv)
+                    + ["negated"] * ("negated" in argv)
                     + [f"exit{code}"] * (code != 0))
 
 
-@pytest.mark.parametrize("argv,code,digest", PINNED,
-                         ids=[_test_id(a, c) for a, c, _ in PINNED])
+def _test_ids(cases):
+    """_test_id of each case; a repeated id gets its count: "curvature-2"."""
+    seen = {}
+    ids = []
+    for argv, code, _ in cases:
+        base = _test_id(argv, code)
+        seen[base] = seen.get(base, 0) + 1
+        ids.append(base if seen[base] == 1 else f"{base}-{seen[base]}")
+    return ids
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED, ids=_test_ids(PINNED))
 def test_exact_output_is_pinned(capsys, argv, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
