@@ -276,7 +276,7 @@ def _cmd_verify(command, args):
     doc = {"schemaVersion": SCHEMA_VERSION, "command": command}
     doc.update(summary.to_json_dict(include_timing=args.timing))
     doc["form"] = _form_echo(form)
-    _emit(args, doc, render_text(summary))
+    _emit(args, doc, render_text(summary, include_timing=args.timing))
     return 0 if summary.overall == "PASS" else 1
 
 

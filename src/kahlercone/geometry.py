@@ -90,7 +90,8 @@ class MetricJet:
     """
     g: SymMatrix
     dg: Sym3Tensor        # dg[i,j,k] = d g[i,j] / d y_k, fully symmetric
-    d2g: CurvTensor       # d2g[i,j,k,l] = d^2 g[i,j] / d y_k d y_l
+    d2g: CurvTensor       # d2g[i,j,k,l] = d^2 g[i,j] / d y_k d y_l, fully
+                          # symmetric; packed with the pair symmetries
     ginv: SymMatrix
     f: object             # f(y)
     grad: list            # grad f(y)
@@ -179,11 +180,9 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
             - 6 * grad[i] * grad[j] * grad[k] * grad[l] * p4)
 
     # d2g is fully symmetric: one evaluation per index multiset
-    d2g = CurvTensor(n, zero=fval - fval)
-    for idx in itertools.combinations_with_replacement(range(n), 4):
-        v = d2g_entry(*idx)
-        for perm in set(itertools.permutations(idx)):
-            d2g[perm] = v
+    by_multiset = {idx: d2g_entry(*idx) for idx in
+                   itertools.combinations_with_replacement(range(n), 4)}
+    d2g = CurvTensor.build(n, lambda *idx: by_multiset[tuple(sorted(idx))])
 
     try:
         ginv = invert(g)
@@ -201,22 +200,16 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
 
 
 def _lhs(jet: MetricJet) -> CurvTensor:
-    return (jet.d2g - contract(jet.dg, jet.dg, jet.ginv)).scale(QUARTER)
+    return (jet.d2g - contract(jet.dg, jet.ginv)).scale(QUARTER)
 
 
 def _rhs(form: CubicForm, jet: MetricJet) -> CurvTensor:
-    n = form.n
     scale = 1 / (64 * jet.f * jet.f)
     g = jet.g
-    yukawa_part = contract(form.third_tensor, form.third_tensor, jet.ginv)
-    out = CurvTensor(n, zero=jet.f - jet.f)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out[i, j, k, l] = (g[i, j] * g[k, l] + g[i, l] * g[k, j]
-                                       - scale * yukawa_part[i, j, k, l])
-    return out
+    yukawa_part = contract(form.third_tensor, jet.ginv)
+    return CurvTensor.build(form.n, lambda i, j, k, l: (
+        g[i, j] * g[k, l] + g[i, l] * g[k, j]
+        - scale * yukawa_part[i, j, k, l]))
 
 
 def _sides(form: CubicForm, jet: MetricJet, convention: str):
@@ -229,76 +222,9 @@ def _sides(form: CubicForm, jet: MetricJet, convention: str):
     return lhs, _rhs(form, jet)
 
 
-def curvature_lhs(form: CubicForm, y, method: str = "closed",
-                  step: float = 1e-4) -> CurvTensor:
-    """Curvature tensor from the metric side of the identity.
-
-    method="closed" uses the exact closed-form jet. method="fd" rebuilds the
-    jet from central differences of the metric in the y-variables (float
-    backend) as an independent oracle for the derivative expressions.
-    """
-    if method == "closed":
-        return _lhs(kahler_metric(form, y))
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
-    return _curvature_fd(form, [float(v) for v in y], step)
-
-
-def _curvature_fd(form: CubicForm, y, h: float) -> CurvTensor:
-    # fourth-order central stencils: first derivative (-1, 8, 0, -8, 1)/12h
-    # at shifts (2, 1, 0, -1, -2); pure second (-1, 16, -30, 16, -1)/12h^2;
-    # mixed second = tensor product of two first-derivative stencils
-    _require_interior(form, y)
-    n = form.n
-    zero = (0,) * n
-    cache = {zero: _metric(form, y)}      # _metric tuples by stencil shift
-
-    def g_at(shift):
-        key = tuple(shift)
-        if key not in cache:
-            cache[key] = _metric(form, [a + s * h for a, s in zip(y, shift)])
-        return cache[key][-1]
-
-    first = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
-    second = ((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0))
-
-    def shifted(k, s, base=zero):
-        out = list(base)
-        out[k] += s
-        return out
-
-    def dg_entry(i, j, k):
-        acc = 0.0
-        for s, w in first:
-            acc += w * g_at(shifted(k, s))[i, j]
-        return acc / (12 * h)
-
-    dg = Sym3Tensor.build(n, dg_entry)
-
-    def d2g_entry(i, j, k, l):
-        if k == l:
-            acc = 0.0
-            for s, w in second:
-                acc += w * g_at(shifted(k, s))[i, j]
-            return acc / (12 * h * h)
-        acc = 0.0
-        for s1, w1 in first:
-            for s2, w2 in first:
-                acc += w1 * w2 * g_at(shifted(l, s2, shifted(k, s1)))[i, j]
-        return acc / (144 * h * h)
-
-    d2g = CurvTensor(n, zero=0.0)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                for l in range(k, n):
-                    v = d2g_entry(i, j, k, l)
-                    for (a, b) in ((i, j), (j, i)):
-                        for (c, d) in ((k, l), (l, k)):
-                            d2g[a, b, c, d] = v
-    fval, grad, hess, _, g = cache[zero]
-    return _lhs(MetricJet(g=g, dg=dg, d2g=d2g, ginv=invert(g), f=fval,
-                          grad=grad, hess=hess))
+def curvature_lhs(form: CubicForm, y) -> CurvTensor:
+    """Curvature tensor from the metric side of the identity."""
+    return _lhs(kahler_metric(form, y))
 
 
 def curvature_rhs(form: CubicForm, y) -> CurvTensor:

@@ -1,13 +1,15 @@
-"""Dense symmetric matrices/tensors and exact elimination routines.
+"""Packed symmetric matrices/tensors and exact elimination routines.
 
-Symmetric containers store one entry per index multiset; accessors sort the
-requested indices, so `m[i, j] == m[j, i]` by construction. Dimensions stay
-small here (n of order a few), so storage and cubic-time elimination are not
-a concern; the cost is in the scalars. Inversion and contraction work
-verbatim over Fractions, floats and `Complex` values. `inertia` is exact
-only: it clears the denominators of its rational input once and eliminates
-fraction-free on Python ints, each of whose operations costs a small
-fraction of a `Fraction` one, and it rejects floats.
+Each container stores one entry per orbit of its index symmetry: symmetric
+matrices and 3-tensors one per index multiset, curvature tensors one per
+orbit of the pair symmetries. Accessors map every index to its orbit's slot,
+so `m[i, j] == m[j, i]` holds by construction, and each distinct entry is
+computed once. Dimensions stay small here (n of order a few), so cubic-time
+elimination is not a concern; the cost is in the scalars. Inversion and
+contraction work verbatim over Fractions, floats and `Complex` values.
+`inertia` is exact only: it clears the denominators of its rational input
+once and eliminates fraction-free on Python ints, each of whose operations
+costs a small fraction of a `Fraction` one, and it rejects floats.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "identity_rows",
     "mat_mul",
     "mat_vec",
-    "congruence",
 ]
 
 
@@ -158,25 +159,39 @@ class Sym3Tensor:
 
 
 class CurvTensor:
-    """Dense 4-index tensor R[i, j, k, l] (curvature-type index layout)."""
+    """4-index tensor R[i, j, k, l] with the curvature pair symmetries.
+
+    R[i,j,k,l] = R[k,j,i,l] = R[i,l,k,j] = R[j,i,l,k]: R is a symmetric
+    matrix on the unordered pairs (i,k) and (j,l), so one entry is stored
+    per orbit, P(P+1)/2 of them with P = n(n+1)/2, and every accessor of an
+    orbit reads the same slot.
+    """
 
     __slots__ = ("n", "_data")
 
     def __init__(self, n, data=None, zero=Fraction(0)):
+        pairs = n * (n + 1) // 2
+        size = pairs * (pairs + 1) // 2
         self.n = n
-        self._data = [zero] * n**4 if data is None else list(data)
-        if len(self._data) != n**4:
-            raise DimensionMismatch("dense length does not match dimension")
+        self._data = [zero] * size if data is None else list(data)
+        if len(self._data) != size:
+            raise DimensionMismatch("packed length does not match dimension")
+
+    @classmethod
+    def build(cls, n, fn):
+        """The tensor with fn(i, j, k, l) in each orbit, called once per
+        orbit in storage order, with i <= k, j <= l and (i,k) <= (j,l)."""
+        pairs = [(i, k) for k in range(n) for i in range(k + 1)]
+        return cls(n, [fn(i, j, k, l) for b, (j, l) in enumerate(pairs)
+                       for i, k in pairs[:b + 1]])
 
     def __getitem__(self, ijkl):
         i, j, k, l = ijkl
-        n = self.n
-        return self._data[((i * n + j) * n + k) * n + l]
+        return self._data[_pair_index(_pair_index(i, k), _pair_index(j, l))]
 
     def __setitem__(self, ijkl, value):
         i, j, k, l = ijkl
-        n = self.n
-        self._data[((i * n + j) * n + k) * n + l] = value
+        self._data[_pair_index(_pair_index(i, k), _pair_index(j, l))] = value
 
     def __sub__(self, other):
         if self.n != other.n:
@@ -190,20 +205,8 @@ class CurvTensor:
         return max(abs(v) for v in self._data) if self._data else 0
 
     def entries(self):
+        """The stored entries, one per orbit."""
         return list(self._data)
-
-    def has_pair_symmetries(self) -> bool:
-        """Check R[i,j,k,l] = R[k,j,i,l] = R[i,l,k,j] = R[k,l,i,j]."""
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        v = self[i, j, k, l]
-                        if (v != self[k, j, i, l] or v != self[i, l, k, j]
-                                or v != self[k, l, i, j]):
-                            return False
-        return True
 
     def __eq__(self, other):
         return (isinstance(other, CurvTensor) and self.n == other.n
@@ -399,13 +402,6 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def congruence(p_rows, m: SymMatrix) -> SymMatrix:
-    """P M P^T for a square P given as rows."""
-    pm = mat_mul(p_rows, m.rows())
-    pt = [[p_rows[j][i] for j in range(len(p_rows))] for i in range(len(p_rows))]
-    return SymMatrix.from_rows(mat_mul(pm, pt))
-
-
 def raise_index(s: Sym3Tensor, minv: SymMatrix):
     """U[p][j,l] = sum_q Minv[p,q] S[j,l,q], as n SymMatrix (one per p).
 
@@ -425,24 +421,18 @@ def raise_index(s: Sym3Tensor, minv: SymMatrix):
     return out
 
 
-def contract(t: Sym3Tensor, s: Sym3Tensor, minv: SymMatrix) -> CurvTensor:
-    """CurvTensor R with R[i,j,k,l] = sum_{p,q} Minv[p,q] T[i,k,p] S[j,l,q].
+def contract(t: Sym3Tensor, minv: SymMatrix) -> CurvTensor:
+    """CurvTensor R with R[i,j,k,l] = sum_{p,q} Minv[p,q] T[i,k,p] T[j,l,q].
 
-    Inherits the curvature pair symmetries from the full symmetry of T and S.
+    Inherits the curvature pair symmetries from the full symmetry of T and
+    the symmetry of Minv.
     """
-    if not (t.n == s.n == minv.n):
+    if t.n != minv.n:
         raise DimensionMismatch("tensor and matrix dimensions differ")
     n = t.n
-    u = raise_index(s, minv)
-    pairs = [(j, l) for j in range(n) for l in range(j, n)]
-    columns = [[u[p][j, l] for p in range(n)] for j, l in pairs]
-    out = CurvTensor(n)                 # every entry is set below
-    for i, k in pairs:
-        tv = [t[i, k, p] for p in range(n)]
-        for (j, l), uv in zip(pairs, columns):
-            acc = sum(a * b for a, b in zip(tv, uv))
-            out[i, j, k, l] = acc
-            out[k, j, i, l] = acc
-            out[i, l, k, j] = acc
-            out[k, l, i, j] = acc
-    return out
+    u = raise_index(t, minv)
+    pairs = [(i, k) for i in range(n) for k in range(i, n)]
+    lower = {(i, k): [t[i, k, p] for p in range(n)] for i, k in pairs}
+    upper = {(j, l): [w[j, l] for w in u] for j, l in pairs}
+    return CurvTensor.build(n, lambda i, j, k, l: sum(
+        a * b for a, b in zip(lower[i, k], upper[j, l])))

@@ -69,7 +69,8 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def render_text(summary: VerificationSummary) -> str:
+def render_text(summary: VerificationSummary,
+                include_timing: bool = False) -> str:
     lines = [
         f"form: {summary.form_text}   (n={summary.n}, mode={summary.mode}, "
         f"convention={summary.convention})",
@@ -79,5 +80,6 @@ def render_text(summary: VerificationSummary) -> str:
                  if p.max_rel_residual is not None else "")
         lines.append(f"  y={format_point(p.y)}: {p.verdict}  "
                      f"max|residual|={format_scalar(p.max_abs_residual)}{extra}")
-    lines.append(f"overall: {summary.overall}   [{summary.timing_ms} ms]")
+    timing = f"   [{summary.timing_ms} ms]" if include_timing else ""
+    lines.append(f"overall: {summary.overall}{timing}")
     return "\n".join(lines) + "\n"

@@ -114,15 +114,14 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     da = f3.scale(Fraction(-4))
     ainv = invert(aff)
     # second derivatives of the linear metric vanish: lhs = -1/4 * contraction
-    curvature = contract(da, da, ainv).scale(Fraction(-1, 4))
-    expected = contract(f3, f3, hinv)
+    curvature = contract(da, ainv).scale(Fraction(-1, 4))
+    expected = contract(f3, hinv)
     residual = curvature - expected
     # the literature-normalized right side, for the constant-ratio check
-    literature_side = contract(f3, f3, ainv)
-    ratios = {curvature[i, j, k, l] / literature_side[i, j, k, l]
-              for i in range(form.n) for j in range(form.n)
-              for k in range(form.n) for l in range(form.n)
-              if literature_side[i, j, k, l] != 0}
+    literature_side = contract(f3, ainv)
+    ratios = {c / lit for c, lit in zip(curvature.entries(),
+                                        literature_side.entries())
+              if lit != 0}
     kappa = ratios.pop() if len(ratios) == 1 else None
     return AffineCheckResult(
         passed=residual.max_abs() == 0 and kappa == LITERATURE_KAPPA,

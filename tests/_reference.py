@@ -1,15 +1,22 @@
-"""Reference oracles for the integer membership kernel, over `Fraction`.
+"""Reference oracles for the exact kernels.
 
 `reference_inertia` is symmetric Gaussian elimination over the rationals
 with the same 1x1/2x2 pivot rule as `linalg.inertia`: each step replaces
 the trailing block by its Schur complement, a congruence, so the signs of
 the pivot blocks give the inertia. `reference_membership` decides index-cone
 membership from the `Fraction` value of f and the inertia of Hess f.
+
+`dense_sides` evaluates both curvature sides at every one of the n^4
+indices from their defining sums over `Fraction`, with no symmetry assumed.
+`fd_curvature_lhs` rebuilds the metric side from central differences of the
+metric over floats, an oracle for the closed-form derivative expressions.
 """
 
+import itertools
 from fractions import Fraction
 
-from kahlercone import Membership
+from kahlercone import (CurvTensor, Membership, Sym3Tensor, SymMatrix,
+                        cone_contains, contract, invert, kahler_metric)
 
 
 def reference_inertia(rows):
@@ -81,3 +88,89 @@ def reference_membership(form, y):
     if degenerate and compatible:
         return Membership.BOUNDARY
     return Membership.OUTSIDE
+
+
+def dense_sides(form, y):
+    """({(i,j,k,l): LHS}, {(i,j,k,l): RHS}) at a rational interior point:
+    LHS = 1/4 (d2g - sum_{p,q} ginv[p,q] dg[i,k,p] dg[j,l,q]) and
+    RHS = g[i,j] g[k,l] + g[i,l] g[k,j]
+          - 1/(64 f^2) sum_{p,q} ginv[p,q] f3[i,k,p] f3[j,l,q],
+    with d2g = -1/4 d^4 log f evaluated at each ordered index."""
+    jet = kahler_metric(form, [Fraction(v) for v in y])
+    n = form.n
+    f3, a, h, f = form.third_tensor, jet.grad, jet.hess, jet.f
+    g, dg, ginv = jet.g, jet.dg, jet.ginv
+
+    def d2g(i, j, k, l):
+        # f is cubic: d^4 log f has no f4 term
+        third = (f3[i, j, k] * a[l] + f3[i, j, l] * a[k]
+                 + f3[i, k, l] * a[j] + f3[j, k, l] * a[i])
+        hh = h[i, j] * h[k, l] + h[i, k] * h[j, l] + h[i, l] * h[j, k]
+        haa = (h[i, j] * a[k] * a[l] + h[i, k] * a[j] * a[l]
+               + h[i, l] * a[j] * a[k] + h[j, k] * a[i] * a[l]
+               + h[j, l] * a[i] * a[k] + h[k, l] * a[i] * a[j])
+        d4 = (-(third + hh) / f**2 + 2 * haa / f**3
+              - 6 * a[i] * a[j] * a[k] * a[l] / f**4)
+        return -d4 / 4
+
+    def double_sum(t, i, j, k, l):
+        return sum(ginv[p, q] * t[i, k, p] * t[j, l, q]
+                   for p in range(n) for q in range(n))
+
+    lhs, rhs = {}, {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        lhs[i, j, k, l] = (d2g(i, j, k, l) - double_sum(dg, i, j, k, l)) / 4
+        rhs[i, j, k, l] = (g[i, j] * g[k, l] + g[i, l] * g[k, j]
+                           - double_sum(f3, i, j, k, l) / (64 * f**2))
+    return lhs, rhs
+
+
+def _float_metric(form, y):
+    """g = -1/4 (Hess f / f - grad f grad f^T / f^2) at a float point."""
+    fval, grad, hess = form.evaluate(y), form.gradient(y), form.hessian(y)
+    return SymMatrix.build(form.n, lambda i, j: -0.25 * (
+        hess[i, j] / fval - grad[i] * grad[j] / fval**2))
+
+
+def fd_curvature_lhs(form, y, h):
+    """The metric side 1/4 (d2g - contract(dg, ginv)) at an interior point,
+    with dg and d2g from fourth-order central differences of g, step h."""
+    # first derivative (-1, 8, 0, -8, 1)/12h at shifts (2, 1, 0, -1, -2);
+    # pure second (-1, 16, -30, 16, -1)/12h^2; mixed second = tensor
+    # product of two first-derivative stencils
+    exact = [Fraction(v) for v in y]
+    if cone_contains(form, exact) is not Membership.INTERIOR:
+        raise ValueError(f"{y} is not an interior point")
+    y = [float(v) for v in y]
+    n = form.n
+    cache = {}
+
+    def g_at(shift):
+        key = tuple(shift)
+        if key not in cache:
+            cache[key] = _float_metric(
+                form, [a + s * h for a, s in zip(y, shift)])
+        return cache[key]
+
+    first = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
+    second = ((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0))
+
+    def shifted(k, s, base=(0,) * n):
+        out = list(base)
+        out[k] += s
+        return out
+
+    def dg_entry(i, j, k):
+        return sum(w * g_at(shifted(k, s))[i, j] for s, w in first) / (12 * h)
+
+    def d2g_entry(i, j, k, l):
+        if k == l:
+            return (sum(w * g_at(shifted(k, s))[i, j] for s, w in second)
+                    / (12 * h * h))
+        return sum(w1 * w2 * g_at(shifted(l, s2, shifted(k, s1)))[i, j]
+                   for s1, w1 in first for s2, w2 in first) / (144 * h * h)
+
+    dg = Sym3Tensor.build(n, dg_entry)
+    d2g = CurvTensor.build(n, d2g_entry)
+    ginv = invert(g_at((0,) * n))
+    return (d2g - contract(dg, ginv)).scale(0.25)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import re
 
 from kahlercone.cli import main
 
@@ -264,7 +265,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
 
 
 def test_text_mode_renders(capsys):
-    code, out = run_inproc(capsys, "verify", "--form", "y1^3",
-                           "--points", "1", "--text")
+    argv = ["verify", "--form", "y1^3", "--points", "1", "--text"]
+    code, out = run_inproc(capsys, *argv)
     assert code == 0
     assert "overall: PASS" in out
+    # the wall time is printed only on request
+    assert out.splitlines()[-1] == "overall: PASS"
+    code, out = run_inproc(capsys, *argv, "--timing")
+    assert code == 0
+    assert re.fullmatch(r"overall: PASS   \[\d+ ms\]", out.splitlines()[-1])

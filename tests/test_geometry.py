@@ -14,6 +14,7 @@ from kahlercone import (Complex, KahlerConeError, Membership, NotInCone,
                         verify_identity)
 from kahlercone.linalg import mat_vec
 
+from _reference import dense_sides, fd_curvature_lhs
 from _util import random_cubic_with_cone, random_invertible
 
 
@@ -157,11 +158,15 @@ def test_exact_identity_on_suite_points():
 
 
 def test_pair_symmetries_of_both_sides():
+    # the packed sides agree at every index with sums that assume no symmetry
     rng = random.Random(47)
     form, pts = random_cubic_with_cone(rng, 3, points_needed=4)
     for y in pts:
-        assert curvature_lhs(form, y).has_pair_symmetries()
-        assert curvature_rhs(form, y).has_pair_symmetries()
+        lhs, rhs = curvature_lhs(form, y), curvature_rhs(form, y)
+        want_lhs, want_rhs = dense_sides(form, y)
+        for idx in itertools.product(range(3), repeat=4):
+            assert lhs[idx] == want_lhs[idx]
+            assert rhs[idx] == want_rhs[idx]
 
 
 def test_homogeneity_scalings():
@@ -229,7 +234,7 @@ def test_fd_oracle_matches_closed_form():
                     ("y1*y2*y3", (1.0, 1.1, 0.9))]:
         form = parse_text(text, len(y))
         closed = curvature_lhs(form, [F(v).limit_denominator(100) for v in y])
-        fd = curvature_lhs(form, y, method="fd", step=1e-4)
+        fd = fd_curvature_lhs(form, y, 1e-4)
         n = form.n
         scale = max(abs(float(v)) for v in closed.entries()) or 1.0
         for i in range(n):

@@ -67,6 +67,10 @@ PINNED = [
     (["cone", "sample", "--text", "--form", FORM4, "--samples", "6",
       "--seed", "5"], 0,
      "24068a7abec45d7d47aaf4b7d2c4cf679b9340961c219e3045b4f25bcacb74a5"),
+    # no wall-clock time without --timing
+    (["verify", "--text", "--form", "y1*y2^2", "--samples", "4",
+      "--seed", "12"], 0,
+     "e8e9adfd130fa07d350dd69d835fadc3abea2c42eaae02dd99aa0cdd3c1c6057"),
     # a failed check (the stated inverse breaks for non-real lambda) and a
     # domain error, in JSON and in text
     (["cone-metric", "--form", "y1*y2^2", "--points", "1,1", "--lam", "1+2i"],
