@@ -2,10 +2,11 @@
 
 A form is stored as a map from exponent vectors (summing to 3) to exact
 rational coefficients, together with the constant symmetric tensor of third
-partial derivatives and an integer multiple of it, each built on first use;
-index-cone membership is decided from the integer one, on Python ints. Only
-homogeneous cubics are accepted: the norm-function identity and the cone
-structure both rest on Euler's relation, which fails for inhomogeneous input.
+partial derivatives and an integer multiple of it, each built on first use.
+One evaluation on Python ints decides index-cone membership and yields the
+exact f, grad f and Hess f the metric jet is built from. Only homogeneous
+cubics are accepted: the norm-function identity and the cone structure both
+rest on Euler's relation, which fails for inhomogeneous input.
 
 Text grammar (whitespace insignificant)::
 
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 DEGREE = 3
+GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
 
 
 class Membership(enum.Enum):
@@ -93,12 +95,14 @@ class CubicForm:
 
     @property
     def third_tensor(self) -> Sym3Tensor:
-        """Constant tensor of third partials; f = (1/6) sum f3[i,j,k] yi yj yk."""
+        """Constant tensor of third partials; f = (1/6) sum f3[i,j,k] yi yj yk.
+        A monomial q*y^e has one nonzero third partial, q * prod(e_i!), at
+        the index multiset that e counts."""
         if self._f3 is None:
-            p = self.as_poly()
-            self._f3 = Sym3Tensor.build(
-                self.n,
-                lambda i, j, k: _constant_term(p.diff(i).diff(j).diff(k)))
+            self._f3 = Sym3Tensor.zeros(self.n)
+            for exp, coeff in self.monomials.items():
+                idx = tuple(i for i, e in enumerate(exp) for _ in range(e))
+                self._f3[idx] = coeff * math.prod(map(math.factorial, exp))
         return self._f3
 
     def _integer_third(self):
@@ -124,13 +128,9 @@ class CubicForm:
         return self._poly.evaluate(y)
 
     def gradient(self, y):
-        self._check_len(y)
-        f3 = self.third_tensor
-        n = self.n
+        """grad f(y) = 1/2 Hess f(y) y, by Euler's relation."""
         half = Fraction(1, 2)
-        return [half * sum(f3[i, j, k] * y[j] * y[k]
-                           for j in range(n) for k in range(n))
-                for i in range(n)]
+        return [half * sum(map(mul, row, y)) for row in self.hessian(y).rows()]
 
     def hessian(self, y) -> SymMatrix:
         self._check_len(y)
@@ -202,12 +202,6 @@ class CubicForm:
 
     def __repr__(self):
         return f"CubicForm({self.n}, {self.to_text()!r})"
-
-
-def _constant_term(p: Poly):
-    if p.is_zero():
-        return Fraction(0)
-    return p.terms[(0,) * p.nvars]
 
 
 # ----------------------------------------------------------------------------
@@ -333,13 +327,15 @@ def parse_text(src: str, n: int) -> CubicForm:
 # index-cone membership and sampling
 
 def _classify(form: CubicForm, y):
-    """(verdict, f(y), inertia of Hess f(y)) of a rational point, on ints.
+    """(verdict, f(y), inertia of Hess f(y), grad f(y), Hess f(y)) of a
+    rational point, from one exact evaluation on ints.
 
-    Both conditions are unchanged by y -> c*y with c > 0, so y is scaled to
-    the integer vector z = l*y, l the lcm of its denominators, and the
-    integer Hessian H = Hess(c*f)(z) of `_integer_third` is formed. Euler's
-    relation for a cubic gives z^T H z = 6*c*f(z) = 6*c*l^3*f(y), which
-    carries the sign of f and recovers f(y) exactly.
+    Membership is unchanged by y -> l*y with l > 0, so y is scaled to the
+    integer z = l*y (l the lcm of its denominators) and H = Hess(c*f)(z) is
+    formed from `_integer_third` (c the lcm of the coefficient denominators).
+    Euler's relation gives z^T H z = 6*c*l^3*f(y): the sign of f and f(y).
+    At interior points, the only ones the jet reads, grad f(y) =
+    H z / (2*c*l^2) and Hess f(y) = H / (c*l); elsewhere both are None.
     """
     if any(isinstance(v, float) for v in y):
         raise TypeError("cone membership needs exact rational coordinates; "
@@ -353,17 +349,20 @@ def _classify(form: CubicForm, y):
     six_cf = sum((hv if i == j else 2 * hv) * z[i] * z[j]
                  for ((i, j), _), hv in zip(rows, h))
     n = form.n
-    sig = inertia(SymMatrix(n, h))
+    hmat = SymMatrix(n, h)
+    sig = inertia(hmat)
+    fval = Fraction(six_cf, 6 * c * den**3)
+    if six_cf > 0 and sig == (1, n - 1, 0):
+        grad = [Fraction(sum(map(mul, row, z)), 2 * c * den * den)
+                for row in hmat.rows()]
+        hess = SymMatrix(n, [Fraction(v, c * den) for v in h])
+        return Membership.INTERIOR, fval, sig, grad, hess
     plus, minus, zero = sig
     degenerate = six_cf == 0 or zero > 0
     compatible = six_cf >= 0 and plus <= 1 and minus <= n - 1
-    if six_cf > 0 and sig == (1, n - 1, 0):
-        verdict = Membership.INTERIOR
-    elif degenerate and compatible:
-        verdict = Membership.BOUNDARY
-    else:
-        verdict = Membership.OUTSIDE
-    return verdict, Fraction(six_cf, 6 * c * den**3), sig
+    verdict = (Membership.BOUNDARY if degenerate and compatible
+               else Membership.OUTSIDE)
+    return verdict, fval, sig, None, None
 
 
 def cone_contains(form: CubicForm, y) -> Membership:
@@ -379,12 +378,11 @@ def cone_contains(form: CubicForm, y) -> Membership:
 
 
 def cone_sample(form: CubicForm, count: int, seed: int,
-                hint=None, bound: int = 16, max_denominator: int = 8,
-                budget: int = 100_000):
+                hint=None, budget: int = 100_000):
     """Sample `count` distinct exact interior points, deterministically.
 
-    Strategy: random rational grid points with numerators in [-bound, bound]
-    and denominators up to max_denominator, filtered through cone_contains;
+    Strategy: random rational grid points with numerators in [-GRID_NUM,
+    GRID_NUM] and denominators up to GRID_DEN, filtered through cone_contains;
     when a hint is given, also jittered positive scalings of it (rays from an
     interior point stay interior, the jitter is re-checked like any other
     candidate). Raises SamplingExhausted after `budget` attempts.
@@ -401,13 +399,13 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     seen = set()
     for attempt in range(budget):
         if hint is not None and attempt % 2 == 1:
-            c = Fraction(rng.randint(1, bound), rng.randint(1, max_denominator))
+            c = Fraction(rng.randint(1, GRID_NUM), rng.randint(1, GRID_DEN))
             cand = tuple(c * h * (1 + Fraction(rng.randint(-1, 1),
                                                rng.randint(4, 8)))
                          for h in hint)
         else:
-            cand = tuple(Fraction(rng.randint(-bound, bound),
-                                  rng.randint(1, max_denominator))
+            cand = tuple(Fraction(rng.randint(-GRID_NUM, GRID_NUM),
+                                  rng.randint(1, GRID_DEN))
                          for _ in range(n))
         if all(v == 0 for v in cand) or cand in seen:
             continue

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cubic import CubicForm, Membership, cone_contains
+from .cubic import CubicForm, Membership, _classify
 from .errors import (DimensionMismatch, KahlerConeError, NotInCone,
                      SingularMatrix, SingularMetric, ZeroVector)
 from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, contract, invert,
@@ -61,6 +61,7 @@ __all__ = [
 QUARTER = Fraction(1, 4)
 CONVENTIONS = ("standard", "negated")
 MODES = ("exact", "float")
+FLOAT_REL_TOL = 1e-9             # verify_identity's float-mode residual bound
 _TINY = sys.float_info.min       # the smallest normal float
 
 
@@ -105,40 +106,26 @@ class MetricJet:
                 for u in raise_index(self.dg, self.ginv)]
 
 
-def _require_interior(form: CubicForm, y):
-    # exact even for float points: Fraction(float) is the float's exact value
-    exact = [Fraction(v) for v in y]
-    if cone_contains(form, exact) is not Membership.INTERIOR:
-        raise NotInCone(f"point {format_point(y)} is not interior")
-
-
 def norm_function(form: CubicForm, y):
     """The norm function N = 8 f(y), the argument of the Kahler potential."""
     return 8 * form.evaluate(y)
 
 
-def _metric(form: CubicForm, y):
-    """f, grad f, Hess f, 1/f and g at y, over whatever scalars y holds.
-
-    Over floats, raises KahlerConeError unless f(y)^4 and 1/f(y)^4, the
-    extreme powers of f in the jet, are normal floats: otherwise f has
-    underflowed to 0 or overflowed, or a power of 1/f would.
-    """
-    fval = form.evaluate(y)
-    if isinstance(fval, float):
-        f4 = fval * fval * fval * fval
-        if not (f4 > _TINY and 1 / f4 > _TINY):
-            raise KahlerConeError(f"f{format_point(y)} = {fval} in float "
-                                  f"arithmetic: its 4th power or inverse "
-                                  f"4th power is outside the float range")
-    grad = form.gradient(y)
-    hess = form.hessian(y)
-    p1 = 1 / fval
-    p2 = p1 * p1
-    g = SymMatrix.build(
-        form.n,
-        lambda i, j: -QUARTER * (hess[i, j] * p1 - grad[i] * grad[j] * p2))
-    return fval, grad, hess, p1, g
+def _rounded(y, fval, grad, hess):
+    """Exact f, grad f and Hess f at the float point y, rounded once to
+    floats. Raises KahlerConeError if one is beyond the float range, or
+    unless f^4 and 1/f^4, the extreme powers of f in the jet, are normal."""
+    try:
+        fval, grad = float(fval), [float(v) for v in grad]
+        hess = SymMatrix.build(hess.n, lambda i, j: float(hess[i, j]))
+    except OverflowError as exc:
+        raise KahlerConeError(f"f, grad f or Hess f at {format_point(y)} "
+                              f"exceeds the largest float") from exc
+    f4 = fval * fval * fval * fval
+    if not (f4 > _TINY and 1 / f4 > _TINY):
+        raise KahlerConeError(f"f{format_point(y)} = {fval}: its 4th power or "
+                              f"inverse 4th power is outside the float range")
+    return fval, grad, hess
 
 
 def kahler_metric(form: CubicForm, y) -> MetricJet:
@@ -146,15 +133,21 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
 
     All derivatives are closed-form rational expressions in f, grad f,
     Hess f and the constant third-derivative tensor; derivatives of f above
-    order three vanish, so the jet is exact at rational points.
+    order three vanish, so the jet is exact at rational points. f, grad f
+    and Hess f come from the exact evaluation that decides membership; at a
+    point with a float coordinate they are rounded once, and the jet is float.
     """
-    _require_interior(form, y)
-    n = form.n
-    fval, grad, hess, p1, g = _metric(form, y)
-    f3 = form.third_tensor
+    verdict, fval, _, grad, hess = _classify(form, [Fraction(v) for v in y])
+    if verdict is not Membership.INTERIOR:
+        raise NotInCone(f"point {format_point(y)} is not interior")
+    if any(isinstance(v, float) for v in y):
+        fval, grad, hess = _rounded(y, fval, grad, hess)
+    n, f3 = form.n, form.third_tensor
+    p1 = 1 / fval
     p2 = p1 * p1
-    p3 = p2 * p1
-    p4 = p2 * p2
+    p3, p4 = p2 * p1, p2 * p2
+    g = SymMatrix.build(
+        n, lambda i, j: -QUARTER * (hess[i, j] * p1 - grad[i] * grad[j] * p2))
 
     def dg_entry(i, j, k):
         return -QUARTER * (
@@ -293,13 +286,13 @@ def curvature_report(form: CubicForm, y,
 
 
 def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
-                    convention: str = "standard", seed: Optional[int] = None,
-                    rel_tol: float = 1e-9) -> VerificationSummary:
+                    convention: str = "standard",
+                    seed: Optional[int] = None) -> VerificationSummary:
     """Check the curvature identity at each point and summarize.
 
-    Exact mode demands a bit-exact zero residual; float mode compares the
-    maximum entrywise residual against `rel_tol` relative to the larger of
-    the two sides. An empty point list is an error, never a vacuous pass.
+    Exact mode demands a bit-exact zero residual; float mode demands a
+    maximum entrywise residual below FLOAT_REL_TOL relative to the larger
+    of the two sides. An empty point list is an error, never a vacuous pass.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -317,7 +310,7 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
         else:
             scale = max(lhs.max_abs(), rhs.max_abs(), 1e-300)
             rel = max_abs / scale
-            ok = rel < rel_tol
+            ok = rel < FLOAT_REL_TOL
         results.append(PointResult(y=yy, verdict="PASS" if ok else "FAIL",
                                    max_abs_residual=max_abs,
                                    max_rel_residual=rel))

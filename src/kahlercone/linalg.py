@@ -54,14 +54,14 @@ class SymMatrix:
         self._data = list(data)
 
     @classmethod
-    def zeros(cls, n, zero=Fraction(0)):
-        return cls(n, [zero] * (n * (n + 1) // 2))
+    def zeros(cls, n):
+        return cls(n, [Fraction(0)] * (n * (n + 1) // 2))
 
     @classmethod
-    def identity(cls, n, one=Fraction(1), zero=Fraction(0)):
-        m = cls.zeros(n, zero)
+    def identity(cls, n):
+        m = cls.zeros(n)
         for i in range(n):
-            m[i, i] = one
+            m[i, i] = Fraction(1)
         return m
 
     @classmethod
@@ -127,8 +127,8 @@ class Sym3Tensor:
         self._data = list(data)
 
     @classmethod
-    def zeros(cls, n, zero=Fraction(0)):
-        return cls(n, [zero] * (n * (n + 1) * (n + 2) // 6))
+    def zeros(cls, n):
+        return cls(n, [Fraction(0)] * (n * (n + 1) * (n + 2) // 6))
 
     @classmethod
     def build(cls, n, fn):
@@ -169,11 +169,11 @@ class CurvTensor:
 
     __slots__ = ("n", "_data")
 
-    def __init__(self, n, data=None, zero=Fraction(0)):
+    def __init__(self, n, data=None):
         pairs = n * (n + 1) // 2
         size = pairs * (pairs + 1) // 2
         self.n = n
-        self._data = [zero] * size if data is None else list(data)
+        self._data = [Fraction(0)] * size if data is None else list(data)
         if len(self._data) != size:
             raise DimensionMismatch("packed length does not match dimension")
 
@@ -325,8 +325,8 @@ def _pivot_size(x):
     return abs(x)
 
 
-def identity_rows(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity_rows(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def invert_rows(rows):
@@ -334,14 +334,16 @@ def invert_rows(rows):
 
     Works over any field scalar (Fraction, float, Complex). Exact inputs give
     the exact inverse: int entries, and int parts of Complex entries, are
-    lifted to Fraction first. Raises SingularMatrix on a zero pivot column.
+    lifted to Fraction first. Each row of the inverse, begun as the Fraction
+    identity, is divided by a pivot once and so takes the pivot's scalar
+    type. Raises SingularMatrix on a zero pivot column.
     """
     n = len(rows)
     a = [[_lift_int(v) for v in r] for r in rows]
     for r in a:
         if len(r) != n:
             raise DimensionMismatch("matrix is not square")
-    inv = identity_rows(n, one=_like_one(a), zero=_like_zero(a))
+    inv = identity_rows(n)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
         if _pivot_size(a[piv][col]) == 0:
@@ -365,20 +367,6 @@ def _lift_int(x):
     if isinstance(x, Complex):
         return Complex(_lift_int(x.re), _lift_int(x.im))
     return x
-
-
-def _like_one(a):
-    x = a[0][0]
-    if isinstance(x, Complex):
-        return Complex(Fraction(1) if is_exact_scalar(x.re) else 1.0)
-    if is_exact_scalar(x):
-        return Fraction(1)
-    return 1.0
-
-
-def _like_zero(a):
-    one = _like_one(a)
-    return one - one
 
 
 def invert(m: SymMatrix) -> SymMatrix:

@@ -244,8 +244,7 @@ class TildeInverseResult:
 def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
     """Exact product gtilde * stated inverse against the identity matrix."""
     product = mat_mul(tm.gtilde, tm.gtilde_inv_stated)
-    ident = identity_rows(tm.n + 1, one=Complex(Fraction(1)),
-                          zero=Complex(Fraction(0)))
+    ident = identity_rows(tm.n + 1)
     passed = all(product[i][j] == ident[i][j]
                  for i in range(tm.n + 1) for j in range(tm.n + 1))
     return TildeInverseResult(passed=passed, product=product)

@@ -5,6 +5,9 @@ with the same 1x1/2x2 pivot rule as `linalg.inertia`: each step replaces
 the trailing block by its Schur complement, a congruence, so the signs of
 the pivot blocks give the inertia. `reference_membership` decides index-cone
 membership from the `Fraction` value of f and the inertia of Hess f.
+`poly_derivatives` evaluates f and its first and second partials from the
+polynomial and its `Poly.diff`s, with neither the third-derivative tensor
+nor the integer kernel.
 
 `dense_sides` evaluates both curvature sides at every one of the n^4
 indices from their defining sums over `Fraction`, with no symmetry assumed.
@@ -88,6 +91,15 @@ def reference_membership(form, y):
     if degenerate and compatible:
         return Membership.BOUNDARY
     return Membership.OUTSIDE
+
+
+def poly_derivatives(form, y):
+    """(f(y), grad f(y), Hess f(y) as rows) from `form.as_poly()` and its
+    `Poly.diff`s, evaluated at y."""
+    p = form.as_poly()
+    first = [p.diff(i) for i in range(form.n)]
+    return (p.evaluate(y), [d.evaluate(y) for d in first],
+            [[d.diff(j).evaluate(y) for j in range(form.n)] for d in first])
 
 
 def dense_sides(form, y):

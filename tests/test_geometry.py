@@ -7,14 +7,16 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from kahlercone import (Complex, KahlerConeError, Membership, NotInCone,
-                        ZeroVector, christoffels, cone_contains, curvature_lhs,
-                        curvature_report, curvature_rhs, inertia,
-                        kahler_metric, norm_function, parse_text, sectional,
-                        verify_identity)
+import kahlercone.cubic
+import kahlercone.geometry
+from kahlercone import (Complex, CubicForm, KahlerConeError, Membership,
+                        NotInCone, ZeroVector, christoffels, cone_contains,
+                        cone_sample, curvature_lhs, curvature_report,
+                        curvature_rhs, inertia, kahler_metric, norm_function,
+                        parse_text, sectional, verify_identity)
 from kahlercone.linalg import mat_vec
 
-from _reference import dense_sides, fd_curvature_lhs
+from _reference import dense_sides, fd_curvature_lhs, poly_derivatives
 from _util import random_cubic_with_cone, random_invertible
 
 
@@ -60,6 +62,64 @@ def test_metric_jet_symmetries():
                     for l in range(n):
                         assert jet.d2g[i, j, k, l] == jet.d2g[j, i, k, l]
                         assert jet.d2g[i, j, k, l] == jet.d2g[i, j, l, k]
+
+
+def test_jet_derivatives_match_polynomial_oracle():
+    rng = random.Random(43)
+    cases = [(parse_text("1/6*y1^3", 1), [(F(1, 3),), (F(5, 7),)])]
+    cases += [random_cubic_with_cone(rng, n, points_needed=3)
+              for n in (1, 2, 3, 4, 4)]
+    for form, pts in cases:
+        for y in pts:
+            jet = kahler_metric(form, y)
+            fval, grad, hess = poly_derivatives(form, y)
+            assert jet.f == fval
+            assert jet.grad == grad
+            assert jet.hess.rows() == hess
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_jet_evaluates_the_cubic_once_per_point(monkeypatch):
+    form = parse_text("y1*y2*y3 + y4^3", 4)
+    exact = cone_sample(form, 3, seed=5, hint=(F(2), F(2), F(2), F(-1)))
+    calls = dict.fromkeys(["_classify", "evaluate", "gradient", "hessian"], 0)
+    classify = _counting(calls, "_classify", kahlercone.cubic._classify)
+    monkeypatch.setattr(kahlercone.cubic, "_classify", classify)
+    monkeypatch.setattr(kahlercone.geometry, "_classify", classify,
+                        raising=False)
+    for name in ("evaluate", "gradient", "hessian"):
+        monkeypatch.setattr(CubicForm, name,
+                            _counting(calls, name, getattr(CubicForm, name)))
+    for mode, points in (("exact", exact),
+                         ("float", [tuple(map(float, y)) for y in exact])):
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_identity(form, points, mode=mode).overall == "PASS"
+        assert calls == {"_classify": len(points), "evaluate": 0,
+                         "gradient": 0, "hessian": 0}, mode
+
+
+def test_float_jet_rounds_the_exact_values_once():
+    form = parse_text("1/3*y1*y2*y3", 3)
+    y = (1.0, 1.1, 0.9)
+    exact = kahler_metric(form, [F(v) for v in y])
+    jet = kahler_metric(form, y)
+    assert type(jet.f) is float and jet.f == float(exact.f)
+    assert all(type(v) is float for v in jet.grad)
+    assert jet.grad == [float(v) for v in exact.grad]
+    assert jet.hess.rows() == [[float(v) for v in row]
+                               for row in exact.hess.rows()]
+    # one float coordinate makes the whole point, and its jet, float
+    mixed = kahler_metric(form, (1, F(11, 10), 0.9))
+    assert type(mixed.f) is float
+    assert all(type(v) is float for v in mixed.grad)
+    assert all(type(v) is float for row in mixed.hess.rows() for v in row)
+    assert all(type(v) is float for row in mixed.g.rows() for v in row)
 
 
 def test_norm_function():

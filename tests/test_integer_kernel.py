@@ -1,7 +1,8 @@
 """The integer membership kernel against its oracles: `inertia` against the
 Fraction elimination of `_reference` and a numpy eigenvalue sign count, and
 `cone_contains` and the `cone check` values against the Fraction decision on
-the dense n = 5 pullback of y1*y2*y3 + y4^3 + y5^3."""
+the dense n = 5 pullback of y1*y2*y3 + y4^3 + y5^3, and the f, grad f and
+Hess f the metric jet reads from that decision against the polynomial."""
 
 import random
 from fractions import Fraction as F
@@ -10,11 +11,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kahlercone import Membership, SymMatrix, cone_contains, inertia, parse_text
+from kahlercone import (Membership, SymMatrix, cone_contains, cone_sample,
+                        inertia, kahler_metric, parse_text)
 from kahlercone.cubic import _classify
 from kahlercone.linalg import invert_rows, mat_vec
 
-from _reference import reference_inertia, reference_membership
+from _reference import (poly_derivatives, reference_inertia,
+                        reference_membership)
 
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -87,7 +90,7 @@ def _boundary_point(rng):
 
 
 def _assert_agrees(z):
-    verdict, fval, sig = _classify(DENSE, z)
+    verdict, fval, sig, _, _ = _classify(DENSE, z)
     assert cone_contains(DENSE, z) is verdict
     assert verdict is reference_membership(DENSE, z)
     assert fval == DENSE.evaluate(z)
@@ -108,3 +111,10 @@ def test_dense_pullback_verdicts_cover_all_three():
     points += [_boundary_point(rng) for _ in range(10)]
     seen = {_assert_agrees(z) for z in points}
     assert seen == set(Membership)
+
+
+def test_dense_jet_derivatives_match_polynomial_oracle():
+    for z in cone_sample(DENSE, 4, seed=31):
+        jet = kahler_metric(DENSE, z)
+        fval, grad, hess = poly_derivatives(DENSE, z)
+        assert (jet.f, jet.grad, jet.hess.rows()) == (fval, grad, hess)

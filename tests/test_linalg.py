@@ -190,9 +190,9 @@ def test_hermitian_inertia_basics():
 
 
 def test_curvtensor_subtraction_and_max_abs():
-    a = CurvTensor(2, zero=F(0))
+    a = CurvTensor(2)
     a[0, 0, 0, 0] = F(3, 4)
-    b = CurvTensor(2, zero=F(0))
+    b = CurvTensor(2)
     b[0, 0, 0, 0] = F(1, 4)
     d = a - b
     assert d[0, 0, 0, 0] == F(1, 2)
