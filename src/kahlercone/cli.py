@@ -238,7 +238,7 @@ def _cone_metric_point(args, form, point):
     t, lam = point
     tm = build_tilde_metric(form, t, lam)
     inv = tilde_inverse_check(tm)
-    chris = tilde_christoffel_check(tm, form)
+    chris = tilde_christoffel_check(tm)
     sig = hermitian_inertia(tm.gtilde)
     entry = {
         "t": _doc(t),

@@ -127,11 +127,6 @@ class CubicForm:
         self._check_len(y)
         return self._poly.evaluate(y)
 
-    def gradient(self, y):
-        """grad f(y) = 1/2 Hess f(y) y, by Euler's relation."""
-        half = Fraction(1, 2)
-        return [half * sum(map(mul, row, y)) for row in self.hessian(y).rows()]
-
     def hessian(self, y) -> SymMatrix:
         self._check_len(y)
         f3 = self.third_tensor

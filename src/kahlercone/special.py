@@ -10,13 +10,23 @@ normative identity checked here is convention-free:
 
 The literature normalization (metric -4 Hess f contracted instead) differs
 from this by the constant kappa = -4, which the check recomputes per entry
-and asserts globally constant.
+and asserts globally constant. Hess f is evaluated and inverted once; the
+inverse of -4 Hess f is that inverse times -1/4.
 
 Fibre extension. `build_tilde_metric` assembles the (n+1) x (n+1) hermitian
-matrix from the six published closed-form entries with K = 8 f(Im t) and
-K_i = d/dt_i log K, together with the published inverse entries. Two
-calibrations, fixed at n = 1 and documented here because the published
-formulas leave them open:
+matrix from the published closed-form entries with K = 8 f(Im t) and
+K_i = d/dt_i log K, together with the published inverse entries. Index 0 is
+the fibre direction. Every entry is a coefficient in y times a power of the
+fibre coordinate: with u = (1, K_1, ..., K_n) and g padded by a zero fibre
+row and column, the coefficient table is
+
+    coef[r][c] = K (conj(u_r) u_c - g[r,c]),
+
+kept with its y-gradients (dK/dy_k = 8 df/dy_k, dK_i/dy_k = 2i g[i,k]).
+The printed metric is coef[r][c] lam^a lambar^b, with the lambda-power
+table (a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre row, (0,-1)
+on the fibre column and (0,0) on the base block. Two calibrations, fixed at
+n = 1 and documented here because the published formulas leave them open:
 
   * hermitian placement of the mixed inverse entry: the printed value for
     index pair (0, i-bar) equals entry (row i, column 0) of the true
@@ -31,12 +41,14 @@ consistent with any single reading of the published metric entries: direct
 differentiation of the entries as printed validates the all-base and
 fibre-upper formulas, while the mixed formula (lambda^{-1} delta) and the
 vanishing of the pure-fibre symbol require the potential-consistent scaling
-lambda lambda-bar K of the same entries (with the fibre row sign flipped),
-under which the matrix is genuinely Kahler. The check computes both
-derivations exactly, compares each published formula group under each, and
-passes when every group is reproduced by at least one derivation, reporting
-the full match table. The ambiguous recovery relation for the base symbols
-is evaluated under both of its index readings and the verdicts reported.
+lambda lambda-bar K of the same entries, under which the matrix is
+genuinely Kahler. That scaling is the transposed coefficient table (which
+flips the sign of the fibre row, K_i being imaginary) with every power of
+the table above raised by (1, 1). The check differentiates both scalings
+exactly, compares each published formula group under each, and passes when
+every group is reproduced by at least one derivation, reporting the full
+match table. The ambiguous recovery relation for the base symbols is
+evaluated under both of its index readings and the verdicts reported.
 """
 
 from __future__ import annotations
@@ -103,22 +115,20 @@ class AffineCheckResult:
 def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     """Verify the affine curvature identity at a point with invertible Hessian."""
     y = tuple(Fraction(v) for v in y)
-    hess = form.hessian(y)
     try:
-        hinv = invert(hess)
+        hinv = invert(form.hessian(y))
     except SingularMatrix as exc:
         raise SingularHessian(f"Hess f is singular at {format_point(y)}") \
             from exc
     f3 = form.third_tensor
-    aff = affine_metric(form, y)
-    da = f3.scale(Fraction(-4))
-    ainv = invert(aff)
+    ainv = hinv.scale(Fraction(-1, 4))      # inverse of -4 Hess f, exactly
     # second derivatives of the linear metric vanish: lhs = -1/4 * contraction
-    curvature = contract(da, ainv).scale(Fraction(-1, 4))
+    curvature = contract(f3.scale(Fraction(-4)), ainv).scale(Fraction(-1, 4))
     expected = contract(f3, hinv)
     residual = curvature - expected
-    # the literature-normalized right side, for the constant-ratio check
-    literature_side = contract(f3, ainv)
+    # the literature-normalized right side contract(f3, ainv), for the
+    # constant-ratio check
+    literature_side = expected.scale(Fraction(-1, 4))
     ratios = {c / lit for c, lit in zip(curvature.entries(),
                                         literature_side.entries())
               if lit != 0}
@@ -145,14 +155,58 @@ class TildeMetric:
     y: tuple                 # Im t
     norm_value: object       # K = 8 f(y)
     k_log: tuple             # K_i = d/dt_i log K, purely imaginary
-    gtilde: list             # (n+1) x (n+1) hermitian rows, fibre index 0
+    coef: list               # (n+1) x (n+1) entry coefficients, fibre index 0
+    coef_grad: list          # their y-gradients, one n-tuple per entry
+    gtilde: list             # coef times the printed lambda powers
     gtilde_inv_stated: list  # published inverse entries, placement calibrated
-    gamma_printed: list      # published connection formulas, (n+1)^3
     jet: MetricJet
 
 
 def _as_complex_point(t):
     return tuple(Complex.of(v) for v in t)
+
+
+def _lam_factors(lam):
+    """{(a, b): lam^a lambar^b} for a, b in -1, 0, 1."""
+    one = Complex(Fraction(1))
+    power = {-1: one / lam, 0: one, 1: lam}
+    return {(a, b): power[a] * power[b].conj() for a in power for b in power}
+
+
+def _lam_powers(size, shift):
+    """The printed lambda-power table (a, b) raised by (shift, shift)."""
+    return [[(shift - (r == 0), shift - (c == 0)) for c in range(size)]
+            for r in range(size)]
+
+
+def _scaled(coef, powers, factors):
+    """The entries coef[r][c] * lam^a * lambar^b, (a, b) = powers[r][c]."""
+    return [[coef[r][c] * factors[p] for c, p in enumerate(row)]
+            for r, row in enumerate(powers)]
+
+
+def _entry_coefficients(jet: MetricJet, kval, k_log):
+    """The coefficient table coef[r][c] = K (conj(u_r) u_c - g[r,c]) with
+    u = (1, K_1, ..., K_n), and its y-gradients (module docstring)."""
+    n = len(k_log)
+    zero = Complex(Fraction(0))
+    u = (Complex(Fraction(1)),) + k_log
+    du = [(zero,) * n] + [tuple(Complex(Fraction(0), 2 * jet.g[i, k])
+                                for k in range(n)) for i in range(n)]
+    coef = [[None] * (n + 1) for _ in range(n + 1)]
+    grad = [[None] * (n + 1) for _ in range(n + 1)]
+    for r in range(n + 1):
+        for c in range(n + 1):
+            inner = u[r].conj() * u[c]
+            if r and c:
+                inner = inner - jet.g[r - 1, c - 1]
+            coef[r][c] = kval * inner
+            grad[r][c] = tuple(
+                8 * jet.grad[k] * inner
+                + kval * (du[r][k].conj() * u[c] + u[r].conj() * du[c][k]
+                          - (jet.dg[r - 1, c - 1, k] if r and c else 0))
+                for k in range(n))
+    return coef, grad
 
 
 def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
@@ -168,18 +222,11 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     half = Fraction(1, 2)
     k_log = tuple(Complex(Fraction(0), -half * jet.grad[i] / jet.f)
                   for i in range(n))
-    g, ginv = jet.g, jet.ginv
+    coef, coef_grad = _entry_coefficients(jet, kval, k_log)
+    gt = _scaled(coef, _lam_powers(n + 1, 0), _lam_factors(lam))
+
+    ginv = jet.ginv
     lam_bar = lam.conj()
-
-    gt = [[None] * (n + 1) for _ in range(n + 1)]
-    gt[0][0] = Complex(kval) / (lam * lam_bar)
-    for i in range(n):
-        gt[0][i + 1] = kval * k_log[i] / lam
-        gt[i + 1][0] = gt[0][i + 1].conj()
-        for j in range(n):
-            gt[i + 1][j + 1] = kval * (Complex(-g[i, j])
-                                       + k_log[i] * k_log[j].conj())
-
     inv = [[None] * (n + 1) for _ in range(n + 1)]
     cross = sum((k_log[i] * k_log[j].conj() * ginv[j, i]
                  for i in range(n) for j in range(n)),
@@ -195,22 +242,38 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
         inv[i + 1][0] = stated
         inv[0][i + 1] = stated.conj()
 
-    gamma = _gamma_printed(form, lam, k_log, jet)
     return TildeMetric(n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log,
-                       gtilde=gt, gtilde_inv_stated=inv, gamma_printed=gamma,
-                       jet=jet)
+                       coef=coef, coef_grad=coef_grad, gtilde=gt,
+                       gtilde_inv_stated=inv, jet=jet)
 
 
-def _gamma_printed(form, lam, k_log, jet):
-    """The published connection formulas assembled as an (n+1)^3 array.
+@dataclass(frozen=True)
+class TildeInverseResult:
+    passed: bool
+    product: list
+
+
+def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
+    """Exact product gtilde * stated inverse against the identity matrix."""
+    product = mat_mul(tm.gtilde, tm.gtilde_inv_stated)
+    ident = identity_rows(tm.n + 1)
+    passed = all(product[i][j] == ident[i][j]
+                 for i in range(tm.n + 1) for j in range(tm.n + 1))
+    return TildeInverseResult(passed=passed, product=product)
+
+
+# --- connection coefficients -------------------------------------------------
+
+def _gamma_printed(tm: TildeMetric, base):
+    """The published connection formulas assembled as an (n+1)^3 array,
+    from the base Christoffel symbols `base`.
 
     Index 0 is the fibre direction; entries are symmetric in the lower pair.
     The second mixed derivative of K reduces to -2 Hess f.
     """
-    n = form.n
+    n, lam, k_log, jet = tm.n, tm.lam, tm.k_log, tm.jet
     zero = Complex(Fraction(0))
-    base = jet.christoffels()
-    kval = 8 * jet.f
+    kval = tm.norm_value
     lam_inv = Complex(Fraction(1)) / lam
     gamma = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     for i in range(n):
@@ -235,141 +298,33 @@ def _gamma_printed(form, lam, k_log, jet):
     return gamma
 
 
-@dataclass(frozen=True)
-class TildeInverseResult:
-    passed: bool
-    product: list
-
-
-def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
-    """Exact product gtilde * stated inverse against the identity matrix."""
-    product = mat_mul(tm.gtilde, tm.gtilde_inv_stated)
-    ident = identity_rows(tm.n + 1)
-    passed = all(product[i][j] == ident[i][j]
-                 for i in range(tm.n + 1) for j in range(tm.n + 1))
-    return TildeInverseResult(passed=passed, product=product)
-
-
-# --- direct differentiation of the two entry scalings ------------------------
-
-@dataclass(frozen=True)
-class _Entry:
-    """Metric entry coef(y) * lam^a * lambar^b with the coefficient's y-gradient."""
-    coef: Complex
-    grad: tuple
-    a: int
-    b: int
-
-    def value(self, lam):
-        return self.coef * _ipow(lam, self.a) * _ipow(lam.conj(), self.b)
-
-    def d_lam(self, lam):
-        if self.a == 0:
-            return Complex(Fraction(0))
-        return self.a * self.coef * _ipow(lam, self.a - 1) \
-            * _ipow(lam.conj(), self.b)
-
-    def d_t(self, lam, k):
-        # d/dt_k = -(i/2) d/dy_k on x-independent coefficients
-        return Complex(Fraction(0), Fraction(-1, 2)) * self.grad[k] \
-            * _ipow(lam, self.a) * _ipow(lam.conj(), self.b)
-
-
-def _ipow(z: Complex, e: int) -> Complex:
-    out = Complex(Fraction(1))
-    for _ in range(abs(e)):
-        out = out * z
-    if e < 0:
-        return Complex(Fraction(1)) / out
-    return out
-
-
-def _entry_tables(form: CubicForm, tm: TildeMetric, scaling: str):
-    """Entry functions for the chosen scaling of the fibre metric.
-
-    "printed": entries exactly as published. "potential": entries of the
-    potential lam lambar K, the scaling under which the matrix is Kahler.
-    """
-    n = form.n
-    kval = tm.norm_value
-    k_log = tm.k_log
-    g, dg, grad = tm.jet.g, tm.jet.dg, tm.jet.grad
-    two_i = Complex(Fraction(0), Fraction(2))
-
-    def dk(k):                      # d/dy_k of K
-        return Complex(8 * grad[k])
-
-    def dklog(i, k):                # d/dy_k of K_i = 2i g[i,k]
-        return two_i * Complex(g[i, k])
-
-    def coef_base(i, j):
-        return kval * (Complex(-g[i, j]) + k_log[i] * k_log[j].conj())
-
-    def coef_base_grad(i, j):
-        out = []
-        for k in range(n):
-            out.append(dk(k) * (Complex(-g[i, j]) + k_log[i] * k_log[j].conj())
-                       + kval * (Complex(-dg[i, j, k])
-                                 + dklog(i, k) * k_log[j].conj()
-                                 + k_log[i] * dklog(j, k).conj()))
-        return tuple(out)
-
-    def coef_kki(i):
-        return kval * k_log[i]
-
-    def coef_kki_grad(i):
-        return tuple(dk(k) * k_log[i] + kval * dklog(i, k) for k in range(n))
-
-    def coef_kki_bar(i):
-        return kval * k_log[i].conj()
-
-    def coef_kki_bar_grad(i):
-        return tuple(dk(k) * k_log[i].conj() + kval * dklog(i, k).conj()
-                     for k in range(n))
-
-    k_grad = tuple(dk(k) for k in range(n))
-    e = [[None] * (n + 1) for _ in range(n + 1)]
-    if scaling == "printed":
-        e[0][0] = _Entry(Complex(kval), k_grad, -1, -1)
-        for i in range(n):
-            e[0][i + 1] = _Entry(coef_kki(i), coef_kki_grad(i), -1, 0)
-            e[i + 1][0] = _Entry(coef_kki_bar(i), coef_kki_bar_grad(i), 0, -1)
-            for j in range(n):
-                e[i + 1][j + 1] = _Entry(coef_base(i, j),
-                                         coef_base_grad(i, j), 0, 0)
-    elif scaling == "potential":
-        e[0][0] = _Entry(Complex(kval), k_grad, 0, 0)
-        for i in range(n):
-            e[0][i + 1] = _Entry(coef_kki_bar(i), coef_kki_bar_grad(i), 0, 1)
-            e[i + 1][0] = _Entry(coef_kki(i), coef_kki_grad(i), 1, 0)
-            for j in range(n):
-                e[i + 1][j + 1] = _Entry(coef_base(i, j),
-                                         coef_base_grad(i, j), 1, 1)
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
-    return e
-
-
-def _direct_gamma(entries, lam, n):
-    """Gamma[a][b][c] = sum_d conj(inverse)[a][d] * D_b entries[c][d]."""
+def _direct_gamma(tm: TildeMetric, shift, factors):
+    """Gamma[a][b][c] = sum_d conj(h^{-1})[a][d] * D_b h[c][d] for one scaling
+    h of the fibre metric: shift 0 is the printed one, shift 1 the potential
+    one (module docstring). D_0 = d/dlam gives (a/lam) h for an entry of
+    power lam^a; D_{k+1} = d/dt_k = -(i/2) d/dy_k acts on the coefficient."""
+    n = tm.n
     size = n + 1
-    values = [[entries[r][c].value(lam) for c in range(size)]
-              for r in range(size)]
-    hbar = [[z.conj() for z in row] for row in invert_rows(values)]
-
-    def deriv(b, r, c):
-        if b == 0:
-            return entries[r][c].d_lam(lam)
-        return entries[r][c].d_t(lam, b - 1)
-
-    gamma = [[[None] * size for _ in range(size)] for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                gamma[a][b][c] = sum(
-                    (hbar[a][d] * deriv(b, c, d) for d in range(size)),
-                    start=Complex(Fraction(0)))
-    return gamma
+    coef, grad = tm.coef, tm.coef_grad
+    if shift:
+        coef, grad = list(zip(*coef)), list(zip(*grad))
+    powers = _lam_powers(size, shift)
+    lam_inv = factors[-1, 0]
+    minus_half_i = Complex(Fraction(0), Fraction(-1, 2))
+    h = _scaled(coef, powers, factors)
+    dh = [[[None] * size for _ in range(size)] for _ in range(size)]
+    for c in range(size):
+        for d in range(size):
+            a = powers[c][d][0]
+            dh[0][c][d] = a * lam_inv * h[c][d]
+            dt = minus_half_i * factors[powers[c][d]]
+            for k in range(n):
+                dh[k + 1][c][d] = grad[c][d][k] * dt
+    hbar = [[z.conj() for z in row] for row in invert_rows(h)]
+    zero = Complex(Fraction(0))
+    return [[[sum((hbar[a][d] * dh[b][c][d] for d in range(size)), start=zero)
+              for c in range(size)] for b in range(size)]
+            for a in range(size)]
 
 
 _GROUPS = ("base", "mixed", "fibre-upper", "zeros")
@@ -385,8 +340,7 @@ class TildeChristoffelResult:
     direct: dict             # scaling -> full (n+1)^3 array
 
 
-def tilde_christoffel_check(tm: TildeMetric,
-                            form: CubicForm) -> TildeChristoffelResult:
+def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     """Compare the published connection formulas against direct differentiation.
 
     Both entry scalings are differentiated exactly (see module docstring);
@@ -395,13 +349,14 @@ def tilde_christoffel_check(tm: TildeMetric,
     the published vanishing entries and the mixed lambda^{-1} delta formula.
     """
     n = tm.n
-    printed = tm.gamma_printed
+    base = tm.jet.christoffels()
+    printed = _gamma_printed(tm, base)
+    factors = _lam_factors(tm.lam)
     matches = {}
     symmetric = {}
     direct = {}
-    for scaling in ("printed", "potential"):
-        entries = _entry_tables(form, tm, scaling)
-        gamma = _direct_gamma(entries, tm.lam, n)
+    for scaling, shift in (("printed", 0), ("potential", 1)):
+        gamma = _direct_gamma(tm, shift, factors)
         direct[scaling] = gamma
         ok = {
             "base": all(gamma[i + 1][j + 1][k + 1]
@@ -422,7 +377,6 @@ def tilde_christoffel_check(tm: TildeMetric,
             gamma[a][b][c] == gamma[a][c][b]
             for a in range(n + 1) for b in range(n + 1) for c in range(n + 1))
 
-    base = tm.jet.christoffels()
     lam, k_log = tm.lam, tm.k_log
     relation = {"corrected": True, "as-printed": True}
     for i in range(n):

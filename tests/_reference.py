@@ -5,9 +5,10 @@ with the same 1x1/2x2 pivot rule as `linalg.inertia`: each step replaces
 the trailing block by its Schur complement, a congruence, so the signs of
 the pivot blocks give the inertia. `reference_membership` decides index-cone
 membership from the `Fraction` value of f and the inertia of Hess f.
-`poly_derivatives` evaluates f and its first and second partials from the
-polynomial and its `Poly.diff`s, with neither the third-derivative tensor
-nor the integer kernel.
+`gradient` is grad f = 1/2 Hess f(y) y by Euler's relation; the package
+itself takes grad f from membership. `poly_derivatives` evaluates f and its
+first and second partials from the polynomial and its `Poly.diff`s, with
+neither the third-derivative tensor nor the integer kernel.
 
 `dense_sides` evaluates both curvature sides at every one of the n^4
 indices from their defining sums over `Fraction`, with no symmetry assumed.
@@ -93,6 +94,13 @@ def reference_membership(form, y):
     return Membership.OUTSIDE
 
 
+def gradient(form, y):
+    """grad f(y) = 1/2 Hess f(y) y, by Euler's relation."""
+    half = Fraction(1, 2)
+    return [half * sum(h * v for h, v in zip(row, y))
+            for row in form.hessian(y).rows()]
+
+
 def poly_derivatives(form, y):
     """(f(y), grad f(y), Hess f(y) as rows) from `form.as_poly()` and its
     `Poly.diff`s, evaluated at y."""
@@ -139,7 +147,7 @@ def dense_sides(form, y):
 
 def _float_metric(form, y):
     """g = -1/4 (Hess f / f - grad f grad f^T / f^2) at a float point."""
-    fval, grad, hess = form.evaluate(y), form.gradient(y), form.hessian(y)
+    fval, grad, hess = form.evaluate(y), gradient(form, y), form.hessian(y)
     return SymMatrix.build(form.n, lambda i, j: -0.25 * (
         hess[i, j] / fval - grad[i] * grad[j] / fval**2))
 

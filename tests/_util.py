@@ -22,6 +22,14 @@ def run_cli(*argv):
     return proc.returncode, proc.stdout
 
 
+def counting(calls, name, fn):
+    """fn, with each call counted in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def random_fraction(rng, num_bound=6, den_bound=4, nonzero=False):
     while True:
         f = Fraction(rng.randint(-num_bound, num_bound),

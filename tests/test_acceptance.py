@@ -166,7 +166,7 @@ def test_criterion_7_tilde_metric_checks():
             assert hermitian_inertia(tm.gtilde) == (1, form.n, 0)
             # published connection formulas, each reproduced exactly by a
             # documented direct differentiation (dual-scaling report)
-            chris = tilde_christoffel_check(tm, form)
+            chris = tilde_christoffel_check(tm)
             assert chris.passed
             assert chris.recovery_relation["corrected"]
             checked += 1

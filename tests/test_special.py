@@ -5,15 +5,21 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
-from kahlercone import (Complex, NotInCone, SingularHessian, ZeroLambda,
-                        affine_curvature_check, affine_metric, affine_tau,
-                        build_tilde_metric, cone_sample, hermitian_inertia,
-                        inertia, parse_text, tilde_christoffel_check,
-                        tilde_inverse_check)
+import kahlercone.special
+from kahlercone import (Complex, CubicForm, MetricJet, NotInCone,
+                        SingularHessian, ZeroLambda, affine_curvature_check,
+                        affine_metric, affine_tau, build_tilde_metric,
+                        cone_sample, hermitian_inertia, inertia, parse_text,
+                        tilde_christoffel_check, tilde_inverse_check)
+from kahlercone.cli import main
 from kahlercone.linalg import invert_rows
 
-from _util import random_cubic_with_cone, random_fraction, suite_forms
+from _util import (counting, random_cubic_with_cone, random_fraction,
+                   suite_forms)
 
 I = Complex(F(0), F(1))
 
@@ -181,7 +187,7 @@ def test_tilde_guards():
 def test_christoffel_check_passes_and_pins_match_table():
     f = parse_text("y1*y2^2", 2)
     tm = build_tilde_metric(f, [I, I], F(1))
-    res = tilde_christoffel_check(tm, f)
+    res = tilde_christoffel_check(tm)
     assert res.passed
     # each published formula group is reproduced by a documented scaling
     assert res.matches["printed"] == {"base": True, "mixed": False,
@@ -200,7 +206,7 @@ def test_christoffel_mixed_formula_under_potential_scaling():
         form = parse_text(text, len(t))
         lam = random_fraction(rng, nonzero=True)
         tm = build_tilde_metric(form, t, lam)
-        res = tilde_christoffel_check(tm, form)
+        res = tilde_christoffel_check(tm)
         direct = res.direct["potential"]
         n = form.n
         for i in range(n):
@@ -218,7 +224,7 @@ def test_christoffel_mixed_formula_under_potential_scaling():
 def test_christoffel_base_formula_matches_both_scalings():
     f = parse_text("y1*y2*y3", 3)
     tm = build_tilde_metric(f, [I, I, I], F(2))
-    res = tilde_christoffel_check(tm, f)
+    res = tilde_christoffel_check(tm)
     assert res.matches["printed"]["base"]
     assert res.matches["potential"]["base"]
 
@@ -228,11 +234,11 @@ def test_recovery_relation_readings():
     # once the mixed log-derivatives differ (any n >= 2 point shows it)
     f1 = parse_text("y1^3", 1)
     tm1 = build_tilde_metric(f1, [I], F(1))
-    rel1 = tilde_christoffel_check(tm1, f1).recovery_relation
+    rel1 = tilde_christoffel_check(tm1).recovery_relation
     assert rel1["corrected"]  # n = 1 cannot separate the readings
     f2 = parse_text("y1*y2^2", 2)
     tm2 = build_tilde_metric(f2, [I, I], F(3))
-    rel2 = tilde_christoffel_check(tm2, f2).recovery_relation
+    rel2 = tilde_christoffel_check(tm2).recovery_relation
     assert rel2 == {"corrected": True, "as-printed": False}
 
 
@@ -243,4 +249,101 @@ def test_christoffel_check_on_random_suite():
         lam = random_fraction(rng, nonzero=True)
         t = [Complex(F(0), v) for v in y]
         tm = build_tilde_metric(form, t, lam)
-        assert tilde_christoffel_check(tm, form).passed
+        assert tilde_christoffel_check(tm).passed
+
+
+def _sympy_direct(text, y, lam):
+    """Gamma[a][b][c] = sum_d conj(h^-1)[a][d] D_b h[c][d] for both scalings,
+    from the published entries written in sympy: K = 8f,
+    K_i = -(i/2) d_i log f, g = -1/4 d^2 log f, with lam and lambar
+    independent, D_0 = d/dlam and D_{k+1} = -(i/2) d/dy_k. Entries are
+    returned as (re, im) pairs of Fractions."""
+    n, i_ = len(y), sympy.I
+    ys = sympy.symbols(f"y1:{n + 1}")
+    lam_s, lambar_s = sympy.symbols("lam lambar")
+    f = sympy.sympify(text.replace("^", "**"),
+                      locals={str(v): v for v in ys})
+    log_f = sympy.log(f)
+    k = 8 * f
+    k_log = [-(i_ / 2) * sympy.diff(log_f, v) for v in ys]
+    k_log_bar = [(i_ / 2) * sympy.diff(log_f, v) for v in ys]
+    g = [[-sympy.diff(log_f, a, b) / 4 for b in ys] for a in ys]
+    size = n + 1
+    printed = [[None] * size for _ in range(size)]
+    potential = [[None] * size for _ in range(size)]
+    printed[0][0], potential[0][0] = k / (lam_s * lambar_s), k
+    for i in range(n):
+        printed[0][i + 1] = k * k_log[i] / lam_s
+        printed[i + 1][0] = k * k_log_bar[i] / lambar_s
+        potential[0][i + 1] = k * k_log_bar[i] * lambar_s
+        potential[i + 1][0] = k * k_log[i] * lam_s
+        for j in range(n):
+            base = k * (-g[i][j] + k_log[i] * k_log_bar[j])
+            printed[i + 1][j + 1] = base
+            potential[i + 1][j + 1] = base * lam_s * lambar_s
+    lam_value = sympy.Rational(lam.re) + i_ * sympy.Rational(lam.im)
+    at = {lam_s: lam_value, lambar_s: sympy.conjugate(lam_value),
+          **{v: sympy.Rational(c) for v, c in zip(ys, y)}}
+
+    def value(expr):
+        return QQ_I.from_sympy(sympy.expand_complex(expr.subs(at)))
+
+    derivs = [lambda e: sympy.diff(e, lam_s)] + [
+        lambda e, v=v: -(i_ / 2) * sympy.diff(e, v) for v in ys]
+    out = {}
+    for scaling, h in (("printed", printed), ("potential", potential)):
+        h_inv = DomainMatrix([[value(e) for e in row] for row in h],
+                             (size, size), QQ_I).inv().to_list()
+        h_inv_bar = [[QQ_I(z.x, -z.y) for z in row] for row in h_inv]
+        dh = [[[value(d(h[c][e])) for e in range(size)] for c in range(size)]
+              for d in derivs]
+        out[scaling] = [[[_pair(sum((h_inv_bar[a][e] * dh[b][c][e]
+                                     for e in range(size)), QQ_I.zero))
+                          for c in range(size)] for b in range(size)]
+                        for a in range(size)]
+    return out
+
+
+def _pair(z):
+    return (F(int(z.x.numerator), int(z.x.denominator)),
+            F(int(z.y.numerator), int(z.y.denominator)))
+
+
+def test_direct_christoffels_match_sympy_oracle():
+    # guards the coefficient gradients and the potential transposition,
+    # which the match table only reports as booleans
+    for text, y in (("y1^3", [1]), ("y1*y2^2", [1, 1]),
+                    ("y1*y2*y3", [1, 2, 3])):
+        form = parse_text(text, len(y))
+        for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
+            tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
+                                    lam)
+            direct = tilde_christoffel_check(tm).direct
+            want = _sympy_direct(text, y, lam)
+            for scaling, gamma in direct.items():
+                got = [[[(F(z.re), F(z.im)) for z in row] for row in plane]
+                       for plane in gamma]
+                assert got == want[scaling], (text, lam, scaling)
+
+
+def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
+                                                            capsys):
+    calls = dict.fromkeys(
+        ["hessian", "invert", "contract", "kahler_metric", "christoffels"], 0)
+    monkeypatch.setattr(CubicForm, "hessian",
+                        counting(calls, "hessian", CubicForm.hessian))
+    monkeypatch.setattr(MetricJet, "christoffels", counting(
+        calls, "christoffels", MetricJet.christoffels))
+    # the linalg and geometry functions, as bound where `special` calls them
+    for name in ("invert", "contract", "kahler_metric"):
+        monkeypatch.setattr(kahlercone.special, name, counting(
+            calls, name, getattr(kahlercone.special, name)))
+    assert affine_curvature_check(parse_text("y1*y2*y3", 3),
+                                  [F(1), F(2), F(3)]).passed
+    assert calls == {"hessian": 1, "invert": 1, "contract": 2,
+                     "kahler_metric": 0, "christoffels": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
+                 "--lam", "1/2"]) == 0
+    capsys.readouterr()
+    assert (calls["kahler_metric"], calls["christoffels"]) == (1, 1)
