@@ -184,8 +184,8 @@ def _per_point(body, points=_points_for, echo=()):
 
 
 def _cone_check_point(args, form, y):
-    verdict, fval, sig, _, _ = _classify(form, y)
-    entry = {"y": _doc(y), "verdict": verdict.value, "f": _doc(fval),
+    verdict, sig, point = _classify(form, y)
+    entry = {"y": _doc(y), "verdict": verdict.value, "f": _doc(point.f),
              "hessianInertia": list(sig)}
     return (entry, f"y=({_coords(y)}): {verdict.value}  f={entry['f']} "
                    f"inertia={sig}", None)

@@ -4,9 +4,9 @@ A form is stored as a map from exponent vectors (summing to 3) to exact
 rational coefficients, together with the constant symmetric tensor of third
 partial derivatives and an integer multiple of it, each built on first use.
 One evaluation on Python ints decides index-cone membership and yields the
-exact f, grad f and Hess f the metric jet is built from. Only homogeneous
-cubics are accepted: the norm-function identity and the cone structure both
-rest on Euler's relation, which fails for inhomogeneous input.
+integers the exact metric jet is built from. Only homogeneous cubics are
+accepted: the norm-function identity and the cone structure both rest on
+Euler's relation, which fails for inhomogeneous input.
 
 Text grammar (whitespace insignificant)::
 
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
                      ParseError, SamplingExhausted)
@@ -106,17 +106,20 @@ class CubicForm:
         return self._f3
 
     def _integer_third(self):
-        """(c, rows): c > 0 the lcm of the coefficient denominators, and for
-        each stored entry (i, j) of a SymMatrix, in its packed order, the
-        pair (i, j) and the integer row c * f3[i, j, 0..n-1]. The Hessian
-        of c*f at an integer z is then the integer SymMatrix of rows . z."""
+        """(s, t, rows): s = 6c, c > 0 the lcm of the coefficient
+        denominators; t the integer Sym3Tensor s * f3, the third-derivative
+        tensor of the integer cubic s*f; and for each stored entry (i, j) of
+        a SymMatrix, in its packed order, the pair (i, j) and the row
+        t[i, j, 0..n-1]. The Hessian of s*f at an integer z is then the
+        integer SymMatrix of rows . z."""
         if self._int_f3 is None:
-            c = math.lcm(*[v.denominator for v in self.monomials.values()])
+            s = 6 * math.lcm(*[v.denominator for v in self.monomials.values()])
             f3 = self.third_tensor
             n = self.n
-            rows = [((i, j), [int(c * f3[i, j, k]) for k in range(n)])
+            t = Sym3Tensor.build(n, lambda i, j, k: int(s * f3[i, j, k]))
+            rows = [((i, j), [t[i, j, k] for k in range(n)])
                     for j in range(n) for i in range(j + 1)]
-            self._int_f3 = (c, rows)
+            self._int_f3 = (s, t, rows)
         return self._int_f3
 
     def as_poly(self) -> Poly:
@@ -321,16 +324,30 @@ def parse_text(src: str, n: int) -> CubicForm:
 # ----------------------------------------------------------------------------
 # index-cone membership and sampling
 
-def _classify(form: CubicForm, y):
-    """(verdict, f(y), inertia of Hess f(y), grad f(y), Hess f(y)) of a
-    rational point, from one exact evaluation on ints.
+class Cleared(NamedTuple):
+    """The cubic at a rational point y on Python ints: z = l*y, with l the
+    lcm of y's denominators, and with s = 6c from `_integer_third`, H the
+    Hessian of s*f at z and F = (s*f)(z). Then f(y) = F / (s l^3),
+    grad f(y) = H z / (2 s l^2) and Hess f(y) = H / (s l)."""
+    l: int
+    s: int
+    z: list
+    H: SymMatrix
+    F: int
 
-    Membership is unchanged by y -> l*y with l > 0, so y is scaled to the
-    integer z = l*y (l the lcm of its denominators) and H = Hess(c*f)(z) is
-    formed from `_integer_third` (c the lcm of the coefficient denominators).
-    Euler's relation gives z^T H z = 6*c*l^3*f(y): the sign of f and f(y).
-    At interior points, the only ones the jet reads, grad f(y) =
-    H z / (2*c*l^2) and Hess f(y) = H / (c*l); elsewhere both are None.
+    @property
+    def f(self) -> Fraction:
+        return Fraction(self.F, self.s * self.l**3)
+
+
+def _classify(form: CubicForm, y):
+    """(verdict, inertia of Hess f(y), Cleared) of a rational point, from
+    one exact evaluation on ints.
+
+    Membership is unchanged by y -> l*y with l > 0 and by f -> s*f with
+    s > 0, so it is decided from the integer z = l*y and H = Hess(s*f)(z).
+    Euler's relation gives z^T H z = 6 F, the sign of f. The same integers
+    are the input of the exact metric jet.
     """
     if any(isinstance(v, float) for v in y):
         raise TypeError("cone membership needs exact rational coordinates; "
@@ -339,25 +356,22 @@ def _classify(form: CubicForm, y):
     form._check_len(y)
     den = math.lcm(*[v.denominator for v in y])
     z = [v.numerator * (den // v.denominator) for v in y]
-    c, rows = form._integer_third()
+    s, _, rows = form._integer_third()
     h = [sum(map(mul, row, z)) for _, row in rows]
-    six_cf = sum((hv if i == j else 2 * hv) * z[i] * z[j]
-                 for ((i, j), _), hv in zip(rows, h))
+    six_f = sum((hv if i == j else 2 * hv) * z[i] * z[j]
+                for ((i, j), _), hv in zip(rows, h))
     n = form.n
     hmat = SymMatrix(n, h)
     sig = inertia(hmat)
-    fval = Fraction(six_cf, 6 * c * den**3)
-    if six_cf > 0 and sig == (1, n - 1, 0):
-        grad = [Fraction(sum(map(mul, row, z)), 2 * c * den * den)
-                for row in hmat.rows()]
-        hess = SymMatrix(n, [Fraction(v, c * den) for v in h])
-        return Membership.INTERIOR, fval, sig, grad, hess
+    point = Cleared(l=den, s=s, z=z, H=hmat, F=six_f // 6)
+    if six_f > 0 and sig == (1, n - 1, 0):
+        return Membership.INTERIOR, sig, point
     plus, minus, zero = sig
-    degenerate = six_cf == 0 or zero > 0
-    compatible = six_cf >= 0 and plus <= 1 and minus <= n - 1
+    degenerate = six_f == 0 or zero > 0
+    compatible = six_f >= 0 and plus <= 1 and minus <= n - 1
     verdict = (Membership.BOUNDARY if degenerate and compatible
                else Membership.OUTSIDE)
-    return verdict, fval, sig, None, None
+    return verdict, sig, point
 
 
 def cone_contains(form: CubicForm, y) -> Membership:

@@ -7,9 +7,10 @@ so `m[i, j] == m[j, i]` holds by construction, and each distinct entry is
 computed once. Dimensions stay small here (n of order a few), so cubic-time
 elimination is not a concern; the cost is in the scalars. Inversion and
 contraction work verbatim over Fractions, floats and `Complex` values.
-`inertia` is exact only: it clears the denominators of its rational input
-once and eliminates fraction-free on Python ints, each of whose operations
-costs a small fraction of a `Fraction` one, and it rejects floats.
+`inertia` and `det_adjugate` are exact only: they eliminate fraction-free on
+Python ints, each of whose operations costs a small fraction of a
+`Fraction` one (`inertia` clears the denominators of its rational input
+first), and they reject floats.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "Sym3Tensor",
     "CurvTensor",
     "inertia",
+    "det_adjugate",
     "hermitian_inertia",
     "invert",
     "invert_rows",
@@ -285,6 +287,43 @@ def inertia(m: SymMatrix):
                 for s in range(r, n):
                     a[r][s] = a[s][r] = a[r][s] // g
     return plus, minus, zero
+
+
+def det_adjugate(rows):
+    """(det M, adj M) of a square integer matrix given as rows; adj M as rows.
+
+    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp.
+    1968). With p the pivot of step k and p' that of step k-1 (1 at the
+    first), the step replaces every row r other than the pivot row k by
+    (p * row_r - row_r[k] * row_k) / p'; every entry stays a minor of
+    [P M | I], P the row permutation of the pivot search, so each division
+    is exact. At the end the left block is d I with d = det(P M), and the
+    right block is d (P M)^-1; the sign of P turns both into det M and
+    adj M. Raises SingularMatrix when det M = 0, TypeError on a non-int entry.
+    """
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise DimensionMismatch("matrix is not square")
+        if not all(type(v) is int for v in r):
+            raise TypeError("det_adjugate requires int entries")
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise SingularMatrix(f"zero pivot in column {k}")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[k]
+        for r in range(n):
+            if r != k:
+                c = a[r][k]
+                a[r] = [(p * v - c * w) // prev for v, w in zip(a[r], top)]
+        prev = p
+    return sign * prev, [[sign * v for v in r[n:]] for r in a]
 
 
 def _sym_swap(a, i, j):

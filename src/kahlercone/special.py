@@ -22,11 +22,12 @@ row and column, the coefficient table is
 
     coef[r][c] = K (conj(u_r) u_c - g[r,c]),
 
-kept with its y-gradients (dK/dy_k = 8 df/dy_k, dK_i/dy_k = 2i g[i,k]).
-The printed metric is coef[r][c] lam^a lambar^b, with the lambda-power
-table (a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre row, (0,-1)
-on the fibre column and (0,0) on the base block. Two calibrations, fixed at
-n = 1 and documented here because the published formulas leave them open:
+whose y-gradients (dK/dy_k = 8 df/dy_k, dK_i/dy_k = 2i g[i,k]) only the
+Christoffel check forms. The printed metric is coef[r][c] lam^a lambar^b,
+with the lambda-power table (a, b) = (-1,-1) at the fibre entry, (-1,0) on
+the fibre row, (0,-1) on the fibre column and (0,0) on the base block. Two
+calibrations, fixed at n = 1 and documented here because the published
+formulas leave them open:
 
   * hermitian placement of the mixed inverse entry: the printed value for
     index pair (0, i-bar) equals entry (row i, column 0) of the true
@@ -156,7 +157,6 @@ class TildeMetric:
     norm_value: object       # K = 8 f(y)
     k_log: tuple             # K_i = d/dt_i log K, purely imaginary
     coef: list               # (n+1) x (n+1) entry coefficients, fibre index 0
-    coef_grad: list          # their y-gradients, one n-tuple per entry
     gtilde: list             # coef times the printed lambda powers
     gtilde_inv_stated: list  # published inverse entries, placement calibrated
     jet: MetricJet
@@ -187,26 +187,30 @@ def _scaled(coef, powers, factors):
 
 def _entry_coefficients(jet: MetricJet, kval, k_log):
     """The coefficient table coef[r][c] = K (conj(u_r) u_c - g[r,c]) with
-    u = (1, K_1, ..., K_n), and its y-gradients (module docstring)."""
+    u = (1, K_1, ..., K_n) (module docstring)."""
     n = len(k_log)
-    zero = Complex(Fraction(0))
     u = (Complex(Fraction(1)),) + k_log
+    return [[kval * (u[r].conj() * u[c]
+                     - (jet.g[r - 1, c - 1] if r and c else 0))
+             for c in range(n + 1)] for r in range(n + 1)]
+
+
+def _coefficient_gradients(tm: TildeMetric):
+    """The y-gradients of tm.coef, one n-tuple per entry: with
+    dK/dy_k = 8 df/dy_k and dK_i/dy_k = 2i g[i,k],
+    d coef[r][c] / dy_k = (dK/dy_k / K) coef[r][c]
+                          + K d(conj(u_r) u_c - g[r,c]) / dy_k."""
+    n, jet, kval = tm.n, tm.jet, tm.norm_value
+    zero = Complex(Fraction(0))
+    u = (Complex(Fraction(1)),) + tm.k_log
     du = [(zero,) * n] + [tuple(Complex(Fraction(0), 2 * jet.g[i, k])
                                 for k in range(n)) for i in range(n)]
-    coef = [[None] * (n + 1) for _ in range(n + 1)]
-    grad = [[None] * (n + 1) for _ in range(n + 1)]
-    for r in range(n + 1):
-        for c in range(n + 1):
-            inner = u[r].conj() * u[c]
-            if r and c:
-                inner = inner - jet.g[r - 1, c - 1]
-            coef[r][c] = kval * inner
-            grad[r][c] = tuple(
-                8 * jet.grad[k] * inner
-                + kval * (du[r][k].conj() * u[c] + u[r].conj() * du[c][k]
-                          - (jet.dg[r - 1, c - 1, k] if r and c else 0))
-                for k in range(n))
-    return coef, grad
+    dlog_k = [8 * v / kval for v in jet.grad]
+    return [[tuple(
+        dlog_k[k] * tm.coef[r][c]
+        + kval * (du[r][k].conj() * u[c] + u[r].conj() * du[c][k]
+                  - (jet.dg[r - 1, c - 1, k] if r and c else 0))
+        for k in range(n)) for c in range(n + 1)] for r in range(n + 1)]
 
 
 def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
@@ -222,7 +226,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     half = Fraction(1, 2)
     k_log = tuple(Complex(Fraction(0), -half * jet.grad[i] / jet.f)
                   for i in range(n))
-    coef, coef_grad = _entry_coefficients(jet, kval, k_log)
+    coef = _entry_coefficients(jet, kval, k_log)
     gt = _scaled(coef, _lam_powers(n + 1, 0), _lam_factors(lam))
 
     ginv = jet.ginv
@@ -243,7 +247,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
         inv[0][i + 1] = stated.conj()
 
     return TildeMetric(n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log,
-                       coef=coef, coef_grad=coef_grad, gtilde=gt,
+                       coef=coef, gtilde=gt,
                        gtilde_inv_stated=inv, jet=jet)
 
 
@@ -298,14 +302,15 @@ def _gamma_printed(tm: TildeMetric, base):
     return gamma
 
 
-def _direct_gamma(tm: TildeMetric, shift, factors):
+def _direct_gamma(tm: TildeMetric, grad, shift, factors):
     """Gamma[a][b][c] = sum_d conj(h^{-1})[a][d] * D_b h[c][d] for one scaling
     h of the fibre metric: shift 0 is the printed one, shift 1 the potential
-    one (module docstring). D_0 = d/dlam gives (a/lam) h for an entry of
-    power lam^a; D_{k+1} = d/dt_k = -(i/2) d/dy_k acts on the coefficient."""
+    one (module docstring), with `grad` the y-gradients of tm.coef.
+    D_0 = d/dlam gives (a/lam) h for an entry of power lam^a;
+    D_{k+1} = d/dt_k = -(i/2) d/dy_k acts on the coefficient."""
     n = tm.n
     size = n + 1
-    coef, grad = tm.coef, tm.coef_grad
+    coef = tm.coef
     if shift:
         coef, grad = list(zip(*coef)), list(zip(*grad))
     powers = _lam_powers(size, shift)
@@ -352,11 +357,12 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     base = tm.jet.christoffels()
     printed = _gamma_printed(tm, base)
     factors = _lam_factors(tm.lam)
+    grad = _coefficient_gradients(tm)
     matches = {}
     symmetric = {}
     direct = {}
     for scaling, shift in (("printed", 0), ("potential", 1)):
-        gamma = _direct_gamma(tm, shift, factors)
+        gamma = _direct_gamma(tm, grad, shift, factors)
         direct[scaling] = gamma
         ok = {
             "base": all(gamma[i + 1][j + 1][k + 1]

@@ -10,8 +10,12 @@ itself takes grad f from membership. `poly_derivatives` evaluates f and its
 first and second partials from the polynomial and its `Poly.diff`s, with
 neither the third-derivative tensor nor the integer kernel.
 
-`dense_sides` evaluates both curvature sides at every one of the n^4
-indices from their defining sums over `Fraction`, with no symmetry assumed.
+`reference_jet` evaluates the metric jet at every ordered index from the
+closed forms in f, grad f, Hess f and f3 over `Fraction`, with all four
+taken from `poly_derivatives` and `poly_third` and g inverted by
+`invert_rows`: no part of the integer kernel. `dense_sides` evaluates both
+curvature sides at every one of the n^4 indices from their defining sums
+over that jet, with no symmetry assumed.
 `fd_curvature_lhs` rebuilds the metric side from central differences of the
 metric over floats, an oracle for the closed-form derivative expressions.
 """
@@ -20,7 +24,8 @@ import itertools
 from fractions import Fraction
 
 from kahlercone import (CurvTensor, Membership, Sym3Tensor, SymMatrix,
-                        cone_contains, contract, invert, kahler_metric)
+                        cone_contains, contract, invert)
+from kahlercone.linalg import invert_rows
 
 
 def reference_inertia(rows):
@@ -110,28 +115,59 @@ def poly_derivatives(form, y):
             [[d.diff(j).evaluate(y) for j in range(form.n)] for d in first])
 
 
-def dense_sides(form, y):
-    """({(i,j,k,l): LHS}, {(i,j,k,l): RHS}) at a rational interior point:
-    LHS = 1/4 (d2g - sum_{p,q} ginv[p,q] dg[i,k,p] dg[j,l,q]) and
-    RHS = g[i,j] g[k,l] + g[i,l] g[k,j]
-          - 1/(64 f^2) sum_{p,q} ginv[p,q] f3[i,k,p] f3[j,l,q],
-    with d2g = -1/4 d^4 log f evaluated at each ordered index."""
-    jet = kahler_metric(form, [Fraction(v) for v in y])
+def poly_third(form):
+    """{(i, j, k): d^3 f / dy_i dy_j dy_k} over every ordered index, from
+    three `Poly.diff`s of the form (constants, read at the origin)."""
+    p = form.as_poly()
+    origin = [Fraction(0)] * form.n
+    return {idx: p.diff(idx[0]).diff(idx[1]).diff(idx[2]).evaluate(origin)
+            for idx in itertools.product(range(form.n), repeat=3)}
+
+
+def reference_jet(form, y):
+    """(f, g, dg, d2g, ginv) at a rational interior point: f(y), and dicts
+    over every ordered index of g = -1/4 d^2 log f, its first and second
+    y-derivatives and its inverse, from the closed forms in f, grad f,
+    Hess f and f3."""
+    y = [Fraction(v) for v in y]
+    f, a, h = poly_derivatives(form, y)
+    f3 = poly_third(form)
     n = form.n
-    f3, a, h, f = form.third_tensor, jet.grad, jet.hess, jet.f
-    g, dg, ginv = jet.g, jet.dg, jet.ginv
+    idx2 = list(itertools.product(range(n), repeat=2))
+    g = {(i, j): -(h[i][j] / f - a[i] * a[j] / f**2) / 4 for i, j in idx2}
+    dg = {(i, j, k): -(f3[i, j, k] / f
+                       - (h[i][j] * a[k] + h[i][k] * a[j] + h[j][k] * a[i])
+                       / f**2
+                       + 2 * a[i] * a[j] * a[k] / f**3) / 4
+          for i, j, k in itertools.product(range(n), repeat=3)}
 
     def d2g(i, j, k, l):
         # f is cubic: d^4 log f has no f4 term
         third = (f3[i, j, k] * a[l] + f3[i, j, l] * a[k]
                  + f3[i, k, l] * a[j] + f3[j, k, l] * a[i])
-        hh = h[i, j] * h[k, l] + h[i, k] * h[j, l] + h[i, l] * h[j, k]
-        haa = (h[i, j] * a[k] * a[l] + h[i, k] * a[j] * a[l]
-               + h[i, l] * a[j] * a[k] + h[j, k] * a[i] * a[l]
-               + h[j, l] * a[i] * a[k] + h[k, l] * a[i] * a[j])
+        hh = h[i][j] * h[k][l] + h[i][k] * h[j][l] + h[i][l] * h[j][k]
+        haa = (h[i][j] * a[k] * a[l] + h[i][k] * a[j] * a[l]
+               + h[i][l] * a[j] * a[k] + h[j][k] * a[i] * a[l]
+               + h[j][l] * a[i] * a[k] + h[k][l] * a[i] * a[j])
         d4 = (-(third + hh) / f**2 + 2 * haa / f**3
               - 6 * a[i] * a[j] * a[k] * a[l] / f**4)
         return -d4 / 4
+
+    inv = invert_rows([[g[i, j] for j in range(n)] for i in range(n)])
+    return (f, g, dg,
+            {idx: d2g(*idx) for idx in itertools.product(range(n), repeat=4)},
+            {(i, j): inv[i][j] for i, j in idx2})
+
+
+def dense_sides(form, y):
+    """({(i,j,k,l): LHS}, {(i,j,k,l): RHS}) at a rational interior point:
+    LHS = 1/4 (d2g - sum_{p,q} ginv[p,q] dg[i,k,p] dg[j,l,q]) and
+    RHS = g[i,j] g[k,l] + g[i,l] g[k,j]
+          - 1/(64 f^2) sum_{p,q} ginv[p,q] f3[i,k,p] f3[j,l,q],
+    from `reference_jet`."""
+    f, g, dg, d2g, ginv = reference_jet(form, y)
+    f3 = poly_third(form)
+    n = form.n
 
     def double_sum(t, i, j, k, l):
         return sum(ginv[p, q] * t[i, k, p] * t[j, l, q]
@@ -139,7 +175,7 @@ def dense_sides(form, y):
 
     lhs, rhs = {}, {}
     for i, j, k, l in itertools.product(range(n), repeat=4):
-        lhs[i, j, k, l] = (d2g(i, j, k, l) - double_sum(dg, i, j, k, l)) / 4
+        lhs[i, j, k, l] = (d2g[i, j, k, l] - double_sum(dg, i, j, k, l)) / 4
         rhs[i, j, k, l] = (g[i, j] * g[k, l] + g[i, l] * g[k, j]
                            - double_sum(f3, i, j, k, l) / (64 * f**2))
     return lhs, rhs

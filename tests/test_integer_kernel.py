@@ -90,10 +90,10 @@ def _boundary_point(rng):
 
 
 def _assert_agrees(z):
-    verdict, fval, sig, _, _ = _classify(DENSE, z)
+    verdict, sig, point = _classify(DENSE, z)
     assert cone_contains(DENSE, z) is verdict
     assert verdict is reference_membership(DENSE, z)
-    assert fval == DENSE.evaluate(z)
+    assert point.f == DENSE.evaluate(z)
     assert sig == reference_inertia(DENSE.hessian(z).rows())
     return verdict
 

@@ -4,13 +4,14 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 
 from kahlercone import (Complex, CurvTensor, DimensionMismatch, SingularMatrix,
                         Sym3Tensor, SymMatrix, contract, hermitian_inertia,
                         inertia, invert)
-from kahlercone.linalg import invert_rows, mat_mul
+from kahlercone.linalg import det_adjugate, invert_rows, mat_mul
 
 from _util import random_invertible, random_symmetric
 
@@ -119,6 +120,55 @@ def test_invert_complex_rows():
     inv = invert_rows(int_rows)
     assert inv == [[Complex(F(1)), -i], [i, Complex(F(2))]]
     assert all(type(z.re) is F and type(z.im) is F for row in inv for z in row)
+
+
+def _random_int_matrix(rng, n, bound=9):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_adjugate_matches_inverse_and_numpy_det():
+    rng = random.Random(71)
+    signs = set()
+    swapped = 0
+    for trial in range(160):
+        n = rng.randint(1, 8)
+        rows = _random_int_matrix(rng, n)
+        if trial % 2:
+            # a zero leading pivot forces a row swap in the first step
+            rows[0][0] = 0
+            swapped += n > 1
+        try:
+            want_inv = invert_rows(rows)
+        except SingularMatrix:
+            continue
+        delta, adj = det_adjugate(rows)
+        assert type(delta) is int and all(type(v) is int
+                                          for row in adj for v in row)
+        assert [[F(v, delta) for v in row] for row in adj] == want_inv
+        assert abs(delta - np.linalg.det(np.array(rows, dtype=float))) \
+            <= 1e-9 * max(1, abs(delta))
+        signs.add(delta > 0)
+    assert signs == {True, False} and swapped > 50
+
+
+def test_det_adjugate_swap_gives_negative_det():
+    # [[0, 1], [1, 0]] needs a swap; det = -1, adj = [[0, -1], [-1, 0]]
+    assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    rows = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+    delta, adj = det_adjugate(rows)
+    assert delta == sympy.Matrix(rows).det() == -32
+    assert adj == sympy.Matrix(rows).adjugate().tolist()
+
+
+def test_det_adjugate_singular_and_bad_input_raise():
+    with pytest.raises(SingularMatrix):
+        det_adjugate([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrix):
+        det_adjugate([[0, 0, 1], [0, 0, 2], [1, 2, 3]])
+    with pytest.raises(DimensionMismatch):
+        det_adjugate([[1, 2], [3]])
+    with pytest.raises(TypeError):
+        det_adjugate([[F(1, 2)]])
 
 
 def test_contract_scalar_case():

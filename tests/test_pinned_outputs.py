@@ -18,6 +18,9 @@ FORM4 = "1/2*y1*y2*y3 + 2/3*y4^3"
 # every cubic monomial in three variables, with fractional coefficients
 FORM3 = ("1/2*y1^3 + 3*y1^2*y2 - 1/3*y1^2*y3 + 2/5*y1*y2^2 + 7/4*y1*y2*y3"
          " - 2/3*y1*y3^2 + 1/6*y2^3 + 5/2*y2^2*y3 - 3/7*y2*y3^2 + 4/3*y3^3")
+# every cubic monomial in three variables, integer coefficients but 1/6
+FORM_SIXTH = ("1/6*y1^3 + 3*y1^2*y2 - y1^2*y3 + 2*y1*y2^2 + 7*y1*y2*y3"
+              " - 2*y1*y3^2 + y2^3 + 5*y2^2*y3 - 3*y2*y3^2 + 4*y3^3")
 
 # (argv, exit code, sha256 of stdout)
 PINNED = [
@@ -79,6 +82,26 @@ PINNED = [
      "fe8232aa9cddf9bdd291308a72094a08a196e5887ab2a44549204f5fa89c429e"),
     (["metric", "--text", "--form", "y1^3", "--points", "-1"], 2,
      "b36cb32884ecb04ec1d0334fb961ef3223c3ec4aaca03e50c01dc7fbeab9871a"),
+    # a failed identity: the negated convention leaves a nonzero residual,
+    # whose maximum entry is reported exactly
+    (["verify", "--form", FORM3, "--points", "2,1/2,-1",
+      "--convention", "negated"], 1,
+     "dd75f3b7a256f75416163baf637b49c461507d13b8732fb34d4101f93c573335"),
+    (["verify", "--text", "--form", FORM3, "--points", "2,1/2,-1",
+      "--convention", "negated"], 1,
+     "1a5b933e4bc73efa5c62b0a35583190aa3c2868aefe5dd8368f06c55e1f7a792"),
+    (["verify", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1",
+      "--convention", "negated"], 1,
+     "8ee094ea2461cabd2b34015359b03f85d8a679dd996cf9c55c50299219585137"),
+    # a dense cubic whose only fractional coefficient is 1/6, at a point
+    # with an odd first coordinate once cleared: an integer gradient from
+    # f3 scaled by anything less than 6c would be rounded here
+    (["verify", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
+     "96122835bdb6f67b86216bcddf9cf914e48275969e046868af47a969f1792911"),
+    (["curvature", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
+     "94d1f053c50c394873516bd2b4c1022922f6f7e10710b819e3e2f7f7ced267a7"),
+    (["metric", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
+     "a9e76f3f59c9cbbacd0f7c778e640b39584a599f11be39b9f8ca9358d3663792"),
 ]
 
 # sha256 of each parser level's option table (see _option_table), keyed by
