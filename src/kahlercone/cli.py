@@ -356,7 +356,16 @@ COMMANDS = (
 )
 
 
+# an argument starting with "-" and a digit is a value, not an option:
+# "--points -1,2", "--hint -1/2,1" and "--lam -1/2+1i" (argparse itself
+# takes only plain negative numbers such as "-1" or "-0.5" for values)
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     top = argparse.ArgumentParser(
         prog="kahlercone",
         description="Exact curvature checks for the Kahler geometry of "
@@ -364,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     groups = {(): top.add_subparsers(dest="command", required=True)}
     for words, help_text, specs, handler in COMMANDS:
         p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         if handler is None:
             groups[words] = p.add_subparsers(
                 dest="_".join(words + ("command",)), required=True)

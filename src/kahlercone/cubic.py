@@ -340,35 +340,47 @@ class Cleared(NamedTuple):
         return Fraction(self.F, self.s * self.l**3)
 
 
-def _classify(form: CubicForm, y):
-    """(verdict, inertia of Hess f(y), Cleared) of a rational point, from
-    one exact evaluation on ints.
-
-    Membership is unchanged by y -> l*y with l > 0 and by f -> s*f with
-    s > 0, so it is decided from the integer z = l*y and H = Hess(s*f)(z).
-    Euler's relation gives z^T H z = 6 F, the sign of f. The same integers
-    are the input of the exact metric jet.
-    """
-    if any(isinstance(v, float) for v in y):
-        raise TypeError("cone membership needs exact rational coordinates; "
-                        "pass Fractions, ints, or 'p/q' strings")
-    y = [Fraction(v) for v in y]
-    form._check_len(y)
-    den = math.lcm(*[v.denominator for v in y])
-    z = [v.numerator * (den // v.denominator) for v in y]
+def _cleared(form: CubicForm, pairs) -> Cleared:
+    """The cubic at the rational point y given as one pair (p, q), q > 0,
+    per coordinate p/q in lowest terms. Euler's relation gives
+    z^T H z = 6 F."""
+    l = math.lcm(*[q for _, q in pairs])
+    z = [p * (l // q) for p, q in pairs]
     s, _, rows = form._integer_third()
     h = [sum(map(mul, row, z)) for _, row in rows]
     six_f = sum((hv if i == j else 2 * hv) * z[i] * z[j]
                 for ((i, j), _), hv in zip(rows, h))
-    n = form.n
-    hmat = SymMatrix(n, h)
-    sig = inertia(hmat)
-    point = Cleared(l=den, s=s, z=z, H=hmat, F=six_f // 6)
-    if six_f > 0 and sig == (1, n - 1, 0):
+    return Cleared(l=l, s=s, z=z, H=SymMatrix(form.n, h), F=six_f // 6)
+
+
+def _is_interior(point: Cleared, sig=None) -> bool:
+    """The index-cone interior test: F > 0 and H of inertia (1, n-1, 0).
+    F <= 0 decides it without an elimination; `sig` is the inertia of H
+    when the caller has it already.
+
+    Membership is unchanged by y -> l*y with l > 0 and by f -> s*f with
+    s > 0, so the integers of `Cleared` decide it for y."""
+    if point.F <= 0:
+        return False
+    if sig is None:
+        sig = inertia(point.H)
+    return sig == (1, point.H.n - 1, 0)
+
+
+def _classify(form: CubicForm, y):
+    """(verdict, inertia of Hess f(y), Cleared) of a rational point, from
+    one exact evaluation on ints. A float coordinate is read as the exact
+    rational it stores. The same integers are the input of the exact
+    metric jet."""
+    y = [Fraction(v) for v in y]
+    form._check_len(y)
+    point = _cleared(form, [(v.numerator, v.denominator) for v in y])
+    sig = inertia(point.H)
+    if _is_interior(point, sig):
         return Membership.INTERIOR, sig, point
     plus, minus, zero = sig
-    degenerate = six_f == 0 or zero > 0
-    compatible = six_f >= 0 and plus <= 1 and minus <= n - 1
+    degenerate = point.F == 0 or zero > 0
+    compatible = point.F >= 0 and plus <= 1 and minus <= form.n - 1
     verdict = (Membership.BOUNDARY if degenerate and compatible
                else Membership.OUTSIDE)
     return verdict, sig, point
@@ -383,7 +395,20 @@ def cone_contains(form: CubicForm, y) -> Membership:
     everything else. Floats are never accepted here; membership is a
     boundary-sensitive decision and is only made exactly, on integers.
     """
+    if any(isinstance(v, float) for v in y):
+        raise TypeError("cone membership needs exact rational coordinates; "
+                        "pass Fractions, ints, or 'p/q' strings")
     return _classify(form, y)[0]
+
+
+def _reduced(pairs):
+    """The rationals p/q (q > 0) as pairs in lowest terms: equal pairs for
+    equal rationals."""
+    out = []
+    for p, q in pairs:
+        g = math.gcd(p, q)
+        out.append((p // g, q // g))
+    return tuple(out)
 
 
 def cone_sample(form: CubicForm, count: int, seed: int,
@@ -391,10 +416,13 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     """Sample `count` distinct exact interior points, deterministically.
 
     Strategy: random rational grid points with numerators in [-GRID_NUM,
-    GRID_NUM] and denominators up to GRID_DEN, filtered through cone_contains;
-    when a hint is given, also jittered positive scalings of it (rays from an
-    interior point stay interior, the jitter is re-checked like any other
-    candidate). Raises SamplingExhausted after `budget` attempts.
+    GRID_NUM] and denominators up to GRID_DEN; when a hint is given, also
+    jittered positive scalings of it (rays from an interior point stay
+    interior, the jitter is re-checked like any other candidate). Each
+    candidate is kept as integer pairs (numerator, denominator) in lowest
+    terms and decided by the same interior test as `cone_contains`: on its
+    cleared integers, with no elimination when f <= 0. Only accepted points
+    become Fractions. Raises SamplingExhausted after `budget` attempts.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -402,30 +430,35 @@ def cone_sample(form: CubicForm, count: int, seed: int,
         hint = tuple(Fraction(v) for v in hint)
         if cone_contains(form, hint) is not Membership.INTERIOR:
             raise NotInCone(f"hint point {format_point(hint)} is not interior")
-    rng = random.Random(seed)
+        hint = [(h.numerator, h.denominator) for h in hint]
+    randint = random.Random(seed).randint
     n = form.n
     found = []
     seen = set()
     for attempt in range(budget):
         if hint is not None and attempt % 2 == 1:
-            c = Fraction(rng.randint(1, GRID_NUM), rng.randint(1, GRID_DEN))
-            cand = tuple(c * h * (1 + Fraction(rng.randint(-1, 1),
-                                               rng.randint(4, 8)))
-                         for h in hint)
+            # c * h * (1 + r/s) with c = cp/cq and h = hp/hq
+            cp, cq = randint(1, GRID_NUM), randint(1, GRID_DEN)
+            cand = []
+            for hp, hq in hint:
+                r, s = randint(-1, 1), randint(4, 8)
+                cand.append((cp * hp * (s + r), cq * hq * s))
         else:
-            cand = tuple(Fraction(rng.randint(-GRID_NUM, GRID_NUM),
-                                  rng.randint(1, GRID_DEN))
-                         for _ in range(n))
-        if all(v == 0 for v in cand) or cand in seen:
+            cand = [(randint(-GRID_NUM, GRID_NUM), randint(1, GRID_DEN))
+                    for _ in range(n)]
+        cand = _reduced(cand)
+        if cand in seen or not any(p for p, _ in cand):
             continue
         seen.add(cand)
-        if cone_contains(form, cand) is Membership.INTERIOR:
-            found.append(cand)
+        if _is_interior(_cleared(form, cand)):
+            found.append(tuple(Fraction(p, q) for p, q in cand))
             if len(found) == count:
                 return found
     raise SamplingExhausted(
-        f"found {len(found)}/{count} interior points in {budget} attempts; "
-        "the index cone may be empty or thin - supply an interior hint")
+        f"found {len(found)}/{count} interior points among {len(seen)} "
+        f"distinct candidates in {budget} attempts; the index cone may be "
+        "empty or thin, or the grid may hold too few distinct points - "
+        "supply an interior hint")
 
 
 # ----------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def _check_convention(convention):
 
 def _interior(form: CubicForm, y) -> Cleared:
     """The integers of an interior point y; NotInCone elsewhere."""
-    verdict, _, point = _classify(form, [Fraction(v) for v in y])
+    verdict, _, point = _classify(form, y)
     if verdict is not Membership.INTERIOR:
         raise NotInCone(f"point {format_point(y)} is not interior")
     return point

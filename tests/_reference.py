@@ -5,6 +5,8 @@ with the same 1x1/2x2 pivot rule as `linalg.inertia`: each step replaces
 the trailing block by its Schur complement, a congruence, so the signs of
 the pivot blocks give the inertia. `reference_membership` decides index-cone
 membership from the `Fraction` value of f and the inertia of Hess f.
+`reference_cone_sample` draws the sampler's candidates as `Fraction`s and
+keeps those `reference_membership` calls interior.
 `gradient` is grad f = 1/2 Hess f(y) y by Euler's relation; the package
 itself takes grad f from membership. `poly_derivatives` evaluates f and its
 first and second partials from the polynomial and its `Poly.diff`s, with
@@ -21,10 +23,12 @@ metric over floats, an oracle for the closed-form derivative expressions.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from kahlercone import (CurvTensor, Membership, Sym3Tensor, SymMatrix,
-                        cone_contains, contract, invert)
+from kahlercone import (CurvTensor, Membership, SamplingExhausted,
+                        Sym3Tensor, SymMatrix, cone_contains, contract, invert)
+from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import invert_rows
 
 
@@ -97,6 +101,37 @@ def reference_membership(form, y):
     if degenerate and compatible:
         return Membership.BOUNDARY
     return Membership.OUTSIDE
+
+
+def reference_cone_sample(form, count, seed, hint=None, budget=100_000):
+    """`cone_sample` over `Fraction`s: the same draws from random.Random(seed),
+    each candidate a tuple of Fractions, deduplicated by Fraction equality and
+    kept when `reference_membership` calls it interior. Raises
+    SamplingExhausted after `budget` attempts."""
+    if hint is not None:
+        hint = tuple(Fraction(v) for v in hint)
+        assert reference_membership(form, hint) is Membership.INTERIOR
+    rng = random.Random(seed)
+    found = []
+    seen = set()
+    for attempt in range(budget):
+        if hint is not None and attempt % 2 == 1:
+            c = Fraction(rng.randint(1, GRID_NUM), rng.randint(1, GRID_DEN))
+            cand = tuple(c * h * (1 + Fraction(rng.randint(-1, 1),
+                                               rng.randint(4, 8)))
+                         for h in hint)
+        else:
+            cand = tuple(Fraction(rng.randint(-GRID_NUM, GRID_NUM),
+                                  rng.randint(1, GRID_DEN))
+                         for _ in range(form.n))
+        if all(v == 0 for v in cand) or cand in seen:
+            continue
+        seen.add(cand)
+        if reference_membership(form, cand) is Membership.INTERIOR:
+            found.append(cand)
+            if len(found) == count:
+                return found
+    raise SamplingExhausted(f"found {len(found)}/{count} interior points")
 
 
 def gradient(form, y):

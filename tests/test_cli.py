@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction as F
 
 from kahlercone.cli import main
 
@@ -60,6 +61,41 @@ def test_sampling_exhausted_maps_to_exit_2(capsys):
                            "--samples", "3")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SamplingExhausted"
+
+
+def test_sampling_exhausted_reports_distinct_candidates(capsys):
+    # y1^3 has one interior grid value per positive rational on the grid,
+    # so 200 distinct points cannot be found however long it samples
+    grid = {F(p, q) for p in range(-16, 17) for q in range(1, 9)} - {0}
+    positive = sum(v > 0 for v in grid)
+    code, out = run_inproc(capsys, "cone", "sample", "--form", "y1^3",
+                           "--samples", "200")
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith(
+        f"found {positive}/200 interior points among {len(grid)} distinct "
+        f"candidates in 100000 attempts; ")
+
+
+def test_values_may_start_with_minus_and_digit(capsys):
+    # each option value as its own argument and joined by "="
+    for argv, code, key, value in (
+            (["verify", "--form", "y1^3+y2^3", "--points", "-1,2"], 0,
+             "points", [{"y": ["-1", "2"], "verdict": "PASS",
+                         "maxAbsResidual": "0"}]),
+            (["cone", "sample", "--form", "y1^3+y2^3", "--samples", "2",
+              "--hint", "-1/2,1"], 0,
+             "points", [["-8/7", "16/7"], ["-9/20", "2/3"]]),
+            (["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
+              "--x", "-1,0"], 0, "t", ["-1+1i", "0+1i"]),
+            (["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
+              "--lam", "-1/2+1i"], 1, "lambda", "-1/2+1i")):
+        got = run_inproc(capsys, *argv)
+        assert got == run_inproc(capsys, *argv[:-2],
+                                 f"{argv[-2]}={argv[-1]}"), argv
+        assert got[0] == code, argv
+        doc = json.loads(got[1])
+        entry = doc if key == "points" else doc["points"][0]
+        assert entry[key] == value, argv
 
 
 def test_point_outside_cone_maps_to_exit_2(capsys):

@@ -2,7 +2,9 @@
 Fraction elimination of `_reference` and a numpy eigenvalue sign count, and
 `cone_contains` and the `cone check` values against the Fraction decision on
 the dense n = 5 pullback of y1*y2*y3 + y4^3 + y5^3, and the f, grad f and
-Hess f the metric jet reads from that decision against the polynomial."""
+Hess f the metric jet reads from that decision against the polynomial.
+`cone_sample`, which draws and decides its candidates on integer pairs,
+against the Fraction sampler of `_reference`."""
 
 import random
 from fractions import Fraction as F
@@ -11,13 +13,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kahlercone.cubic
 from kahlercone import (Membership, SymMatrix, cone_contains, cone_sample,
                         inertia, kahler_metric, parse_text)
 from kahlercone.cubic import _classify
 from kahlercone.linalg import invert_rows, mat_vec
 
-from _reference import (poly_derivatives, reference_inertia,
-                        reference_membership)
+from _reference import (poly_derivatives, reference_cone_sample,
+                        reference_inertia, reference_membership)
+from _util import suite_forms
 
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -118,3 +122,47 @@ def test_dense_jet_derivatives_match_polynomial_oracle():
         jet = kahler_metric(DENSE, z)
         fval, grad, hess = poly_derivatives(DENSE, z)
         assert (jet.f, jet.grad, jet.hess.rows()) == (fval, grad, hess)
+
+
+# the forms the sampler is checked on, each with an interior hint: the
+# suite, the dense pullback (hint A^-1 (2, 2, 2, -1, -1)) and a dense
+# n = 3 cubic whose only fractional coefficient is 1/6
+FORM_SIXTH = parse_text("1/6*y1^3 + 3*y1^2*y2 - y1^2*y3 + 2*y1*y2^2"
+                        " + 7*y1*y2*y3 - 2*y1*y3^2 + y2^3 + 5*y2^2*y3"
+                        " - 3*y2*y3^2 + 4*y3^3", 3)
+SAMPLED = suite_forms() + [
+    (DENSE, tuple(mat_vec(DENSE_A_INV, [F(2), F(2), F(2), F(-1), F(-1)]))),
+    (FORM_SIXTH, (F(1, 4), F(-5, 2), F(9, 5)))]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_cone_sample_matches_fraction_sampler(seed, with_hint):
+    for form, hint in SAMPLED:
+        hint = hint if with_hint else None
+        # at n = 1, 60 of the 83 positive grid values: draws repeat often
+        count = 60 if form.n == 1 else 3
+        points = cone_sample(form, count, seed=seed, hint=hint)
+        assert points == reference_cone_sample(form, count, seed, hint=hint)
+        assert all(type(v) is F for y in points for v in y)
+
+
+def _recording(log, fn, arg=False):
+    """fn, with each result (or, if arg, each first argument) in log."""
+    def wrapper(*args):
+        result = fn(*args)
+        log.append(args[0] if arg else result)
+        return result
+    return wrapper
+
+
+def test_sampler_eliminates_only_where_f_is_positive(monkeypatch):
+    cleared, eliminated = [], []
+    monkeypatch.setattr(kahlercone.cubic, "_cleared",
+                        _recording(cleared, kahlercone.cubic._cleared))
+    monkeypatch.setattr(kahlercone.cubic, "inertia",
+                        _recording(eliminated, inertia, arg=True))
+    cone_sample(DENSE, 4, seed=31)
+    assert eliminated == [p.H for p in cleared if p.F > 0]
+    # about half the candidates have f < 0 and are rejected by its sign
+    assert sum(p.F < 0 for p in cleared) > len(cleared) // 4

@@ -158,6 +158,19 @@ def test_exact_output_is_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_one_parser_serves_every_call(capsys):
+    # two subcommands through the one cached parser, with a usage error
+    # between them, give the pinned bytes
+    assert build_parser() is build_parser()
+    for argv, code, digest in (PINNED[5], PINNED[8]):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--form", "y1^3", "--points"])
+        assert exc.value.code == 2
+
+
 def _parsers(parser, words=()):
     """(subcommand words, parser) for the parser and all its subparsers."""
     yield " ".join(words), parser
