@@ -18,7 +18,9 @@ affine-verify, cone-metric) share one handler, `_per_point`: each supplies a
 function from one point to its JSON entry, its text line and its verdict
 (None when the subcommand checks nothing), and `_per_point` builds the
 document, the text and the exit code. `_doc` is the one formatter from
-scalars, points and tensors to JSON values.
+scalars, points and tensors to JSON values; under `--mode float` it rounds
+each exact value once to binary64 (`scalars.to_float`), since every mode
+computes exactly.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import sys
 from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
                     norm_identity_check, parse_text)
 from .errors import KahlerConeError, ParseError
-from .geometry import (CONVENTIONS, MODES, convert_point, curvature_report,
-                       kahler_metric, verify_identity)
+from .geometry import (CONVENTIONS, MODES, curvature_report, kahler_metric,
+                       verify_identity)
 from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, hermitian_inertia,
                      inertia)
 from .report import SCHEMA_VERSION, render_json, render_text
-from .scalars import Complex, format_scalar, parse_rational
+from .scalars import Complex, format_scalar, parse_rational, to_float
 from .special import (affine_curvature_check, build_tilde_metric,
                       tilde_christoffel_check, tilde_inverse_check)
 
@@ -132,17 +134,20 @@ def _form_echo(form: CubicForm) -> dict:
 _RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}
 
 
-def _doc(x, index=()):
+def _doc(x, mode="exact", index=()):
     """JSON value of a scalar (None stays None), or nested lists of them for
-    a point, rows, a Christoffel array or a symmetric or curvature tensor."""
+    a point, rows, a Christoffel array or a symmetric or curvature tensor;
+    in float mode each scalar is first rounded by `to_float`."""
     rank = _RANK.get(type(x))
     if rank is not None:
-        if len(index) == rank:
-            return format_scalar(x[index])
-        return [_doc(x, index + (i,)) for i in range(x.n)]
-    if isinstance(x, (list, tuple)):
-        return [_doc(v) for v in x]
-    return None if x is None else format_scalar(x)
+        if len(index) < rank:
+            return [_doc(x, mode, index + (i,)) for i in range(x.n)]
+        x = x[index]
+    elif isinstance(x, (list, tuple)):
+        return [_doc(v, mode) for v in x]
+    if x is None:
+        return None
+    return format_scalar(to_float(x) if mode == "float" else x)
 
 
 def _coords(y) -> str:
@@ -196,22 +201,22 @@ def _cone_sample_point(args, form, y):
 
 
 def _metric_point(args, form, y):
-    y = convert_point(y, args.mode)
     jet = kahler_metric(form, y)
-    entry = {"y": _doc(y), "g": _doc(jet.g), "gInv": _doc(jet.ginv)}
+    doc = functools.partial(_doc, mode=args.mode)
+    entry = {"y": doc(y), "g": doc(jet.g), "gInv": doc(jet.ginv)}
     if args.mode == "exact":
         entry["inertia"] = list(inertia(jet.g))
     return entry, f"y={entry['y']}: g={entry['g']}", None
 
 
 def _curvature_point(args, form, y):
-    y = convert_point(y, args.mode)
     rep = curvature_report(form, y, convention=args.convention)
-    entry = {"y": _doc(y), "normFunction": _doc(rep.potential_arg),
-             "yukawa": _doc(rep.yukawa), "christoffel": _doc(rep.christoffel),
-             "lhs": _doc(rep.lhs), "rhs": _doc(rep.rhs),
-             "residual": _doc(rep.residual),
-             "maxAbsResidual": _doc(rep.max_abs_residual)}
+    doc = functools.partial(_doc, mode=args.mode)
+    entry = {"y": doc(y), "normFunction": doc(rep.potential_arg),
+             "yukawa": doc(rep.yukawa), "christoffel": doc(rep.christoffel),
+             "lhs": doc(rep.lhs), "rhs": doc(rep.rhs),
+             "residual": doc(rep.residual),
+             "maxAbsResidual": doc(rep.max_abs_residual)}
     return (entry, f"y={entry['y']}: max|lhs-rhs|={entry['maxAbsResidual']}",
             None)
 

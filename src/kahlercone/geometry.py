@@ -48,17 +48,15 @@ and each side of the identity is l^4 side / (16 F^4 Delta), with
           - F^4 sum_{p,q} A[p,q] t[i,k,p] t[j,l,q].
 
 M is 4 F^2 g at z, positive definite at interior points, so Delta > 0 and
-exact `verify_identity` decides from the integer residual +-lhs - rhs; the
-only Fraction it builds is the reported maximum |residual|. At a point with
-a float coordinate, f, grad f and Hess f are rounded once to binary64 and
-the jet and sides follow the closed forms in floats.
+`verify_identity` decides from the integer residual +-lhs - rhs in either
+mode; the only Fraction it builds is the reported maximum |residual|. There
+is no float arithmetic: a float coordinate is read as the exact rational it
+stores, and float mode only rounds the reported values once to binary64.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,9 +67,9 @@ from .cubic import Cleared, CubicForm, Membership, _classify
 from .errors import (DimensionMismatch, KahlerConeError, NotInCone,
                      SingularMatrix, SingularMetric, ZeroVector)
 from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, contract,
-                     det_adjugate, invert, raise_index)
+                     det_adjugate, raise_index)
 from .report import PointResult, VerificationSummary
-from .scalars import Complex, format_point
+from .scalars import Complex, format_point, to_float
 
 __all__ = [
     "MetricJet",
@@ -84,30 +82,10 @@ __all__ = [
     "sectional",
     "verify_identity",
     "norm_function",
-    "convert_point",
 ]
 
-QUARTER = Fraction(1, 4)
 CONVENTIONS = ("standard", "negated")
 MODES = ("exact", "float")
-FLOAT_REL_TOL = 1e-9             # verify_identity's float-mode residual bound
-_TINY = sys.float_info.min       # the smallest normal float
-
-
-def convert_point(y, mode: str) -> tuple:
-    """y in the scalars of `mode`: exact Fractions, or binary64 floats.
-
-    Raises KahlerConeError when a coordinate is beyond the float range.
-    """
-    if mode == "exact":
-        return tuple(Fraction(v) for v in y)
-    if mode != "float":
-        raise ValueError(f"unknown mode {mode!r}")
-    try:
-        return tuple(float(v) for v in y)
-    except OverflowError as exc:
-        raise KahlerConeError(f"a coordinate exceeds the largest float "
-                              f"({sys.float_info.max:.3g})") from exc
 
 
 @dataclass(frozen=True)
@@ -130,8 +108,8 @@ class MetricJet:
     def christoffels(self):
         """Christoffel symbols: purely imaginary, symmetric in the lower
         pair; gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j]."""
-        half = Fraction(1, 2)
-        return [[[Complex(v - v, -half * v) for v in row] for row in u.rows()]
+        zero, half = Fraction(0), Fraction(1, 2)
+        return [[[Complex(zero, -half * v) for v in row] for row in u.rows()]
                 for u in raise_index(self.dg, self.ginv)]
 
 
@@ -153,18 +131,6 @@ def _interior(form: CubicForm, y) -> Cleared:
     return point
 
 
-def _gradient(point: Cleared) -> list:
-    """a = H z / 2, the gradient of s*f at z."""
-    return [sum(map(mul, row, point.z)) // 2 for row in point.H.rows()]
-
-
-def _derivatives(point: Cleared, a):
-    """f(y), grad f(y) and Hess f(y) from the integers of y."""
-    s, l = point.s, point.l
-    return (point.f, [Fraction(v, s * l * l) for v in a],
-            point.H.scale(Fraction(1, s * l)))
-
-
 class _IntegerJet(NamedTuple):
     """The metric jet at an exact interior point, cleared of denominators:
     the integers of the module docstring."""
@@ -179,14 +145,14 @@ class _IntegerJet(NamedTuple):
 
     def jet(self) -> MetricJet:
         """The Fraction jet at y, one division per entry."""
-        l, F = self.point.l, self.point.F
-        fval, grad, hess = _derivatives(self.point, self.a)
+        s, l, F = self.point.s, self.point.l, self.point.F
         return MetricJet(
             g=self.M.scale(Fraction(l * l, 4 * F * F)),
             dg=self.Dg.scale(Fraction(l**3, 4 * F**3)),
             d2g=self.E.scale(Fraction(l**4, 4 * F**4)),
             ginv=self.adj.scale(Fraction(4 * F * F, l * l * self.delta)),
-            f=fval, grad=grad, hess=hess)
+            f=self.point.f, grad=[Fraction(v, s * l * l) for v in self.a],
+            hess=self.point.H.scale(Fraction(1, s * l)))
 
     def sides(self, convention: str):
         """The integer sides (+-lhs, rhs): each side of the identity is
@@ -213,8 +179,8 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
     point = _interior(form, y)
     n, F = form.n, point.F
     t = form._integer_third()[1]
-    a = _gradient(point)
     h = point.H.rows()
+    a = [sum(map(mul, row, point.z)) // 2 for row in h]     # grad of s*f at z
     m = SymMatrix.build(n, lambda i, j: a[i] * a[j] - F * h[i][j])
     try:
         delta, adj = det_adjugate(m.rows())
@@ -244,114 +210,20 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
                        adj=SymMatrix.from_rows(adj), Dg=dg, E=e)
 
 
-def _has_float(y) -> bool:
-    return any(isinstance(v, float) for v in y)
-
-
-def _rounded(y, fval, grad, hess):
-    """Exact f, grad f and Hess f at the float point y, rounded once to
-    floats. Raises KahlerConeError if one is beyond the float range, or
-    unless f^4 and 1/f^4, the extreme powers of f in the jet, are normal."""
-    try:
-        fval, grad = float(fval), [float(v) for v in grad]
-        hess = SymMatrix.build(hess.n, lambda i, j: float(hess[i, j]))
-    except OverflowError as exc:
-        raise KahlerConeError(f"f, grad f or Hess f at {format_point(y)} "
-                              f"exceeds the largest float") from exc
-    f4 = fval * fval * fval * fval
-    if not (f4 > _TINY and 1 / f4 > _TINY):
-        raise KahlerConeError(f"f{format_point(y)} = {fval}: its 4th power or "
-                              f"inverse 4th power is outside the float range")
-    return fval, grad, hess
-
-
-def _float_jet(form: CubicForm, y) -> MetricJet:
-    """The jet at a point with a float coordinate: the exact f, grad f and
-    Hess f rounded once, and the closed forms evaluated in floats."""
-    point = _interior(form, y)
-    fval, grad, hess = _rounded(y, *_derivatives(point, _gradient(point)))
-    n, f3 = form.n, form.third_tensor
-    p1 = 1 / fval
-    p2 = p1 * p1
-    p3, p4 = p2 * p1, p2 * p2
-    g = SymMatrix.build(
-        n, lambda i, j: -QUARTER * (hess[i, j] * p1 - grad[i] * grad[j] * p2))
-
-    def dg_entry(i, j, k):
-        return -QUARTER * (
-            f3[i, j, k] * p1
-            - (hess[i, j] * grad[k] + hess[i, k] * grad[j]
-               + hess[j, k] * grad[i]) * p2
-            + 2 * grad[i] * grad[j] * grad[k] * p3)
-
-    dg = Sym3Tensor.build(n, dg_entry)
-
-    def d2g_entry(i, j, k, l):
-        return -QUARTER * (
-            -(f3[i, j, k] * grad[l] + f3[i, j, l] * grad[k]
-              + f3[i, k, l] * grad[j] + f3[j, k, l] * grad[i]) * p2
-            - (hess[i, j] * hess[k, l] + hess[i, k] * hess[j, l]
-               + hess[i, l] * hess[j, k]) * p2
-            + 2 * (hess[i, j] * grad[k] * grad[l]
-                   + hess[i, k] * grad[j] * grad[l]
-                   + hess[i, l] * grad[j] * grad[k]
-                   + hess[j, k] * grad[i] * grad[l]
-                   + hess[j, l] * grad[i] * grad[k]
-                   + hess[k, l] * grad[i] * grad[j]) * p3
-            - 6 * grad[i] * grad[j] * grad[k] * grad[l] * p4)
-
-    by_multiset = {idx: d2g_entry(*idx) for idx in
-                   itertools.combinations_with_replacement(range(n), 4)}
-    d2g = CurvTensor.build(n, lambda *idx: by_multiset[tuple(sorted(idx))])
-
-    try:
-        ginv = invert(g)
-    except SingularMatrix as exc:
-        raise SingularMetric(str(exc)) from exc
-    triples = itertools.combinations_with_replacement(range(n), 3)
-    values = itertools.chain(*g.rows(), (dg[t] for t in triples),
-                             d2g.entries(), *ginv.rows())
-    if not all(map(math.isfinite, values)):
-        raise KahlerConeError(f"the float jet at {format_point(y)} overflows")
-    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, f=fval, grad=grad,
-                     hess=hess)
-
-
 def kahler_metric(form: CubicForm, y) -> MetricJet:
     """Metric jet of the cone metric at an interior point.
 
     All derivatives are closed-form rational expressions in f, grad f,
     Hess f and the constant third-derivative tensor; derivatives of f above
     order three vanish, so the jet is exact at rational points, where it is
-    built from the integer jet (module docstring). At a point with a float
-    coordinate, f, grad f and Hess f are rounded once and the jet is float.
+    built from the integer jet (module docstring). A float coordinate is
+    read as the exact rational it stores, so the jet is exact there too.
     """
-    if _has_float(y):
-        return _float_jet(form, y)
     return _integer_jet(form, y).jet()
-
-
-def _float_sides(form: CubicForm, jet: MetricJet, convention: str):
-    """Both sides of the identity from a float jet, under `convention`."""
-    _check_convention(convention)
-    lhs = (jet.d2g - contract(jet.dg, jet.ginv)).scale(QUARTER)
-    if convention == "negated":
-        lhs = lhs.scale(-1)
-    scale = 1 / (64 * jet.f * jet.f)
-    g = jet.g
-    yukawa_part = contract(form.third_tensor, jet.ginv)
-    rhs = CurvTensor.build(form.n, lambda i, j, k, l: (
-        g[i, j] * g[k, l] + g[i, l] * g[k, j]
-        - scale * yukawa_part[i, j, k, l]))
-    return lhs, rhs
 
 
 def _evaluate(form: CubicForm, y, convention: str):
     """(jet, lhs, rhs, residual) at y under `convention`."""
-    if _has_float(y):
-        jet = _float_jet(form, y)
-        lhs, rhs = _float_sides(form, jet, convention)
-        return jet, lhs, rhs, lhs - rhs
     ij = _integer_jet(form, y)
     lhs, rhs = ij.sides(convention)
     c = ij.side_scale
@@ -430,10 +302,12 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
                     seed: Optional[int] = None) -> VerificationSummary:
     """Check the curvature identity at each point and summarize.
 
-    Exact mode demands a zero integer residual (module docstring); float
-    mode demands a maximum entrywise residual below FLOAT_REL_TOL relative
-    to the larger of the two sides. An empty point list is an error, never
-    a vacuous pass.
+    Both modes decide from the integer residual (module docstring): a point
+    passes when it is exactly zero. Exact mode reports the maximum
+    |residual| as a Fraction. Float mode reports the point, that maximum and
+    the maximum relative to the larger of the two sides, each rounded once
+    to binary64 by `to_float`. An empty point list is an error, never a
+    vacuous pass.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -442,21 +316,19 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
     start = time.perf_counter()
     results = []
     for y in points:
-        yy = convert_point(y, mode)
-        if mode == "exact":
-            ij = _integer_jet(form, yy)
-            lhs, rhs = ij.sides(convention)
-            worst = (lhs - rhs).max_abs()
-            ok = worst == 0
-            max_abs = worst * ij.side_scale
-            rel = None
-        else:
-            lhs, rhs = _float_sides(form, _float_jet(form, yy), convention)
-            max_abs = (lhs - rhs).max_abs()
-            scale = max(lhs.max_abs(), rhs.max_abs(), 1e-300)
-            rel = max_abs / scale
-            ok = rel < FLOAT_REL_TOL
-        results.append(PointResult(y=yy, verdict="PASS" if ok else "FAIL",
+        y = tuple(map(Fraction, y))
+        ij = _integer_jet(form, y)
+        lhs, rhs = ij.sides(convention)
+        worst = (lhs - rhs).max_abs()
+        max_abs, rel = worst * ij.side_scale, None
+        if mode == "float":
+            # the side scale cancels; R(y, y, y, y) = 3/8 at every interior
+            # y, so rhs is never zero
+            bound = max(lhs.max_abs(), rhs.max_abs())
+            y, max_abs = tuple(map(to_float, y)), to_float(max_abs)
+            rel = to_float(Fraction(worst, bound))
+        verdict = "PASS" if worst == 0 else "FAIL"
+        results.append(PointResult(y=y, verdict=verdict,
                                    max_abs_residual=max_abs,
                                    max_rel_residual=rel))
 

@@ -3,9 +3,11 @@
 JSON is the primary output format, versioned via "schemaVersion". In exact
 mode every number serializes as a decimal-free rational string ("p/q" or
 "p"); exact-mode residuals of passing points are the literal string "0".
-Float mode emits plain JSON numbers (shortest round-trip decimals). Reports
-contain no wall-clock data unless explicitly requested, so a fixed command
-line and seed produce byte-identical output.
+Float mode computes the same exact values and emits each one rounded once to
+binary64 (`scalars.to_float`) as a plain JSON number (shortest round-trip
+decimal), so a float-mode residual of 0.0 is an exact zero. Reports contain
+no wall-clock data unless explicitly requested, so a fixed command line and
+seed produce byte-identical output.
 """
 
 from __future__ import annotations

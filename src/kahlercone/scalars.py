@@ -1,15 +1,18 @@
-"""Scalar backends: exact rationals, 64-bit floats, and complex numbers over either.
+"""Scalars: exact rationals, Gaussian rationals, and their report formats.
 
-Exact arithmetic is carried by `fractions.Fraction`; the float backend is the
-native binary64 `float`. `Complex` is a thin pair type that stays exact when
-its components are Fractions (a Gaussian rational), which is what the
-complexified-cone computations need. All geometric code is generic over the
-backend by duck typing: whatever scalar type flows in flows out.
+All arithmetic is exact: `fractions.Fraction` (and Python ints inside the
+integer kernels) for reals, and `Complex`, a thin pair type, for the
+complexified-cone computations, where its components are Fractions. There
+is no float backend. Floats appear only in float-mode reports, where
+`to_float` rounds each exact value once to binary64.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+from .errors import KahlerConeError
 
 __all__ = [
     "Complex",
@@ -17,6 +20,7 @@ __all__ = [
     "format_scalar",
     "is_exact_scalar",
     "parse_rational",
+    "to_float",
 ]
 
 
@@ -45,6 +49,25 @@ def format_scalar(x) -> str | float:
     if isinstance(x, Complex):
         return format_complex(x)
     return float(x)
+
+
+def to_float(x):
+    """The exact scalar x rounded once to binary64, each part of a Complex
+    separately: the one rounding of float-mode reports. Raises
+    KahlerConeError if x exceeds the largest float, or if x is nonzero and
+    rounds to 0.0."""
+    if isinstance(x, Complex):
+        return Complex(to_float(x.re), to_float(x.im))
+    try:
+        r = float(x)
+    except OverflowError as exc:
+        raise KahlerConeError(f"a reported value exceeds the largest float "
+                              f"({sys.float_info.max:.3g}); exact mode "
+                              f"reports it") from exc
+    if r == 0 and x != 0:
+        raise KahlerConeError("a nonzero reported value rounds to 0.0 in "
+                              "floats; exact mode reports it")
+    return r
 
 
 def format_point(y) -> str:

@@ -20,14 +20,20 @@ curvature sides at every one of the n^4 indices from their defining sums
 over that jet, with no symmetry assumed.
 `fd_curvature_lhs` rebuilds the metric side from central differences of the
 metric over floats, an oracle for the closed-form derivative expressions.
+`float_jet` and `float_sides` evaluate the jet's closed forms and both
+curvature sides in binary64 from f, grad f and Hess f rounded once, a
+numeric oracle that shares no arithmetic with the exact kernel;
+`float_oracle_errors` measures its residual and its distance from the exact
+sides.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from kahlercone import (CurvTensor, Membership, SamplingExhausted,
-                        Sym3Tensor, SymMatrix, cone_contains, contract, invert)
+from kahlercone import (CurvTensor, Membership, MetricJet, SamplingExhausted,
+                        Sym3Tensor, SymMatrix, cone_contains, contract,
+                        curvature_lhs, curvature_rhs, invert)
 from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import invert_rows
 
@@ -265,3 +271,80 @@ def fd_curvature_lhs(form, y, h):
     d2g = CurvTensor.build(n, d2g_entry)
     ginv = invert(g_at((0,) * n))
     return (d2g - contract(dg, ginv)).scale(0.25)
+
+
+def float_jet(form, y):
+    """The metric jet at an interior point y over floats: the exact f,
+    grad f and Hess f from `poly_derivatives` rounded once to binary64, and
+    the closed forms evaluated in floats."""
+    exact = [Fraction(v) for v in y]
+    if cone_contains(form, exact) is not Membership.INTERIOR:
+        raise ValueError(f"{y} is not an interior point")
+    fval, grad, hess = poly_derivatives(form, exact)
+    fval, grad = float(fval), [float(v) for v in grad]
+    hess = SymMatrix.build(form.n, lambda i, j: float(hess[i][j]))
+    n, f3 = form.n, form.third_tensor
+    quarter = Fraction(1, 4)
+    p1 = 1 / fval
+    p2 = p1 * p1
+    p3, p4 = p2 * p1, p2 * p2
+    g = SymMatrix.build(
+        n, lambda i, j: -quarter * (hess[i, j] * p1 - grad[i] * grad[j] * p2))
+
+    def dg_entry(i, j, k):
+        return -quarter * (
+            f3[i, j, k] * p1
+            - (hess[i, j] * grad[k] + hess[i, k] * grad[j]
+               + hess[j, k] * grad[i]) * p2
+            + 2 * grad[i] * grad[j] * grad[k] * p3)
+
+    dg = Sym3Tensor.build(n, dg_entry)
+
+    def d2g_entry(i, j, k, l):
+        return -quarter * (
+            -(f3[i, j, k] * grad[l] + f3[i, j, l] * grad[k]
+              + f3[i, k, l] * grad[j] + f3[j, k, l] * grad[i]) * p2
+            - (hess[i, j] * hess[k, l] + hess[i, k] * hess[j, l]
+               + hess[i, l] * hess[j, k]) * p2
+            + 2 * (hess[i, j] * grad[k] * grad[l]
+                   + hess[i, k] * grad[j] * grad[l]
+                   + hess[i, l] * grad[j] * grad[k]
+                   + hess[j, k] * grad[i] * grad[l]
+                   + hess[j, l] * grad[i] * grad[k]
+                   + hess[k, l] * grad[i] * grad[j]) * p3
+            - 6 * grad[i] * grad[j] * grad[k] * grad[l] * p4)
+
+    by_multiset = {idx: d2g_entry(*idx) for idx in
+                   itertools.combinations_with_replacement(range(n), 4)}
+    d2g = CurvTensor.build(n, lambda *idx: by_multiset[tuple(sorted(idx))])
+    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=invert(g), f=fval, grad=grad,
+                     hess=hess)
+
+
+def float_sides(form, jet):
+    """Both sides of the identity (standard convention) from a float jet:
+    1/4 (d2g - contract(dg, ginv)) and
+    g[i,j] g[k,l] + g[i,l] g[k,j] - contract(f3, ginv) / (64 f^2)."""
+    lhs = (jet.d2g - contract(jet.dg, jet.ginv)).scale(Fraction(1, 4))
+    scale = 1 / (64 * jet.f * jet.f)
+    g = jet.g
+    yukawa_part = contract(form.third_tensor, jet.ginv)
+    rhs = CurvTensor.build(form.n, lambda i, j, k, l: (
+        g[i, j] * g[k, l] + g[i, l] * g[k, j]
+        - scale * yukawa_part[i, j, k, l]))
+    return lhs, rhs
+
+
+def float_oracle_errors(form, y):
+    """(residual, distance) of the float oracle at an interior point y, both
+    relative to the larger float side: max |lhs - rhs| of `float_sides`,
+    and the largest distance of a float side's entry from the exact side's
+    entry rounded to a float."""
+    exact = [Fraction(v) for v in y]
+    lhs, rhs = float_sides(form, float_jet(form, exact))
+    scale = max(lhs.max_abs(), rhs.max_abs())
+    distance = max(abs(a - float(b))
+                   for side, exact_side in ((lhs, curvature_lhs(form, exact)),
+                                            (rhs, curvature_rhs(form, exact)))
+                   for a, b in zip(side.entries(), exact_side.entries()))
+    return (lhs - rhs).max_abs() / scale, distance / scale

@@ -18,7 +18,7 @@ from kahlercone import (Complex, Membership, cone_contains, cone_sample,
                         affine_curvature_check, build_tilde_metric)
 from kahlercone.linalg import invert_rows, mat_vec
 
-from _reference import dense_sides, fd_curvature_lhs
+from _reference import dense_sides, fd_curvature_lhs, float_oracle_errors
 from _util import (random_cubic, random_cubic_with_cone, random_fraction,
                    random_invertible, run_cli, suite_forms)
 
@@ -77,7 +77,7 @@ FD_POINTS = {
 
 def test_criterion_3_float_and_fd_oracle():
     worst_fd = 0.0
-    worst_rel = 0.0
+    worst_residual = worst_distance = 0.0
     for form, _ in suite_forms():
         y0 = FD_POINTS[form.to_text()]
         assert cone_contains(form, y0) is Membership.INTERIOR
@@ -93,13 +93,20 @@ def test_criterion_3_float_and_fd_oracle():
                   for k in range(n) for l in range(n))
         worst_fd = max(worst_fd, err)
         assert err < 1e-6, form.to_text()
+        # the float oracle: its identity residual, and its distance from the
+        # exact sides rounded to floats, relative to the larger side
+        residual, distance = float_oracle_errors(form, y)
+        worst_residual = max(worst_residual, residual)
+        worst_distance = max(worst_distance, distance)
+        assert residual < 1e-9 and distance < 1e-9, form.to_text()
+        # float mode decides exactly and rounds the exact zero residual
         summary = verify_identity(form, [y], mode="float")
         assert summary.overall == "PASS"
-        worst_rel = max(worst_rel, summary.points[0].max_rel_residual)
-        assert summary.points[0].max_rel_residual < 1e-9
+        assert summary.points[0].max_rel_residual == 0.0
     print(f"\nACCEPTANCE 3: PASS - FD oracle matches closed form "
-          f"(worst rel {worst_fd:.2e} < 1e-6); float-mode identity residual "
-          f"(worst rel {worst_rel:.2e} < 1e-9)")
+          f"(worst rel {worst_fd:.2e} < 1e-6); float oracle identity "
+          f"residual (worst rel {worst_residual:.2e} < 1e-9) and distance "
+          f"from the exact sides (worst rel {worst_distance:.2e} < 1e-9)")
 
 
 def test_criterion_4_metric_positive_definite():

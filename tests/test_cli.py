@@ -118,15 +118,12 @@ def test_float_mode_decides_membership_exactly(capsys):
 
 
 def test_float_mode_range_exits_2(capsys):
-    # a coordinate beyond the float range, f(y) underflowing to 0 and
-    # overflowing to inf, and a jet entry overflowing although f(y) is 1
+    # float mode rounds the exact report once: a coordinate beyond the float
+    # range, or a metric entry (about 1e-400) that rounds to 0.0, exits 2
     for command, form, points in (
             ("verify", "y1^3", "1e400"), ("metric", "y1^3", "1e400"),
             ("curvature", "y1^3", "1e400"),
-            ("verify", "y1*y2^2", "1e-200,1e-200"),
-            ("verify", "y1*y2^2", "1e200,1e200"),
-            ("metric", "y1*y2^2", "1e200,1e200"),
-            ("verify", "y1*y2^2", "1e-100,1e50")):
+            ("metric", "y1*y2^2", "1e200,1e200")):
         argv = [command, "--form", form, "--points", points]
         code, out = run_inproc(capsys, *argv, "--mode", "float")
         assert code == 2, argv
@@ -136,6 +133,14 @@ def test_float_mode_range_exits_2(capsys):
         assert code == 0, argv
         if command == "verify":
             assert json.loads(out)["overall"] == "PASS", argv
+    # f(y) near the float range's ends: the residual is exactly zero and
+    # every reported value is a float, so both modes pass
+    for points in ("1e-200,1e-200", "1e200,1e200", "1e-100,1e50"):
+        argv = ["verify", "--form", "y1*y2^2", "--points", points]
+        for mode in ("exact", "float"):
+            code, out = run_inproc(capsys, *argv, "--mode", mode)
+            assert code == 0, (argv, mode)
+            assert json.loads(out)["overall"] == "PASS", (argv, mode)
 
 
 def test_nonpositive_sample_count_exits_2(capsys):

@@ -16,7 +16,8 @@ from kahlercone import (Complex, CubicForm, KahlerConeError, Membership,
                         parse_text, sectional, verify_identity)
 from kahlercone.linalg import mat_vec
 
-from _reference import dense_sides, fd_curvature_lhs, poly_derivatives
+from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
+                        poly_derivatives)
 from _util import counting, random_cubic_with_cone, random_invertible
 
 
@@ -97,22 +98,15 @@ def test_jet_evaluates_the_cubic_once_per_point(monkeypatch):
                          "hessian": 0}, mode
 
 
-def test_float_jet_rounds_the_exact_values_once():
+def test_float_coordinates_give_the_exact_jet():
+    # a float coordinate is read as the exact rational it stores
     form = parse_text("1/3*y1*y2*y3", 3)
-    y = (1.0, 1.1, 0.9)
-    exact = kahler_metric(form, [F(v) for v in y])
-    jet = kahler_metric(form, y)
-    assert type(jet.f) is float and jet.f == float(exact.f)
-    assert all(type(v) is float for v in jet.grad)
-    assert jet.grad == [float(v) for v in exact.grad]
-    assert jet.hess.rows() == [[float(v) for v in row]
-                               for row in exact.hess.rows()]
-    # one float coordinate makes the whole point, and its jet, float
-    mixed = kahler_metric(form, (1, F(11, 10), 0.9))
-    assert type(mixed.f) is float
-    assert all(type(v) is float for v in mixed.grad)
-    assert all(type(v) is float for row in mixed.hess.rows() for v in row)
-    assert all(type(v) is float for row in mixed.g.rows() for v in row)
+    for y in ((1.0, 1.1, 0.9), (1, F(11, 10), 0.9)):
+        exact = kahler_metric(form, [F(v) for v in y])
+        jet = kahler_metric(form, y)
+        assert jet == exact
+        assert type(jet.f) is F
+        assert all(type(v) is F for row in jet.g.rows() for v in row)
 
 
 def test_norm_function():
@@ -300,10 +294,17 @@ def test_fd_oracle_matches_closed_form():
 
 def test_float_mode_residual_is_tiny():
     form = parse_text("y1*y2*y3", 3)
-    summary = verify_identity(form, [(1.0, 1.1, 0.9), (0.8, 1.2, 1.0)],
-                              mode="float")
+    points = [(1.0, 1.1, 0.9), (0.8, 1.2, 1.0)]
+    # the float oracle's residual, and its distance from the exact sides
+    # rounded to floats, relative to the larger side
+    for y in points:
+        residual, distance = float_oracle_errors(form, y)
+        assert residual < 1e-9 and distance < 1e-9, y
+    # float mode decides on the exact residual and rounds it: exactly 0
+    summary = verify_identity(form, points, mode="float")
     assert summary.overall == "PASS"
-    assert all(p.max_rel_residual < 1e-9 for p in summary.points)
+    assert all(p.max_rel_residual == 0.0 for p in summary.points)
+    assert [p.y for p in summary.points] == points
 
 
 # ----------------------------------------------------------------------------

@@ -2,17 +2,29 @@
 
 A refactor of membership, the jet, the curvature sides, the reports or the
 CLI must not change any exact value, the report layout, an exit code or an
-option. Float mode is not pinned: summing in another order may change a
-float in its last bit.
+option. Float mode is pinned as well: every mode computes exactly, and a
+float-mode report is the exact report with each value rounded once to
+binary64, so it is deterministic. The float-mode contract tests check that
+rounding against the exact-mode report of the same command line, at the
+pinned float lines and at sampled points of the suite forms.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kahlercone import cone_sample
 from kahlercone.cli import build_parser, main
+
+from _util import suite_forms
 
 FORM4 = "1/2*y1*y2*y3 + 2/3*y4^3"
 # every cubic monomial in three variables, with fractional coefficients
@@ -102,6 +114,16 @@ PINNED = [
      "94d1f053c50c394873516bd2b4c1022922f6f7e10710b819e3e2f7f7ced267a7"),
     (["metric", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
      "a9e76f3f59c9cbbacd0f7c778e640b39584a599f11be39b9f8ca9358d3663792"),
+    # float mode: the exact values above, each rounded once to binary64
+    (["metric", "--mode", "float", "--form", FORM_SIXTH,
+      "--points", "1/4,-5/2,9/5"], 0,
+     "1e2cb196ee8d5131fd814012f3d4b42beb7917c859cdef6174ee4e4f22b075e8"),
+    (["curvature", "--mode", "float", "--form", FORM3,
+      "--points", "2,1/2,-1"], 0,
+     "562db1eef05407ba4f4a0404054f3fd9ae135e8d7f0fff2039ed1126211003b9"),
+    (["verify", "--mode", "float", "--form", FORM3, "--points", "2,1/2,-1",
+      "--convention", "negated"], 1,
+     "bcf5a086bcebf1943ab69df2df6cc3082232e5aa2d5cd0409fdbaaa40049a8f8"),
 ]
 
 # sha256 of each parser level's option table (see _option_table), keyed by
@@ -131,11 +153,12 @@ PINNED_OPTIONS = {
 
 
 def _test_id(argv, code=0):
-    """The subcommand words, plus "text" under --text, "negated" under the
-    negated convention and the exit code when it is not 0:
-    "cone-check-text", "metric-text-exit2", "curvature-negated"."""
+    """The subcommand words, plus "text" under --text, "float" in float
+    mode, "negated" under the negated convention and the exit code when it
+    is not 0: "cone-check-text", "metric-text-exit2", "curvature-negated"."""
     words = [w for w in argv[:2] if not w.startswith("-")]
     return "-".join(words + ["text"] * ("--text" in argv)
+                    + ["float"] * ("float" in argv)
                     + ["negated"] * ("negated" in argv)
                     + [f"exit{code}"] * (code != 0))
 
@@ -169,6 +192,95 @@ def test_one_parser_serves_every_call(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--form", "y1^3", "--points"])
         assert exc.value.code == 2
+
+
+# a Complex as `scalars.format_complex` writes it (real part, then the
+# imaginary part with its sign, then "i"), and an exact rational
+_NUMBER = r"-?[\d./]+(?:e[+-]\d+)?"
+_COMPLEX = re.compile(rf"({_NUMBER})\+?({_NUMBER})i")
+_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def _assert_rounded(fl, ex, path=()):
+    """Every number in the float-mode document fl is the exact-mode string
+    at the same place in ex rounded once, float(Fraction(s)); so is each
+    part of a complex entry, and no reported value stays a rational string.
+    Everything else is equal, except the echoed mode, float mode's relative
+    residuals (checked by the caller) and the metric inertia, which only
+    exact mode reports."""
+    if isinstance(fl, dict):
+        assert set(ex) - set(fl) <= {"inertia"}, path
+        for key, value in fl.items():
+            if key == "mode":
+                assert (value, ex[key]) == ("float", "exact"), path
+            elif key != "maxRelResidual":
+                _assert_rounded(value, ex[key], path + (key,))
+    elif isinstance(fl, list):
+        assert isinstance(ex, list) and len(fl) == len(ex), path
+        for i, (a, b) in enumerate(zip(fl, ex)):
+            _assert_rounded(a, b, path + (i,))
+    elif isinstance(fl, float):
+        assert fl == float(Fraction(ex)), path
+    elif path[:1] == ("form",) or not isinstance(ex, str):
+        assert fl == ex, path
+    else:
+        assert not _RATIONAL.fullmatch(ex), path
+        parts = _COMPLEX.fullmatch(fl), _COMPLEX.fullmatch(ex)
+        if parts[1] is None:
+            assert fl == ex, path
+        else:
+            assert parts[0] is not None, path
+            assert [float(v) for v in parts[0].groups()] == \
+                [float(Fraction(v)) for v in parts[1].groups()], path
+
+
+def _run(argv):
+    """(exit code, JSON document) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _assert_float_contract(argv):
+    """The float-mode report of argv is its exact-mode report rounded once,
+    with the same exit code, which it returns; a verify point has a numeric
+    maxRelResidual, greater than 0 exactly when it fails."""
+    exact = [a for a in argv if a not in ("--mode", "float")]
+    code_ex, doc_ex = _run(exact)
+    code_fl, doc_fl = _run(exact + ["--mode", "float"])
+    assert code_fl == code_ex, argv
+    _assert_rounded(doc_fl, doc_ex)
+    if argv[0] == "verify":
+        for p in doc_fl["points"]:
+            rel = p["maxRelResidual"]
+            assert type(rel) is float and (rel > 0) == (p["verdict"] == "FAIL")
+    return code_fl
+
+
+@pytest.mark.parametrize("argv", [a for a, _, _ in PINNED if "float" in a],
+                         ids=lambda argv: argv[0])
+def test_float_pins_round_the_exact_output(argv):
+    _assert_float_contract(argv)
+
+
+SUITE = suite_forms()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(range(len(SUITE))), st.integers(0, 10**6))
+def test_float_mode_rounds_the_exact_report(which, seed):
+    form, hint = SUITE[which]
+    points = ";".join(",".join(map(str, y)) for y in
+                      cone_sample(form, 2, seed=seed, hint=hint))
+    base = ["--form", form.to_text(), "--points", points]
+    assert _assert_float_contract(["metric"] + base) == 0
+    for convention in ("standard", "negated"):
+        for command in ("curvature", "verify"):
+            code = _assert_float_contract([command, "--convention",
+                                           convention] + base)
+            # only the negated identity fails (exit 1)
+            assert code == (command == "verify" and convention == "negated")
 
 
 def _parsers(parser, words=()):
