@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
                      ParseError, SamplingExhausted)
-from .linalg import Sym3Tensor, SymMatrix, inertia
+from .linalg import Sym3Tensor, SymMatrix, _layout, inertia
 from .poly import Poly
 from .scalars import Complex, format_point
 
@@ -69,7 +69,7 @@ class ConePoint:
 class CubicForm:
     """A homogeneous cubic f in n variables with exact rational coefficients."""
 
-    __slots__ = ("n", "monomials", "_poly", "_f3", "_int_f3")
+    __slots__ = ("n", "monomials", "_poly", "_f3", "_int_f3", "_text")
 
     def __init__(self, n, monomials):
         if n < 1:
@@ -92,6 +92,7 @@ class CubicForm:
         self._poly = Poly(n, self.monomials)
         self._f3 = None
         self._int_f3 = None
+        self._text = None
 
     @property
     def third_tensor(self) -> Sym3Tensor:
@@ -108,17 +109,15 @@ class CubicForm:
     def _integer_third(self):
         """(s, t, rows): s = 6c, c > 0 the lcm of the coefficient
         denominators; t the integer Sym3Tensor s * f3, the third-derivative
-        tensor of the integer cubic s*f; and for each stored entry (i, j) of
-        a SymMatrix, in its packed order, the pair (i, j) and the row
-        t[i, j, 0..n-1]. The Hessian of s*f at an integer z is then the
-        integer SymMatrix of rows . z."""
+        tensor of the integer cubic s*f; and for each SymMatrix slot (i, j),
+        in packed order, the row t[i, j, 0..n-1]. The Hessian of s*f at an
+        integer z is then the integer SymMatrix of rows . z."""
         if self._int_f3 is None:
             s = 6 * math.lcm(*[v.denominator for v in self.monomials.values()])
-            f3 = self.third_tensor
-            n = self.n
-            t = Sym3Tensor.build(n, lambda i, j, k: int(s * f3[i, j, k]))
-            rows = [((i, j), [t[i, j, k] for k in range(n)])
-                    for j in range(n) for i in range(j + 1)]
+            data = [int(s * v) for v in self.third_tensor._data]
+            rows = [[data[q] for q in slots]
+                    for slots in _layout(self.n).pair_triples]
+            t = Sym3Tensor(self.n, data)
             self._int_f3 = (s, t, rows)
         return self._int_f3
 
@@ -154,6 +153,12 @@ class CubicForm:
                 f"point has {len(y)} coordinates, form has {self.n}")
 
     def to_text(self) -> str:
+        """The form as parse_text reads it; built on first use."""
+        if self._text is None:
+            self._text = self._render_text()
+        return self._text
+
+    def _render_text(self):
         if not self.monomials:
             return "0"
         parts = []
@@ -347,9 +352,9 @@ def _cleared(form: CubicForm, pairs) -> Cleared:
     l = math.lcm(*[q for _, q in pairs])
     z = [p * (l // q) for p, q in pairs]
     s, _, rows = form._integer_third()
-    h = [sum(map(mul, row, z)) for _, row in rows]
+    h = [sum(map(mul, row, z)) for row in rows]
     six_f = sum((hv if i == j else 2 * hv) * z[i] * z[j]
-                for ((i, j), _), hv in zip(rows, h))
+                for (i, j), hv in zip(_layout(form.n).pairs, h))
     return Cleared(l=l, s=s, z=z, H=SymMatrix(form.n, h), F=six_f // 6)
 
 

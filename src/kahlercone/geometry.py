@@ -36,7 +36,9 @@ With sym summing over the distinct placements of the indices, set
     Dg = -(F^2 t - F sym(H a) + 2 a a a),
     E = F^2 (sym(t a) + sym(H H)) - 2 F sym(H a a) + 6 a a a a
 
-(E once per index multiset). Then, one division per entry,
+(E once per index multiset; with W = M + a a^T = 2 a a^T - F H the last
+three terms are sym(W W) - 6 a a a a, which takes a third of the
+products). Then, one division per entry,
 
     g = l^2 M / (4 F^2),     dg = l^3 Dg / (4 F^3),
     d2g = l^4 E / (4 F^4),   ginv = 4 F^2 A / (l^2 Delta),
@@ -56,7 +58,6 @@ stores, and float mode only rounds the reported values once to binary64.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +67,7 @@ from typing import NamedTuple, Optional, Sequence
 from .cubic import Cleared, CubicForm, Membership, _classify
 from .errors import (DimensionMismatch, KahlerConeError, NotInCone,
                      SingularMatrix, SingularMetric, ZeroVector)
-from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, contract,
+from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, _layout, contract,
                      det_adjugate, raise_index)
 from .report import PointResult, VerificationSummary
 from .scalars import Complex, format_point, to_float
@@ -158,15 +159,16 @@ class _IntegerJet(NamedTuple):
         """The integer sides (+-lhs, rhs): each side of the identity is
         `side_scale` times one of them."""
         _check_convention(convention)
-        lhs = self.E.scale(self.delta) - contract(self.Dg, self.adj)
+        n, delta, m = self.M.n, self.delta, self.M._data
+        lhs = [delta * e - c for e, c in
+               zip(self.E._data, contract(self.Dg, self.adj)._data)]
         if convention == "negated":
-            lhs = lhs.scale(-1)
-        m = self.M
-        products = CurvTensor.build(m.n, lambda i, j, k, l: (
-            m[i, j] * m[k, l] + m[i, l] * m[k, j]))
-        rhs = (products.scale(self.delta)
-               - contract(self.t, self.adj).scale(self.point.F**4))
-        return lhs, rhs
+            lhs = [-v for v in lhs]
+        f4 = self.point.F**4
+        rhs = [delta * (m[ij] * m[kl] + m[il] * m[kj]) - f4 * c
+               for (_, ij, kl, il, kj), c in
+               zip(_layout(n).orbits, contract(self.t, self.adj)._data)]
+        return CurvTensor(n, lhs), CurvTensor(n, rhs)
 
     @property
     def side_scale(self) -> Fraction:
@@ -178,36 +180,35 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
     """The integer jet at an exact interior point y (module docstring)."""
     point = _interior(form, y)
     n, F = form.n, point.F
-    t = form._integer_third()[1]
+    lay = _layout(n)
+    _, t, t_rows = form._integer_third()
     h = point.H.rows()
     a = [sum(map(mul, row, point.z)) // 2 for row in h]     # grad of s*f at z
-    m = SymMatrix.build(n, lambda i, j: a[i] * a[j] - F * h[i][j])
+    m = SymMatrix(n, [a[i] * a[k] - F * v
+                      for (i, k), v in zip(lay.pairs, point.H._data)])
+    m_rows = m.rows()
     try:
-        delta, adj = det_adjugate(m.rows())
+        delta, adj = det_adjugate(m_rows)
     except SingularMatrix as exc:
         raise SingularMetric(str(exc)) from exc
     f2 = F * F
-    dg = Sym3Tensor.build(n, lambda i, j, k: (
+    dg = Sym3Tensor(n, [
         F * (h[i][j] * a[k] + h[i][k] * a[j] + h[j][k] * a[i])
-        - f2 * t[i, j, k] - 2 * a[i] * a[j] * a[k]))
-    t3 = [[[t[i, j, k] for k in range(n)] for j in range(n)] for i in range(n)]
-
-    def e_entry(i, j, k, l):
-        return (f2 * (t3[i][j][k] * a[l] + t3[i][j][l] * a[k]
-                      + t3[i][k][l] * a[j] + t3[j][k][l] * a[i]
-                      + h[i][j] * h[k][l] + h[i][k] * h[j][l]
-                      + h[i][l] * h[j][k])
-                - 2 * F * (h[i][j] * a[k] * a[l] + h[i][k] * a[j] * a[l]
-                           + h[i][l] * a[j] * a[k] + h[j][k] * a[i] * a[l]
-                           + h[j][l] * a[i] * a[k] + h[k][l] * a[i] * a[j])
-                + 6 * a[i] * a[j] * a[k] * a[l])
-
-    # E is fully symmetric: one evaluation per index multiset
-    by_multiset = {idx: e_entry(*idx) for idx in
-                   itertools.combinations_with_replacement(range(n), 4)}
-    e = CurvTensor.build(n, lambda *idx: by_multiset[tuple(sorted(idx))])
-    return _IntegerJet(point=point, t=t, a=a, M=m, delta=delta,
-                       adj=SymMatrix.from_rows(adj), Dg=dg, E=e)
+        - f2 * v - 2 * a[i] * a[j] * a[k]
+        for (i, j, k), v in zip(lay.triples, t._data)])
+    t3 = [[t_rows[s] for s in row] for row in lay.slot]
+    w = [[a_i * a_j + v for a_j, v in zip(a, row)]           # W = M + a a^T
+         for a_i, row in zip(a, m_rows)]
+    # E is fully symmetric: one entry per index multiset, then one per orbit
+    e = [f2 * (t3[i][j][k] * a[l] + t3[i][j][l] * a[k]
+               + t3[i][k][l] * a[j] + t3[j][k][l] * a[i])
+         + w[i][j] * w[k][l] + w[i][k] * w[j][l] + w[i][l] * w[j][k]
+         - 6 * a[i] * a[j] * a[k] * a[l]
+         for i, j, k, l in lay.quads]
+    return _IntegerJet(
+        point=point, t=t, a=a, M=m, delta=delta,
+        adj=SymMatrix(n, [adj[i][k] for i, k in lay.pairs]), Dg=dg,
+        E=CurvTensor(n, [e[orbit[0]] for orbit in lay.orbits]))
 
 
 def kahler_metric(form: CubicForm, y) -> MetricJet:

@@ -4,9 +4,13 @@ Each container stores one entry per orbit of its index symmetry: symmetric
 matrices and 3-tensors one per index multiset, curvature tensors one per
 orbit of the pair symmetries. Accessors map every index to its orbit's slot,
 so `m[i, j] == m[j, i]` holds by construction, and each distinct entry is
-computed once. Dimensions stay small here (n of order a few), so cubic-time
-elimination is not a concern; the cost is in the scalars. Inversion and
-contraction work verbatim over Fractions, floats and `Complex` values.
+computed once. The accessors serve single-entry reads; the builders and
+kernels instead read the slot tables `_layout(n)` builds once per dimension
+from `_pair_index` and `_triple_index`, the one definition of the packing,
+and loop over the flat `_data` lists. Dimensions stay small here (n of
+order a few), so cubic-time elimination is not a concern; the cost is in
+the scalars. Inversion and contraction work verbatim over Fractions, floats
+and `Complex` values.
 `inertia` and `det_adjugate` are exact only: they eliminate fraction-free on
 Python ints, each of whose operations costs a small fraction of a
 `Fraction` one (`inertia` clears the denominators of its rational input
@@ -15,8 +19,12 @@ first), and they reject floats.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import Complex, is_exact_scalar
@@ -44,6 +52,49 @@ def _pair_index(i, j):
     return i + j * (j + 1) // 2
 
 
+def _triple_index(n, i, j, k):
+    i, j, k = sorted((i, j, k))
+    # offset of the block with smallest index i, then a pair index within it
+    return i * (i * i - 3 * i * (n + 1) + 3 * n * n + 6 * n + 2) // 6 \
+        + _pair_index(j - i, k - i)
+
+
+class _Layout(NamedTuple):
+    """The storage slots of the packed containers at one dimension n, as
+    tuples: `_layout` hands the same tables to every caller."""
+    pairs: tuple         # SymMatrix pairs (i, k), i <= k, in packed order
+    slot: tuple          # slot[i][k]: the SymMatrix slot of (i, k), n x n
+    pair_triples: tuple  # per SymMatrix slot (i, k): the Sym3Tensor slots
+                         # of (i, k, p), p = 0..n-1
+    triples: tuple       # Sym3Tensor triples i <= j <= k, in storage order
+    quads: tuple         # the index multisets i <= j <= k <= l
+    orbits: tuple        # per CurvTensor orbit (i, j, k, l), in storage
+                         # order: its multiset's position in quads, and the
+                         # SymMatrix slots of (i,j), (k,l), (i,l), (k,j)
+
+
+@functools.cache
+def _layout(n) -> _Layout:
+    ordered = itertools.combinations_with_replacement(range(n), 2)
+    pairs = tuple(sorted(ordered, key=lambda ik: _pair_index(*ik)))
+    ordered = itertools.combinations_with_replacement(range(n), 3)
+    triples = tuple(sorted(ordered, key=lambda ijk: _triple_index(n, *ijk)))
+    quads = tuple(itertools.combinations_with_replacement(range(n), 4))
+    quad_pos = {q: pos for pos, q in enumerate(quads)}
+    # orbit (i,j,k,l) sits at slot (a, b) of the pair matrix, with
+    # (i,k) = pairs[a] and (j,l) = pairs[b], a <= b (CurvTensor.build)
+    orbits = tuple((quad_pos[tuple(sorted((i, j, k, l)))], _pair_index(i, j),
+                    _pair_index(k, l), _pair_index(i, l), _pair_index(k, j))
+                   for b, (j, l) in enumerate(pairs) for i, k in pairs[:b + 1])
+    return _Layout(
+        pairs=pairs,
+        slot=tuple(tuple(_pair_index(i, k) for k in range(n))
+                   for i in range(n)),
+        pair_triples=tuple(tuple(_triple_index(n, i, k, p) for p in range(n))
+                           for i, k in pairs),
+        triples=triples, quads=quads, orbits=orbits)
+
+
 class SymMatrix:
     """Symmetric n x n matrix with triangular storage."""
 
@@ -61,31 +112,23 @@ class SymMatrix:
 
     @classmethod
     def identity(cls, n):
-        m = cls.zeros(n)
-        for i in range(n):
-            m[i, i] = Fraction(1)
-        return m
+        return cls.build(n, lambda i, j: Fraction(int(i == j)))
 
     @classmethod
     def from_rows(cls, rows):
         n = len(rows)
-        m = cls.zeros(n)
-        for i in range(n):
-            if len(rows[i]) != n:
-                raise DimensionMismatch("ragged rows")
-            for j in range(i, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-                m[i, j] = rows[i][j]
-        return m
+        if any(len(r) != n for r in rows):
+            raise DimensionMismatch("ragged rows")
+        pairs = _layout(n).pairs
+        for i, j in pairs:
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+        return cls(n, [rows[i][j] for i, j in pairs])
 
     @classmethod
     def build(cls, n, fn):
-        m = cls.zeros(n)
-        for i in range(n):
-            for j in range(i, n):
-                m[i, j] = fn(i, j)
-        return m
+        """The matrix with fn(i, j) at i <= j, called in storage order."""
+        return cls(n, [fn(i, j) for i, j in _layout(n).pairs])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -96,7 +139,8 @@ class SymMatrix:
         self._data[_pair_index(i, j)] = value
 
     def rows(self):
-        return [[self[i, j] for j in range(self.n)] for i in range(self.n)]
+        data = self._data
+        return [[data[s] for s in row] for row in _layout(self.n).slot]
 
     def scale(self, c):
         return SymMatrix(self.n, [c * v for v in self._data])
@@ -107,13 +151,6 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({self.rows()!r})"
-
-
-def _triple_index(n, i, j, k):
-    i, j, k = sorted((i, j, k))
-    # offset of the block with smallest index i, then a pair index within it
-    return i * (i * i - 3 * i * (n + 1) + 3 * n * n + 6 * n + 2) // 6 \
-        + _pair_index(j - i, k - i)
 
 
 class Sym3Tensor:
@@ -134,12 +171,9 @@ class Sym3Tensor:
 
     @classmethod
     def build(cls, n, fn):
-        t = cls.zeros(n)
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    t[i, j, k] = fn(i, j, k)
-        return t
+        """The tensor with fn(i, j, k) at i <= j <= k, called in storage
+        order."""
+        return cls(n, [fn(i, j, k) for i, j, k in _layout(n).triples])
 
     def __getitem__(self, ijk):
         i, j, k = ijk
@@ -183,7 +217,7 @@ class CurvTensor:
     def build(cls, n, fn):
         """The tensor with fn(i, j, k, l) in each orbit, called once per
         orbit in storage order, with i <= k, j <= l and (i,k) <= (j,l)."""
-        pairs = [(i, k) for k in range(n) for i in range(k + 1)]
+        pairs = _layout(n).pairs
         return cls(n, [fn(i, j, k, l) for b, (j, l) in enumerate(pairs)
                        for i, k in pairs[:b + 1]])
 
@@ -204,7 +238,7 @@ class CurvTensor:
         return CurvTensor(self.n, [c * v for v in self._data])
 
     def max_abs(self):
-        return max(abs(v) for v in self._data) if self._data else 0
+        return max(map(abs, self._data), default=0)
 
     def entries(self):
         """The stored entries, one per orbit."""
@@ -231,17 +265,16 @@ def inertia(m: SymMatrix):
     trailing block is a positive multiple of the one rational elimination
     would reach, so the pivots are chosen as over the rationals. No
     eigenvalue iteration and no float; raises TypeError on float entries.
+    All-int input, such as every cleared Hessian, is used as it is.
     """
-    for v in m._data:
-        if not is_exact_scalar(v):
-            raise TypeError("inertia requires exact rational entries")
-    n = m.n
-    den = math.lcm(*[v.denominator for v in m._data])
-    packed = iter([v.numerator * (den // v.denominator) for v in m._data])
-    a = [[0] * n for _ in range(n)]
-    for j in range(n):                  # the packed order of SymMatrix
-        for i in range(j + 1):
-            a[i][j] = a[j][i] = next(packed)
+    n, data = m.n, m._data
+    if set(map(type, data)) - {int}:
+        for v in data:
+            if not is_exact_scalar(v):
+                raise TypeError("inertia requires exact rational entries")
+        den = math.lcm(*[v.denominator for v in data])
+        data = [v.numerator * (den // v.denominator) for v in data]
+    a = [[data[s] for s in row] for row in _layout(n).slot]
     plus = minus = zero = 0
     k = 0
     while k < n:
@@ -411,11 +444,7 @@ def _lift_int(x):
 def invert(m: SymMatrix) -> SymMatrix:
     """Inverse of a symmetric matrix, returned symmetric."""
     inv = invert_rows(m.rows())
-    out = SymMatrix.zeros(m.n)
-    for i in range(m.n):
-        for j in range(i, m.n):
-            out[i, j] = inv[i][j]
-    return out
+    return SymMatrix(m.n, [inv[i][j] for i, j in _layout(m.n).pairs])
 
 
 def mat_mul(a, b):
@@ -429,37 +458,34 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def raise_index(s: Sym3Tensor, minv: SymMatrix):
-    """U[p][j,l] = sum_q Minv[p,q] S[j,l,q], as n SymMatrix (one per p).
+def _raised(s: Sym3Tensor, minv: SymMatrix):
+    """(L, U): per SymMatrix slot (j, l), the vector L = S[j,l,.] and the
+    vector U = Minv . S[j,l,.].
 
     The one place an index of a symmetric 3-tensor is raised with Minv:
-    `contract` and the Christoffel symbols both read it.
+    `contract` and, through `raise_index`, the Christoffel symbols read it.
     """
     if s.n != minv.n:
         raise DimensionMismatch("tensor and matrix dimensions differ")
-    n = s.n
-    rows = minv.rows()
-    out = [SymMatrix.zeros(n) for _ in range(n)]
-    for j in range(n):
-        for l in range(j, n):
-            sv = [s[j, l, q] for q in range(n)]
-            for p in range(n):
-                out[p][j, l] = sum(m * v for m, v in zip(rows[p], sv))
-    return out
+    data, rows = s._data, minv.rows()
+    lower = [[data[q] for q in slots] for slots in _layout(s.n).pair_triples]
+    return lower, [[sum(map(mul, row, v)) for row in rows] for v in lower]
+
+
+def raise_index(s: Sym3Tensor, minv: SymMatrix):
+    """U[p][j,l] = sum_q Minv[p,q] S[j,l,q], as n SymMatrix (one per p)."""
+    raised = _raised(s, minv)[1]
+    return [SymMatrix(s.n, [u[p] for u in raised]) for p in range(s.n)]
 
 
 def contract(t: Sym3Tensor, minv: SymMatrix) -> CurvTensor:
     """CurvTensor R with R[i,j,k,l] = sum_{p,q} Minv[p,q] T[i,k,p] T[j,l,q].
 
     Inherits the curvature pair symmetries from the full symmetry of T and
-    the symmetry of Minv.
+    the symmetry of Minv. With row P = (i, k) of L the vector T[i,k,.], R is
+    the packed upper triangle of the P x P matrix L Minv L^T.
     """
-    if t.n != minv.n:
-        raise DimensionMismatch("tensor and matrix dimensions differ")
-    n = t.n
-    u = raise_index(t, minv)
-    pairs = [(i, k) for i in range(n) for k in range(i, n)]
-    lower = {(i, k): [t[i, k, p] for p in range(n)] for i, k in pairs}
-    upper = {(j, l): [w[j, l] for w in u] for j, l in pairs}
-    return CurvTensor.build(n, lambda i, j, k, l: sum(
-        a * b for a, b in zip(lower[i, k], upper[j, l])))
+    lower, upper = _raised(t, minv)
+    return CurvTensor(t.n, [sum(map(mul, lower[a], u))
+                            for b, u in enumerate(upper)
+                            for a in range(b + 1)])
