@@ -36,8 +36,7 @@ from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
 from .errors import KahlerConeError, ParseError
 from .geometry import (CONVENTIONS, MODES, curvature_report, kahler_metric,
                        verify_identity)
-from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, hermitian_inertia,
-                     inertia)
+from .linalg import CurvTensor, Sym3Tensor, SymMatrix, inertia
 from .report import SCHEMA_VERSION, render_json, render_text
 from .scalars import Complex, format_scalar, parse_rational, to_float
 from .special import (affine_curvature_check, build_tilde_metric,
@@ -244,7 +243,7 @@ def _cone_metric_point(args, form, point):
     tm = build_tilde_metric(form, t, lam)
     inv = tilde_inverse_check(tm)
     chris = tilde_christoffel_check(tm)
-    sig = hermitian_inertia(tm.gtilde)
+    sig = inertia(tm.bordered)
     entry = {
         "t": _doc(t),
         "lambda": _doc(lam),

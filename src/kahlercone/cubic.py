@@ -47,6 +47,10 @@ __all__ = [
 
 DEGREE = 3
 GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
+# the distinct positive grid values p/q, and hint jitter factors (s + r)/s
+GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)
+                    for q in range(1, GRID_DEN + 1))
+JITTERS = len({Fraction(s + r, s) for r in (-1, 0, 1) for s in range(4, 9)})
 
 
 class Membership(enum.Enum):
@@ -427,7 +431,10 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     candidate is kept as integer pairs (numerator, denominator) in lowest
     terms and decided by the same interior test as `cone_contains`: on its
     cleared integers, with no elimination when f <= 0. Only accepted points
-    become Fractions. Raises SamplingExhausted after `budget` attempts.
+    become Fractions. Raises SamplingExhausted after `budget` attempts, or
+    at the first repeat once every candidate the grid (and the hint) can
+    give was seen: the nonzero grid vectors, and c * h * m for c a positive
+    grid value and each m_i a jitter factor.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -440,6 +447,8 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     n = form.n
     found = []
     seen = set()
+    bound = ((2 * GRID_POSITIVE + 1)**n - 1
+             + (hint is not None) * GRID_POSITIVE * JITTERS**n)
     for attempt in range(budget):
         if hint is not None and attempt % 2 == 1:
             # c * h * (1 + r/s) with c = cp/cq and h = hp/hq
@@ -453,7 +462,13 @@ def cone_sample(form: CubicForm, count: int, seed: int,
                     for _ in range(n)]
         cand = _reduced(cand)
         if cand in seen or not any(p for p, _ in cand):
-            continue
+            if len(seen) < bound:
+                continue
+            raise SamplingExhausted(
+                f"found {len(found)}/{count} interior points among {bound} "
+                f"distinct candidates in {budget} attempts; that is all "
+                f"the grid{' and the hint' * bool(hint)} can give, drawn "
+                f"within {attempt + 1} attempts")
         seen.add(cand)
         if _is_interior(_cleared(form, cand)):
             found.append(tuple(Fraction(p, q) for p, q in cand))

@@ -43,6 +43,7 @@ products). Then, one division per entry,
     g = l^2 M / (4 F^2),     dg = l^3 Dg / (4 F^3),
     d2g = l^4 E / (4 F^4),   ginv = 4 F^2 A / (l^2 Delta),
 
+the Christoffel symbols are -(i/2) ginv.dg = -(i/2) l (A Dg) / (F Delta),
 and each side of the identity is l^4 side / (16 F^4 Delta), with
 
     lhs = Delta E[i,j,k,l] - sum_{p,q} A[p,q] Dg[i,k,p] Dg[j,l,q],
@@ -58,8 +59,9 @@ stores, and float mode only rounds the reported values once to binary64.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -93,9 +95,9 @@ MODES = ("exact", "float")
 class MetricJet:
     """Metric with its first and second y-derivatives and inverse at a point.
 
-    `kahler_metric` decides membership and builds the jet once per point;
-    the Christoffel symbols and the fibre-metric checks read everything
-    they need from it.
+    `kahler_metric` decides membership and builds the jet once per point,
+    as the rendering of the integer jet it keeps; the Christoffel symbols
+    and the fibre-metric checks read everything they need from it.
     """
     g: SymMatrix
     dg: Sym3Tensor        # dg[i,j,k] = d g[i,j] / d y_k, fully symmetric
@@ -105,13 +107,11 @@ class MetricJet:
     f: object             # f(y)
     grad: list            # grad f(y)
     hess: SymMatrix       # Hess f(y)
+    _ij: object = field(default=None, repr=False, compare=False)
 
     def christoffels(self):
-        """Christoffel symbols: purely imaginary, symmetric in the lower
-        pair; gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j]."""
-        zero, half = Fraction(0), Fraction(1, 2)
-        return [[[Complex(zero, -half * v) for v in row] for row in u.rows()]
-                for u in raise_index(self.dg, self.ginv)]
+        """The Christoffel symbols of `_IntegerJet.christoffels`."""
+        return self._ij.christoffels()
 
 
 def norm_function(form: CubicForm, y):
@@ -153,22 +153,38 @@ class _IntegerJet(NamedTuple):
             d2g=self.E.scale(Fraction(l**4, 4 * F**4)),
             ginv=self.adj.scale(Fraction(4 * F * F, l * l * self.delta)),
             f=self.point.f, grad=[Fraction(v, s * l * l) for v in self.a],
-            hess=self.point.H.scale(Fraction(1, s * l)))
+            hess=self.point.H.scale(Fraction(1, s * l)), _ij=self)
 
-    def sides(self, convention: str):
-        """The integer sides (+-lhs, rhs): each side of the identity is
-        `side_scale` times one of them."""
+    def christoffels(self):
+        """gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j], purely
+        imaginary and symmetric in j, k (module docstring)."""
+        l, den = self.point.l, 2 * self.point.F * self.delta
+        return [[[Complex(Fraction(0), Fraction(-l * v, den)) for v in row]
+                 for row in u.rows()] for u in raise_index(self.Dg, self.adj)]
+
+    def lhs(self, convention: str) -> CurvTensor:
+        """The integer metric side +-(Delta E - Dg.A.Dg)."""
         _check_convention(convention)
-        n, delta, m = self.M.n, self.delta, self.M._data
+        delta = self.delta
         lhs = [delta * e - c for e, c in
                zip(self.E._data, contract(self.Dg, self.adj)._data)]
         if convention == "negated":
             lhs = [-v for v in lhs]
+        return CurvTensor(self.M.n, lhs)
+
+    def rhs(self) -> CurvTensor:
+        """The integer third-derivative side Delta (MM + MM) - F^4 t.A.t."""
+        n, delta, m = self.M.n, self.delta, self.M._data
         f4 = self.point.F**4
-        rhs = [delta * (m[ij] * m[kl] + m[il] * m[kj]) - f4 * c
-               for (_, ij, kl, il, kj), c in
-               zip(_layout(n).orbits, contract(self.t, self.adj)._data)]
-        return CurvTensor(n, lhs), CurvTensor(n, rhs)
+        return CurvTensor(n, [
+            delta * (m[ij] * m[kl] + m[il] * m[kj]) - f4 * c
+            for (_, ij, kl, il, kj), c in
+            zip(_layout(n).orbits, contract(self.t, self.adj)._data)])
+
+    def sides(self, convention: str):
+        """The integer sides (+-lhs, rhs): each side of the identity is
+        `side_scale` times one of them."""
+        return self.lhs(convention), self.rhs()
 
     @property
     def side_scale(self) -> Fraction:
@@ -223,27 +239,21 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
     return _integer_jet(form, y).jet()
 
 
-def _evaluate(form: CubicForm, y, convention: str):
-    """(jet, lhs, rhs, residual) at y under `convention`."""
-    ij = _integer_jet(form, y)
-    lhs, rhs = ij.sides(convention)
-    c = ij.side_scale
-    return ij.jet(), lhs.scale(c), rhs.scale(c), (lhs - rhs).scale(c)
-
-
 def curvature_lhs(form: CubicForm, y) -> CurvTensor:
     """Curvature tensor from the metric side of the identity."""
-    return _evaluate(form, y, "standard")[1]
+    ij = _integer_jet(form, y)
+    return ij.lhs("standard").scale(ij.side_scale)
 
 
 def curvature_rhs(form: CubicForm, y) -> CurvTensor:
     """Curvature tensor from the metric products and the third-derivative side."""
-    return _evaluate(form, y, "standard")[2]
+    ij = _integer_jet(form, y)
+    return ij.rhs().scale(ij.side_scale)
 
 
 def christoffels(form: CubicForm, y):
-    """Christoffel symbols of the cone metric (see MetricJet.christoffels)."""
-    return kahler_metric(form, y).christoffels()
+    """Christoffel symbols of the cone metric (`_IntegerJet.christoffels`)."""
+    return _integer_jet(form, y).christoffels()
 
 
 def sectional(form: CubicForm, y, v):
@@ -253,17 +263,14 @@ def sectional(form: CubicForm, y, v):
         raise DimensionMismatch("direction length does not match the form")
     if all(z.is_zero() for z in vv):
         raise ZeroVector("sectional curvature needs a nonzero direction")
-    jet, r, _, _ = _evaluate(form, y, "standard")
-    n = form.n
-    num = Complex(Fraction(0))
-    den = Complex(Fraction(0))
-    for i in range(n):
-        for j in range(n):
-            den = den + jet.g[i, j] * vv[i] * vv[j].conj()
-            for k in range(n):
-                for l in range(n):
-                    num = num + (r[i, j, k, l]
-                                 * vv[i] * vv[j].conj() * vv[k] * vv[l].conj())
+    ij = _integer_jet(form, y)
+    r, g = ij.lhs("standard").scale(ij.side_scale), ij.jet().g
+    w = [(z, z.conj()) for z in vv]
+    pairs = list(itertools.product(range(form.n), repeat=2))
+    zero = Complex(Fraction(0))
+    den = sum((g[i, j] * w[i][0] * w[j][1] for i, j in pairs), zero)
+    num = sum((r[i, j, k, l] * w[i][0] * w[j][1] * w[k][0] * w[l][1]
+               for i, j in pairs for k, l in pairs), zero)
     # real tensor with the pair symmetries: the imaginary parts cancel
     return 2 * num.re / (den.re * den.re)
 
@@ -284,18 +291,16 @@ class CurvatureReport:
 
 def curvature_report(form: CubicForm, y,
                      convention: str = "standard") -> CurvatureReport:
-    jet, lhs, rhs, residual = _evaluate(form, y, convention)
+    ij = _integer_jet(form, y)
+    lhs, rhs = ij.sides(convention)
+    c = ij.side_scale
+    residual = (lhs - rhs).scale(c)
     return CurvatureReport(
-        y=tuple(y),
-        potential_arg=8 * jet.f,
+        y=tuple(y), potential_arg=8 * ij.point.f,
         yukawa=form.third_tensor.scale(Fraction(1, 2)),
-        christoffel=jet.christoffels(),
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        max_abs_residual=residual.max_abs(),
-        convention=convention,
-    )
+        christoffel=ij.christoffels(), lhs=lhs.scale(c), rhs=rhs.scale(c),
+        residual=residual, max_abs_residual=residual.max_abs(),
+        convention=convention)
 
 
 def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",

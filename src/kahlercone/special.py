@@ -16,18 +16,14 @@ inverse of -4 Hess f is that inverse times -1/4.
 Fibre extension. `build_tilde_metric` assembles the (n+1) x (n+1) hermitian
 matrix from the published closed-form entries with K = 8 f(Im t) and
 K_i = d/dt_i log K, together with the published inverse entries. Index 0 is
-the fibre direction. Every entry is a coefficient in y times a power of the
-fibre coordinate: with u = (1, K_1, ..., K_n) and g padded by a zero fibre
-row and column, the coefficient table is
+the fibre direction. With u = (1, K_1, ..., K_n) and g padded by a zero
+fibre row and column, the printed entry is
 
-    coef[r][c] = K (conj(u_r) u_c - g[r,c]),
+    gtilde[r][c] = K (conj(u_r) u_c - g[r,c]) lam^a lambar^b,
 
-whose y-gradients (dK/dy_k = 8 df/dy_k, dK_i/dy_k = 2i g[i,k]) only the
-Christoffel check forms. The printed metric is coef[r][c] lam^a lambar^b,
-with the lambda-power table (a, b) = (-1,-1) at the fibre entry, (-1,0) on
-the fibre row, (0,-1) on the fibre column and (0,0) on the base block. Two
-calibrations, fixed at n = 1 and documented here because the published
-formulas leave them open:
+(a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre row, (0,-1) on the
+fibre column and (0,0) on the base block. Two calibrations, fixed at n = 1
+and documented here because the published formulas leave them open:
 
   * hermitian placement of the mixed inverse entry: the printed value for
     index pair (0, i-bar) equals entry (row i, column 0) of the true
@@ -43,26 +39,52 @@ differentiation of the entries as printed validates the all-base and
 fibre-upper formulas, while the mixed formula (lambda^{-1} delta) and the
 vanishing of the pure-fibre symbol require the potential-consistent scaling
 lambda lambda-bar K of the same entries, under which the matrix is
-genuinely Kahler. That scaling is the transposed coefficient table (which
-flips the sign of the fibre row, K_i being imaginary) with every power of
-the table above raised by (1, 1). The check differentiates both scalings
-exactly, compares each published formula group under each, and passes when
-every group is reproduced by at least one derivation, reporting the full
-match table. The ambiguous recovery relation for the base symbols is
-evaluated under both of its index readings and the verdicts reported.
+genuinely Kahler: the transposed entries (K_i being imaginary, this flips
+the sign of the fibre row) with every power above raised by (1, 1).
+
+Both scalings are differentiated on the integers of the cleared point
+(`geometry`: z = l y, t, H, a = H z / 2, F). With K_i = i k_i,
+k = -grad f / (2 f) = -l a / (2F), and a a^T - M = F H, the printed metric is
+K D S D* and the potential one K E S E*, where
+
+    D = diag(1/lam, i, ..., i),    E = diag(1, -i lam, ..., -i lam),
+    S = [[1, -k^T], [-k, k k^T - g]] = P B P / (4F),
+    P = diag(1, l, ..., l),        B = [[4F, 2a^T], [2a, H]],
+
+B the integer bordered Hessian of the cleared cubic, and K / (4F) constant
+in y. In Gamma[x][b][c] = sum_d conj(h^{-1})[x][d] D_b h[c][d], with
+D_0 = d/dlam (lambda-bar fixed) and D_{q+1} = d/dt_q = -(i/2) l d/dz_q, the
+diagonal factors cancel on d, so both scalings read one real array
+
+    Q[x][q][c] = l^(1 - [x>0] + [c>0]) (adj B . dB_q)[x][c] / det B,
+    dB_q = d B / d z_q = [[4 a_q, 2 H[q,.]], [2 H[.,q], t[.,.,q]]],
+
+as Gamma[x][q+1][c] = -(i/2) D_x^{-1} D_c Q[x][q][c], E in place of D under
+the potential scaling. D_0 h = (a / lam) h for an entry of power lam^a, so
+Gamma[x][0][c] is -1/lam at x = c = 0 under the printed scaling, 1/lam at
+x = c > 0 under the potential one, and 0 elsewhere. One `det_adjugate` of B
+serves both, and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
+
+The published formulas stay an independent side, assembled from the printed
+entries and the base Christoffel symbols, never from B. The check compares
+each formula group under each scaling and passes when every group is
+reproduced by at least one, reporting the full match table. The ambiguous
+recovery relation for the base symbols is evaluated under both of its index
+readings and the verdicts reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .cubic import CubicForm
 from .errors import SingularHessian, SingularMatrix, ZeroLambda
 from .geometry import MetricJet, kahler_metric
-from .linalg import (CurvTensor, SymMatrix, contract, identity_rows,
-                     invert, invert_rows, mat_mul)
+from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
+                     identity_rows, invert, mat_mul)
 from .scalars import Complex, format_point
 
 __all__ = [
@@ -87,14 +109,11 @@ def affine_tau(form: CubicForm, t):
     For a cubic the Hessian is linear, so at t = x + iy it splits exactly
     into 4 Hess f(x) + 4i Hess f(y); rows of Complex entries.
     """
-    t = _as_complex_point(t)
-    x = [v.re for v in t]
-    y = [v.im for v in t]
-    hx = form.hessian(x)
-    hy = form.hessian(y)
-    n = form.n
-    return [[Complex(4 * hx[i, j], 4 * hy[i, j]) for j in range(n)]
-            for i in range(n)]
+    t = tuple(map(Complex.of, t))
+    hx = form.hessian([v.re for v in t])
+    hy = form.hessian([v.im for v in t])
+    return [[Complex(4 * hx[i, j], 4 * hy[i, j]) for j in range(form.n)]
+            for i in range(form.n)]
 
 
 def affine_metric(form: CubicForm, y) -> SymMatrix:
@@ -156,66 +175,15 @@ class TildeMetric:
     y: tuple                 # Im t
     norm_value: object       # K = 8 f(y)
     k_log: tuple             # K_i = d/dt_i log K, purely imaginary
-    coef: list               # (n+1) x (n+1) entry coefficients, fibre index 0
-    gtilde: list             # coef times the printed lambda powers
+    gtilde: list             # the printed entries (module docstring)
     gtilde_inv_stated: list  # published inverse entries, placement calibrated
-    jet: MetricJet
-
-
-def _as_complex_point(t):
-    return tuple(Complex.of(v) for v in t)
-
-
-def _lam_factors(lam):
-    """{(a, b): lam^a lambar^b} for a, b in -1, 0, 1."""
-    one = Complex(Fraction(1))
-    power = {-1: one / lam, 0: one, 1: lam}
-    return {(a, b): power[a] * power[b].conj() for a in power for b in power}
-
-
-def _lam_powers(size, shift):
-    """The printed lambda-power table (a, b) raised by (shift, shift)."""
-    return [[(shift - (r == 0), shift - (c == 0)) for c in range(size)]
-            for r in range(size)]
-
-
-def _scaled(coef, powers, factors):
-    """The entries coef[r][c] * lam^a * lambar^b, (a, b) = powers[r][c]."""
-    return [[coef[r][c] * factors[p] for c, p in enumerate(row)]
-            for r, row in enumerate(powers)]
-
-
-def _entry_coefficients(jet: MetricJet, kval, k_log):
-    """The coefficient table coef[r][c] = K (conj(u_r) u_c - g[r,c]) with
-    u = (1, K_1, ..., K_n) (module docstring)."""
-    n = len(k_log)
-    u = (Complex(Fraction(1)),) + k_log
-    return [[kval * (u[r].conj() * u[c]
-                     - (jet.g[r - 1, c - 1] if r and c else 0))
-             for c in range(n + 1)] for r in range(n + 1)]
-
-
-def _coefficient_gradients(tm: TildeMetric):
-    """The y-gradients of tm.coef, one n-tuple per entry: with
-    dK/dy_k = 8 df/dy_k and dK_i/dy_k = 2i g[i,k],
-    d coef[r][c] / dy_k = (dK/dy_k / K) coef[r][c]
-                          + K d(conj(u_r) u_c - g[r,c]) / dy_k."""
-    n, jet, kval = tm.n, tm.jet, tm.norm_value
-    zero = Complex(Fraction(0))
-    u = (Complex(Fraction(1)),) + tm.k_log
-    du = [(zero,) * n] + [tuple(Complex(Fraction(0), 2 * jet.g[i, k])
-                                for k in range(n)) for i in range(n)]
-    dlog_k = [8 * v / kval for v in jet.grad]
-    return [[tuple(
-        dlog_k[k] * tm.coef[r][c]
-        + kval * (du[r][k].conj() * u[c] + u[r].conj() * du[c][k]
-                  - (jet.dg[r - 1, c - 1, k] if r and c else 0))
-        for k in range(n)) for c in range(n + 1)] for r in range(n + 1)]
+    jet: MetricJet           # keeps the integer jet both scalings read
+    bordered: SymMatrix      # B = [[4F, 2a^T], [2a, H]], on ints
 
 
 def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     """Assemble the fibre-extended metric and its published inverse at (t, lam)."""
-    t = _as_complex_point(t)
+    t = tuple(map(Complex.of, t))
     lam = Complex.of(lam)
     if lam.is_zero():
         raise ZeroLambda("fibre coordinate must be nonzero")
@@ -226,8 +194,17 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     half = Fraction(1, 2)
     k_log = tuple(Complex(Fraction(0), -half * jet.grad[i] / jet.f)
                   for i in range(n))
-    coef = _entry_coefficients(jet, kval, k_log)
-    gt = _scaled(coef, _lam_powers(n + 1, 0), _lam_factors(lam))
+    # the printed entries: lam^-1 on the fibre row, lambar^-1 on the column
+    u = (Complex(Fraction(1)),) + k_log
+    g0 = [[0] * (n + 1)] + [[0] + row for row in jet.g.rows()]
+    lam_inv = u[0] / lam
+    power = {(False, False): lam_inv * lam_inv.conj(), (True, True): u[0],
+             (False, True): lam_inv, (True, False): lam_inv.conj()}
+    gt = [[kval * (u[r].conj() * u[c] - g0[r][c]) * power[r > 0, c > 0]
+           for c in range(n + 1)] for r in range(n + 1)]
+    ij = jet._ij
+    b = [[4 * ij.point.F] + [2 * v for v in ij.a]] + [
+        [2 * v] + row for v, row in zip(ij.a, ij.point.H.rows())]
 
     ginv = jet.ginv
     lam_bar = lam.conj()
@@ -246,9 +223,10 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
         inv[i + 1][0] = stated
         inv[0][i + 1] = stated.conj()
 
-    return TildeMetric(n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log,
-                       coef=coef, gtilde=gt,
-                       gtilde_inv_stated=inv, jet=jet)
+    return TildeMetric(
+        n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log, gtilde=gt,
+        gtilde_inv_stated=inv, jet=jet,
+        bordered=SymMatrix(n + 1, [b[i][k] for i, k in _layout(n + 1).pairs]))
 
 
 @dataclass(frozen=True)
@@ -260,10 +238,8 @@ class TildeInverseResult:
 def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
     """Exact product gtilde * stated inverse against the identity matrix."""
     product = mat_mul(tm.gtilde, tm.gtilde_inv_stated)
-    ident = identity_rows(tm.n + 1)
-    passed = all(product[i][j] == ident[i][j]
-                 for i in range(tm.n + 1) for j in range(tm.n + 1))
-    return TildeInverseResult(passed=passed, product=product)
+    return TildeInverseResult(passed=product == identity_rows(tm.n + 1),
+                              product=product)
 
 
 # --- connection coefficients -------------------------------------------------
@@ -302,34 +278,38 @@ def _gamma_printed(tm: TildeMetric, base):
     return gamma
 
 
-def _direct_gamma(tm: TildeMetric, grad, shift, factors):
-    """Gamma[a][b][c] = sum_d conj(h^{-1})[a][d] * D_b h[c][d] for one scaling
-    h of the fibre metric: shift 0 is the printed one, shift 1 the potential
-    one (module docstring), with `grad` the y-gradients of tm.coef.
-    D_0 = d/dlam gives (a/lam) h for an entry of power lam^a;
-    D_{k+1} = d/dt_k = -(i/2) d/dy_k acts on the coefficient."""
-    n = tm.n
-    size = n + 1
-    coef = tm.coef
-    if shift:
-        coef, grad = list(zip(*coef)), list(zip(*grad))
-    powers = _lam_powers(size, shift)
-    lam_inv = factors[-1, 0]
-    minus_half_i = Complex(Fraction(0), Fraction(-1, 2))
-    h = _scaled(coef, powers, factors)
-    dh = [[[None] * size for _ in range(size)] for _ in range(size)]
-    for c in range(size):
-        for d in range(size):
-            a = powers[c][d][0]
-            dh[0][c][d] = a * lam_inv * h[c][d]
-            dt = minus_half_i * factors[powers[c][d]]
-            for k in range(n):
-                dh[k + 1][c][d] = grad[c][d][k] * dt
-    hbar = [[z.conj() for z in row] for row in invert_rows(h)]
-    zero = Complex(Fraction(0))
-    return [[[sum((hbar[a][d] * dh[b][c][d] for d in range(size)), start=zero)
-              for c in range(size)] for b in range(size)]
-            for a in range(size)]
+def _direct_gammas(tm: TildeMetric):
+    """(printed, potential): the direct symbols of both scalings of the
+    fibre metric, from the one real array Q (module docstring), R = Q / 2."""
+    n, lam, ij = tm.n, tm.lam, tm.jet._ij
+    l, a, h, t = ij.point.l, ij.a, ij.point.H.rows(), ij.t._data
+    lay = _layout(n)
+    delta, adj = det_adjugate(tm.bordered.rows())
+    zero, lam_inv = Complex(Fraction(0)), Complex(Fraction(1)) / lam
+    lpow = ((l, l * l), (1, l))     # l^(1 - [x>0] + [c>0]), at [x>0][c>0]
+    printed, potential = ([[[zero] * (n + 1) for _ in range(n + 1)]
+                           for _ in range(n + 1)] for _ in range(2))
+    printed[0][0][0] = -lam_inv
+    for x in range(1, n + 1):
+        potential[x][0][x] = lam_inv
+    for q in range(n):
+        d_b = [[4 * a[q]] + [2 * v for v in h[q]]] + [      # symmetric
+            [2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
+            for d in range(n)]
+        for x, adj_row in enumerate(adj):
+            pr, po = printed[x][q + 1], potential[x][q + 1]
+            for c, col in enumerate(d_b):
+                r = Fraction(lpow[x > 0][c > 0] * sum(map(mul, adj_row, col)),
+                             2 * delta)
+                if (x > 0) == (c > 0):              # -(i/2) Q in both
+                    pr[c] = po[c] = Complex(Fraction(0), -r)
+                elif x == 0:                        # +-(lam/2) Q
+                    pr[c] = Complex(lam.re * r, lam.im * r)
+                    po[c] = -pr[c]
+                else:                               # -+(1/(2 lam)) Q
+                    po[c] = Complex(lam_inv.re * r, lam_inv.im * r)
+                    pr[c] = -po[c]
+    return printed, potential
 
 
 _GROUPS = ("base", "mixed", "fibre-upper", "zeros")
@@ -348,22 +328,19 @@ class TildeChristoffelResult:
 def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     """Compare the published connection formulas against direct differentiation.
 
-    Both entry scalings are differentiated exactly (see module docstring);
-    the check passes when every published formula group is reproduced
-    bit-exactly by at least one scaling and the potential scaling confirms
-    the published vanishing entries and the mixed lambda^{-1} delta formula.
+    Both entry scalings are differentiated exactly, on the integer bordered
+    Hessian B (see module docstring); the check passes when every published
+    formula group is reproduced bit-exactly by at least one scaling and the
+    potential scaling confirms the published vanishing entries and the
+    mixed lambda^{-1} delta formula.
     """
     n = tm.n
     base = tm.jet.christoffels()
     printed = _gamma_printed(tm, base)
-    factors = _lam_factors(tm.lam)
-    grad = _coefficient_gradients(tm)
+    direct = dict(zip(("printed", "potential"), _direct_gammas(tm)))
     matches = {}
     symmetric = {}
-    direct = {}
-    for scaling, shift in (("printed", 0), ("potential", 1)):
-        gamma = _direct_gamma(tm, grad, shift, factors)
-        direct[scaling] = gamma
+    for scaling, gamma in direct.items():
         ok = {
             "base": all(gamma[i + 1][j + 1][k + 1]
                         == printed[i + 1][j + 1][k + 1]
@@ -385,13 +362,15 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
 
     lam, k_log = tm.lam, tm.k_log
     relation = {"corrected": True, "as-printed": True}
+    # lam times the printed mixed symbols, in both lower-index orders
+    mixed = [[lam * v[0] for v in plane[1:]] for plane in printed[1:]]
+    fibre = [[lam * v for v in plane[0][1:]] for plane in printed[1:]]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lead = printed[i + 1][j + 1][k + 1] \
-                    - lam * printed[i + 1][j + 1][0] * k_log[k]
-                corrected = lead - lam * printed[i + 1][0][k + 1] * k_log[j]
-                literal = lead - lam * printed[i + 1][0][k + 1] * k_log[i]
+                lead = printed[i + 1][j + 1][k + 1] - mixed[i][j] * k_log[k]
+                corrected = lead - fibre[i][k] * k_log[j]
+                literal = lead - fibre[i][k] * k_log[i]
                 if corrected != base[i][j][k]:
                     relation["corrected"] = False
                 if literal != base[i][j][k]:

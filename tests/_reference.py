@@ -25,15 +25,22 @@ curvature sides in binary64 from f, grad f and Hess f rounded once, a
 numeric oracle that shares no arithmetic with the exact kernel;
 `float_oracle_errors` measures its residual and its distance from the exact
 sides.
+
+`reference_direct_gammas` differentiates both scalings of the fibre
+metric the way the package did before it read them from the integer
+bordered Hessian: the y-gradients of the `Complex` coefficient table, the
+lambda-power tables, a `Complex` `invert_rows` of each scaled matrix and the
+(n+1)^4 sum, all over `Fraction`s.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from kahlercone import (CurvTensor, Membership, MetricJet, SamplingExhausted,
-                        Sym3Tensor, SymMatrix, cone_contains, contract,
-                        curvature_lhs, curvature_rhs, invert)
+from kahlercone import (Complex, CurvTensor, Membership, MetricJet,
+                        SamplingExhausted, Sym3Tensor, SymMatrix,
+                        cone_contains, contract, curvature_lhs, curvature_rhs,
+                        invert)
 from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import invert_rows
 
@@ -348,3 +355,84 @@ def float_oracle_errors(form, y):
                                             (rhs, curvature_rhs(form, exact)))
                    for a, b in zip(side.entries(), exact_side.entries()))
     return (lhs - rhs).max_abs() / scale, distance / scale
+
+
+def _lam_factors(lam):
+    """{(a, b): lam^a lambar^b} for a, b in -1, 0, 1."""
+    one = Complex(Fraction(1))
+    power = {-1: one / lam, 0: one, 1: lam}
+    return {(a, b): power[a] * power[b].conj() for a in power for b in power}
+
+
+def _lam_powers(size, shift):
+    """The printed lambda-power table (a, b) raised by (shift, shift)."""
+    return [[(shift - (r == 0), shift - (c == 0)) for c in range(size)]
+            for r in range(size)]
+
+
+def _entry_coefficients(tm):
+    """The coefficient table coef[r][c] = K (conj(u_r) u_c - g[r,c]) with
+    u = (1, K_1, ..., K_n): gtilde without its lambda powers."""
+    n, kval = tm.n, tm.norm_value
+    u = (Complex(Fraction(1)),) + tm.k_log
+    return [[kval * (u[r].conj() * u[c]
+                     - (tm.jet.g[r - 1, c - 1] if r and c else 0))
+             for c in range(n + 1)] for r in range(n + 1)]
+
+
+def _coefficient_gradients(tm, coef):
+    """The y-gradients of coef, one n-tuple per entry: with
+    dK/dy_k = 8 df/dy_k and dK_i/dy_k = 2i g[i,k],
+    d coef[r][c] / dy_k = (dK/dy_k / K) coef[r][c]
+                          + K d(conj(u_r) u_c - g[r,c]) / dy_k."""
+    n, jet, kval = tm.n, tm.jet, tm.norm_value
+    zero = Complex(Fraction(0))
+    u = (Complex(Fraction(1)),) + tm.k_log
+    du = [(zero,) * n] + [tuple(Complex(Fraction(0), 2 * jet.g[i, k])
+                                for k in range(n)) for i in range(n)]
+    dlog_k = [8 * v / kval for v in jet.grad]
+    return [[tuple(
+        dlog_k[k] * coef[r][c]
+        + kval * (du[r][k].conj() * u[c] + u[r].conj() * du[c][k]
+                  - (jet.dg[r - 1, c - 1, k] if r and c else 0))
+        for k in range(n)) for c in range(n + 1)] for r in range(n + 1)]
+
+
+def _direct_gamma(tm, coef, grad, shift, factors):
+    """Gamma[a][b][c] = sum_d conj(h^{-1})[a][d] * D_b h[c][d] for one scaling
+    h of the fibre metric: shift 0 is the printed one, shift 1 the potential
+    one (the transposed table with every lambda power raised by (1, 1)).
+    D_0 = d/dlam gives (a/lam) h for an entry of power lam^a;
+    D_{k+1} = d/dt_k = -(i/2) d/dy_k acts on the coefficient."""
+    n = tm.n
+    size = n + 1
+    if shift:
+        coef, grad = list(zip(*coef)), list(zip(*grad))
+    powers = _lam_powers(size, shift)
+    lam_inv = factors[-1, 0]
+    minus_half_i = Complex(Fraction(0), Fraction(-1, 2))
+    h = [[coef[r][c] * factors[p] for c, p in enumerate(row)]
+         for r, row in enumerate(powers)]
+    dh = [[[None] * size for _ in range(size)] for _ in range(size)]
+    for c in range(size):
+        for d in range(size):
+            a = powers[c][d][0]
+            dh[0][c][d] = a * lam_inv * h[c][d]
+            dt = minus_half_i * factors[powers[c][d]]
+            for k in range(n):
+                dh[k + 1][c][d] = grad[c][d][k] * dt
+    hbar = [[z.conj() for z in row] for row in invert_rows(h)]
+    zero = Complex(Fraction(0))
+    return [[[sum((hbar[a][d] * dh[b][c][d] for d in range(size)), start=zero)
+              for c in range(size)] for b in range(size)]
+            for a in range(size)]
+
+
+def reference_direct_gammas(tm):
+    """{scaling: (n+1)^3 array} of the direct Christoffel symbols of both
+    scalings of the fibre metric `tm`, over `Complex` `Fraction`s."""
+    factors = _lam_factors(tm.lam)
+    coef = _entry_coefficients(tm)
+    grad = _coefficient_gradients(tm, coef)
+    return {scaling: _direct_gamma(tm, coef, grad, shift, factors)
+            for scaling, shift in (("printed", 0), ("potential", 1))}

@@ -1,0 +1,139 @@
+"""The fibre-metric Christoffel check and the base Christoffel symbols on
+the integer jet: both direct arrays against the `Complex` oracle
+`_reference.reference_direct_gammas`, the inertia of the bordered Hessian B
+against that of gtilde, the work one check does, the integer Christoffel
+symbols against `raise_index` on the `Fraction` jet, the one-sided
+curvature tensors, and the sampler's stop once the grid runs out."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import kahlercone.cubic
+import kahlercone.geometry
+import kahlercone.linalg
+import kahlercone.special
+from kahlercone import (Complex, SamplingExhausted,
+                        build_tilde_metric, christoffels, cone_sample,
+                        curvature_lhs, curvature_report, curvature_rhs,
+                        hermitian_inertia, inertia, parse_text,
+                        tilde_christoffel_check)
+from kahlercone.geometry import _integer_jet
+from kahlercone.linalg import raise_index
+
+from _reference import reference_cone_sample, reference_direct_gammas
+from _util import counting, random_cubic, random_fraction
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _interior_point(seed, n):
+    """(form, y) for a random cubic in n variables, or None when its cone
+    yields no sample within a small budget."""
+    rng = random.Random(seed)
+    form = random_cubic(rng, n, num_bound=5, den_bound=6)
+    try:
+        (y,) = cone_sample(form, 1, seed=seed, budget=500)
+    except SamplingExhausted:
+        return None
+    return form, y
+
+
+def _tilde_metric(seed, n):
+    """A fibre metric at a non-real lambda and a nonzero Re t."""
+    found = _interior_point(seed, n)
+    assume(found is not None)
+    form, y = found
+    rng = random.Random(seed + 1)
+    lam = Complex(random_fraction(rng, nonzero=True),
+                  random_fraction(rng, nonzero=True))
+    x = [random_fraction(rng, nonzero=True) for _ in y]
+    return build_tilde_metric(form, [Complex(a, b) for a, b in zip(x, y)],
+                              lam)
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_direct_christoffels_match_complex_oracle(seed, n):
+    tm = _tilde_metric(seed, n)
+    assert tilde_christoffel_check(tm).direct == reference_direct_gammas(tm)
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_bordered_hessian_has_the_inertia_of_gtilde(seed, n):
+    tm = _tilde_metric(seed, n)
+    assert inertia(tm.bordered) == hermitian_inertia(tm.gtilde) == (1, n, 0)
+
+
+def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
+    tm = build_tilde_metric(parse_text("y1*y2*y3 + y4^3", 4),
+                            [Complex(F(1), F(2)), Complex(F(0), F(2)),
+                             Complex(F(-1, 2), F(2)), Complex(F(0), F(-1))],
+                            Complex(F(2), F(1, 3)))
+    calls = {"invert_rows": 0}
+    # invert and every Complex inverse go through linalg.invert_rows
+    monkeypatch.setattr(kahlercone.linalg, "invert_rows", counting(
+        calls, "invert_rows", kahlercone.linalg.invert_rows))
+    adjugated = []
+
+    def det_adjugate(rows):
+        adjugated.append(rows)
+        return kahlercone.linalg.det_adjugate(rows)
+
+    monkeypatch.setattr(kahlercone.special, "det_adjugate", det_adjugate)
+    assert tilde_christoffel_check(tm).passed
+    assert calls["invert_rows"] == 0
+    assert adjugated == [tm.bordered.rows()]
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.integers(1, 5))
+def test_integer_christoffels_match_fraction_raise_index(seed, n):
+    found = _interior_point(seed, n)
+    assume(found is not None)
+    form, y = found
+    jet = _integer_jet(form, y).jet()
+    want = [[[Complex(F(0), -v / 2) for v in row] for row in u.rows()]
+            for u in raise_index(jet.dg, jet.ginv)]
+    assert jet.christoffels() == want
+    assert christoffels(form, y) == want
+    assert curvature_report(form, y).christoffel == want
+
+
+def test_each_curvature_side_builds_only_itself(monkeypatch):
+    calls = dict.fromkeys(["contract", "jet"], 0)
+    monkeypatch.setattr(kahlercone.geometry, "contract", counting(
+        calls, "contract", kahlercone.geometry.contract))
+    monkeypatch.setattr(kahlercone.geometry._IntegerJet, "jet", counting(
+        calls, "jet", kahlercone.geometry._IntegerJet.jet))
+    form = parse_text("y1*y2*y3 + y4^3", 4)
+    y = [F(2), F(2), F(2), F(-1)]
+    rep = curvature_report(form, y)
+    assert calls == {"contract": 2, "jet": 0}
+    for side, want in ((curvature_lhs, rep.lhs), (curvature_rhs, rep.rhs)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert side(form, y) == want
+        assert calls == {"contract": 1, "jet": 0}
+
+
+def test_sampler_stops_when_the_grid_runs_out(monkeypatch):
+    # y1^3 has 166 distinct nonzero grid values, 83 of them positive
+    calls = {"attempts": 0}
+    monkeypatch.setattr(kahlercone.cubic, "_reduced", counting(
+        calls, "attempts", kahlercone.cubic._reduced))
+    form = parse_text("y1^3", 1)
+    with pytest.raises(SamplingExhausted, match="among 166 distinct "
+                       "candidates in 100000 attempts; that is all the grid"):
+        cone_sample(form, 200, seed=3)
+    assert 166 < calls["attempts"] < 100_000 // 20
+    # the draws before the stop are unchanged: all 83 interior values, in
+    # the order of the Fraction oracle's draws
+    points = cone_sample(form, 83, seed=3)
+    assert points == reference_cone_sample(form, 83, seed=3)
+    assert sorted(y for (y,) in points) == sorted(
+        F(p, q) for p in range(1, 17) for q in range(1, 9)
+        if F(p, q).denominator == q)
