@@ -19,8 +19,7 @@ from .geometry import (CurvatureReport, MetricJet, christoffels,
                        curvature_lhs, curvature_report, curvature_rhs,
                        kahler_metric, norm_function, sectional,
                        verify_identity)
-from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, contract,
-                     hermitian_inertia, inertia, invert)
+from .linalg import CurvTensor, Sym3Tensor, SymMatrix, contract, inertia
 from .report import PointResult, VerificationSummary
 from .scalars import Complex
 from .special import (AffineCheckResult, TildeChristoffelResult,
@@ -36,8 +35,7 @@ __all__ = [
     "MetricJet", "CurvatureReport", "kahler_metric", "curvature_lhs",
     "curvature_rhs", "curvature_report", "christoffels", "sectional",
     "verify_identity", "norm_function",
-    "SymMatrix", "Sym3Tensor", "CurvTensor", "inertia", "hermitian_inertia",
-    "invert", "contract", "Complex",
+    "SymMatrix", "Sym3Tensor", "CurvTensor", "inertia", "contract", "Complex",
     "AffineCheckResult", "TildeMetric", "TildeInverseResult",
     "TildeChristoffelResult", "affine_curvature_check", "affine_metric",
     "affine_tau", "build_tilde_metric", "tilde_inverse_check",

@@ -34,7 +34,7 @@ import sys
 from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
                     norm_identity_check, parse_text)
 from .errors import KahlerConeError, ParseError
-from .geometry import (CONVENTIONS, MODES, curvature_report, kahler_metric,
+from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
 from .linalg import CurvTensor, Sym3Tensor, SymMatrix, inertia
 from .report import SCHEMA_VERSION, render_json, render_text
@@ -200,11 +200,12 @@ def _cone_sample_point(args, form, y):
 
 
 def _metric_point(args, form, y):
-    jet = kahler_metric(form, y)
+    ij = _integer_jet(form, y)
     doc = functools.partial(_doc, mode=args.mode)
-    entry = {"y": doc(y), "g": doc(jet.g), "gInv": doc(jet.ginv)}
+    entry = {"y": doc(y), "g": doc(ij.g), "gInv": doc(ij.ginv)}
     if args.mode == "exact":
-        entry["inertia"] = list(inertia(jet.g))
+        # M = 4 F^2 g / l^2, a positive multiple of g: the same inertia
+        entry["inertia"] = list(inertia(ij.M))
     return entry, f"y={entry['y']}: g={entry['g']}", None
 
 

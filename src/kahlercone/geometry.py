@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -93,25 +93,17 @@ MODES = ("exact", "float")
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric with its first and second y-derivatives and inverse at a point.
+    """Metric with its first and second y-derivatives and inverse at a point:
+    the `Fraction` rendering of the integer jet, one division per entry.
 
-    `kahler_metric` decides membership and builds the jet once per point,
-    as the rendering of the integer jet it keeps; the Christoffel symbols
-    and the fibre-metric checks read everything they need from it.
+    `kahler_metric` is its one builder; every check reads the integers of
+    `_IntegerJet` instead.
     """
     g: SymMatrix
     dg: Sym3Tensor        # dg[i,j,k] = d g[i,j] / d y_k, fully symmetric
     d2g: CurvTensor       # d2g[i,j,k,l] = d^2 g[i,j] / d y_k d y_l, fully
                           # symmetric; packed with the pair symmetries
     ginv: SymMatrix
-    f: object             # f(y)
-    grad: list            # grad f(y)
-    hess: SymMatrix       # Hess f(y)
-    _ij: object = field(default=None, repr=False, compare=False)
-
-    def christoffels(self):
-        """The Christoffel symbols of `_IntegerJet.christoffels`."""
-        return self._ij.christoffels()
 
 
 def norm_function(form: CubicForm, y):
@@ -144,16 +136,24 @@ class _IntegerJet(NamedTuple):
     Dg: Sym3Tensor
     E: CurvTensor
 
+    @property
+    def g(self) -> SymMatrix:
+        """g = l^2 M / (4 F^2)."""
+        l, F = self.point.l, self.point.F
+        return self.M.scale(Fraction(l * l, 4 * F * F))
+
+    @property
+    def ginv(self) -> SymMatrix:
+        """ginv = 4 F^2 A / (l^2 Delta)."""
+        l, F = self.point.l, self.point.F
+        return self.adj.scale(Fraction(4 * F * F, l * l * self.delta))
+
     def jet(self) -> MetricJet:
         """The Fraction jet at y, one division per entry."""
-        s, l, F = self.point.s, self.point.l, self.point.F
-        return MetricJet(
-            g=self.M.scale(Fraction(l * l, 4 * F * F)),
-            dg=self.Dg.scale(Fraction(l**3, 4 * F**3)),
-            d2g=self.E.scale(Fraction(l**4, 4 * F**4)),
-            ginv=self.adj.scale(Fraction(4 * F * F, l * l * self.delta)),
-            f=self.point.f, grad=[Fraction(v, s * l * l) for v in self.a],
-            hess=self.point.H.scale(Fraction(1, s * l)), _ij=self)
+        l, F = self.point.l, self.point.F
+        return MetricJet(g=self.g, dg=self.Dg.scale(Fraction(l**3, 4 * F**3)),
+                         d2g=self.E.scale(Fraction(l**4, 4 * F**4)),
+                         ginv=self.ginv)
 
     def christoffels(self):
         """gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j], purely
@@ -264,7 +264,7 @@ def sectional(form: CubicForm, y, v):
     if all(z.is_zero() for z in vv):
         raise ZeroVector("sectional curvature needs a nonzero direction")
     ij = _integer_jet(form, y)
-    r, g = ij.lhs("standard").scale(ij.side_scale), ij.jet().g
+    r, g = ij.lhs("standard").scale(ij.side_scale), ij.g
     w = [(z, z.conj()) for z in vv]
     pairs = list(itertools.product(range(form.n), repeat=2))
     zero = Complex(Fraction(0))

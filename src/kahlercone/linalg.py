@@ -9,12 +9,12 @@ kernels instead read the slot tables `_layout(n)` builds once per dimension
 from `_pair_index` and `_triple_index`, the one definition of the packing,
 and loop over the flat `_data` lists. Dimensions stay small here (n of
 order a few), so cubic-time elimination is not a concern; the cost is in
-the scalars. Inversion and contraction work verbatim over Fractions, floats
-and `Complex` values.
+the scalars. Contraction works verbatim over any scalars.
 `inertia` and `det_adjugate` are exact only: they eliminate fraction-free on
 Python ints, each of whose operations costs a small fraction of a
 `Fraction` one (`inertia` clears the denominators of its rational input
-first), and they reject floats.
+first), and they reject floats. `det_adjugate` is the package's one
+inverse: every caller divides adj M by det M itself, once per entry.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import Complex, is_exact_scalar
+from .scalars import is_exact_scalar
 
 __all__ = [
     "SymMatrix",
@@ -35,14 +35,10 @@ __all__ = [
     "CurvTensor",
     "inertia",
     "det_adjugate",
-    "hermitian_inertia",
-    "invert",
-    "invert_rows",
     "contract",
     "raise_index",
     "identity_rows",
     "mat_mul",
-    "mat_vec",
 ]
 
 
@@ -109,10 +105,6 @@ class SymMatrix:
     @classmethod
     def zeros(cls, n):
         return cls(n, [Fraction(0)] * (n * (n + 1) // 2))
-
-    @classmethod
-    def identity(cls, n):
-        return cls.build(n, lambda i, j: Fraction(int(i == j)))
 
     @classmethod
     def from_rows(cls, rows):
@@ -367,84 +359,8 @@ def _sym_swap(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def hermitian_inertia(rows):
-    """Inertia of an exact hermitian matrix via its real symmetric embedding.
-
-    H = A + iB embeds as [[A, -B], [B, A]], which doubles each eigenvalue;
-    the doubled counts are halved back.
-    """
-    n = len(rows)
-    emb = SymMatrix.zeros(2 * n)
-    for i in range(n):
-        for j in range(n):
-            z = Complex.of(rows[i][j])
-            zt = Complex.of(rows[j][i])
-            if z.re != zt.re or z.im != -zt.im:
-                raise ValueError("matrix is not hermitian")
-            if j >= i:
-                emb[i, j] = z.re
-                emb[n + i, n + j] = z.re
-            emb[i, n + j] = -z.im
-    p, m, z = inertia(emb)
-    if p % 2 or m % 2 or z % 2:
-        raise ValueError("embedding produced odd multiplicities")
-    return p // 2, m // 2, z // 2
-
-
-def _pivot_size(x):
-    if isinstance(x, Complex):
-        return x.abs2()
-    return abs(x)
-
-
 def identity_rows(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def invert_rows(rows):
-    """Inverse of a square matrix given as rows; Gauss-Jordan with pivoting.
-
-    Works over any field scalar (Fraction, float, Complex). Exact inputs give
-    the exact inverse: int entries, and int parts of Complex entries, are
-    lifted to Fraction first. Each row of the inverse, begun as the Fraction
-    identity, is divided by a pivot once and so takes the pivot's scalar
-    type. Raises SingularMatrix on a zero pivot column.
-    """
-    n = len(rows)
-    a = [[_lift_int(v) for v in r] for r in rows]
-    for r in a:
-        if len(r) != n:
-            raise DimensionMismatch("matrix is not square")
-    inv = identity_rows(n)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
-        if _pivot_size(a[piv][col]) == 0:
-            raise SingularMatrix(f"zero pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        inv[col] = [v / d for v in inv[col]]
-        for r in range(n):
-            if r != col and _pivot_size(a[r][col]) != 0:
-                c = a[r][col]
-                a[r] = [v - c * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - c * w for v, w in zip(inv[r], inv[col])]
-    return inv
-
-
-def _lift_int(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Complex):
-        return Complex(_lift_int(x.re), _lift_int(x.im))
-    return x
-
-
-def invert(m: SymMatrix) -> SymMatrix:
-    """Inverse of a symmetric matrix, returned symmetric."""
-    inv = invert_rows(m.rows())
-    return SymMatrix(m.n, [inv[i][j] for i, j in _layout(m.n).pairs])
 
 
 def mat_mul(a, b):
@@ -452,10 +368,6 @@ def mat_mul(a, b):
     inner = len(b)
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m)]
             for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def _raised(s: Sym3Tensor, minv: SymMatrix):

@@ -10,8 +10,10 @@ normative identity checked here is convention-free:
 
 The literature normalization (metric -4 Hess f contracted instead) differs
 from this by the constant kappa = -4, which the check recomputes per entry
-and asserts globally constant. Hess f is evaluated and inverted once; the
-inverse of -4 Hess f is that inverse times -1/4.
+and asserts globally constant. Hess f = H / (s l) is read from the cleared
+point (`cubic.Cleared`) and inverted once, by `det_adjugate` of the integer
+H: (Hess f)^{-1} = s l adj H / det H. The inverse of -4 Hess f is that
+inverse times -1/4.
 
 Fibre extension. `build_tilde_metric` assembles the (n+1) x (n+1) hermitian
 matrix from the published closed-form entries with K = 8 f(Im t) and
@@ -66,11 +68,13 @@ x = c > 0 under the potential one, and 0 elsewhere. One `det_adjugate` of B
 serves both, and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 
 The published formulas stay an independent side, assembled from the printed
-entries and the base Christoffel symbols, never from B. The check compares
-each formula group under each scaling and passes when every group is
-reproduced by at least one, reporting the full match table. The ambiguous
-recovery relation for the base symbols is evaluated under both of its index
-readings and the verdicts reported.
+entries and the base Christoffel symbols, never from B. Every quantity they
+read comes from the same integer jet (`geometry._IntegerJet`), one division
+per entry: K = 8 F / (s l^3), K_i = -i l a_i / (2F), Hess f = H / (s l),
+g and ginv. The check compares each formula group under each scaling and
+passes when every group is reproduced by at least one, reporting the full
+match table. The ambiguous recovery relation for the base symbols is
+evaluated under both of its index readings and the verdicts reported.
 """
 
 from __future__ import annotations
@@ -80,11 +84,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cubic import CubicForm
+from .cubic import CubicForm, _cleared
 from .errors import SingularHessian, SingularMatrix, ZeroLambda
-from .geometry import MetricJet, kahler_metric
+from .geometry import _IntegerJet, _integer_jet
 from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
-                     identity_rows, invert, mat_mul)
+                     identity_rows, mat_mul)
 from .scalars import Complex, format_point
 
 __all__ = [
@@ -134,12 +138,16 @@ class AffineCheckResult:
 
 def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     """Verify the affine curvature identity at a point with invertible Hessian."""
-    y = tuple(Fraction(v) for v in y)
+    y = tuple(map(Fraction, y))
+    form._check_len(y)
+    point = _cleared(form, [(v.numerator, v.denominator) for v in y])
     try:
-        hinv = invert(form.hessian(y))
+        det, adj = det_adjugate(point.H.rows())
     except SingularMatrix as exc:
         raise SingularHessian(f"Hess f is singular at {format_point(y)}") \
             from exc
+    c = Fraction(point.s * point.l, det)    # (Hess f)^-1 = s l adj H / det H
+    hinv = SymMatrix(form.n, [c * adj[i][k] for i, k in _layout(form.n).pairs])
     f3 = form.third_tensor
     ainv = hinv.scale(Fraction(-1, 4))      # inverse of -4 Hess f, exactly
     # second derivatives of the linear metric vanish: lhs = -1/4 * contraction
@@ -177,7 +185,7 @@ class TildeMetric:
     k_log: tuple             # K_i = d/dt_i log K, purely imaginary
     gtilde: list             # the printed entries (module docstring)
     gtilde_inv_stated: list  # published inverse entries, placement calibrated
-    jet: MetricJet           # keeps the integer jet both scalings read
+    ij: _IntegerJet          # the integer jet every entry is read from
     bordered: SymMatrix      # B = [[4F, 2a^T], [2a, H]], on ints
 
 
@@ -188,25 +196,22 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     if lam.is_zero():
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
-    jet = kahler_metric(form, y)      # NotInCone unless Im t is interior
-    n = form.n
-    kval = 8 * jet.f
-    half = Fraction(1, 2)
-    k_log = tuple(Complex(Fraction(0), -half * jet.grad[i] / jet.f)
-                  for i in range(n))
+    ij = _integer_jet(form, y)        # NotInCone unless Im t is interior
+    n, l, F = form.n, ij.point.l, ij.point.F
+    kval = Fraction(8 * F, ij.point.s * l**3)
+    k_log = tuple(Complex(Fraction(0), Fraction(-l * v, 2 * F)) for v in ij.a)
     # the printed entries: lam^-1 on the fibre row, lambar^-1 on the column
     u = (Complex(Fraction(1)),) + k_log
-    g0 = [[0] * (n + 1)] + [[0] + row for row in jet.g.rows()]
+    g0 = [[0] * (n + 1)] + [[0] + row for row in ij.g.rows()]
     lam_inv = u[0] / lam
     power = {(False, False): lam_inv * lam_inv.conj(), (True, True): u[0],
              (False, True): lam_inv, (True, False): lam_inv.conj()}
     gt = [[kval * (u[r].conj() * u[c] - g0[r][c]) * power[r > 0, c > 0]
            for c in range(n + 1)] for r in range(n + 1)]
-    ij = jet._ij
-    b = [[4 * ij.point.F] + [2 * v for v in ij.a]] + [
+    b = [[4 * F] + [2 * v for v in ij.a]] + [
         [2 * v] + row for v, row in zip(ij.a, ij.point.H.rows())]
 
-    ginv = jet.ginv
+    ginv = ij.ginv
     lam_bar = lam.conj()
     inv = [[None] * (n + 1) for _ in range(n + 1)]
     cross = sum((k_log[i] * k_log[j].conj() * ginv[j, i]
@@ -225,7 +230,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
 
     return TildeMetric(
         n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log, gtilde=gt,
-        gtilde_inv_stated=inv, jet=jet,
+        gtilde_inv_stated=inv, ij=ij,
         bordered=SymMatrix(n + 1, [b[i][k] for i, k in _layout(n + 1).pairs]))
 
 
@@ -249,9 +254,9 @@ def _gamma_printed(tm: TildeMetric, base):
     from the base Christoffel symbols `base`.
 
     Index 0 is the fibre direction; entries are symmetric in the lower pair.
-    The second mixed derivative of K reduces to -2 Hess f.
+    The second mixed derivative of K reduces to -2 Hess f = -2 H / (s l).
     """
-    n, lam, k_log, jet = tm.n, tm.lam, tm.k_log, tm.jet
+    n, lam, k_log, point = tm.n, tm.lam, tm.k_log, tm.ij.point
     zero = Complex(Fraction(0))
     kval = tm.norm_value
     lam_inv = Complex(Fraction(1)) / lam
@@ -271,7 +276,7 @@ def _gamma_printed(tm: TildeMetric, base):
         for j in range(n):
             acc = sum((base[k][i][j] * k_log[k] for k in range(n)),
                       start=zero)
-            ddk = Fraction(-2) * jet.hess[i, j]
+            ddk = Fraction(-2 * point.H[i, j], point.s * point.l)
             v = lam * acc + 2 * lam * k_log[i] * k_log[j] \
                 - lam * Complex(ddk) / kval
             gamma[0][i + 1][j + 1] = v
@@ -281,7 +286,7 @@ def _gamma_printed(tm: TildeMetric, base):
 def _direct_gammas(tm: TildeMetric):
     """(printed, potential): the direct symbols of both scalings of the
     fibre metric, from the one real array Q (module docstring), R = Q / 2."""
-    n, lam, ij = tm.n, tm.lam, tm.jet._ij
+    n, lam, ij = tm.n, tm.lam, tm.ij
     l, a, h, t = ij.point.l, ij.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
     delta, adj = det_adjugate(tm.bordered.rows())
@@ -335,7 +340,7 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     mixed lambda^{-1} delta formula.
     """
     n = tm.n
-    base = tm.jet.christoffels()
+    base = tm.ij.christoffels()
     printed = _gamma_printed(tm, base)
     direct = dict(zip(("printed", "potential"), _direct_gammas(tm)))
     matches = {}

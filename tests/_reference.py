@@ -3,7 +3,12 @@
 `reference_inertia` is symmetric Gaussian elimination over the rationals
 with the same 1x1/2x2 pivot rule as `linalg.inertia`: each step replaces
 the trailing block by its Schur complement, a congruence, so the signs of
-the pivot blocks give the inertia. `reference_membership` decides index-cone
+the pivot blocks give the inertia. `hermitian_inertia` reads the inertia of
+a `Complex` hermitian matrix from its real symmetric embedding.
+`invert_rows` is Gauss-Jordan elimination over any field (`Fraction`,
+float or `Complex` entries), and `invert` its symmetric form: the
+package's one inverse is the fraction-free `linalg.det_adjugate`, and these
+are its independent oracles. `reference_membership` decides index-cone
 membership from the `Fraction` value of f and the inertia of Hess f.
 `reference_cone_sample` draws the sampler's candidates as `Fraction`s and
 keeps those `reference_membership` calls interior.
@@ -30,19 +35,21 @@ sides.
 metric the way the package did before it read them from the integer
 bordered Hessian: the y-gradients of the `Complex` coefficient table, the
 lambda-power tables, a `Complex` `invert_rows` of each scaled matrix and the
-(n+1)^4 sum, all over `Fraction`s.
+(n+1)^4 sum, all over `Fraction`s. It reads f, grad f, g and dg from
+`poly_derivatives` and `reference_jet` at Im t, never from the package's
+integer jet; only lambda and Im t come from the `TildeMetric`.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from kahlercone import (Complex, CurvTensor, Membership, MetricJet,
-                        SamplingExhausted, Sym3Tensor, SymMatrix,
-                        cone_contains, contract, curvature_lhs, curvature_rhs,
-                        invert)
+from kahlercone import (Complex, CurvTensor, DimensionMismatch, Membership,
+                        SamplingExhausted, SingularMatrix, Sym3Tensor,
+                        SymMatrix, cone_contains, contract, curvature_lhs,
+                        curvature_rhs, inertia)
 from kahlercone.cubic import GRID_DEN, GRID_NUM
-from kahlercone.linalg import invert_rows
+from kahlercone.linalg import _layout, identity_rows
 
 
 def reference_inertia(rows):
@@ -99,6 +106,82 @@ def _sym_swap(a, i, j):
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
+
+
+def hermitian_inertia(rows):
+    """Inertia of an exact hermitian matrix via its real symmetric embedding.
+
+    H = A + iB embeds as [[A, -B], [B, A]], which doubles each eigenvalue;
+    the doubled counts are halved back.
+    """
+    n = len(rows)
+    emb = SymMatrix.zeros(2 * n)
+    for i in range(n):
+        for j in range(n):
+            z = Complex.of(rows[i][j])
+            zt = Complex.of(rows[j][i])
+            if z.re != zt.re or z.im != -zt.im:
+                raise ValueError("matrix is not hermitian")
+            if j >= i:
+                emb[i, j] = z.re
+                emb[n + i, n + j] = z.re
+            emb[i, n + j] = -z.im
+    p, m, z = inertia(emb)
+    if p % 2 or m % 2 or z % 2:
+        raise ValueError("embedding produced odd multiplicities")
+    return p // 2, m // 2, z // 2
+
+
+def _pivot_size(x):
+    if isinstance(x, Complex):
+        return x.abs2()
+    return abs(x)
+
+
+def _lift_int(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, Complex):
+        return Complex(_lift_int(x.re), _lift_int(x.im))
+    return x
+
+
+def invert_rows(rows):
+    """Inverse of a square matrix given as rows; Gauss-Jordan with pivoting.
+
+    Works over any field scalar (Fraction, float, Complex). Exact inputs give
+    the exact inverse: int entries, and int parts of Complex entries, are
+    lifted to Fraction first. Each row of the inverse, begun as the Fraction
+    identity, is divided by a pivot once and so takes the pivot's scalar
+    type. Raises SingularMatrix on a zero pivot column.
+    """
+    n = len(rows)
+    a = [[_lift_int(v) for v in r] for r in rows]
+    for r in a:
+        if len(r) != n:
+            raise DimensionMismatch("matrix is not square")
+    inv = identity_rows(n)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: _pivot_size(a[r][col]))
+        if _pivot_size(a[piv][col]) == 0:
+            raise SingularMatrix(f"zero pivot in column {col}")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        d = a[col][col]
+        a[col] = [v / d for v in a[col]]
+        inv[col] = [v / d for v in inv[col]]
+        for r in range(n):
+            if r != col and _pivot_size(a[r][col]) != 0:
+                c = a[r][col]
+                a[r] = [v - c * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - c * w for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
+def invert(m):
+    """Inverse of a symmetric matrix, returned symmetric."""
+    inv = invert_rows(m.rows())
+    return SymMatrix(m.n, [inv[i][j] for i, j in _layout(m.n).pairs])
 
 
 def reference_membership(form, y):
@@ -281,9 +364,9 @@ def fd_curvature_lhs(form, y, h):
 
 
 def float_jet(form, y):
-    """The metric jet at an interior point y over floats: the exact f,
-    grad f and Hess f from `poly_derivatives` rounded once to binary64, and
-    the closed forms evaluated in floats."""
+    """(f, g, dg, d2g, ginv) at an interior point y over floats: the exact
+    f, grad f and Hess f from `poly_derivatives` rounded once to binary64,
+    and the closed forms evaluated in floats."""
     exact = [Fraction(v) for v in y]
     if cone_contains(form, exact) is not Membership.INTERIOR:
         raise ValueError(f"{y} is not an interior point")
@@ -324,18 +407,17 @@ def float_jet(form, y):
     by_multiset = {idx: d2g_entry(*idx) for idx in
                    itertools.combinations_with_replacement(range(n), 4)}
     d2g = CurvTensor.build(n, lambda *idx: by_multiset[tuple(sorted(idx))])
-    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=invert(g), f=fval, grad=grad,
-                     hess=hess)
+    return fval, g, dg, d2g, invert(g)
 
 
 def float_sides(form, jet):
-    """Both sides of the identity (standard convention) from a float jet:
+    """Both sides of the identity (standard convention) from a `float_jet`:
     1/4 (d2g - contract(dg, ginv)) and
     g[i,j] g[k,l] + g[i,l] g[k,j] - contract(f3, ginv) / (64 f^2)."""
-    lhs = (jet.d2g - contract(jet.dg, jet.ginv)).scale(Fraction(1, 4))
-    scale = 1 / (64 * jet.f * jet.f)
-    g = jet.g
-    yukawa_part = contract(form.third_tensor, jet.ginv)
+    fval, g, dg, d2g, ginv = jet
+    lhs = (d2g - contract(dg, ginv)).scale(Fraction(1, 4))
+    scale = 1 / (64 * fval * fval)
+    yukawa_part = contract(form.third_tensor, ginv)
     rhs = CurvTensor.build(form.n, lambda i, j, k, l: (
         g[i, j] * g[k, l] + g[i, l] * g[k, j]
         - scale * yukawa_part[i, j, k, l]))
@@ -370,31 +452,28 @@ def _lam_powers(size, shift):
             for r in range(size)]
 
 
-def _entry_coefficients(tm):
+def _entry_coefficients(kval, u, g):
     """The coefficient table coef[r][c] = K (conj(u_r) u_c - g[r,c]) with
     u = (1, K_1, ..., K_n): gtilde without its lambda powers."""
-    n, kval = tm.n, tm.norm_value
-    u = (Complex(Fraction(1)),) + tm.k_log
-    return [[kval * (u[r].conj() * u[c]
-                     - (tm.jet.g[r - 1, c - 1] if r and c else 0))
-             for c in range(n + 1)] for r in range(n + 1)]
+    size = len(u)
+    return [[kval * (u[r].conj() * u[c] - (g[r - 1, c - 1] if r and c else 0))
+             for c in range(size)] for r in range(size)]
 
 
-def _coefficient_gradients(tm, coef):
+def _coefficient_gradients(kval, u, grad, g, dg, coef):
     """The y-gradients of coef, one n-tuple per entry: with
     dK/dy_k = 8 df/dy_k and dK_i/dy_k = 2i g[i,k],
     d coef[r][c] / dy_k = (dK/dy_k / K) coef[r][c]
                           + K d(conj(u_r) u_c - g[r,c]) / dy_k."""
-    n, jet, kval = tm.n, tm.jet, tm.norm_value
+    n = len(grad)
     zero = Complex(Fraction(0))
-    u = (Complex(Fraction(1)),) + tm.k_log
-    du = [(zero,) * n] + [tuple(Complex(Fraction(0), 2 * jet.g[i, k])
+    du = [(zero,) * n] + [tuple(Complex(Fraction(0), 2 * g[i, k])
                                 for k in range(n)) for i in range(n)]
-    dlog_k = [8 * v / kval for v in jet.grad]
+    dlog_k = [8 * v / kval for v in grad]
     return [[tuple(
         dlog_k[k] * coef[r][c]
         + kval * (du[r][k].conj() * u[c] + u[r].conj() * du[c][k]
-                  - (jet.dg[r - 1, c - 1, k] if r and c else 0))
+                  - (dg[r - 1, c - 1, k] if r and c else 0))
         for k in range(n)) for c in range(n + 1)] for r in range(n + 1)]
 
 
@@ -428,11 +507,18 @@ def _direct_gamma(tm, coef, grad, shift, factors):
             for a in range(size)]
 
 
-def reference_direct_gammas(tm):
+def reference_direct_gammas(form, tm):
     """{scaling: (n+1)^3 array} of the direct Christoffel symbols of both
-    scalings of the fibre metric `tm`, over `Complex` `Fraction`s."""
+    scalings of the fibre metric `tm` of `form`, over `Complex` `Fraction`s:
+    K = 8 f, K_i = -(i/2) grad f_i / f, g and dg at y = Im t from
+    `poly_derivatives` and `reference_jet`."""
+    f, grad, _ = poly_derivatives(form, tm.y)
+    _, g, dg, _, _ = reference_jet(form, tm.y)
+    kval = 8 * f
+    u = (Complex(Fraction(1)),) + tuple(Complex(Fraction(0), -v / (2 * f))
+                                        for v in grad)
+    coef = _entry_coefficients(kval, u, g)
+    grads = _coefficient_gradients(kval, u, grad, g, dg, coef)
     factors = _lam_factors(tm.lam)
-    coef = _entry_coefficients(tm)
-    grad = _coefficient_gradients(tm, coef)
-    return {scaling: _direct_gamma(tm, coef, grad, shift, factors)
+    return {scaling: _direct_gamma(tm, coef, grads, shift, factors)
             for scaling, shift in (("printed", 0), ("potential", 1))}

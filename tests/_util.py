@@ -30,6 +30,11 @@ def counting(calls, name, fn):
     return wrapper
 
 
+def mat_vec(a, v):
+    """The product of the matrix a, given as rows, with the vector v."""
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
 def random_fraction(rng, num_bound=6, den_bound=4, nonzero=False):
     while True:
         f = Fraction(rng.randint(-num_bound, num_bound),

@@ -11,16 +11,16 @@ import time
 from fractions import Fraction as F
 
 from kahlercone import (Complex, Membership, cone_contains, cone_sample,
-                        curvature_lhs, curvature_rhs, hermitian_inertia,
-                        inertia, kahler_metric, norm_identity_check,
-                        parse_text, tilde_christoffel_check,
-                        tilde_inverse_check, verify_identity,
-                        affine_curvature_check, build_tilde_metric)
-from kahlercone.linalg import invert_rows, mat_vec
+                        curvature_lhs, curvature_rhs, inertia, kahler_metric,
+                        norm_identity_check, parse_text,
+                        tilde_christoffel_check, tilde_inverse_check,
+                        verify_identity, affine_curvature_check,
+                        build_tilde_metric)
 
-from _reference import dense_sides, fd_curvature_lhs, float_oracle_errors
-from _util import (random_cubic, random_cubic_with_cone, random_fraction,
-                   random_invertible, run_cli, suite_forms)
+from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
+                        hermitian_inertia, invert_rows)
+from _util import (mat_vec, random_cubic, random_cubic_with_cone,
+                   random_fraction, random_invertible, run_cli, suite_forms)
 
 POINTS_PER_FORM = 25
 SEED = 20240811

@@ -9,10 +9,8 @@ import sympy
 from kahlercone import (CubicForm, Membership, NotHomogeneousCubic, NotInCone,
                         ParseError, SamplingExhausted, cone_contains,
                         cone_sample, norm_identity_check, parse_text)
-from kahlercone.linalg import mat_vec
-
 from _reference import gradient
-from _util import random_cubic, random_fraction, random_invertible
+from _util import mat_vec, random_cubic, random_fraction, random_invertible
 
 
 # ----------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import kahlercone.linalg
 from kahlercone import (SamplingExhausted, SingularMatrix, SingularMetric,
                         cone_sample, curvature_report, kahler_metric,
                         parse_text, verify_identity)
+from kahlercone.geometry import _integer_jet
 
 from _reference import dense_sides, reference_jet
 from _util import counting, random_cubic
@@ -34,7 +35,7 @@ def test_exact_jet_and_sides_match_fraction_oracles(seed, n, convention):
         assume(False)
     fval, g, dg, d2g, ginv = reference_jet(form, y)
     jet = kahler_metric(form, y)
-    assert jet.f == fval
+    assert _integer_jet(form, y).point.f == fval
     for idx in itertools.product(range(n), repeat=2):
         assert (jet.g[idx], jet.ginv[idx]) == (g[idx], ginv[idx])
     for idx in itertools.product(range(n), repeat=3):
@@ -52,25 +53,23 @@ def test_exact_jet_and_sides_match_fraction_oracles(seed, n, convention):
 
 
 def test_exact_verify_point_work(monkeypatch):
-    """One exact point: one evaluation of the cubic, no inverse, and the two
-    integer contractions Dg.A.Dg and t.A.t."""
-    calls = dict.fromkeys(["_classify", "invert", "contract"], 0)
+    """One exact point: one evaluation of the cubic, one adjugate (of M)
+    and the two integer contractions Dg.A.Dg and t.A.t."""
+    calls = dict.fromkeys(["_classify", "det_adjugate", "contract"], 0)
     classify = counting(calls, "_classify", kahlercone.cubic._classify)
     monkeypatch.setattr(kahlercone.cubic, "_classify", classify)
     monkeypatch.setattr(kahlercone.geometry, "_classify", classify)
-    for name in ("invert", "contract"):
+    for name in ("det_adjugate", "contract"):
         wrapped = counting(calls, name, getattr(kahlercone.linalg, name))
         monkeypatch.setattr(kahlercone.linalg, name, wrapped)
-        # geometry imports no invert; the patch would count one it gained
-        monkeypatch.setattr(kahlercone.geometry, name, wrapped,
-                            raising=False)
+        monkeypatch.setattr(kahlercone.geometry, name, wrapped)
     form = parse_text("y1*y2*y3 + y4^3 + y5^3", 5)
     points = cone_sample(form, 3, seed=11,
                          hint=(F(2), F(2), F(2), F(-1), F(-1)))
     for y in points:
         calls.update(dict.fromkeys(calls, 0))
         assert verify_identity(form, [y]).overall == "PASS"
-        assert calls == {"_classify": 1, "invert": 0, "contract": 2}
+        assert calls == {"_classify": 1, "det_adjugate": 1, "contract": 2}
 
 
 def test_singular_metric_is_reported_as_such(monkeypatch):

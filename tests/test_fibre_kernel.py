@@ -2,8 +2,9 @@
 the integer jet: both direct arrays against the `Complex` oracle
 `_reference.reference_direct_gammas`, the inertia of the bordered Hessian B
 against that of gtilde, the work one check does, the integer Christoffel
-symbols against `raise_index` on the `Fraction` jet, the one-sided
-curvature tensors, and the sampler's stop once the grid runs out."""
+symbols against `raise_index` on the `Fraction` jet, the commands that
+read the integer jet without its `Fraction` rendering, and the sampler's
+stop once the grid runs out."""
 
 import random
 from fractions import Fraction as F
@@ -19,12 +20,14 @@ import kahlercone.special
 from kahlercone import (Complex, SamplingExhausted,
                         build_tilde_metric, christoffels, cone_sample,
                         curvature_lhs, curvature_report, curvature_rhs,
-                        hermitian_inertia, inertia, parse_text,
+                        inertia, parse_text, sectional,
                         tilde_christoffel_check)
+from kahlercone.cli import main
 from kahlercone.geometry import _integer_jet
 from kahlercone.linalg import raise_index
 
-from _reference import reference_cone_sample, reference_direct_gammas
+from _reference import (hermitian_inertia, reference_cone_sample,
+                        reference_direct_gammas)
 from _util import counting, random_cubic, random_fraction
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -43,7 +46,7 @@ def _interior_point(seed, n):
 
 
 def _tilde_metric(seed, n):
-    """A fibre metric at a non-real lambda and a nonzero Re t."""
+    """(form, its fibre metric at a non-real lambda and a nonzero Re t)."""
     found = _interior_point(seed, n)
     assume(found is not None)
     form, y = found
@@ -51,21 +54,22 @@ def _tilde_metric(seed, n):
     lam = Complex(random_fraction(rng, nonzero=True),
                   random_fraction(rng, nonzero=True))
     x = [random_fraction(rng, nonzero=True) for _ in y]
-    return build_tilde_metric(form, [Complex(a, b) for a, b in zip(x, y)],
-                              lam)
+    return form, build_tilde_metric(
+        form, [Complex(a, b) for a, b in zip(x, y)], lam)
 
 
 @SETTINGS
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_direct_christoffels_match_complex_oracle(seed, n):
-    tm = _tilde_metric(seed, n)
-    assert tilde_christoffel_check(tm).direct == reference_direct_gammas(tm)
+    form, tm = _tilde_metric(seed, n)
+    assert (tilde_christoffel_check(tm).direct
+            == reference_direct_gammas(form, tm))
 
 
 @SETTINGS
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_bordered_hessian_has_the_inertia_of_gtilde(seed, n):
-    tm = _tilde_metric(seed, n)
+    _, tm = _tilde_metric(seed, n)
     assert inertia(tm.bordered) == hermitian_inertia(tm.gtilde) == (1, n, 0)
 
 
@@ -74,10 +78,7 @@ def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
                             [Complex(F(1), F(2)), Complex(F(0), F(2)),
                              Complex(F(-1, 2), F(2)), Complex(F(0), F(-1))],
                             Complex(F(2), F(1, 3)))
-    calls = {"invert_rows": 0}
-    # invert and every Complex inverse go through linalg.invert_rows
-    monkeypatch.setattr(kahlercone.linalg, "invert_rows", counting(
-        calls, "invert_rows", kahlercone.linalg.invert_rows))
+    # det_adjugate is the package's one inverse: the check makes one, of B
     adjugated = []
 
     def det_adjugate(rows):
@@ -86,7 +87,6 @@ def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
 
     monkeypatch.setattr(kahlercone.special, "det_adjugate", det_adjugate)
     assert tilde_christoffel_check(tm).passed
-    assert calls["invert_rows"] == 0
     assert adjugated == [tm.bordered.rows()]
 
 
@@ -96,15 +96,16 @@ def test_integer_christoffels_match_fraction_raise_index(seed, n):
     found = _interior_point(seed, n)
     assume(found is not None)
     form, y = found
-    jet = _integer_jet(form, y).jet()
+    ij = _integer_jet(form, y)
+    jet = ij.jet()
     want = [[[Complex(F(0), -v / 2) for v in row] for row in u.rows()]
             for u in raise_index(jet.dg, jet.ginv)]
-    assert jet.christoffels() == want
+    assert ij.christoffels() == want
     assert christoffels(form, y) == want
     assert curvature_report(form, y).christoffel == want
 
 
-def test_each_curvature_side_builds_only_itself(monkeypatch):
+def test_each_curvature_side_builds_only_itself(monkeypatch, capsys):
     calls = dict.fromkeys(["contract", "jet"], 0)
     monkeypatch.setattr(kahlercone.geometry, "contract", counting(
         calls, "contract", kahlercone.geometry.contract))
@@ -118,6 +119,17 @@ def test_each_curvature_side_builds_only_itself(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert side(form, y) == want
         assert calls == {"contract": 1, "jet": 0}
+    # the other readers of the integer jet build no Fraction jet either
+    calls.update(dict.fromkeys(calls, 0))
+    point = "2,2,2,-1"
+    for argv in (["metric", "--points", point],
+                 ["metric", "--points", point, "--mode", "float"],
+                 ["affine-verify", "--points", point],
+                 ["cone-metric", "--points", point, "--lam", "3/2"]):
+        assert main(argv + ["--form", "y1*y2*y3 + y4^3"]) == 0
+    capsys.readouterr()
+    sectional(form, y, [F(1), F(0), F(-1, 2), F(3)])
+    assert calls["jet"] == 0
 
 
 def test_sampler_stops_when_the_grid_runs_out(monkeypatch):

@@ -14,11 +14,11 @@ from kahlercone import (Complex, CubicForm, KahlerConeError, Membership,
                         cone_sample, curvature_lhs, curvature_report,
                         curvature_rhs, inertia, kahler_metric, norm_function,
                         parse_text, sectional, verify_identity)
-from kahlercone.linalg import mat_vec
-
+from kahlercone.geometry import _integer_jet
 from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
                         poly_derivatives)
-from _util import counting, random_cubic_with_cone, random_invertible
+from _util import (counting, mat_vec, random_cubic_with_cone,
+                   random_invertible)
 
 
 # ----------------------------------------------------------------------------
@@ -72,11 +72,13 @@ def test_jet_derivatives_match_polynomial_oracle():
               for n in (1, 2, 3, 4, 4)]
     for form, pts in cases:
         for y in pts:
-            jet = kahler_metric(form, y)
-            fval, grad, hess = poly_derivatives(form, y)
-            assert jet.f == fval
-            assert jet.grad == grad
-            assert jet.hess.rows() == hess
+            # the conversions of `cubic.Cleared`: f = F / (s l^3),
+            # grad f = a / (s l^2) and Hess f = H / (s l)
+            ij = _integer_jet(form, y)
+            s, l = ij.point.s, ij.point.l
+            assert poly_derivatives(form, y) == (
+                F(ij.point.F, s * l**3), [F(v, s * l * l) for v in ij.a],
+                [[F(v, s * l) for v in row] for row in ij.point.H.rows()])
 
 
 def test_jet_evaluates_the_cubic_once_per_point(monkeypatch):
@@ -105,8 +107,8 @@ def test_float_coordinates_give_the_exact_jet():
         exact = kahler_metric(form, [F(v) for v in y])
         jet = kahler_metric(form, y)
         assert jet == exact
-        assert type(jet.f) is F
-        assert all(type(v) is F for row in jet.g.rows() for v in row)
+        assert all(type(v) is F for m in (jet.g, jet.ginv)
+                   for row in m.rows() for v in row)
 
 
 def test_norm_function():
@@ -335,10 +337,10 @@ def test_christoffel_product_form_vanishing_mixed():
                     assert g[i][j][k].re == 0
                     assert g[i][j][k] == g[i][k][j]
     # the defining single sum over the raised index, at an n = 4 point
-    jet = kahler_metric(parse_text("y1*y2*y3 + y4^3", 4),
-                        [F(2), F(2), F(2), F(-1)])
+    form, y = parse_text("y1*y2*y3 + y4^3", 4), [F(2), F(2), F(2), F(-1)]
+    jet = kahler_metric(form, y)
     minus_half_i = Complex(F(0), F(-1, 2))
-    assert jet.christoffels() == [[[
+    assert _integer_jet(form, y).christoffels() == [[[
         minus_half_i * sum(jet.ginv[i, l] * jet.dg[l, k, j] for l in range(4))
         for k in range(4)] for j in range(4)] for i in range(4)]
 

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 import kahlercone.cubic
 from kahlercone import (Membership, SymMatrix, cone_contains, cone_sample,
-                        inertia, kahler_metric, parse_text)
+                        inertia, parse_text)
 from kahlercone.cubic import _classify
-from kahlercone.linalg import invert_rows, mat_vec
-
-from _reference import (poly_derivatives, reference_cone_sample,
+from kahlercone.geometry import _integer_jet
+from _reference import (invert_rows, poly_derivatives, reference_cone_sample,
                         reference_inertia, reference_membership)
-from _util import suite_forms
+from _util import mat_vec, suite_forms
 
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -118,10 +117,13 @@ def test_dense_pullback_verdicts_cover_all_three():
 
 
 def test_dense_jet_derivatives_match_polynomial_oracle():
+    # f = F / (s l^3), grad f = a / (s l^2) and Hess f = H / (s l)
     for z in cone_sample(DENSE, 4, seed=31):
-        jet = kahler_metric(DENSE, z)
-        fval, grad, hess = poly_derivatives(DENSE, z)
-        assert (jet.f, jet.grad, jet.hess.rows()) == (fval, grad, hess)
+        ij = _integer_jet(DENSE, z)
+        s, l = ij.point.s, ij.point.l
+        assert poly_derivatives(DENSE, z) == (
+            F(ij.point.F, s * l**3), [F(v, s * l * l) for v in ij.a],
+            [[F(v, s * l) for v in row] for row in ij.point.H.rows()])
 
 
 # the forms the sampler is checked on, each with an interior hint: the

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from kahlercone import (CubicForm, cone_sample, kahler_metric, parse_text,
                         verify_identity)
-from kahlercone.linalg import mat_vec
+
+from _util import mat_vec
 
 FORM = parse_text("y1*y2*y3 + y4^3", 4)
 HINT = (F(2), F(2), F(2), F(-1))

@@ -10,14 +10,15 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 import kahlercone.special
-from kahlercone import (Complex, CubicForm, MetricJet, NotInCone,
+from kahlercone import (Complex, CubicForm, DimensionMismatch, NotInCone,
                         SingularHessian, ZeroLambda, affine_curvature_check,
                         affine_metric, affine_tau, build_tilde_metric,
-                        cone_sample, hermitian_inertia, inertia, parse_text,
+                        cone_sample, contract, inertia, parse_text,
                         tilde_christoffel_check, tilde_inverse_check)
 from kahlercone.cli import main
-from kahlercone.linalg import invert_rows
+from kahlercone.geometry import _IntegerJet
 
+from _reference import hermitian_inertia, invert, invert_rows
 from _util import (counting, random_cubic_with_cone, random_fraction,
                    suite_forms)
 
@@ -48,11 +49,26 @@ def test_affine_singular_hessian():
         affine_curvature_check(f, [F(1), F(0)])
 
 
+def test_affine_point_of_the_wrong_length():
+    f = parse_text("y1*y2^2", 2)
+    for y in ([F(1)], [F(1), F(2), F(3)]):
+        with pytest.raises(DimensionMismatch):
+            affine_curvature_check(f, y)
+
+
 def test_affine_kappa_constant_across_suite():
+    cleared = 0
     for form, hint in suite_forms():
         for y in cone_sample(form, 5, seed=11, hint=hint):
             res = affine_curvature_check(form, y)
             assert res.passed and res.kappa == -4 and res.kappa_constant
+            # both sides read one (Hess f)^-1 = s l adj H / det H, so the
+            # identity alone cannot see a wrong factor in it: compare with
+            # the Gauss-Jordan inverse of Hess f, at points with l > 1 too
+            want = contract(form.third_tensor, invert(form.hessian(y)))
+            assert res.curvature == res.expected == want
+            cleared += any(v.denominator > 1 for v in y)
+    assert cleared > 5
 
 
 def test_affine_tau_splits_on_complex_points():
@@ -311,9 +327,12 @@ def _pair(z):
 
 def test_direct_christoffels_match_sympy_oracle():
     # guards the coefficient gradients and the potential transposition,
-    # which the match table only reports as booleans
-    for text, y in (("y1^3", [1]), ("y1*y2^2", [1, 1]),
-                    ("y1*y2*y3", [1, 2, 3])):
+    # which the match table only reports as booleans; the non-integer
+    # points (l > 1) guard each power of l in the array Q
+    for text, y in (("y1^3", [1]), ("y1^3", [F(2, 3)]),
+                    ("y1*y2^2", [1, 1]), ("y1*y2^2", [F(1, 2), F(3, 4)]),
+                    ("y1*y2*y3", [1, 2, 3]),
+                    ("y1*y2*y3", [F(1, 3), F(2, 5), F(3, 7)])):
         form = parse_text(text, len(y))
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
@@ -328,22 +347,28 @@ def test_direct_christoffels_match_sympy_oracle():
 
 def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
                                                             capsys):
-    calls = dict.fromkeys(
-        ["hessian", "invert", "contract", "kahler_metric", "christoffels"], 0)
+    calls = dict.fromkeys(["hessian", "_cleared", "det_adjugate", "invert",
+                           "contract", "_integer_jet", "christoffels"], 0)
     monkeypatch.setattr(CubicForm, "hessian",
                         counting(calls, "hessian", CubicForm.hessian))
-    monkeypatch.setattr(MetricJet, "christoffels", counting(
-        calls, "christoffels", MetricJet.christoffels))
-    # the linalg and geometry functions, as bound where `special` calls them
-    for name in ("invert", "contract", "kahler_metric"):
+    monkeypatch.setattr(_IntegerJet, "christoffels", counting(
+        calls, "christoffels", _IntegerJet.christoffels))
+    # the cubic, linalg and geometry functions, as bound where `special`
+    # calls them
+    for name in ("_cleared", "det_adjugate", "contract", "_integer_jet"):
         monkeypatch.setattr(kahlercone.special, name, counting(
             calls, name, getattr(kahlercone.special, name)))
+    # special imports no invert; the patch would count one it gained
+    monkeypatch.setattr(kahlercone.special, "invert",
+                        counting(calls, "invert", invert), raising=False)
     assert affine_curvature_check(parse_text("y1*y2*y3", 3),
                                   [F(1), F(2), F(3)]).passed
-    assert calls == {"hessian": 1, "invert": 1, "contract": 2,
-                     "kahler_metric": 0, "christoffels": 0}
+    assert calls == {"hessian": 0, "_cleared": 1, "det_adjugate": 1,
+                     "invert": 0, "contract": 2, "_integer_jet": 0,
+                     "christoffels": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert main(["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
                  "--lam", "1/2"]) == 0
     capsys.readouterr()
-    assert (calls["kahler_metric"], calls["christoffels"]) == (1, 1)
+    assert (calls["_integer_jet"], calls["christoffels"],
+            calls["invert"]) == (1, 1, 0)
