@@ -205,7 +205,7 @@ def _metric_point(args, form, y):
     entry = {"y": doc(y), "g": doc(ij.g), "gInv": doc(ij.ginv)}
     if args.mode == "exact":
         # M = 4 F^2 g / l^2, a positive multiple of g: the same inertia
-        entry["inertia"] = list(inertia(ij.M))
+        entry["inertia"] = list(inertia(ij.point.M))
     return entry, f"y={entry['y']}: g={entry['g']}", None
 
 

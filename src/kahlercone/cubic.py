@@ -4,9 +4,11 @@ A form is stored as a map from exponent vectors (summing to 3) to exact
 rational coefficients, together with the constant symmetric tensor of third
 partial derivatives and an integer multiple of it, each built on first use.
 One evaluation on Python ints decides index-cone membership and yields the
-integers the exact metric jet is built from. Only homogeneous cubics are
-accepted: the norm-function identity and the cone structure both rest on
-Euler's relation, which fails for inhomogeneous input.
+integers the exact metric jet is built from: the value F first, and only
+where F > 0 the Hessian and the cleared metric M, whose leading minors
+decide the rest. Only homogeneous cubics are accepted: the norm-function
+identity and the cone structure both rest on Euler's relation, which fails
+for inhomogeneous input.
 
 Text grammar (whitespace insignificant)::
 
@@ -30,7 +32,8 @@ from typing import NamedTuple, Optional
 
 from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
                      ParseError, SamplingExhausted)
-from .linalg import Sym3Tensor, SymMatrix, _layout, inertia
+from .linalg import (Sym3Tensor, SymMatrix, _layout, inertia,
+                     positive_definite)
 from .poly import Poly
 from .scalars import Complex, format_point
 
@@ -47,10 +50,9 @@ __all__ = [
 
 DEGREE = 3
 GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
-# the distinct positive grid values p/q, and hint jitter factors (s + r)/s
+# the distinct positive grid values p/q
 GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)
                     for q in range(1, GRID_DEN + 1))
-JITTERS = len({Fraction(s + r, s) for r in (-1, 0, 1) for s in range(4, 9)})
 
 
 class Membership(enum.Enum):
@@ -111,18 +113,23 @@ class CubicForm:
         return self._f3
 
     def _integer_third(self):
-        """(s, t, rows): s = 6c, c > 0 the lcm of the coefficient
+        """(s, t, rows, terms): s = 6c, c > 0 the lcm of the coefficient
         denominators; t the integer Sym3Tensor s * f3, the third-derivative
-        tensor of the integer cubic s*f; and for each SymMatrix slot (i, j),
-        in packed order, the row t[i, j, 0..n-1]. The Hessian of s*f at an
-        integer z is then the integer SymMatrix of rows . z."""
+        tensor of the integer cubic s*f; for each SymMatrix slot (i, j), in
+        packed order, the row t[i, j, 0..n-1], so that the Hessian of s*f at
+        an integer z is the integer SymMatrix of rows . z; and per monomial
+        w z_i z_j z_k (i <= j <= k) of s*f, (w, SymMatrix slot of (i, j), k):
+        t[i, j, k] with its multinomial weight baked in."""
         if self._int_f3 is None:
             s = 6 * math.lcm(*[v.denominator for v in self.monomials.values()])
             data = [int(s * v) for v in self.third_tensor._data]
-            rows = [[data[q] for q in slots]
-                    for slots in _layout(self.n).pair_triples]
-            t = Sym3Tensor(self.n, data)
-            self._int_f3 = (s, t, rows)
+            lay = _layout(self.n)
+            rows = [[data[q] for q in slots] for slots in lay.pair_triples]
+            terms = []
+            for exp, coeff in self.monomials.items():
+                i, j, k = (i for i, e in enumerate(exp) for _ in range(e))
+                terms.append((int(s * coeff), lay.slot[i][j], k))
+            self._int_f3 = (s, Sym3Tensor(self.n, data), rows, terms)
         return self._int_f3
 
     def as_poly(self) -> Poly:
@@ -335,59 +342,72 @@ def parse_text(src: str, n: int) -> CubicForm:
 
 class Cleared(NamedTuple):
     """The cubic at a rational point y on Python ints: z = l*y, with l the
-    lcm of y's denominators, and with s = 6c from `_integer_third`, H the
-    Hessian of s*f at z and F = (s*f)(z). Then f(y) = F / (s l^3),
-    grad f(y) = H z / (2 s l^2) and Hess f(y) = H / (s l)."""
+    lcm of y's denominators, and with s = 6c from `_integer_third`,
+    F = (s*f)(z), H the Hessian of s*f at z, a = H z / 2 its gradient and
+    M = a a^T - F H, the last three None where F <= 0 (H on request). Then
+    f(y) = F / (s l^3), grad f(y) = a / (s l^2), Hess f(y) = H / (s l) and
+    the metric g(y) = l^2 M / (4 F^2)."""
     l: int
     s: int
     z: list
-    H: SymMatrix
     F: int
+    H: Optional[SymMatrix]
+    a: Optional[list]
+    M: Optional[SymMatrix]
 
     @property
     def f(self) -> Fraction:
         return Fraction(self.F, self.s * self.l**3)
 
 
-def _cleared(form: CubicForm, pairs) -> Cleared:
+def _cleared(form: CubicForm, pairs, hessian: bool = False) -> Cleared:
     """The cubic at the rational point y given as one pair (p, q), q > 0,
-    per coordinate p/q in lowest terms. Euler's relation gives
-    z^T H z = 6 F."""
+    per coordinate p/q in lowest terms: F from the monomials of s*f, and
+    H, a and M only where F > 0, or, if `hessian`, H at every point."""
     l = math.lcm(*[q for _, q in pairs])
     z = [p * (l // q) for p, q in pairs]
-    s, _, rows = form._integer_third()
-    h = [sum(map(mul, row, z)) for row in rows]
-    six_f = sum((hv if i == j else 2 * hv) * z[i] * z[j]
-                for (i, j), hv in zip(_layout(form.n).pairs, h))
-    return Cleared(l=l, s=s, z=z, H=SymMatrix(form.n, h), F=six_f // 6)
+    s, _, rows, terms = form._integer_third()
+    lay = _layout(form.n)
+    zz = [z[i] * z[j] for i, j in lay.pairs]
+    F = sum(w * zz[ij] * z[k] for w, ij, k in terms)
+    H = a = M = None
+    if F > 0 or hessian:
+        h = [sum(map(mul, row, z)) for row in rows]
+        H = SymMatrix(form.n, h)
+    if F > 0:
+        a = [sum(map(mul, [h[q] for q in row], z)) // 2 for row in lay.slot]
+        M = SymMatrix(form.n, [a[i] * a[k] - F * v
+                               for (i, k), v in zip(lay.pairs, h)])
+    return Cleared(l=l, s=s, z=z, F=F, H=H, a=a, M=M)
 
 
-def _is_interior(point: Cleared, sig=None) -> bool:
-    """The index-cone interior test: F > 0 and H of inertia (1, n-1, 0).
-    F <= 0 decides it without an elimination; `sig` is the inertia of H
-    when the caller has it already.
+def _is_interior(point: Cleared) -> bool:
+    """The index-cone interior test: F > 0 and M positive definite.
+
+    Since z^T H z = 6F > 0 and H z = 2a, H has inertia (1, n-1, 0) exactly
+    when it is negative definite on a^perp, and M z = F a, z^T M z = 3F^2
+    and M = -F H on a^perp, so exactly when M is positive definite. The
+    sign of F decides most points with no H; `positive_definite` reads the
+    leading minors of M and stops at the first one <= 0.
 
     Membership is unchanged by y -> l*y with l > 0 and by f -> s*f with
     s > 0, so the integers of `Cleared` decide it for y."""
-    if point.F <= 0:
-        return False
-    if sig is None:
-        sig = inertia(point.H)
-    return sig == (1, point.H.n - 1, 0)
+    return point.F > 0 and positive_definite(point.M)
 
 
 def _classify(form: CubicForm, y):
     """(verdict, inertia of Hess f(y), Cleared) of a rational point, from
     one exact evaluation on ints. A float coordinate is read as the exact
     rational it stores. The same integers are the input of the exact
-    metric jet."""
+    metric jet. An interior point has inertia (1, n-1, 0) by the interior
+    test; only elsewhere is H eliminated, to tell Boundary from Outside."""
     y = [Fraction(v) for v in y]
     form._check_len(y)
-    point = _cleared(form, [(v.numerator, v.denominator) for v in y])
-    sig = inertia(point.H)
-    if _is_interior(point, sig):
-        return Membership.INTERIOR, sig, point
-    plus, minus, zero = sig
+    point = _cleared(form, [(v.numerator, v.denominator) for v in y],
+                     hessian=True)
+    if _is_interior(point):
+        return Membership.INTERIOR, (1, form.n - 1, 0), point
+    sig = plus, minus, zero = inertia(point.H)
     degenerate = point.F == 0 or zero > 0
     compatible = point.F >= 0 and plus <= 1 and minus <= form.n - 1
     verdict = (Membership.BOUNDARY if degenerate and compatible
@@ -420,6 +440,21 @@ def _reduced(pairs):
     return tuple(out)
 
 
+def _off_grid(hint):
+    """The number of distinct hint candidates c * h * m, c a positive grid
+    value and each m_i a jitter factor, that are no grid vector; `hint` as
+    (numerator, denominator) pairs."""
+    values = {Fraction(p, q) for p in range(-GRID_NUM, GRID_NUM + 1)
+              for q in range(1, GRID_DEN + 1)}
+    jitters = {Fraction(s + r, s) for r in (-1, 0, 1) for s in range(4, 9)}
+    rays = [()]
+    for hp, hq in hint:
+        rays = [ray + (Fraction(hp, hq) * m,) for ray in rays for m in jitters]
+    vectors = {tuple(c * v for v in ray) for c in values if c > 0
+               for ray in rays}
+    return sum(not values.issuperset(vec) for vec in vectors)
+
+
 def cone_sample(form: CubicForm, count: int, seed: int,
                 hint=None, budget: int = 100_000):
     """Sample `count` distinct exact interior points, deterministically.
@@ -430,11 +465,12 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     interior, the jitter is re-checked like any other candidate). Each
     candidate is kept as integer pairs (numerator, denominator) in lowest
     terms and decided by the same interior test as `cone_contains`: on its
-    cleared integers, with no elimination when f <= 0. Only accepted points
+    cleared integers, with no Hessian when f <= 0. Only accepted points
     become Fractions. Raises SamplingExhausted after `budget` attempts, or
     at the first repeat once every candidate the grid (and the hint) can
     give was seen: the nonzero grid vectors, and c * h * m for c a positive
-    grid value and each m_i a jitter factor.
+    grid value and each m_i a jitter factor, counted exactly (`_off_grid`)
+    once the grid's own count is reached.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -447,8 +483,8 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     n = form.n
     found = []
     seen = set()
-    bound = ((2 * GRID_POSITIVE + 1)**n - 1
-             + (hint is not None) * GRID_POSITIVE * JITTERS**n)
+    grid = (2 * GRID_POSITIVE + 1)**n - 1       # the nonzero grid vectors
+    bound = grid if hint is None else None
     for attempt in range(budget):
         if hint is not None and attempt % 2 == 1:
             # c * h * (1 + r/s) with c = cp/cq and h = hp/hq
@@ -462,6 +498,10 @@ def cone_sample(form: CubicForm, count: int, seed: int,
                     for _ in range(n)]
         cand = _reduced(cand)
         if cand in seen or not any(p for p, _ in cand):
+            if len(seen) < grid:
+                continue
+            if bound is None:
+                bound = grid + _off_grid(hint)
             if len(seen) < bound:
                 continue
             raise SamplingExhausted(

@@ -29,8 +29,9 @@ At an exact point the identity is cleared of denominators once and decided
 on Python ints. `cubic._classify` gives z = l*y (l the lcm of the
 denominators of y) and the integer cubic s*f, s = 6c with c the lcm of its
 coefficient denominators; at z, let t be its third-derivative tensor,
-H = t.z its Hessian, a = H z / 2 its gradient and F = a.z / 3 its value.
-With sym summing over the distinct placements of the indices, set
+F its value, H = t.z its Hessian and a = H z / 2 its gradient (so
+F = a.z / 3). With sym summing over the distinct placements of the
+indices, set
 
     M = a a^T - F H,    Delta = det M,    A = adj M,
     Dg = -(F^2 t - F sym(H a) + 2 a a a),
@@ -50,7 +51,9 @@ and each side of the identity is l^4 side / (16 F^4 Delta), with
     rhs = Delta (M[i,j] M[k,l] + M[i,l] M[k,j])
           - F^4 sum_{p,q} A[p,q] t[i,k,p] t[j,l,q].
 
-M is 4 F^2 g at z, positive definite at interior points, so Delta > 0 and
+M is 4 F^2 g / l^2, and the interior of the cone is exactly where F > 0
+and M is positive definite: `cubic._classify` decides membership by that
+test, on the F, a and M it hands to the jet, so Delta > 0 and
 `verify_identity` decides from the integer residual +-lhs - rhs in either
 mode; the only Fraction it builds is the reported maximum |residual|. There
 is no float arithmetic: a float coordinate is read as the exact rational it
@@ -63,7 +66,6 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cubic import Cleared, CubicForm, Membership, _classify
@@ -126,11 +128,10 @@ def _interior(form: CubicForm, y) -> Cleared:
 
 class _IntegerJet(NamedTuple):
     """The metric jet at an exact interior point, cleared of denominators:
-    the integers of the module docstring."""
+    the integers of the module docstring; F, a, H and M are those of
+    `point`."""
     point: Cleared
     t: Sym3Tensor
-    a: list
-    M: SymMatrix
     delta: int
     adj: SymMatrix
     Dg: Sym3Tensor
@@ -140,7 +141,7 @@ class _IntegerJet(NamedTuple):
     def g(self) -> SymMatrix:
         """g = l^2 M / (4 F^2)."""
         l, F = self.point.l, self.point.F
-        return self.M.scale(Fraction(l * l, 4 * F * F))
+        return self.point.M.scale(Fraction(l * l, 4 * F * F))
 
     @property
     def ginv(self) -> SymMatrix:
@@ -170,11 +171,11 @@ class _IntegerJet(NamedTuple):
                zip(self.E._data, contract(self.Dg, self.adj)._data)]
         if convention == "negated":
             lhs = [-v for v in lhs]
-        return CurvTensor(self.M.n, lhs)
+        return CurvTensor(self.t.n, lhs)
 
     def rhs(self) -> CurvTensor:
         """The integer third-derivative side Delta (MM + MM) - F^4 t.A.t."""
-        n, delta, m = self.M.n, self.delta, self.M._data
+        n, delta, m = self.t.n, self.delta, self.point.M._data
         f4 = self.point.F**4
         return CurvTensor(n, [
             delta * (m[ij] * m[kl] + m[il] * m[kj]) - f4 * c
@@ -197,12 +198,8 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
     point = _interior(form, y)
     n, F = form.n, point.F
     lay = _layout(n)
-    _, t, t_rows = form._integer_third()
-    h = point.H.rows()
-    a = [sum(map(mul, row, point.z)) // 2 for row in h]     # grad of s*f at z
-    m = SymMatrix(n, [a[i] * a[k] - F * v
-                      for (i, k), v in zip(lay.pairs, point.H._data)])
-    m_rows = m.rows()
+    _, t, t_rows, _ = form._integer_third()
+    h, a, m_rows = point.H.rows(), point.a, point.M.rows()
     try:
         delta, adj = det_adjugate(m_rows)
     except SingularMatrix as exc:
@@ -222,7 +219,7 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
          - 6 * a[i] * a[j] * a[k] * a[l]
          for i, j, k, l in lay.quads]
     return _IntegerJet(
-        point=point, t=t, a=a, M=m, delta=delta,
+        point=point, t=t, delta=delta,
         adj=SymMatrix(n, [adj[i][k] for i, k in lay.pairs]), Dg=dg,
         E=CurvTensor(n, [e[orbit[0]] for orbit in lay.orbits]))
 

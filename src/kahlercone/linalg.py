@@ -10,11 +10,12 @@ from `_pair_index` and `_triple_index`, the one definition of the packing,
 and loop over the flat `_data` lists. Dimensions stay small here (n of
 order a few), so cubic-time elimination is not a concern; the cost is in
 the scalars. Contraction works verbatim over any scalars.
-`inertia` and `det_adjugate` are exact only: they eliminate fraction-free on
-Python ints, each of whose operations costs a small fraction of a
-`Fraction` one (`inertia` clears the denominators of its rational input
-first), and they reject floats. `det_adjugate` is the package's one
-inverse: every caller divides adj M by det M itself, once per entry.
+`inertia`, `positive_definite` and `det_adjugate` are exact only: they
+eliminate fraction-free on Python ints, each of whose operations costs a
+small fraction of a `Fraction` one (`inertia` clears the denominators of its
+rational input first), and they reject floats. `det_adjugate` is the
+package's one inverse: every caller divides adj M by det M itself, once per
+entry.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "Sym3Tensor",
     "CurvTensor",
     "inertia",
+    "positive_definite",
     "det_adjugate",
     "contract",
     "raise_index",
@@ -258,6 +260,8 @@ def inertia(m: SymMatrix):
     would reach, so the pivots are chosen as over the rationals. No
     eigenvalue iteration and no float; raises TypeError on float entries.
     All-int input, such as every cleared Hessian, is used as it is.
+    The interior test does not call it (`cubic._is_interior`); it tells
+    Boundary from Outside and gives the inertias the CLI reports.
     """
     n, data = m.n, m._data
     if set(map(type, data)) - {int}:
@@ -312,6 +316,35 @@ def inertia(m: SymMatrix):
                 for s in range(r, n):
                     a[r][s] = a[s][r] = a[r][s] // g
     return plus, minus, zero
+
+
+def positive_definite(m: SymMatrix) -> bool:
+    """Whether a symmetric matrix of Python ints is positive definite, by
+    Sylvester's criterion: the diagonal first, then fraction-free symmetric
+    elimination without pivoting (Bareiss), whose step k replaces each
+    trailing entry of the upper triangle by (p a[r][s] - a[k][r] a[k][s])
+    / p', p and p' the pivots of steps k and k-1 (1 at the first), exactly;
+    its pivots are the leading principal minors, so it stops at the first
+    one <= 0. Raises TypeError on a non-int entry."""
+    n, data = m.n, m._data
+    if not {int}.issuperset(map(type, data)):
+        raise TypeError("positive_definite requires int entries")
+    slot = _layout(n).slot
+    if min(data[row[i]] for i, row in enumerate(slot)) <= 0:
+        return False
+    a = [[data[q] for q in row[i:]] for i, row in enumerate(slot)]
+    prev = 1
+    for k in range(n - 1):
+        top = a[k]                      # a[k][k..n-1]
+        p = top[0]
+        for r in range(k + 1, n):       # row k+1 first: it holds the pivot
+            c = top[r - k]
+            a[r] = [(p * v - c * w) // prev
+                    for v, w in zip(a[r], top[r - k:])]
+            if r == k + 1 and a[r][0] <= 0:
+                return False
+        prev = p
+    return True
 
 
 def det_adjugate(rows):

@@ -137,10 +137,18 @@ class AffineCheckResult:
 
 
 def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
-    """Verify the affine curvature identity at a point with invertible Hessian."""
+    """Verify the affine curvature identity at a point with invertible Hessian.
+
+    The identity is algebraic: the curvature -1/4 contract(-4 f3, -hinv/4)
+    of the metric -4 Hess f is (-1/4) (-4)^2 (-1/4) = 1 times
+    contract(f3, hinv) for any symmetric hinv, and kappa = -4 likewise, so
+    one contraction gives both sides. Only a wrong hinv can be caught, by
+    the oracle inverse in `test_affine_kappa_constant_across_suite`.
+    """
     y = tuple(map(Fraction, y))
     form._check_len(y)
-    point = _cleared(form, [(v.numerator, v.denominator) for v in y])
+    point = _cleared(form, [(v.numerator, v.denominator) for v in y],
+                     hessian=True)
     try:
         det, adj = det_adjugate(point.H.rows())
     except SingularMatrix as exc:
@@ -148,13 +156,10 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
             from exc
     c = Fraction(point.s * point.l, det)    # (Hess f)^-1 = s l adj H / det H
     hinv = SymMatrix(form.n, [c * adj[i][k] for i, k in _layout(form.n).pairs])
-    f3 = form.third_tensor
-    ainv = hinv.scale(Fraction(-1, 4))      # inverse of -4 Hess f, exactly
-    # second derivatives of the linear metric vanish: lhs = -1/4 * contraction
-    curvature = contract(f3.scale(Fraction(-4)), ainv).scale(Fraction(-1, 4))
-    expected = contract(f3, hinv)
+    expected = contract(form.third_tensor, hinv)
+    curvature = expected.scale(Fraction(-1, 4) * (-4)**2 * Fraction(-1, 4))
     residual = curvature - expected
-    # the literature-normalized right side contract(f3, ainv), for the
+    # the literature-normalized right side contract(f3, -hinv/4), for the
     # constant-ratio check
     literature_side = expected.scale(Fraction(-1, 4))
     ratios = {c / lit for c, lit in zip(curvature.entries(),
@@ -197,9 +202,9 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
     ij = _integer_jet(form, y)        # NotInCone unless Im t is interior
-    n, l, F = form.n, ij.point.l, ij.point.F
+    n, l, F, a = form.n, ij.point.l, ij.point.F, ij.point.a
     kval = Fraction(8 * F, ij.point.s * l**3)
-    k_log = tuple(Complex(Fraction(0), Fraction(-l * v, 2 * F)) for v in ij.a)
+    k_log = tuple(Complex(Fraction(0), Fraction(-l * v, 2 * F)) for v in a)
     # the printed entries: lam^-1 on the fibre row, lambar^-1 on the column
     u = (Complex(Fraction(1)),) + k_log
     g0 = [[0] * (n + 1)] + [[0] + row for row in ij.g.rows()]
@@ -208,8 +213,8 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
              (False, True): lam_inv, (True, False): lam_inv.conj()}
     gt = [[kval * (u[r].conj() * u[c] - g0[r][c]) * power[r > 0, c > 0]
            for c in range(n + 1)] for r in range(n + 1)]
-    b = [[4 * F] + [2 * v for v in ij.a]] + [
-        [2 * v] + row for v, row in zip(ij.a, ij.point.H.rows())]
+    b = [[4 * F] + [2 * v for v in a]] + [
+        [2 * v] + row for v, row in zip(a, ij.point.H.rows())]
 
     ginv = ij.ginv
     lam_bar = lam.conj()
@@ -287,7 +292,7 @@ def _direct_gammas(tm: TildeMetric):
     """(printed, potential): the direct symbols of both scalings of the
     fibre metric, from the one real array Q (module docstring), R = Q / 2."""
     n, lam, ij = tm.n, tm.lam, tm.ij
-    l, a, h, t = ij.point.l, ij.a, ij.point.H.rows(), ij.t._data
+    l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
     delta, adj = det_adjugate(tm.bordered.rows())
     zero, lam_inv = Complex(Fraction(0)), Complex(Fraction(1)) / lam

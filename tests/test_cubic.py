@@ -246,6 +246,21 @@ def test_sample_exhausts_on_empty_cone():
         cone_sample(f, 1, seed=0, budget=3000)
 
 
+def test_sampler_counts_the_hint_candidates_exactly():
+    # y1^3 with hint 1: the nonzero grid values and the values c * m, c a
+    # positive grid value and m a jitter factor, as one set of rationals
+    grid = {F(p, q) for p in range(-16, 17) for q in range(1, 9)} - {0}
+    jitters = {F(s + r, s) for r in (-1, 0, 1) for s in range(4, 9)}
+    distinct = grid | {c * m for c in grid if c > 0 for m in jitters}
+    assert len(distinct) == 552
+    with pytest.raises(SamplingExhausted) as err:
+        cone_sample(parse_text("y1^3", 1), 2000, seed=0, hint=(F(1),))
+    message = str(err.value)
+    assert (" among 552 distinct candidates in 100000 attempts; that is "
+            "all the grid and the hint can give, drawn within ") in message
+    assert int(message.rsplit(" ", 2)[-2]) < 100_000 // 2
+
+
 def test_sample_with_hint():
     f = parse_text("y1*y2*y3", 3)
     pts = cone_sample(f, 5, seed=2, hint=(F(1), F(1), F(1)))

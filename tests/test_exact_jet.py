@@ -23,7 +23,7 @@ from _reference import dense_sides, reference_jet
 from _util import counting, random_cubic
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10**6), st.integers(1, 4),
        st.sampled_from(["standard", "negated"]))
 def test_exact_jet_and_sides_match_fraction_oracles(seed, n, convention):

@@ -30,7 +30,7 @@ from _reference import (hermitian_inertia, reference_cone_sample,
                         reference_direct_gammas)
 from _util import counting, random_cubic, random_fraction
 
-SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=25)
 
 
 def _interior_point(seed, n):

@@ -77,7 +77,8 @@ def test_jet_derivatives_match_polynomial_oracle():
             ij = _integer_jet(form, y)
             s, l = ij.point.s, ij.point.l
             assert poly_derivatives(form, y) == (
-                F(ij.point.F, s * l**3), [F(v, s * l * l) for v in ij.a],
+                F(ij.point.F, s * l**3),
+                [F(v, s * l * l) for v in ij.point.a],
                 [[F(v, s * l) for v in row] for row in ij.point.H.rows()])
 
 

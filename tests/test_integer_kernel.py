@@ -3,26 +3,34 @@ Fraction elimination of `_reference` and a numpy eigenvalue sign count, and
 `cone_contains` and the `cone check` values against the Fraction decision on
 the dense n = 5 pullback of y1*y2*y3 + y4^3 + y5^3, and the f, grad f and
 Hess f the metric jet reads from that decision against the polynomial.
+The interior test (F > 0 and M positive definite) against f > 0 and the
+Fraction inertia of Hess f on dense cubics, near interior hints and at
+boundary points, and `positive_definite` against sympy's leading minors.
 `cone_sample`, which draws and decides its candidates on integer pairs,
 against the Fraction sampler of `_reference`."""
 
+import itertools
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
+import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kahlercone.cubic
-from kahlercone import (Membership, SymMatrix, cone_contains, cone_sample,
-                        inertia, parse_text)
-from kahlercone.cubic import _classify
+from kahlercone import (CubicForm, Membership, SymMatrix, cone_contains,
+                        cone_sample, inertia, parse_text)
+from kahlercone.cubic import _classify, _cleared, _is_interior
 from kahlercone.geometry import _integer_jet
+from kahlercone.linalg import positive_definite
 from _reference import (invert_rows, poly_derivatives, reference_cone_sample,
                         reference_inertia, reference_membership)
 from _util import mat_vec, suite_forms
 
-KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
+KERNEL_SETTINGS = settings(max_examples=150)
 
 # a unimodular A: y -> f(A y) has all 35 cubic monomials of n = 5
 DENSE_A = [[2, 2, 1, 1, 0],
@@ -116,13 +124,172 @@ def test_dense_pullback_verdicts_cover_all_three():
     assert seen == set(Membership)
 
 
+# ----------------------------------------------------------------------------
+# the interior test F > 0 and M positive definite, against F > 0 and the
+# oracle inertia of Hess f
+
+EXPONENTS = {n: [e for e in itertools.product(range(4), repeat=n)
+                 if sum(e) == 3] for n in range(1, 6)}
+
+
+@st.composite
+def dense_cubics(draw):
+    """An integer cubic in n = 1..5 variables with every monomial drawn."""
+    n = draw(st.integers(1, 5))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(EXPONENTS[n]),
+                           max_size=len(EXPONENTS[n])))
+    assume(any(coeffs))
+    return CubicForm(n, dict(zip(EXPONENTS[n], coeffs)))
+
+
+def _unimodular(pick, n):
+    """(A, A^-1) as int rows, a product of elementary steps row_i += c row_j
+    (on A^-1, column_j -= c column_i); pick(lo, hi) draws an int."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(pick(0, 2 * n) if n > 1 else 0):
+        i = pick(0, n - 1)
+        j, c = (i + pick(1, n - 1)) % n, pick(-2, 2)
+        a[i] = [u + c * v for u, v in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return a, inv
+
+
+def _pulled_back(pick, text, x):
+    """f(A y) for the form `text` and a unimodular A, at y = A^-1 x: the
+    same value and, up to congruence, the same Hessian as f at x."""
+    n = len(x)
+    a, inv = _unimodular(pick, n)
+    return parse_text(text, n).pullback(a), mat_vec(inv, x)
+
+
+NEAR = {form.n: (form.to_text(), hint) for form, hint in suite_forms()[1:]}
+NEAR[5] = (SPARSE.to_text(), (2, 2, 2, -1, -1))
+
+
+def _near_hint(pick, n):
+    """A suite form in n variables, made dense by a pullback, near its
+    interior hint h: at h_i (s_i + r_i) / s_i, r_i in [-3, 3], s_i in
+    [1, 3], interior or not, with f > 0 at most such points."""
+    text, hint = NEAR[n]
+    x = []
+    for h in hint:
+        s = pick(1, 3)
+        x.append(F(h) * (s + pick(-3, 3)) / s)
+    return _pulled_back(pick, text, x)
+
+
+def _boundary(pick):
+    """A point with f = 0 or Hess f singular: y1*y2*y3 + y4^3 + ... with a
+    zero among the first three coordinates (Hess f singular; f = 0 at
+    n = 3), or y1^3 + ... + yn^3 with a zero coordinate (Hess f singular,
+    f of either sign); made dense by a pullback."""
+    product = pick(0, 1)
+    n = pick(3 if product else 1, 5)
+    terms = ["y1*y2*y3"] * product + [
+        f"y{k}^3" for k in range(1 + 3 * product, n + 1)]
+    x = [F(pick(-9, 9), pick(1, 6)) for _ in range(n)]
+    x[pick(0, 2 if product else n - 1)] = F(0)
+    return _pulled_back(pick, " + ".join(terms), x)
+
+
+def _picker(data):
+    return lambda lo, hi: data.draw(st.integers(lo, hi))
+
+
+def _assert_interior_test_agrees(form, y):
+    """The interior test on the cleared ints against f(y) > 0 and the
+    Fraction inertia of Hess f(y); Euler's relation z^T H z = 6F wherever H
+    is built. Returns the verdict."""
+    y = [F(v) for v in y]
+    n = form.n
+    point = _cleared(form, [(v.numerator, v.denominator) for v in y])
+    want = (form.evaluate(y) > 0 and reference_inertia(
+        form.hessian(y).rows()) == (1, n - 1, 0))
+    assert _is_interior(point) is want
+    assert (point.H is None) is (point.F <= 0)
+    full = _cleared(form, [(v.numerator, v.denominator) for v in y],
+                    hessian=True)
+    assert full.F == point.F and full.M == point.M
+    assert sum(map(mul, mat_vec(full.H.rows(), full.z), full.z)) == 6 * full.F
+    return want
+
+
+@KERNEL_SETTINGS
+@given(dense_cubics(), st.data())
+def test_interior_test_matches_oracle_inertia(form, data):
+    y = data.draw(st.lists(small_rationals, min_size=form.n,
+                           max_size=form.n))
+    _assert_interior_test_agrees(form, y)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(1, 5), st.data())
+def test_interior_test_matches_oracle_near_interior_hints(n, data):
+    _assert_interior_test_agrees(*_near_hint(_picker(data), n))
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_interior_test_rejects_boundary_points(data):
+    assert not _assert_interior_test_agrees(*_boundary(_picker(data)))
+
+
+def test_interior_test_sees_both_verdicts_where_f_is_positive():
+    rng = random.Random(18)
+    seen = set()
+    for n in range(1, 6):
+        for _ in range(40):
+            dense = CubicForm(n, {e: rng.randint(-6, 6) for e in EXPONENTS[n]})
+            y = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            for form, y in ((dense, y), _near_hint(rng.randint, n)):
+                if form.evaluate(y) > 0:
+                    seen.add((n, _assert_interior_test_agrees(form, y)))
+    # at n = 1, f > 0 is the whole interior test
+    assert seen == {(n, v) for n in range(1, 6) for v in (True, False)} - {
+        (1, False)}
+
+
+@st.composite
+def int_symmetric(draw):
+    """Rows of a symmetric int matrix: general, B B^T with B n x r (positive
+    semidefinite, singular when r < n), or B B^T + I (positive definite)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["general", "gram", "gram+1"]))
+    if kind == "general":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+        return rows
+    r = draw(st.integers(0, n))
+    b = [[draw(st.integers(-4, 4)) for _ in range(r)] for _ in range(n)]
+    return [[sum(map(mul, b[i], b[j])) + (kind == "gram+1") * (i == j)
+             for j in range(n)] for i in range(n)]
+
+
+@KERNEL_SETTINGS
+@given(int_symmetric())
+def test_positive_definite_matches_sympy_leading_minors(rows):
+    m = sympy.Matrix(rows)
+    want = all(m[:k, :k].det() > 0 for k in range(1, len(rows) + 1))
+    assert positive_definite(SymMatrix.from_rows(rows)) is want
+
+
+def test_positive_definite_rejects_non_int_entries():
+    for v in (F(1, 2), 0.5, True):
+        with pytest.raises(TypeError):
+            positive_definite(SymMatrix.from_rows([[v]]))
+
+
 def test_dense_jet_derivatives_match_polynomial_oracle():
     # f = F / (s l^3), grad f = a / (s l^2) and Hess f = H / (s l)
     for z in cone_sample(DENSE, 4, seed=31):
         ij = _integer_jet(DENSE, z)
         s, l = ij.point.s, ij.point.l
         assert poly_derivatives(DENSE, z) == (
-            F(ij.point.F, s * l**3), [F(v, s * l * l) for v in ij.a],
+            F(ij.point.F, s * l**3), [F(v, s * l * l) for v in ij.point.a],
             [[F(v, s * l) for v in row] for row in ij.point.H.rows()])
 
 
@@ -137,7 +304,7 @@ SAMPLED = suite_forms() + [
     (FORM_SIXTH, (F(1, 4), F(-5, 2), F(9, 5)))]
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(st.integers(0, 10**9), st.booleans())
 def test_cone_sample_matches_fraction_sampler(seed, with_hint):
     for form, hint in SAMPLED:
@@ -162,9 +329,11 @@ def test_sampler_eliminates_only_where_f_is_positive(monkeypatch):
     cleared, eliminated = [], []
     monkeypatch.setattr(kahlercone.cubic, "_cleared",
                         _recording(cleared, kahlercone.cubic._cleared))
-    monkeypatch.setattr(kahlercone.cubic, "inertia",
-                        _recording(eliminated, inertia, arg=True))
+    monkeypatch.setattr(kahlercone.cubic, "positive_definite",
+                        _recording(eliminated, positive_definite, arg=True))
     cone_sample(DENSE, 4, seed=31)
-    assert eliminated == [p.H for p in cleared if p.F > 0]
+    assert eliminated == [p.M for p in cleared if p.F > 0]
+    # no Hessian is built where the sign of f decides
+    assert all(p.H is p.a is p.M is None for p in cleared if p.F <= 0)
     # about half the candidates have f < 0 and are rejected by its sign
     assert sum(p.F < 0 for p in cleared) > len(cleared) // 4

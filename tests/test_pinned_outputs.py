@@ -267,7 +267,7 @@ def test_float_pins_round_the_exact_output(argv):
 SUITE = suite_forms()
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(st.sampled_from(range(len(SUITE))), st.integers(0, 10**6))
 def test_float_mode_rounds_the_exact_report(which, seed):
     form, hint = SUITE[which]

@@ -17,7 +17,7 @@ FORM = parse_text("y1*y2*y3 + y4^3", 4)
 HINT = (F(2), F(2), F(2), F(-1))
 N = FORM.n
 
-PROPERTY_SETTINGS = settings(max_examples=8, deadline=None)
+PROPERTY_SETTINGS = settings(max_examples=8)
 
 interior_points = st.integers(0, 10**6).map(
     lambda seed: cone_sample(FORM, 1, seed=seed, hint=HINT)[0])

@@ -16,7 +16,7 @@ from kahlercone.linalg import _layout, _pair_index, _triple_index, raise_index
 
 from _util import counting
 
-TABLE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+TABLE_SETTINGS = settings(max_examples=25)
 
 
 def test_layout_tables_agree_with_the_index_maps():
