@@ -49,10 +49,17 @@ __all__ = [
 ]
 
 DEGREE = 3
+MAX_VARIABLES = 32           # `_layout(32)` takes about 0.2 s and 46 MiB
 GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
 # the distinct positive grid values p/q
 GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)
                     for q in range(1, GRID_DEN + 1))
+
+
+def _check_dimension(n):
+    if not 1 <= n <= MAX_VARIABLES:
+        raise DimensionMismatch(f"{n} variables; 1 to {MAX_VARIABLES} are "
+                                f"supported")
 
 
 class Membership(enum.Enum):
@@ -78,8 +85,7 @@ class CubicForm:
     __slots__ = ("n", "monomials", "_poly", "_f3", "_int_f3", "_text")
 
     def __init__(self, n, monomials):
-        if n < 1:
-            raise DimensionMismatch("need at least one variable")
+        _check_dimension(n)
         self.n = n
         clean = {}
         for exp, coeff in monomials.items():
@@ -329,9 +335,10 @@ class _Parser:
 def parse_text(src: str, n: int) -> CubicForm:
     """Parse polynomial source text into an exact CubicForm.
 
-    Raises ParseError for malformed input and NotHomogeneousCubic when a
-    surviving monomial has degree other than 3.
+    Raises ParseError for malformed input, NotHomogeneousCubic when a
+    surviving monomial has degree other than 3, DimensionMismatch on n.
     """
+    _check_dimension(n)
     parser = _Parser(_tokenize(src), n)
     monomials = parser.expr()
     return CubicForm(n, monomials)
@@ -400,7 +407,8 @@ def _classify(form: CubicForm, y):
     one exact evaluation on ints. A float coordinate is read as the exact
     rational it stores. The same integers are the input of the exact
     metric jet. An interior point has inertia (1, n-1, 0) by the interior
-    test; only elsewhere is H eliminated, to tell Boundary from Outside."""
+    test; only elsewhere is `inertia(H)` computed, to tell Boundary from
+    Outside."""
     y = [Fraction(v) for v in y]
     form._check_len(y)
     point = _cleared(form, [(v.numerator, v.denominator) for v in y],

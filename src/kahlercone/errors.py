@@ -25,7 +25,7 @@ class NotHomogeneousCubic(KahlerConeError):
 
 
 class SingularMatrix(KahlerConeError):
-    """Exact elimination hit a zero pivot row; the matrix has no inverse."""
+    """The matrix has no inverse (not raised: `det_adjugate` returns det 0)."""
 
 
 class SingularHessian(KahlerConeError):
@@ -33,7 +33,7 @@ class SingularHessian(KahlerConeError):
 
 
 class SingularMetric(KahlerConeError):
-    """The cone metric is singular at the requested point."""
+    """The cone metric is singular (not raised: g > 0 on the cone interior)."""
 
 
 class NotInCone(KahlerConeError):

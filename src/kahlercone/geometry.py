@@ -53,24 +53,24 @@ and each side of the identity is l^4 side / (16 F^4 Delta), with
 
 M is 4 F^2 g / l^2, and the interior of the cone is exactly where F > 0
 and M is positive definite: `cubic._classify` decides membership by that
-test, on the F, a and M it hands to the jet, so Delta > 0 and
-`verify_identity` decides from the integer residual +-lhs - rhs in either
-mode; the only Fraction it builds is the reported maximum |residual|. There
-is no float arithmetic: a float coordinate is read as the exact rational it
-stores, and float mode only rounds the reported values once to binary64.
+test, on the F, a and M it hands to the jet, so Delta > 0 (Delta and A
+come from one `linalg.det_adjugate` of M) and `verify_identity` decides
+from the integer residual +-lhs - rhs in either mode; the only Fraction
+it builds is the reported maximum |residual|. There is no float
+arithmetic: a float coordinate is read as the exact rational it stores,
+and float mode only rounds the reported values once to binary64.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .cubic import Cleared, CubicForm, Membership, _classify
-from .errors import (DimensionMismatch, KahlerConeError, NotInCone,
-                     SingularMatrix, SingularMetric, ZeroVector)
+from .errors import DimensionMismatch, KahlerConeError, NotInCone, ZeroVector
 from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, _layout, contract,
                      det_adjugate, raise_index)
 from .report import PointResult, VerificationSummary
@@ -200,10 +200,7 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
     lay = _layout(n)
     _, t, t_rows, _ = form._integer_third()
     h, a, m_rows = point.H.rows(), point.a, point.M.rows()
-    try:
-        delta, adj = det_adjugate(m_rows)
-    except SingularMatrix as exc:
-        raise SingularMetric(str(exc)) from exc
+    delta, adj = det_adjugate(point.M)
     f2 = F * F
     dg = Sym3Tensor(n, [
         F * (h[i][j] * a[k] + h[i][k] * a[j] + h[j][k] * a[i])
@@ -219,8 +216,7 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
          - 6 * a[i] * a[j] * a[k] * a[l]
          for i, j, k, l in lay.quads]
     return _IntegerJet(
-        point=point, t=t, delta=delta,
-        adj=SymMatrix(n, [adj[i][k] for i, k in lay.pairs]), Dg=dg,
+        point=point, t=t, delta=delta, adj=adj, Dg=dg,
         E=CurvTensor(n, [e[orbit[0]] for orbit in lay.orbits]))
 
 
@@ -253,23 +249,37 @@ def christoffels(form: CubicForm, y):
     return _integer_jet(form, y).christoffels()
 
 
+def _quadratic(packed, x):
+    """x^T Q x, Q symmetric with its upper triangle packed as a SymMatrix's."""
+    pairs = ((a, b) for b in range(len(x)) for a in range(b + 1))
+    return sum((2 - (a == b)) * v * x[a] * x[b]
+               for (a, b), v in zip(pairs, packed))
+
+
 def sectional(form: CubicForm, y, v):
-    """Holomorphic sectional curvature 2 R(v, vbar, v, vbar) / g(v, vbar)^2."""
+    """Holomorphic sectional curvature 2 R(v, vbar, v, vbar) / g(v, vbar)^2.
+
+    In real arithmetic on the integer jet: with v scaled to integer parts
+    p + iq, w_P = (2 - [i=k]) v_i v_k over the pairs P = (i, k) and L the
+    integer lhs as a matrix on the pairs, it is
+    2 (L(Re w) + L(Im w)) / (Delta (M(p) + M(q))^2).
+    """
     vv = [Complex.of(x) for x in v]
     if len(vv) != form.n:
         raise DimensionMismatch("direction length does not match the form")
-    if all(z.is_zero() for z in vv):
+    parts = [Fraction(x) for z in vv for x in (z.re, z.im)]
+    if not any(parts):
         raise ZeroVector("sectional curvature needs a nonzero direction")
     ij = _integer_jet(form, y)
-    r, g = ij.lhs("standard").scale(ij.side_scale), ij.g
-    w = [(z, z.conj()) for z in vv]
-    pairs = list(itertools.product(range(form.n), repeat=2))
-    zero = Complex(Fraction(0))
-    den = sum((g[i, j] * w[i][0] * w[j][1] for i, j in pairs), zero)
-    num = sum((r[i, j, k, l] * w[i][0] * w[j][1] * w[k][0] * w[l][1]
-               for i, j in pairs for k, l in pairs), zero)
-    # real tensor with the pair symmetries: the imaginary parts cancel
-    return 2 * num.re / (den.re * den.re)
+    den = math.lcm(*[x.denominator for x in parts])
+    p, q = ([int(x * den) for x in parts[k::2]] for k in (0, 1))
+    pairs = _layout(form.n).pairs
+    re_w = [(2 - (i == k)) * (p[i] * p[k] - q[i] * q[k]) for i, k in pairs]
+    im_w = [(2 - (i == k)) * (p[i] * q[k] + q[i] * p[k]) for i, k in pairs]
+    lhs, m = ij.lhs("standard")._data, ij.point.M._data
+    g = _quadratic(m, p) + _quadratic(m, q)
+    return Fraction(2 * (_quadratic(lhs, re_w) + _quadratic(lhs, im_w)),
+                    ij.delta * g * g)
 
 
 @dataclass(frozen=True)

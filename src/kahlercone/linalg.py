@@ -1,4 +1,4 @@
-"""Packed symmetric matrices/tensors and exact elimination routines.
+"""Packed symmetric matrices/tensors and the exact matrix kernel.
 
 Each container stores one entry per orbit of its index symmetry: symmetric
 matrices and 3-tensors one per index multiset, curvature tensors one per
@@ -8,14 +8,14 @@ computed once. The accessors serve single-entry reads; the builders and
 kernels instead read the slot tables `_layout(n)` builds once per dimension
 from `_pair_index` and `_triple_index`, the one definition of the packing,
 and loop over the flat `_data` lists. Dimensions stay small here (n of
-order a few), so cubic-time elimination is not a concern; the cost is in
-the scalars. Contraction works verbatim over any scalars.
-`inertia`, `positive_definite` and `det_adjugate` are exact only: they
-eliminate fraction-free on Python ints, each of whose operations costs a
-small fraction of a `Fraction` one (`inertia` clears the denominators of its
-rational input first), and they reject floats. `det_adjugate` is the
-package's one inverse: every caller divides adj M by det M itself, once per
-entry.
+order a few), so n^4 kernels are not a concern; the cost is in the scalars.
+Contraction works verbatim over any scalars. `inertia`, `positive_definite`
+and `det_adjugate` are exact only: they work on Python ints, each of whose
+operations costs a small fraction of a `Fraction` one (`inertia` clears the
+denominators of its rational input first), and they reject floats. One
+division-free kernel, the characteristic polynomial `_charpoly`, gives
+`det_adjugate` and `inertia`. `det_adjugate` is the package's one inverse:
+every caller divides adj M by det M itself, once per entry.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch
 from .scalars import is_exact_scalar
 
 __all__ = [
@@ -246,76 +246,53 @@ class CurvTensor:
         return f"CurvTensor(n={self.n})"
 
 
+def _charpoly(m: SymMatrix):
+    """(c, B_n): c[0..n] the coefficients of det(x I - m) = sum c[k] x^k of a
+    symmetric int matrix m, by the Faddeev-LeVerrier recursion B_1 = I,
+    c[n-k] = -tr(m B_k) / k, B_{k+1} = m B_k + c[n-k] I, whose divisions
+    are exact on ints and which never pivots. Every B_k is a polynomial in
+    m, hence symmetric: it is kept packed, and tr(m B_k) sums m[i,j] B_k[i,j]
+    over the packed slots, the off-diagonal ones twice."""
+    n, data = m.n, m._data
+    lay = _layout(n)
+    rows = m.rows()
+    twice = [v if i == k else 2 * v for (i, k), v in zip(lay.pairs, data)]
+    c = [0] * n + [1]
+    b = [int(i == k) for i, k in lay.pairs]
+    for k in range(1, n + 1):
+        c[n - k] = -sum(map(mul, twice, b)) // k
+        if k < n:
+            full = [[b[s] for s in row] for row in lay.slot]
+            b = [sum(map(mul, rows[i], full[j])) + (c[n - k] if i == j else 0)
+                 for i, j in lay.pairs]
+    return c, b
+
+
+def _sign_changes(coeffs):
+    signs = [v > 0 for v in coeffs if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def inertia(m: SymMatrix):
     """Sylvester inertia (n_plus, n_minus, n_zero) of an exact symmetric matrix.
 
-    Fraction-free symmetric elimination on Python ints (Bareiss, Math. Comp.
-    1968) with 1x1/2x2 pivot blocks. The entries are first scaled by the lcm
-    of their denominators. A 1x1 step on pivot d replaces the trailing block
-    by |d| times its Schur complement, a 2x2 step on the block [[0, b],
-    [b, 0]] by |b| times it; each is a positive multiple of a congruence, so
-    the signs of the pivot blocks give the inertia, and the block is then
-    divided by the gcd of its entries to keep the integers small. Every
-    trailing block is a positive multiple of the one rational elimination
-    would reach, so the pivots are chosen as over the rationals. No
-    eigenvalue iteration and no float; raises TypeError on float entries.
-    All-int input, such as every cleared Hessian, is used as it is.
-    The interior test does not call it (`cubic._is_interior`); it tells
-    Boundary from Outside and gives the inertias the CLI reports.
+    Descartes' rule of signs on the characteristic polynomial c
+    (`_charpoly`), exact since every eigenvalue of a real symmetric matrix
+    is real: the sign changes of c(x) and of c(-x) count the positive and
+    the negative ones, the leading zero coefficients the zero ones. Rational
+    entries are first scaled by the lcm of their denominators; raises
+    TypeError on floats. The interior test does not call it
+    (`cubic._is_interior`); it tells Boundary from Outside and gives the
+    inertias the CLI reports.
     """
-    n, data = m.n, m._data
-    if set(map(type, data)) - {int}:
-        for v in data:
-            if not is_exact_scalar(v):
-                raise TypeError("inertia requires exact rational entries")
-        den = math.lcm(*[v.denominator for v in data])
-        data = [v.numerator * (den // v.denominator) for v in data]
-    a = [[data[s] for s in row] for row in _layout(n).slot]
-    plus = minus = zero = 0
-    k = 0
-    while k < n:
-        # best 1x1 pivot: largest |diagonal| for mild coefficient control
-        piv, best = -1, 0
-        for i in range(k, n):
-            if abs(a[i][i]) > best:
-                piv, best = i, abs(a[i][i])
-        if piv >= 0:
-            _sym_swap(a, k, piv)
-            d = a[k][k]
-            sign = 1 if d > 0 else -1
-            plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
-            col = [a[r][k] for r in range(n)]
-            for r in range(k + 1, n):
-                for s in range(r, n):
-                    a[r][s] = a[s][r] = best * a[r][s] - sign * col[r] * col[s]
-            k += 1
-        else:
-            # all trailing diagonals vanish: find an off-diagonal 2x2 block
-            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                        if a[i][j] != 0), None)
-            if off is None:
-                zero += n - k
-                break
-            _sym_swap(a, k, off[0])
-            _sym_swap(a, k + 1, off[1])
-            b = a[k][k + 1]
-            sign = 1 if b > 0 else -1
-            # block [[0, b], [b, 0]] has eigenvalues +/- b: one of each sign
-            plus += 1
-            minus += 1
-            u = [a[r][k] for r in range(n)]
-            v = [a[r][k + 1] for r in range(n)]
-            for r in range(k + 2, n):
-                for s in range(r, n):
-                    a[r][s] = a[s][r] = (abs(b) * a[r][s]
-                                         - sign * (v[r] * u[s] + u[r] * v[s]))
-            k += 2
-        g = math.gcd(*[a[r][s] for r in range(k, n) for s in range(r, n)])
-        if g > 1:
-            for r in range(k, n):
-                for s in range(r, n):
-                    a[r][s] = a[s][r] = a[r][s] // g
-    return plus, minus, zero
+    data = m._data
+    if not all(map(is_exact_scalar, data)):
+        raise TypeError("inertia requires exact rational entries")
+    den = math.lcm(*[v.denominator for v in data])
+    c = _charpoly(SymMatrix(m.n, [int(v * den) for v in data]))[0]
+    zero = next(k for k, v in enumerate(c) if v)
+    return (_sign_changes(c),
+            _sign_changes([-v if k % 2 else v for k, v in enumerate(c)]), zero)
 
 
 def positive_definite(m: SymMatrix) -> bool:
@@ -347,49 +324,16 @@ def positive_definite(m: SymMatrix) -> bool:
     return True
 
 
-def det_adjugate(rows):
-    """(det M, adj M) of a square integer matrix given as rows; adj M as rows.
-
-    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp.
-    1968). With p the pivot of step k and p' that of step k-1 (1 at the
-    first), the step replaces every row r other than the pivot row k by
-    (p * row_r - row_r[k] * row_k) / p'; every entry stays a minor of
-    [P M | I], P the row permutation of the pivot search, so each division
-    is exact. At the end the left block is d I with d = det(P M), and the
-    right block is d (P M)^-1; the sign of P turns both into det M and
-    adj M. Raises SingularMatrix when det M = 0, TypeError on a non-int entry.
-    """
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise DimensionMismatch("matrix is not square")
-        if not all(type(v) is int for v in r):
-            raise TypeError("det_adjugate requires int entries")
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    sign = prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            raise SingularMatrix(f"zero pivot in column {k}")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top = a[k]
-        p = top[k]
-        for r in range(n):
-            if r != k:
-                c = a[r][k]
-                a[r] = [(p * v - c * w) // prev for v, w in zip(a[r], top)]
-        prev = p
-    return sign * prev, [[sign * v for v in r[n:]] for r in a]
-
-
-def _sym_swap(a, i, j):
-    if i == j:
-        return
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+def det_adjugate(m: SymMatrix):
+    """(det m, adj m) of a symmetric int matrix, adj m as a SymMatrix:
+    (-1)^n c[0] and, by Cayley-Hamilton, (-1)^(n-1) B_n (`_charpoly`). A
+    singular m gives det 0 and its true adjugate. Raises TypeError on a
+    non-int entry."""
+    if not {int}.issuperset(map(type, m._data)):
+        raise TypeError("det_adjugate requires int entries")
+    c, b = _charpoly(m)
+    sign = -1 if m.n % 2 else 1
+    return sign * c[0], SymMatrix(m.n, [-sign * v for v in b])
 
 
 def identity_rows(n):

@@ -12,8 +12,8 @@ The literature normalization (metric -4 Hess f contracted instead) differs
 from this by the constant kappa = -4, which the check recomputes per entry
 and asserts globally constant. Hess f = H / (s l) is read from the cleared
 point (`cubic.Cleared`) and inverted once, by `det_adjugate` of the integer
-H: (Hess f)^{-1} = s l adj H / det H. The inverse of -4 Hess f is that
-inverse times -1/4.
+H: (Hess f)^{-1} = s l adj H / det H, so the right side is l / (s det H)
+contract(t, adj H), t = s f3. The inverse of -4 Hess f is that times -1/4.
 
 Fibre extension. `build_tilde_metric` assembles the (n+1) x (n+1) hermitian
 matrix from the published closed-form entries with K = 8 f(Im t) and
@@ -85,7 +85,7 @@ from operator import mul
 from typing import Optional
 
 from .cubic import CubicForm, _cleared
-from .errors import SingularHessian, SingularMatrix, ZeroLambda
+from .errors import SingularHessian, ZeroLambda
 from .geometry import _IntegerJet, _integer_jet
 from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
                      identity_rows, mat_mul)
@@ -149,14 +149,11 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     form._check_len(y)
     point = _cleared(form, [(v.numerator, v.denominator) for v in y],
                      hessian=True)
-    try:
-        det, adj = det_adjugate(point.H.rows())
-    except SingularMatrix as exc:
-        raise SingularHessian(f"Hess f is singular at {format_point(y)}") \
-            from exc
-    c = Fraction(point.s * point.l, det)    # (Hess f)^-1 = s l adj H / det H
-    hinv = SymMatrix(form.n, [c * adj[i][k] for i, k in _layout(form.n).pairs])
-    expected = contract(form.third_tensor, hinv)
+    det, adj = det_adjugate(point.H)
+    if det == 0:
+        raise SingularHessian(f"Hess f is singular at {format_point(y)}")
+    expected = contract(form._integer_third()[1], adj).scale(
+        Fraction(point.l, point.s * det))
     curvature = expected.scale(Fraction(-1, 4) * (-4)**2 * Fraction(-1, 4))
     residual = curvature - expected
     # the literature-normalized right side contract(f3, -hinv/4), for the
@@ -294,7 +291,7 @@ def _direct_gammas(tm: TildeMetric):
     n, lam, ij = tm.n, tm.lam, tm.ij
     l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
-    delta, adj = det_adjugate(tm.bordered.rows())
+    delta, adj = det_adjugate(tm.bordered)
     zero, lam_inv = Complex(Fraction(0)), Complex(Fraction(1)) / lam
     lpow = ((l, l * l), (1, l))     # l^(1 - [x>0] + [c>0]), at [x>0][c>0]
     printed, potential = ([[[zero] * (n + 1) for _ in range(n + 1)]
@@ -306,7 +303,7 @@ def _direct_gammas(tm: TildeMetric):
         d_b = [[4 * a[q]] + [2 * v for v in h[q]]] + [      # symmetric
             [2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
             for d in range(n)]
-        for x, adj_row in enumerate(adj):
+        for x, adj_row in enumerate(adj.rows()):
             pr, po = printed[x][q + 1], potential[x][q + 1]
             for c, col in enumerate(d_b):
                 r = Fraction(lpow[x > 0][c > 0] * sum(map(mul, adj_row, col)),

@@ -1,9 +1,10 @@
 """Reference oracles for the exact kernels.
 
 `reference_inertia` is symmetric Gaussian elimination over the rationals
-with the same 1x1/2x2 pivot rule as `linalg.inertia`: each step replaces
-the trailing block by its Schur complement, a congruence, so the signs of
-the pivot blocks give the inertia. `hermitian_inertia` reads the inertia of
+with 1x1/2x2 pivot blocks: each step replaces the trailing block by its
+Schur complement, a congruence, so the signs of the pivot blocks give the
+inertia; `linalg.inertia` reads it from the characteristic polynomial
+instead, so the two share no method. `hermitian_inertia` reads the inertia of
 a `Complex` hermitian matrix from its real symmetric embedding.
 `invert_rows` is Gauss-Jordan elimination over any field (`Fraction`,
 float or `Complex` entries), and `invert` its symmetric form: the
@@ -23,6 +24,9 @@ taken from `poly_derivatives` and `poly_third` and g inverted by
 `invert_rows`: no part of the integer kernel. `dense_sides` evaluates both
 curvature sides at every one of the n^4 indices from their defining sums
 over that jet, with no symmetry assumed.
+`reference_sectional` is the holomorphic sectional curvature as the n^4
+`Complex` sum 2 R(v, vbar, v, vbar) / g(v, vbar)^2 over `curvature_lhs`
+and the `kahler_metric` g, every index ordered.
 `fd_curvature_lhs` rebuilds the metric side from central differences of the
 metric over floats, an oracle for the closed-form derivative expressions.
 `float_jet` and `float_sides` evaluate the jet's closed forms and both
@@ -47,7 +51,7 @@ from fractions import Fraction
 from kahlercone import (Complex, CurvTensor, DimensionMismatch, Membership,
                         SamplingExhausted, SingularMatrix, Sym3Tensor,
                         SymMatrix, cone_contains, contract, curvature_lhs,
-                        curvature_rhs, inertia)
+                        curvature_rhs, inertia, kahler_metric)
 from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import _layout, identity_rows
 
@@ -310,6 +314,19 @@ def dense_sides(form, y):
         rhs[i, j, k, l] = (g[i, j] * g[k, l] + g[i, l] * g[k, j]
                            - double_sum(f3, i, j, k, l) / (64 * f**2))
     return lhs, rhs
+
+
+def reference_sectional(form, y, v):
+    """2 R(v, vbar, v, vbar) / g(v, vbar)^2 as the defining sums."""
+    w = [(z, z.conj()) for z in map(Complex.of, v)]
+    r, g = curvature_lhs(form, y), kahler_metric(form, y).g
+    pairs = list(itertools.product(range(form.n), repeat=2))
+    zero = Complex(Fraction(0))
+    den = sum((g[i, j] * w[i][0] * w[j][1] for i, j in pairs), zero)
+    num = sum((r[i, j, k, l] * w[i][0] * w[j][1] * w[k][0] * w[l][1]
+               for i, j in pairs for k, l in pairs), zero)
+    # real tensor with the pair symmetries: the imaginary parts cancel
+    return 2 * num.re / (den.re * den.re)
 
 
 def _float_metric(form, y):

@@ -305,6 +305,25 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         "denominator in its coefficient '1/0'")
 
 
+def test_oversized_dimension_exits_2(capsys, tmp_path):
+    # each dimension above MAX_VARIABLES = 32 is refused before anything of
+    # its size is allocated
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**20, "monomials": [
+        {"exp": [3], "coeff": "1"}]}))
+    for argv in (("--form", "y99999999999999999999^3"),
+                 ("--form", "y1^3", "--n", "99999999999999999999"),
+                 ("--form-file", str(huge)),
+                 ("--form", "y1^3", "--n", "33")):
+        code, out = run_inproc(capsys, "validate", *argv)
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == "DimensionMismatch", argv
+        assert error["message"].endswith("1 to 32 are supported"), argv
+    code, out = run_inproc(capsys, "validate", "--form", "y1^3", "--n", "32")
+    assert code == 0 and json.loads(out)["form"]["n"] == 32
+
+
 def test_text_mode_renders(capsys):
     argv = ["verify", "--form", "y1^3", "--points", "1", "--text"]
     code, out = run_inproc(capsys, *argv)

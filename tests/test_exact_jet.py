@@ -1,22 +1,20 @@
 """The integer jet against its oracles: `kahler_metric` and both curvature
 sides of `curvature_report` entry by entry against `_reference.reference_jet`
 and `dense_sides`, which share no code with the integer kernel; the work
-one exact verify point does; and the singular-metric error path."""
+one exact verify point does."""
 
 import itertools
 import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kahlercone.cubic
 import kahlercone.geometry
 import kahlercone.linalg
-from kahlercone import (SamplingExhausted, SingularMatrix, SingularMetric,
-                        cone_sample, curvature_report, kahler_metric,
-                        parse_text, verify_identity)
+from kahlercone import (SamplingExhausted, cone_sample, curvature_report,
+                        kahler_metric, parse_text, verify_identity)
 from kahlercone.geometry import _integer_jet
 
 from _reference import dense_sides, reference_jet
@@ -70,15 +68,3 @@ def test_exact_verify_point_work(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert verify_identity(form, [y]).overall == "PASS"
         assert calls == {"_classify": 1, "det_adjugate": 1, "contract": 2}
-
-
-def test_singular_metric_is_reported_as_such(monkeypatch):
-    def singular(rows):
-        raise SingularMatrix("zero pivot in column 0")
-
-    monkeypatch.setattr(kahlercone.geometry, "det_adjugate", singular)
-    form = parse_text("y1*y2^2", 2)
-    for fn in (kahler_metric, curvature_report,
-               lambda f, y: verify_identity(f, [y])):
-        with pytest.raises(SingularMetric):
-            fn(form, [F(1), F(1)])

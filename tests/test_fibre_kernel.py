@@ -81,13 +81,13 @@ def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
     # det_adjugate is the package's one inverse: the check makes one, of B
     adjugated = []
 
-    def det_adjugate(rows):
-        adjugated.append(rows)
-        return kahlercone.linalg.det_adjugate(rows)
+    def det_adjugate(m):
+        adjugated.append(m)
+        return kahlercone.linalg.det_adjugate(m)
 
     monkeypatch.setattr(kahlercone.special, "det_adjugate", det_adjugate)
     assert tilde_christoffel_check(tm).passed
-    assert adjugated == [tm.bordered.rows()]
+    assert adjugated == [tm.bordered]
 
 
 @SETTINGS

@@ -16,9 +16,9 @@ from kahlercone import (Complex, CubicForm, KahlerConeError, Membership,
                         parse_text, sectional, verify_identity)
 from kahlercone.geometry import _integer_jet
 from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
-                        poly_derivatives)
+                        poly_derivatives, reference_sectional)
 from _util import (counting, mat_vec, random_cubic_with_cone,
-                   random_invertible)
+                   random_fraction, random_invertible)
 
 
 # ----------------------------------------------------------------------------
@@ -354,6 +354,19 @@ def test_sectional_values_and_scale_invariance():
     assert sectional(f2, [F(1), F(1)], [F(1), F(0)]) == 4
     with pytest.raises(ZeroVector):
         sectional(f, [F(1)], [F(0)])
+
+
+def test_sectional_matches_complex_sum_and_is_at_most_4():
+    # H(v) = 4 - |f3(v, v, .)|^2_ginv / (32 f^2 g(v, vbar)^2) <= 4
+    rng = random.Random(97)
+    for n in range(1, 6):
+        form, pts = random_cubic_with_cone(rng, n, points_needed=2)
+        for y in pts:
+            v = [Complex(random_fraction(rng, nonzero=not i),
+                         random_fraction(rng)) for i in range(n)]
+            h = sectional(form, y, v)
+            assert h == reference_sectional(form, y, v), (form, y, v)
+            assert h <= 4
 
 
 # ----------------------------------------------------------------------------

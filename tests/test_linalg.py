@@ -12,7 +12,7 @@ import sympy
 
 from kahlercone import (Complex, CurvTensor, DimensionMismatch, SingularMatrix,
                         Sym3Tensor, SymMatrix, contract, inertia)
-from kahlercone.linalg import det_adjugate, identity_rows, mat_mul
+from kahlercone.linalg import _charpoly, det_adjugate, identity_rows, mat_mul
 
 from _reference import hermitian_inertia, invert, invert_rows
 from _util import random_invertible, random_symmetric
@@ -124,53 +124,94 @@ def test_invert_complex_rows():
     assert all(type(z.re) is F and type(z.im) is F for row in inv for z in row)
 
 
-def _random_int_matrix(rng, n, bound=9):
-    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+def _random_int_symmetric(rng, n, bound=9):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    return rows
+
+
+def _random_int_symmetric_of_rank(rng, n, rank):
+    """P^T D P for a random int P and a diagonal D of `rank` nonzero entries:
+    symmetric of rank at most `rank`, exactly `rank` when P is invertible."""
+    p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    d = [rng.choice((-2, -1, 1, 2)) if i < rank else 0 for i in range(n)]
+    return [[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_charpoly_matches_sympy():
+    lam = sympy.Symbol("lam")
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rows = _random_int_symmetric(rng, n)
+        want = sympy.Matrix(rows).charpoly(lam).all_coeffs()[::-1]
+        assert _charpoly(SymMatrix.from_rows(rows))[0] == want
 
 
 def test_det_adjugate_matches_inverse_and_numpy_det():
     rng = random.Random(71)
     signs = set()
-    swapped = 0
     for trial in range(160):
         n = rng.randint(1, 8)
-        rows = _random_int_matrix(rng, n)
+        rows = _random_int_symmetric(rng, n)
         if trial % 2:
-            # a zero leading pivot forces a row swap in the first step
-            rows[0][0] = 0
-            swapped += n > 1
+            rows[0][0] = 0      # where an elimination would have to pivot
         try:
             want_inv = invert_rows(rows)
         except SingularMatrix:
             continue
-        delta, adj = det_adjugate(rows)
+        delta, adj = det_adjugate(SymMatrix.from_rows(rows))
         assert type(delta) is int and all(type(v) is int
-                                          for row in adj for v in row)
-        assert [[F(v, delta) for v in row] for row in adj] == want_inv
+                                          for row in adj.rows() for v in row)
+        assert [[F(v, delta) for v in row] for row in adj.rows()] == want_inv
         assert abs(delta - np.linalg.det(np.array(rows, dtype=float))) \
             <= 1e-9 * max(1, abs(delta))
         signs.add(delta > 0)
-    assert signs == {True, False} and swapped > 50
+    assert signs == {True, False}
+
+
+def test_det_adjugate_matches_sympy_at_every_rank():
+    # full rank, rank n-1 (det 0, adj of rank 1) and rank <= n-2 (adj 0)
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        rank = rng.choice((n, n - 1, rng.randint(0, max(0, n - 2))))
+        rows = _random_int_symmetric_of_rank(rng, n, rank)
+        want = sympy.Matrix(rows)
+        delta, adj = det_adjugate(SymMatrix.from_rows(rows))
+        assert delta == want.det()
+        assert adj.rows() == want.adjugate().tolist()
+        real_rank = want.rank()
+        assert (delta == 0) == (real_rank < n)
+        assert any(map(any, adj.rows())) == (real_rank >= n - 1)
+        seen.add(min(n - real_rank, 2))
+    assert seen == {0, 1, 2}
 
 
 def test_det_adjugate_swap_gives_negative_det():
-    # [[0, 1], [1, 0]] needs a swap; det = -1, adj = [[0, -1], [-1, 0]]
-    assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
-    rows = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
-    delta, adj = det_adjugate(rows)
-    assert delta == sympy.Matrix(rows).det() == -32
-    assert adj == sympy.Matrix(rows).adjugate().tolist()
+    # the transposition [[0, 1], [1, 0]]: det = -1, adj = [[0, -1], [-1, 0]]
+    assert det_adjugate(SymMatrix(2, [0, 1, 0])) == \
+        (-1, SymMatrix.from_rows([[0, -1], [-1, 0]]))
+    rows = [[0, 2, 1], [2, 1, 4], [1, 4, 9]]
+    delta, adj = det_adjugate(SymMatrix.from_rows(rows))
+    assert delta == sympy.Matrix(rows).det() == -21
+    assert adj.rows() == sympy.Matrix(rows).adjugate().tolist()
 
 
-def test_det_adjugate_singular_and_bad_input_raise():
-    with pytest.raises(SingularMatrix):
-        det_adjugate([[1, 2], [2, 4]])
-    with pytest.raises(SingularMatrix):
-        det_adjugate([[0, 0, 1], [0, 0, 2], [1, 2, 3]])
-    with pytest.raises(DimensionMismatch):
-        det_adjugate([[1, 2], [3]])
+def test_det_adjugate_singular_gives_det_zero_and_bad_input_raises():
+    # rank 1 of 2, and rank 2 of 3: det 0 and the nonzero adjugate
+    assert det_adjugate(SymMatrix.from_rows([[1, 2], [2, 4]])) == \
+        (0, SymMatrix.from_rows([[4, -2], [-2, 1]]))
+    rows = [[0, 0, 1], [0, 0, 2], [1, 2, 3]]
+    assert det_adjugate(SymMatrix.from_rows(rows)) == \
+        (0, SymMatrix.from_rows([[-4, 2, 0], [2, -1, 0], [0, 0, 0]]))
+    assert det_adjugate(SymMatrix(3, [0] * 6)) == (0, SymMatrix(3, [0] * 6))
     with pytest.raises(TypeError):
-        det_adjugate([[F(1, 2)]])
+        det_adjugate(SymMatrix(1, [F(1, 2)]))
 
 
 def test_contract_scalar_case():
