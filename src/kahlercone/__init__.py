@@ -14,7 +14,7 @@ from .cubic import (ConePoint, CubicForm, Membership, NormIdentityResult,
                     parse_text)
 from .errors import (DimensionMismatch, KahlerConeError, NotHomogeneousCubic,
                      NotInCone, ParseError, SamplingExhausted, SingularHessian,
-                     SingularMatrix, SingularMetric, ZeroLambda, ZeroVector)
+                     ZeroLambda, ZeroVector)
 from .geometry import (CurvatureReport, MetricJet, christoffels,
                        curvature_lhs, curvature_report, curvature_rhs,
                        kahler_metric, norm_function, sectional,
@@ -42,7 +42,6 @@ __all__ = [
     "tilde_christoffel_check",
     "PointResult", "VerificationSummary",
     "KahlerConeError", "ParseError", "NotHomogeneousCubic",
-    "DimensionMismatch", "SingularMatrix", "SingularMetric",
-    "SingularHessian", "NotInCone", "SamplingExhausted", "ZeroLambda",
-    "ZeroVector",
+    "DimensionMismatch", "SingularHessian", "NotInCone", "SamplingExhausted",
+    "ZeroLambda", "ZeroVector",
 ]

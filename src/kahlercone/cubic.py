@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 DEGREE = 3
-MAX_VARIABLES = 32           # `_layout(32)` takes about 0.2 s and 46 MiB
+MAX_VARIABLES = 32           # `_layout(32)` takes about 0.3 s and 58 MiB
 GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
 # the distinct positive grid values p/q
 GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)

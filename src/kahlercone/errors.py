@@ -24,16 +24,8 @@ class NotHomogeneousCubic(KahlerConeError):
     """Input polynomial is not a homogeneous form of degree 3."""
 
 
-class SingularMatrix(KahlerConeError):
-    """The matrix has no inverse (not raised: `det_adjugate` returns det 0)."""
-
-
 class SingularHessian(KahlerConeError):
     """The Hessian of the form is singular at the requested point."""
-
-
-class SingularMetric(KahlerConeError):
-    """The cone metric is singular (not raised: g > 0 on the cone interior)."""
 
 
 class NotInCone(KahlerConeError):

@@ -118,14 +118,6 @@ def _check_convention(convention):
         raise ValueError(f"unknown convention {convention!r}")
 
 
-def _interior(form: CubicForm, y) -> Cleared:
-    """The integers of an interior point y; NotInCone elsewhere."""
-    verdict, _, point = _classify(form, y)
-    if verdict is not Membership.INTERIOR:
-        raise NotInCone(f"point {format_point(y)} is not interior")
-    return point
-
-
 class _IntegerJet(NamedTuple):
     """The metric jet at an exact interior point, cleared of denominators:
     the integers of the module docstring; F, a, H and M are those of
@@ -182,11 +174,6 @@ class _IntegerJet(NamedTuple):
             for (_, ij, kl, il, kj), c in
             zip(_layout(n).orbits, contract(self.t, self.adj)._data)])
 
-    def sides(self, convention: str):
-        """The integer sides (+-lhs, rhs): each side of the identity is
-        `side_scale` times one of them."""
-        return self.lhs(convention), self.rhs()
-
     @property
     def side_scale(self) -> Fraction:
         """l^4 / (16 F^4 Delta)."""
@@ -194,8 +181,11 @@ class _IntegerJet(NamedTuple):
 
 
 def _integer_jet(form: CubicForm, y) -> _IntegerJet:
-    """The integer jet at an exact interior point y (module docstring)."""
-    point = _interior(form, y)
+    """The integer jet at an exact interior point y (module docstring);
+    NotInCone elsewhere."""
+    verdict, _, point = _classify(form, y)
+    if verdict is not Membership.INTERIOR:
+        raise NotInCone(f"point {format_point(y)} is not interior")
     n, F = form.n, point.F
     lay = _layout(n)
     _, t, t_rows, _ = form._integer_third()
@@ -299,7 +289,7 @@ class CurvatureReport:
 def curvature_report(form: CubicForm, y,
                      convention: str = "standard") -> CurvatureReport:
     ij = _integer_jet(form, y)
-    lhs, rhs = ij.sides(convention)
+    lhs, rhs = ij.lhs(convention), ij.rhs()
     c = ij.side_scale
     residual = (lhs - rhs).scale(c)
     return CurvatureReport(
@@ -331,7 +321,7 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
     for y in points:
         y = tuple(map(Fraction, y))
         ij = _integer_jet(form, y)
-        lhs, rhs = ij.sides(convention)
+        lhs, rhs = ij.lhs(convention), ij.rhs()
         worst = (lhs - rhs).max_abs()
         max_abs, rel = worst * ij.side_scale, None
         if mode == "float":

@@ -1,16 +1,16 @@
 """Packed symmetric matrices/tensors and the exact matrix kernel.
 
-Each container stores one entry per orbit of its index symmetry: symmetric
-matrices and 3-tensors one per index multiset, curvature tensors one per
-orbit of the pair symmetries. Accessors map every index to its orbit's slot,
-so `m[i, j] == m[j, i]` holds by construction, and each distinct entry is
-computed once. The accessors serve single-entry reads; the builders and
+Each container (one base, `_Packed`) stores one entry per orbit of its index
+symmetry: symmetric matrices and 3-tensors one per index multiset, curvature
+tensors one per orbit of the pair symmetries. Accessors map every index to its
+orbit's slot, so `m[i, j] == m[j, i]` holds by construction, and each distinct
+entry is computed once. The accessors serve single-entry reads; `build` and the
 kernels instead read the slot tables `_layout(n)` builds once per dimension
-from `_pair_index` and `_triple_index`, the one definition of the packing,
-and loop over the flat `_data` lists. Dimensions stay small here (n of
-order a few), so n^4 kernels are not a concern; the cost is in the scalars.
-Contraction works verbatim over any scalars. `inertia`, `positive_definite`
-and `det_adjugate` are exact only: they work on Python ints, each of whose
+from `_pair_index` and `_triple_index`, the one definition of the packing, and
+loop over the flat `_data` lists. Dimensions stay small here (n of order a
+few), so n^4 kernels are not a concern; the cost is in the scalars. Contraction
+works verbatim over any scalars. `inertia`, `positive_definite` and
+`det_adjugate` are exact only: they work on Python ints, each of whose
 operations costs a small fraction of a `Fraction` one (`inertia` clears the
 denominators of its rational input first), and they reject floats. One
 division-free kernel, the characteristic polynomial `_charpoly`, gives
@@ -66,9 +66,9 @@ class _Layout(NamedTuple):
                          # of (i, k, p), p = 0..n-1
     triples: tuple       # Sym3Tensor triples i <= j <= k, in storage order
     quads: tuple         # the index multisets i <= j <= k <= l
-    orbits: tuple        # per CurvTensor orbit (i, j, k, l), in storage
-                         # order: its multiset's position in quads, and the
-                         # SymMatrix slots of (i,j), (k,l), (i,l), (k,j)
+    quartets: tuple      # CurvTensor orbits (i, j, k, l), in storage order
+    orbits: tuple        # per quartet: its multiset's position in quads, and
+                         # the SymMatrix slots of (i,j), (k,l), (i,l), (k,j)
 
 
 @functools.cache
@@ -80,49 +80,69 @@ def _layout(n) -> _Layout:
     quads = tuple(itertools.combinations_with_replacement(range(n), 4))
     quad_pos = {q: pos for pos, q in enumerate(quads)}
     # orbit (i,j,k,l) sits at slot (a, b) of the pair matrix, with
-    # (i,k) = pairs[a] and (j,l) = pairs[b], a <= b (CurvTensor.build)
+    # (i,k) = pairs[a] and (j,l) = pairs[b], a <= b
+    quartets = tuple((i, j, k, l) for b, (j, l) in enumerate(pairs)
+                     for i, k in pairs[:b + 1])
     orbits = tuple((quad_pos[tuple(sorted((i, j, k, l)))], _pair_index(i, j),
                     _pair_index(k, l), _pair_index(i, l), _pair_index(k, j))
-                   for b, (j, l) in enumerate(pairs) for i, k in pairs[:b + 1])
+                   for i, j, k, l in quartets)
     return _Layout(
         pairs=pairs,
         slot=tuple(tuple(_pair_index(i, k) for k in range(n))
                    for i in range(n)),
         pair_triples=tuple(tuple(_triple_index(n, i, k, p) for p in range(n))
                            for i, k in pairs),
-        triples=triples, quads=quads, orbits=orbits)
+        triples=triples, quads=quads, quartets=quartets, orbits=orbits)
 
 
-class SymMatrix:
-    """Symmetric n x n matrix with triangular storage."""
+class _Packed:
+    """n and `_data`, one entry per orbit. Subclasses give `_size(n)` in closed
+    form (sizing builds no `_layout`), `_ORBITS` and the accessors."""
 
     __slots__ = ("n", "_data")
 
     def __init__(self, n, data):
-        if len(data) != n * (n + 1) // 2:
+        if len(data) != self._size(n):
             raise DimensionMismatch("packed length does not match dimension")
         self.n = n
         self._data = list(data)
 
     @classmethod
     def zeros(cls, n):
-        return cls(n, [Fraction(0)] * (n * (n + 1) // 2))
+        return cls(n, [Fraction(0)] * cls._size(n))
+
+    @classmethod
+    def build(cls, n, fn):
+        """The container of fn(*idx) per orbit idx of `_ORBITS`, in order."""
+        return cls(n, [fn(*idx) for idx in getattr(_layout(n), cls._ORBITS)])
+
+    def scale(self, c):
+        return type(self)(self.n, [c * v for v in self._data])
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self._data == other._data)
+
+
+class SymMatrix(_Packed):
+    """Symmetric n x n matrix with triangular storage."""
+
+    __slots__ = ()
+    _ORBITS = "pairs"
+
+    @staticmethod
+    def _size(n):
+        return n * (n + 1) // 2
 
     @classmethod
     def from_rows(cls, rows):
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("ragged rows")
-        pairs = _layout(n).pairs
-        for i, j in pairs:
+        for i, j in _layout(n).pairs:
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        return cls(n, [rows[i][j] for i, j in pairs])
-
-    @classmethod
-    def build(cls, n, fn):
-        """The matrix with fn(i, j) at i <= j, called in storage order."""
-        return cls(n, [fn(i, j) for i, j in _layout(n).pairs])
+        return cls.build(n, lambda i, j: rows[i][j])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -136,38 +156,19 @@ class SymMatrix:
         data = self._data
         return [[data[s] for s in row] for row in _layout(self.n).slot]
 
-    def scale(self, c):
-        return SymMatrix(self.n, [c * v for v in self._data])
-
-    def __eq__(self, other):
-        return (isinstance(other, SymMatrix) and self.n == other.n
-                and self._data == other._data)
-
     def __repr__(self):
         return f"SymMatrix({self.rows()!r})"
 
 
-class Sym3Tensor:
+class Sym3Tensor(_Packed):
     """Fully symmetric 3-index tensor with one stored entry per multiset."""
 
-    __slots__ = ("n", "_data")
+    __slots__ = ()
+    _ORBITS = "triples"
 
-    def __init__(self, n, data):
-        size = n * (n + 1) * (n + 2) // 6
-        if len(data) != size:
-            raise DimensionMismatch("packed length does not match dimension")
-        self.n = n
-        self._data = list(data)
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(n, [Fraction(0)] * (n * (n + 1) * (n + 2) // 6))
-
-    @classmethod
-    def build(cls, n, fn):
-        """The tensor with fn(i, j, k) at i <= j <= k, called in storage
-        order."""
-        return cls(n, [fn(i, j, k) for i, j, k in _layout(n).triples])
+    @staticmethod
+    def _size(n):
+        return n * (n + 1) * (n + 2) // 6
 
     def __getitem__(self, ijk):
         i, j, k = ijk
@@ -177,18 +178,11 @@ class Sym3Tensor:
         i, j, k = ijk
         self._data[_triple_index(self.n, i, j, k)] = value
 
-    def scale(self, c):
-        return Sym3Tensor(self.n, [c * v for v in self._data])
-
-    def __eq__(self, other):
-        return (isinstance(other, Sym3Tensor) and self.n == other.n
-                and self._data == other._data)
-
     def __repr__(self):
         return f"Sym3Tensor(n={self.n}, {self._data!r})"
 
 
-class CurvTensor:
+class CurvTensor(_Packed):
     """4-index tensor R[i, j, k, l] with the curvature pair symmetries.
 
     R[i,j,k,l] = R[k,j,i,l] = R[i,l,k,j] = R[j,i,l,k]: R is a symmetric
@@ -197,23 +191,16 @@ class CurvTensor:
     orbit reads the same slot.
     """
 
-    __slots__ = ("n", "_data")
+    __slots__ = ()
+    _ORBITS = "quartets"
+
+    @staticmethod
+    def _size(n):
+        pairs = n * (n + 1) // 2
+        return pairs * (pairs + 1) // 2
 
     def __init__(self, n, data=None):
-        pairs = n * (n + 1) // 2
-        size = pairs * (pairs + 1) // 2
-        self.n = n
-        self._data = [Fraction(0)] * size if data is None else list(data)
-        if len(self._data) != size:
-            raise DimensionMismatch("packed length does not match dimension")
-
-    @classmethod
-    def build(cls, n, fn):
-        """The tensor with fn(i, j, k, l) in each orbit, called once per
-        orbit in storage order, with i <= k, j <= l and (i,k) <= (j,l)."""
-        pairs = _layout(n).pairs
-        return cls(n, [fn(i, j, k, l) for b, (j, l) in enumerate(pairs)
-                       for i, k in pairs[:b + 1]])
+        _Packed.__init__(self, n, self.zeros(n)._data if data is None else data)
 
     def __getitem__(self, ijkl):
         i, j, k, l = ijkl
@@ -228,19 +215,12 @@ class CurvTensor:
             raise DimensionMismatch("tensor dimensions differ")
         return CurvTensor(self.n, [a - b for a, b in zip(self._data, other._data)])
 
-    def scale(self, c):
-        return CurvTensor(self.n, [c * v for v in self._data])
-
     def max_abs(self):
         return max(map(abs, self._data), default=0)
 
     def entries(self):
         """The stored entries, one per orbit."""
         return list(self._data)
-
-    def __eq__(self, other):
-        return (isinstance(other, CurvTensor) and self.n == other.n
-                and self._data == other._data)
 
     def __repr__(self):
         return f"CurvTensor(n={self.n})"

@@ -200,7 +200,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     y = tuple(v.im for v in t)
     ij = _integer_jet(form, y)        # NotInCone unless Im t is interior
     n, l, F, a = form.n, ij.point.l, ij.point.F, ij.point.a
-    kval = Fraction(8 * F, ij.point.s * l**3)
+    kval = 8 * ij.point.f
     k_log = tuple(Complex(Fraction(0), Fraction(-l * v, 2 * F)) for v in a)
     # the printed entries: lam^-1 on the fibre row, lambar^-1 on the column
     u = (Complex(Fraction(1)),) + k_log
@@ -233,7 +233,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     return TildeMetric(
         n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log, gtilde=gt,
         gtilde_inv_stated=inv, ij=ij,
-        bordered=SymMatrix(n + 1, [b[i][k] for i, k in _layout(n + 1).pairs]))
+        bordered=SymMatrix.from_rows(b))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ import random
 from fractions import Fraction
 
 from kahlercone import (Complex, CurvTensor, DimensionMismatch, Membership,
-                        SamplingExhausted, SingularMatrix, Sym3Tensor,
-                        SymMatrix, cone_contains, contract, curvature_lhs,
+                        SamplingExhausted, Sym3Tensor, SymMatrix,
+                        cone_contains, contract, curvature_lhs,
                         curvature_rhs, inertia, kahler_metric)
 from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import _layout, identity_rows
@@ -134,6 +134,10 @@ def hermitian_inertia(rows):
     if p % 2 or m % 2 or z % 2:
         raise ValueError("embedding produced odd multiplicities")
     return p // 2, m // 2, z // 2
+
+
+class SingularMatrix(Exception):
+    """`invert_rows` met a zero pivot column: the matrix has no inverse."""
 
 
 def _pivot_size(x):

@@ -1,6 +1,7 @@
 """Exact kernel: inertia, the adjugate, contraction, and their invariants;
-and the inversion oracles of `_reference` (`invert`, `invert_rows`,
-`hermitian_inertia`) that the kernel is checked against."""
+the contract the three packed containers share; and the inversion oracles
+of `_reference` (`invert`, `invert_rows`, `hermitian_inertia`) that the
+kernel is checked against."""
 
 import itertools
 import random
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 import sympy
 
-from kahlercone import (Complex, CurvTensor, DimensionMismatch, SingularMatrix,
-                        Sym3Tensor, SymMatrix, contract, inertia)
-from kahlercone.linalg import _charpoly, det_adjugate, identity_rows, mat_mul
+from kahlercone import (Complex, CurvTensor, DimensionMismatch, Sym3Tensor,
+                        SymMatrix, contract, inertia)
+from kahlercone.linalg import (_charpoly, _layout, det_adjugate, identity_rows,
+                               mat_mul)
 
-from _reference import hermitian_inertia, invert, invert_rows
+from _reference import SingularMatrix, hermitian_inertia, invert, invert_rows
 from _util import random_invertible, random_symmetric
 
 
@@ -271,6 +273,69 @@ def test_symmetric_containers_sort_indices():
     assert all(r[idx] == 9 for idx in images)
     others = set(itertools.product(range(3), repeat=4)) - images
     assert all(r[idx] == 0 for idx in others)
+
+
+def _permuted(idx):
+    return set(itertools.permutations(idx))
+
+
+def _curvature_orbit(idx):
+    """The images of (i, j, k, l) under the pair symmetries."""
+    orbit, todo = set(), [idx]
+    while todo:
+        i, j, k, l = todo.pop()
+        if (i, j, k, l) not in orbit:
+            orbit.add((i, j, k, l))
+            todo += [(k, j, i, l), (i, l, k, j), (j, i, l, k)]
+    return orbit
+
+
+# (class, rank, the `_layout` field of its orbits, the orbit of an index)
+CONTAINERS = [(SymMatrix, 2, "pairs", _permuted),
+              (Sym3Tensor, 3, "triples", _permuted),
+              (CurvTensor, 4, "quartets", _curvature_orbit)]
+
+
+@pytest.mark.parametrize("cls, rank, field, orbit_of", CONTAINERS,
+                         ids=[c[0].__name__ for c in CONTAINERS])
+def test_container_contract(cls, rank, field, orbit_of):
+    for n in range(1, 5):
+        orbits = {frozenset(orbit_of(idx))
+                  for idx in itertools.product(range(n), repeat=rank)}
+        size = len(orbits)
+        for bad in (size - 1, size + 1):
+            with pytest.raises(DimensionMismatch):
+                cls(n, [0] * bad)
+        zero = cls.zeros(n)
+        assert len(zero._data) == size and not any(zero._data)
+        calls = []
+
+        def fn(*idx):
+            calls.append(idx)
+            return F(len(calls), 7)
+
+        x = cls.build(n, fn)
+        assert calls == list(getattr(_layout(n), field))
+        stored = {frozenset(orbit_of(idx)): F(pos + 1, 7)
+                  for pos, idx in enumerate(calls)}
+        assert set(stored) == orbits and len(calls) == size
+        for idx in itertools.product(range(n), repeat=rank):
+            assert x[idx] == stored[frozenset(orbit_of(idx))]
+        doubled = x.scale(2)
+        assert type(doubled) is cls
+        assert doubled == cls(n, [2 * v for v in x._data]) != x
+        assert x == cls(n, x._data)
+    # sizing is closed-form: no container constructor builds a `_layout`
+    _layout.cache_clear()
+    cls(32, [0] * len(cls.zeros(32)._data))
+    assert _layout.cache_info().currsize == 0
+
+
+def test_containers_of_different_kinds_differ():
+    kinds = [SymMatrix(1, [F(5)]), Sym3Tensor(1, [F(5)]),
+             CurvTensor(1, [F(5)])]
+    for a, b in itertools.combinations(kinds, 2):
+        assert a != b and b != a
 
 
 def test_hermitian_inertia_basics():
