@@ -49,7 +49,7 @@ def _infer_dimension(src: str) -> int:
     indices = [int(m.group(1)) for m in re.finditer(r"y(\d+)", src)]
     if not indices:
         raise ParseError("no variables found; pass --n explicitly", 0)
-    return max(indices)
+    return max(1, *indices)         # at least 1, so the parser names y0
 
 
 def _load_form(args) -> CubicForm:
@@ -59,8 +59,7 @@ def _load_form(args) -> CubicForm:
         try:
             with open(args.form_file, "r", encoding="utf-8") as fh:
                 return CubicForm.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                TypeError, ZeroDivisionError) as exc:
+        except (OSError, KeyError, ValueError, TypeError) as exc:
             raise KahlerConeError(f"cannot load form file: {exc}") from exc
     if not args.form:
         raise KahlerConeError("one of --form or --form-file is required")

@@ -1,14 +1,14 @@
 """Homogeneous cubic forms: parsing, calculus, and index-cone membership.
 
-A form is stored as a map from exponent vectors (summing to 3) to exact
-rational coefficients, together with the constant symmetric tensor of third
-partial derivatives and an integer multiple of it, each built on first use.
-One evaluation on Python ints decides index-cone membership and yields the
-integers the exact metric jet is built from: the value F first, and only
-where F > 0 the Hessian and the cleared metric M, whose leading minors
-decide the rest. Only homogeneous cubics are accepted: the norm-function
-identity and the cone structure both rest on Euler's relation, which fails
-for inhomogeneous input.
+A form is stored once, as a map from exponent vectors (summing to 3) to
+exact rational coefficients; its constant tensor of third partials and an
+integer multiple of it are built on first use. A rational point is cleared
+to Python ints in two steps: `_clear` gives the value F, and `_cleared`
+the Hessian, gradient and cleared metric M at any sign of F, which decide
+index-cone membership and are the integers the exact metric jet is built
+from; the sampler builds them only where F > 0. Only homogeneous cubics are
+accepted: the norm-function identity and the cone structure both rest on
+Euler's relation, which fails for inhomogeneous input.
 
 Text grammar (whitespace insignificant)::
 
@@ -27,7 +27,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple, Optional
 
 from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
@@ -51,6 +51,7 @@ __all__ = [
 DEGREE = 3
 MAX_VARIABLES = 32           # `_layout(32)` takes about 0.3 s and 58 MiB
 GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
+JITTER_R, JITTER_S = (-1, 1), (4, 8)  # bounds of r, s in a jitter (s + r)/s
 # the distinct positive grid values p/q
 GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)
                     for q in range(1, GRID_DEN + 1))
@@ -82,14 +83,14 @@ class ConePoint:
 class CubicForm:
     """A homogeneous cubic f in n variables with exact rational coefficients."""
 
-    __slots__ = ("n", "monomials", "_poly", "_f3", "_int_f3", "_text")
+    __slots__ = ("n", "monomials", "_f3", "_int_f3", "_text")
 
     def __init__(self, n, monomials):
         _check_dimension(n)
         self.n = n
         clean = {}
         for exp, coeff in monomials.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != n or any(e < 0 for e in exp):
                 raise DimensionMismatch(f"bad exponent vector {exp}")
             coeff = Fraction(coeff)
@@ -101,7 +102,6 @@ class CubicForm:
             clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.monomials = {e: c for e, c in sorted(clean.items(), reverse=True)
                           if c != 0}
-        self._poly = Poly(n, self.monomials)
         self._f3 = None
         self._int_f3 = None
         self._text = None
@@ -138,13 +138,9 @@ class CubicForm:
             self._int_f3 = (s, Sym3Tensor(self.n, data), rows, terms)
         return self._int_f3
 
-    def as_poly(self) -> Poly:
-        """The form as a polynomial; shared, and never modified in place."""
-        return self._poly
-
     def evaluate(self, y):
         self._check_len(y)
-        return self._poly.evaluate(y)
+        return Poly(self.n, self.monomials).evaluate(y)
 
     def hessian(self, y) -> SymMatrix:
         self._check_len(y)
@@ -161,7 +157,7 @@ class CubicForm:
         images = [Poly(n, {tuple(int(c == j) for c in range(n)): Fraction(a_rows[i][j])
                            for j in range(n) if a_rows[i][j] != 0})
                   for i in range(n)]
-        composed = self.as_poly().compose(images)
+        composed = Poly(n, self.monomials).compose(images)
         return CubicForm(n, composed.terms)
 
     def _check_len(self, y):
@@ -214,7 +210,9 @@ class CubicForm:
                 raise ValueError(f"monomial with exponents {list(exp)} has a "
                                  f"zero denominator in its coefficient "
                                  f"{m['coeff']!r}") from None
-        return cls(int(doc["n"]), monos)
+        if any(type(v) is bool for exp in [(doc["n"],), *monos] for v in exp):
+            raise TypeError("n and every exponent must be JSON integers")
+        return cls(index(doc["n"]), monos)
 
     def __eq__(self, other):
         return (isinstance(other, CubicForm) and self.n == other.n
@@ -348,44 +346,45 @@ def parse_text(src: str, n: int) -> CubicForm:
 # index-cone membership and sampling
 
 class Cleared(NamedTuple):
-    """The cubic at a rational point y on Python ints: z = l*y, with l the
-    lcm of y's denominators, and with s = 6c from `_integer_third`,
-    F = (s*f)(z), H the Hessian of s*f at z, a = H z / 2 its gradient and
-    M = a a^T - F H, the last three None where F <= 0 (H on request). Then
-    f(y) = F / (s l^3), grad f(y) = a / (s l^2), Hess f(y) = H / (s l) and
-    the metric g(y) = l^2 M / (4 F^2)."""
+    """The cubic at a rational point y on Python ints, at any sign of f:
+    z = l*y, with l the lcm of y's denominators, and with s = 6c from
+    `_integer_third`, F = (s*f)(z), H the Hessian of s*f at z, a = H z / 2
+    its gradient and M = a a^T - F H. Then f(y) = F / (s l^3),
+    grad f(y) = a / (s l^2), Hess f(y) = H / (s l) and, where F > 0, the
+    metric g(y) = l^2 M / (4 F^2)."""
     l: int
     s: int
     z: list
     F: int
-    H: Optional[SymMatrix]
-    a: Optional[list]
-    M: Optional[SymMatrix]
+    H: SymMatrix
+    a: list
+    M: SymMatrix
 
     @property
     def f(self) -> Fraction:
         return Fraction(self.F, self.s * self.l**3)
 
 
-def _cleared(form: CubicForm, pairs, hessian: bool = False) -> Cleared:
-    """The cubic at the rational point y given as one pair (p, q), q > 0,
-    per coordinate p/q in lowest terms: F from the monomials of s*f, and
-    H, a and M only where F > 0, or, if `hessian`, H at every point."""
+def _clear(form: CubicForm, pairs):
+    """(l, z, F) of `Cleared`, with no Hessian, at the rational point y given
+    as one pair (p, q), q > 0, per coordinate p/q in lowest terms."""
+    form._check_len(pairs)
     l = math.lcm(*[q for _, q in pairs])
     z = [p * (l // q) for p, q in pairs]
-    s, _, rows, terms = form._integer_third()
+    terms = form._integer_third()[3]
+    zz = [z[i] * z[j] for i, j in _layout(form.n).pairs]
+    return l, z, sum(w * zz[ij] * z[k] for w, ij, k in terms)
+
+
+def _cleared(form: CubicForm, l, z, F) -> Cleared:
+    """The complete `Cleared` of `_clear`'s (l, z, F), at any integer z."""
+    s, _, rows, _ = form._integer_third()
     lay = _layout(form.n)
-    zz = [z[i] * z[j] for i, j in lay.pairs]
-    F = sum(w * zz[ij] * z[k] for w, ij, k in terms)
-    H = a = M = None
-    if F > 0 or hessian:
-        h = [sum(map(mul, row, z)) for row in rows]
-        H = SymMatrix(form.n, h)
-    if F > 0:
-        a = [sum(map(mul, [h[q] for q in row], z)) // 2 for row in lay.slot]
-        M = SymMatrix(form.n, [a[i] * a[k] - F * v
-                               for (i, k), v in zip(lay.pairs, h)])
-    return Cleared(l=l, s=s, z=z, F=F, H=H, a=a, M=M)
+    h = [sum(map(mul, row, z)) for row in rows]
+    a = [sum(map(mul, [h[q] for q in row], z)) // 2 for row in lay.slot]
+    M = SymMatrix(form.n, [a[i] * a[k] - F * v
+                           for (i, k), v in zip(lay.pairs, h)])
+    return Cleared(l=l, s=s, z=z, F=F, H=SymMatrix(form.n, h), a=a, M=M)
 
 
 def _is_interior(point: Cleared) -> bool:
@@ -394,8 +393,8 @@ def _is_interior(point: Cleared) -> bool:
     Since z^T H z = 6F > 0 and H z = 2a, H has inertia (1, n-1, 0) exactly
     when it is negative definite on a^perp, and M z = F a, z^T M z = 3F^2
     and M = -F H on a^perp, so exactly when M is positive definite. The
-    sign of F decides most points with no H; `positive_definite` reads the
-    leading minors of M and stops at the first one <= 0.
+    sign of F decides most points (`cone_sample` reads it from `_clear`);
+    `positive_definite` reads the leading minors of M and stops early.
 
     Membership is unchanged by y -> l*y with l > 0 and by f -> s*f with
     s > 0, so the integers of `Cleared` decide it for y."""
@@ -410,9 +409,8 @@ def _classify(form: CubicForm, y):
     test; only elsewhere is `inertia(H)` computed, to tell Boundary from
     Outside."""
     y = [Fraction(v) for v in y]
-    form._check_len(y)
-    point = _cleared(form, [(v.numerator, v.denominator) for v in y],
-                     hessian=True)
+    point = _cleared(form, *_clear(
+        form, [(v.numerator, v.denominator) for v in y]))
     if _is_interior(point):
         return Membership.INTERIOR, (1, form.n - 1, 0), point
     sig = plus, minus, zero = inertia(point.H)
@@ -454,7 +452,8 @@ def _off_grid(hint):
     (numerator, denominator) pairs."""
     values = {Fraction(p, q) for p in range(-GRID_NUM, GRID_NUM + 1)
               for q in range(1, GRID_DEN + 1)}
-    jitters = {Fraction(s + r, s) for r in (-1, 0, 1) for s in range(4, 9)}
+    jitters = {Fraction(s + r, s) for r in range(JITTER_R[0], JITTER_R[1] + 1)
+               for s in range(JITTER_S[0], JITTER_S[1] + 1)}
     rays = [()]
     for hp, hq in hint:
         rays = [ray + (Fraction(hp, hq) * m,) for ray in rays for m in jitters]
@@ -499,7 +498,7 @@ def cone_sample(form: CubicForm, count: int, seed: int,
             cp, cq = randint(1, GRID_NUM), randint(1, GRID_DEN)
             cand = []
             for hp, hq in hint:
-                r, s = randint(-1, 1), randint(4, 8)
+                r, s = randint(*JITTER_R), randint(*JITTER_S)
                 cand.append((cp * hp * (s + r), cq * hq * s))
         else:
             cand = [(randint(-GRID_NUM, GRID_NUM), randint(1, GRID_DEN))
@@ -518,7 +517,8 @@ def cone_sample(form: CubicForm, count: int, seed: int,
                 f"the grid{' and the hint' * bool(hint)} can give, drawn "
                 f"within {attempt + 1} attempts")
         seen.add(cand)
-        if _is_interior(_cleared(form, cand)):
+        l, z, F = _clear(form, cand)
+        if F > 0 and _is_interior(_cleared(form, l, z, F)):
             found.append(tuple(Fraction(p, q) for p, q in cand))
             if len(found) == count:
                 return found
@@ -551,15 +551,13 @@ def norm_identity_check(form: CubicForm) -> NormIdentityResult:
     nv = 2 * n  # variables: x_0..x_{n-1}, y_0..y_{n-1}
     ii = Complex(Fraction(0), Fraction(1))
     t = [Poly.variable(nv, j) + ii * Poly.variable(nv, n + j) for j in range(n)]
-    fp = form.as_poly()
-    f_at_t = fp.compose(t)
+    f_at_t = Poly(n, form.monomials).compose(t)
     acc = 2 * f_at_t.conj() - 2 * f_at_t
     for j in range(n):
-        dj_at_t = fp.diff(j).compose(t)
+        dj_at_t = f_at_t.diff(j)    # (d_j f)(t) = d f(t) / d x_j
         acc = acc + (t[j] - t[j].conj()) * (dj_at_t + dj_at_t.conj())
     lhs = ii * acc
-    y_vars = [Poly.variable(nv, n + j) for j in range(n)]
-    rhs = 8 * fp.compose(y_vars)
+    rhs = 8 * Poly(nv, {(0,) * n + e: c for e, c in form.monomials.items()})
     diff = lhs - rhs
     if diff.is_zero():
         return NormIdentityResult(True)

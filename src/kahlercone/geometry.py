@@ -26,7 +26,7 @@ choice the verified identity reads, with no extra signs,
 available by passing convention="negated", which negates the left side.
 
 At an exact point the identity is cleared of denominators once and decided
-on Python ints. `cubic._classify` gives z = l*y (l the lcm of the
+on Python ints. `cubic._clear` gives z = l*y (l the lcm of the
 denominators of y) and the integer cubic s*f, s = 6c with c the lcm of its
 coefficient denominators; at z, let t be its third-derivative tensor,
 F its value, H = t.z its Hessian and a = H z / 2 its gradient (so
@@ -51,14 +51,14 @@ and each side of the identity is l^4 side / (16 F^4 Delta), with
     rhs = Delta (M[i,j] M[k,l] + M[i,l] M[k,j])
           - F^4 sum_{p,q} A[p,q] t[i,k,p] t[j,l,q].
 
-M is 4 F^2 g / l^2, and the interior of the cone is exactly where F > 0
-and M is positive definite: `cubic._classify` decides membership by that
-test, on the F, a and M it hands to the jet, so Delta > 0 (Delta and A
-come from one `linalg.det_adjugate` of M) and `verify_identity` decides
-from the integer residual +-lhs - rhs in either mode; the only Fraction
-it builds is the reported maximum |residual|. There is no float
-arithmetic: a float coordinate is read as the exact rational it stores,
-and float mode only rounds the reported values once to binary64.
+`_jet` builds these integers at any integer z, Delta and A by one total
+`linalg.det_adjugate` of M. M is 4 F^2 g / l^2, and the interior of the cone
+is exactly where F > 0 and M is positive definite; `_integer_jet` makes that
+test (`cubic._classify`) first, so Delta > 0 and `verify_identity` decides
+from the integer residual +-lhs - rhs in either mode; the only Fraction it
+builds is the reported maximum |residual|. There is no float arithmetic: a
+float coordinate is read as the exact rational it stores, and float mode
+only rounds the reported values once to binary64.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ def _check_convention(convention):
 
 
 class _IntegerJet(NamedTuple):
-    """The metric jet at an exact interior point, cleared of denominators:
-    the integers of the module docstring; F, a, H and M are those of
-    `point`."""
+    """The metric jet cleared of denominators at an integer point z: the
+    integers of the module docstring, with F, a, H and M those of `point`;
+    the rational views divide by F and Delta, positive at interior points."""
     point: Cleared
     t: Sym3Tensor
     delta: int
@@ -181,11 +181,15 @@ class _IntegerJet(NamedTuple):
 
 
 def _integer_jet(form: CubicForm, y) -> _IntegerJet:
-    """The integer jet at an exact interior point y (module docstring);
-    NotInCone elsewhere."""
+    """The integer jet at an exact interior point y; NotInCone elsewhere."""
     verdict, _, point = _classify(form, y)
     if verdict is not Membership.INTERIOR:
         raise NotInCone(f"point {format_point(y)} is not interior")
+    return _jet(form, point)
+
+
+def _jet(form: CubicForm, point: Cleared) -> _IntegerJet:
+    """The integer jet at any complete `Cleared`, F <= 0 and Delta = 0 too."""
     n, F = form.n, point.F
     lay = _layout(n)
     _, t, t_rows, _ = form._integer_third()

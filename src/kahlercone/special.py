@@ -84,7 +84,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cubic import CubicForm, _cleared
+from .cubic import CubicForm, _clear, _cleared
 from .errors import SingularHessian, ZeroLambda
 from .geometry import _IntegerJet, _integer_jet
 from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
@@ -146,9 +146,8 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     the oracle inverse in `test_affine_kappa_constant_across_suite`.
     """
     y = tuple(map(Fraction, y))
-    form._check_len(y)
-    point = _cleared(form, [(v.numerator, v.denominator) for v in y],
-                     hessian=True)
+    point = _cleared(form, *_clear(
+        form, [(v.numerator, v.denominator) for v in y]))
     det, adj = det_adjugate(point.H)
     if det == 0:
         raise SingularHessian(f"Hess f is singular at {format_point(y)}")

@@ -54,6 +54,7 @@ from kahlercone import (Complex, CurvTensor, DimensionMismatch, Membership,
                         curvature_rhs, inertia, kahler_metric)
 from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import _layout, identity_rows
+from kahlercone.poly import Poly
 
 
 def reference_inertia(rows):
@@ -246,9 +247,9 @@ def gradient(form, y):
 
 
 def poly_derivatives(form, y):
-    """(f(y), grad f(y), Hess f(y) as rows) from `form.as_poly()` and its
-    `Poly.diff`s, evaluated at y."""
-    p = form.as_poly()
+    """(f(y), grad f(y), Hess f(y) as rows) from the form's monomials as a
+    `Poly` and its `Poly.diff`s, evaluated at y."""
+    p = Poly(form.n, form.monomials)
     first = [p.diff(i) for i in range(form.n)]
     return (p.evaluate(y), [d.evaluate(y) for d in first],
             [[d.diff(j).evaluate(y) for j in range(form.n)] for d in first])
@@ -257,7 +258,7 @@ def poly_derivatives(form, y):
 def poly_third(form):
     """{(i, j, k): d^3 f / dy_i dy_j dy_k} over every ordered index, from
     three `Poly.diff`s of the form (constants, read at the origin)."""
-    p = form.as_poly()
+    p = Poly(form.n, form.monomials)
     origin = [Fraction(0)] * form.n
     return {idx: p.diff(idx[0]).diff(idx[1]).diff(idx[2]).evaluate(origin)
             for idx in itertools.product(range(form.n), repeat=3)}

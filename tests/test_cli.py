@@ -5,6 +5,7 @@ import re
 from fractions import Fraction as F
 
 from kahlercone.cli import main
+from kahlercone.poly import Poly
 
 from _util import run_cli
 
@@ -235,6 +236,19 @@ def test_identity_n8f(capsys):
     assert json.loads(out)["holds"] is True
 
 
+def test_identity_n8f_failure_exits_1_with_counterexample(capsys,
+                                                         monkeypatch):
+    # a broken N: with conj the identity, N is 0 and 8 f(Im t) is not
+    monkeypatch.setattr(Poly, "conj", lambda self: self)
+    code, out = run_inproc(capsys, "identity-n8f", "--form", "y1*y2^2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["holds"] is False
+    bad = doc["counterexample"]
+    assert len(bad["exponents"]) == 4 and sum(bad["exponents"]) == 3
+    assert F(bad["got"]) != F(bad["expected"])
+
+
 def test_form_file_input(tmp_path, capsys):
     doc = {"n": 2, "monomials": [{"exp": [1, 2], "coeff": "1"},
                                  {"exp": [0, 3], "coeff": "2"}]}
@@ -276,6 +290,20 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
                           '[{"exp": [3], "coeff": "1/0"}]}')
     not_a_dict = tmp_path / "not_a_dict.json"
     not_a_dict.write_text("[1]")
+    # "n" and every exponent must be JSON integers, never truncated: a
+    # degree-4 monomial [1.5, 1.5, 1] was once read as y1*y2*y3, and
+    # booleans, which Python counts as ints, were read as 0 and 1
+    non_integers = []
+    for i, doc in enumerate((
+            {"n": 3, "monomials": [{"exp": [1.5, 1.5, 1], "coeff": "1"}]},
+            {"n": 2.7, "monomials": [{"exp": [3, 0], "coeff": "1"}]},
+            {"n": 3, "monomials": [{"exp": ["1", 1, 1], "coeff": "1"}]},
+            {"n": 3, "monomials": [{"exp": [True, True, True],
+                                    "coeff": "1"}]},
+            {"n": True, "monomials": [{"exp": [3], "coeff": "1"}]},
+            {"n": True, "monomials": []})):
+        non_integers.append(tmp_path / f"non_integer_{i}.json")
+        non_integers[-1].write_text(json.dumps(doc))
     for argv in (("verify", "--form", "y1^3", "--points", "1/0"),
                  ("cone-metric", "--form", "y1^3", "--points", "1",
                   "--lam", "1/0"),
@@ -291,6 +319,18 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         assert code == 2, argv
         assert "error" in json.loads(out), argv
         assert "Traceback" not in out, argv
+    for path in non_integers:
+        code, out = run_inproc(capsys, "validate", "--form-file", str(path))
+        assert code == 2, path
+        assert json.loads(out)["error"]["message"].startswith(
+            "cannot load form file: "), path
+    # y0 is named by the parser, not read as a dimension of 0
+    for form in ("y0^3", "y0*y2^2"):
+        code, out = run_inproc(capsys, "validate", "--form", form)
+        assert code == 2, form
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError", form
+        assert "variable y0 out of range" in error["message"], form
     for n in ("0", "-1"):
         code, out = run_inproc(capsys, "verify", "--form", "y1^3", "--n", n,
                                "--points", "1")

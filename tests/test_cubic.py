@@ -9,6 +9,7 @@ import sympy
 from kahlercone import (CubicForm, Membership, NotHomogeneousCubic, NotInCone,
                         ParseError, SamplingExhausted, cone_contains,
                         cone_sample, norm_identity_check, parse_text)
+from kahlercone.poly import Poly
 from _reference import gradient
 from _util import mat_vec, random_cubic, random_fraction, random_invertible
 
@@ -309,3 +310,15 @@ def test_norm_identity_random_cubics():
     for _ in range(25):
         form = random_cubic(rng, rng.randint(1, 3))
         assert norm_identity_check(form).holds
+
+
+def test_norm_identity_names_a_counterexample(monkeypatch):
+    # a broken N: with conj the identity, N is 0 and 8 f(Im t) is not
+    monkeypatch.setattr(Poly, "conj", lambda self: self)
+    for text, n in [("y1^3", 1), ("y1*y2^2 - 2*y2^3", 2),
+                    ("y1*y2*y3 + 1/2*y3^3", 3)]:
+        res = norm_identity_check(parse_text(text, n))
+        assert res.holds is False
+        exp, got, expected = res.counterexample
+        assert len(exp) == 2 * n and sum(exp) == 3
+        assert got != expected

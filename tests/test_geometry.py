@@ -15,6 +15,7 @@ from kahlercone import (Complex, CubicForm, KahlerConeError, Membership,
                         curvature_rhs, inertia, kahler_metric, norm_function,
                         parse_text, sectional, verify_identity)
 from kahlercone.geometry import _integer_jet
+from kahlercone.linalg import _layout
 from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
                         poly_derivatives, reference_sectional)
 from _util import (counting, mat_vec, random_cubic_with_cone,
@@ -354,6 +355,20 @@ def test_sectional_values_and_scale_invariance():
     assert sectional(f2, [F(1), F(1)], [F(1), F(0)]) == 4
     with pytest.raises(ZeroVector):
         sectional(f, [F(1)], [F(0)])
+
+
+def test_sectional_builds_only_the_layout_of_its_dimension():
+    # its quadratic forms over the n(n+1)/2 pairs enumerate their own order:
+    # at n = 8 no `_layout(36)`, of some 2 * 10^5 quartets, is built
+    form = parse_text("y1^3 - " + " - ".join(f"y1*y{j}^2" for j in range(2, 9)),
+                      8)
+    y = [F(1)] + [F(j, 27) for j in range(1, 8)]
+    _layout.cache_clear()
+    assert sectional(form, y, [F(j) for j in range(1, 9)]) <= 4
+    assert _layout.cache_info().currsize == 1
+    misses = _layout.cache_info().misses
+    _layout(8)
+    assert _layout.cache_info().misses == misses
 
 
 def test_sectional_matches_complex_sum_and_is_at_most_4():

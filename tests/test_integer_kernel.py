@@ -7,7 +7,9 @@ The interior test (F > 0 and M positive definite) against f > 0 and the
 Fraction inertia of Hess f on dense cubics, near interior hints and at
 boundary points, and `positive_definite` against sympy's leading minors.
 `cone_sample`, which draws and decides its candidates on integer pairs,
-against the Fraction sampler of `_reference`."""
+against the Fraction sampler of `_reference`. The integer jet's two sides
+agree at every nonzero integer point of small dense cubics, interior or
+not."""
 
 import itertools
 import random
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 import kahlercone.cubic
 from kahlercone import (CubicForm, Membership, SymMatrix, cone_contains,
                         cone_sample, inertia, parse_text)
-from kahlercone.cubic import _classify, _cleared, _is_interior
-from kahlercone.geometry import _integer_jet
+from kahlercone.cubic import _classify, _clear, _cleared, _is_interior
+from kahlercone.geometry import _integer_jet, _jet
 from kahlercone.linalg import positive_definite
 from _reference import (invert_rows, poly_derivatives, reference_cone_sample,
                         reference_inertia, reference_membership)
@@ -199,20 +201,21 @@ def _picker(data):
 
 
 def _assert_interior_test_agrees(form, y):
-    """The interior test on the cleared ints against f(y) > 0 and the
-    Fraction inertia of Hess f(y); Euler's relation z^T H z = 6F wherever H
-    is built. Returns the verdict."""
+    """The interior test on the complete cleared ints against f(y) > 0 and
+    the Fraction inertia of Hess f(y); Euler's relations H z = 2a and
+    z^T H z = 6F at every point, whatever the sign of F. Returns the
+    verdict."""
     y = [F(v) for v in y]
     n = form.n
-    point = _cleared(form, [(v.numerator, v.denominator) for v in y])
+    cleared = _clear(form, [(v.numerator, v.denominator) for v in y])
+    point = _cleared(form, *cleared)
     want = (form.evaluate(y) > 0 and reference_inertia(
         form.hessian(y).rows()) == (1, n - 1, 0))
     assert _is_interior(point) is want
-    assert (point.H is None) is (point.F <= 0)
-    full = _cleared(form, [(v.numerator, v.denominator) for v in y],
-                    hessian=True)
-    assert full.F == point.F and full.M == point.M
-    assert sum(map(mul, mat_vec(full.H.rows(), full.z), full.z)) == 6 * full.F
+    assert (point.l, point.z, point.F) == cleared
+    hz = mat_vec(point.H.rows(), point.z)
+    assert hz == [2 * v for v in point.a]
+    assert sum(map(mul, hz, point.z)) == 6 * point.F
     return want
 
 
@@ -326,14 +329,42 @@ def _recording(log, fn, arg=False):
 
 
 def test_sampler_eliminates_only_where_f_is_positive(monkeypatch):
-    cleared, eliminated = [], []
-    monkeypatch.setattr(kahlercone.cubic, "_cleared",
-                        _recording(cleared, kahlercone.cubic._cleared))
-    monkeypatch.setattr(kahlercone.cubic, "positive_definite",
+    cubic = kahlercone.cubic
+    drawn, values, complete, eliminated = [], [], [], []
+    for name, log in (("_reduced", drawn), ("_clear", values),
+                      ("_cleared", complete)):
+        monkeypatch.setattr(cubic, name, _recording(log, getattr(cubic, name)))
+    monkeypatch.setattr(cubic, "positive_definite",
                         _recording(eliminated, positive_definite, arg=True))
     cone_sample(DENSE, 4, seed=31)
-    assert eliminated == [p.M for p in cleared if p.F > 0]
-    # no Hessian is built where the sign of f decides
-    assert all(p.H is p.a is p.M is None for p in cleared if p.F <= 0)
+    # F once per candidate: each distinct nonzero draw, in order
+    candidates = dict.fromkeys(c for c in drawn if any(p for p, _ in c))
+    assert [tuple(F(v, l) for v in z) for l, z, _ in values] == [
+        tuple(F(p, q) for p, q in c) for c in candidates]
+    # H, a and M exactly where F > 0, and M alone decides there
+    assert [(p.l, p.z, p.F) for p in complete] == [
+        v for v in values if v[2] > 0]
+    assert eliminated == [p.M for p in complete]
     # about half the candidates have f < 0 and are rejected by its sign
-    assert sum(p.F < 0 for p in cleared) > len(cleared) // 4
+    assert sum(f < 0 for _, _, f in values) > len(values) // 4
+
+
+def test_jet_identity_holds_at_every_integer_point():
+    """The cleared sides at any nonzero integer z, interior or not, of dense
+    integer cubics: the residual is a polynomial in z that vanishes on the
+    open cone, so it vanishes everywhere, F <= 0 and Delta = 0 included."""
+    rng = random.Random(21)
+    seen = {"F < 0": 0, "F = 0": 0, "Delta = 0, F != 0": 0}
+    for n in range(1, 5):
+        for _ in range(6):
+            form = CubicForm(n, {e: rng.randint(-2, 2) for e in EXPONENTS[n]})
+            for z in itertools.product(range(-1, 2), repeat=n):
+                if not any(z):
+                    continue
+                point = _cleared(form, *_clear(form, [(v, 1) for v in z]))
+                ij = _jet(form, point)
+                assert ij.lhs("standard") == ij.rhs(), (form, z)
+                seen["F < 0"] += point.F < 0
+                seen["F = 0"] += point.F == 0
+                seen["Delta = 0, F != 0"] += ij.delta == 0 and point.F != 0
+    assert all(seen.values()), seen
