@@ -18,9 +18,9 @@ affine-verify, cone-metric) share one handler, `_per_point`: each supplies a
 function from one point to its JSON entry, its text line and its verdict
 (None when the subcommand checks nothing), and `_per_point` builds the
 document, the text and the exit code. `_doc` is the one formatter from
-scalars, points and tensors to JSON values; under `--mode float` it rounds
-each exact value once to binary64 (`scalars.to_float`), since every mode
-computes exactly.
+scalars, points and tensors to JSON values: it formats each stored entry of
+a packed container once, rounded by `scalars.to_float` under `--mode float`
+(every mode computes exactly), and spreads them by the `_layout` slot tables.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
 from .errors import KahlerConeError, ParseError
 from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
-from .linalg import CurvTensor, Sym3Tensor, SymMatrix, inertia
+from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, _layout, _pair_index,
+                     inertia)
 from .report import SCHEMA_VERSION, render_json, render_text
 from .scalars import Complex, format_scalar, parse_rational, to_float
 from .special import (affine_curvature_check, build_tilde_metric,
@@ -129,23 +130,25 @@ def _form_echo(form: CubicForm) -> dict:
     return doc
 
 
-_RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}
-
-
-def _doc(x, mode="exact", index=()):
+def _doc(x, mode="exact"):
     """JSON value of a scalar (None stays None), or nested lists of them for
-    a point, rows, a Christoffel array or a symmetric or curvature tensor;
-    in float mode each scalar is first rounded by `to_float`."""
-    rank = _RANK.get(type(x))
-    if rank is not None:
-        if len(index) < rank:
-            return [_doc(x, mode, index + (i,)) for i in range(x.n)]
-        x = x[index]
-    elif isinstance(x, (list, tuple)):
+    a point, rows, a Christoffel array or a container (module docstring)."""
+    if isinstance(x, (list, tuple)):
         return [_doc(v, mode) for v in x]
     if x is None:
         return None
-    return format_scalar(to_float(x) if mode == "float" else x)
+    if not isinstance(x, (SymMatrix, Sym3Tensor, CurvTensor)):
+        return format_scalar(to_float(x) if mode == "float" else x)
+    s, lay = [_doc(v, mode) for v in x._data], _layout(x.n)
+    if isinstance(x, SymMatrix):
+        return [[s[q] for q in row] for row in lay.slot]
+    if isinstance(x, Sym3Tensor):
+        return [[[s[p] for p in lay.pair_triples[q]] for q in row]
+                for row in lay.slot]
+    pairs = range(len(lay.pairs))  # R[i,j,k,l] = rows[slot[i][k]][slot[j][l]]
+    rows = [[s[_pair_index(a, b)] for b in pairs] for a in pairs]
+    return [[[[r[b] for b in row_j] for r in rows_i] for row_j in lay.slot]
+            for rows_i in ([rows[a] for a in row_i] for row_i in lay.slot)]
 
 
 def _coords(y) -> str:
@@ -203,8 +206,8 @@ def _metric_point(args, form, y):
     doc = functools.partial(_doc, mode=args.mode)
     entry = {"y": doc(y), "g": doc(ij.g), "gInv": doc(ij.ginv)}
     if args.mode == "exact":
-        # M = 4 F^2 g / l^2, a positive multiple of g: the same inertia
-        entry["inertia"] = list(inertia(ij.point.M))
+        # _integer_jet proved M, a positive multiple of g, positive definite
+        entry["inertia"] = [form.n, 0, 0]
     return entry, f"y={entry['y']}: g={entry['g']}", None
 
 

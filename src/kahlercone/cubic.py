@@ -201,17 +201,19 @@ class CubicForm:
 
     @classmethod
     def from_json_dict(cls, doc) -> "CubicForm":
+        if type(doc["n"]) is bool:
+            raise TypeError("n must be a JSON integer, not a boolean")
         monos = {}
         for m in doc["monomials"]:
-            exp = tuple(m["exp"])
-            try:
-                monos[exp] = Fraction(m["coeff"])
+            if any(type(v) is bool for v in (m["coeff"], *m["exp"])):
+                raise TypeError(f"monomial {m} holds a boolean")
+            exp = tuple(map(index, m["exp"]))
+            try:    # repeated exponents add up, as in parse_text
+                monos[exp] = monos.get(exp, 0) + Fraction(m["coeff"])
             except ZeroDivisionError:
                 raise ValueError(f"monomial with exponents {list(exp)} has a "
                                  f"zero denominator in its coefficient "
                                  f"{m['coeff']!r}") from None
-        if any(type(v) is bool for exp in [(doc["n"],), *monos] for v in exp):
-            raise TypeError("n and every exponent must be JSON integers")
         return cls(index(doc["n"]), monos)
 
     def __eq__(self, other):

@@ -152,8 +152,9 @@ class _IntegerJet(NamedTuple):
         """gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j], purely
         imaginary and symmetric in j, k (module docstring)."""
         l, den = self.point.l, 2 * self.point.F * self.delta
-        return [[[Complex(Fraction(0), Fraction(-l * v, den)) for v in row]
-                 for row in u.rows()] for u in raise_index(self.Dg, self.adj)]
+        return [SymMatrix(u.n, [Complex(Fraction(0), Fraction(-l * v, den))
+                                for v in u._data]).rows()
+                for u in raise_index(self.Dg, self.adj)]
 
     def lhs(self, convention: str) -> CurvTensor:
         """The integer metric side +-(Delta E - Dg.A.Dg)."""
@@ -293,15 +294,17 @@ class CurvatureReport:
 def curvature_report(form: CubicForm, y,
                      convention: str = "standard") -> CurvatureReport:
     ij = _integer_jet(form, y)
-    lhs, rhs = ij.lhs(convention), ij.rhs()
-    c = ij.side_scale
-    residual = (lhs - rhs).scale(c)
+    lhs, rhs, c = ij.lhs(convention), ij.rhs(), ij.side_scale
+    residual = lhs - rhs
+    worst, lhs = residual.max_abs(), lhs.scale(c)
+    # at a PASS point one scaling serves both sides and the residual is 0
+    rhs, residual = ((rhs.scale(c), residual.scale(c)) if worst else
+                     (CurvTensor(form.n, lhs._data), CurvTensor(form.n)))
     return CurvatureReport(
         y=tuple(y), potential_arg=8 * ij.point.f,
         yukawa=form.third_tensor.scale(Fraction(1, 2)),
-        christoffel=ij.christoffels(), lhs=lhs.scale(c), rhs=rhs.scale(c),
-        residual=residual, max_abs_residual=residual.max_abs(),
-        convention=convention)
+        christoffel=ij.christoffels(), lhs=lhs, rhs=rhs, residual=residual,
+        max_abs_residual=c * worst, convention=convention)
 
 
 def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",

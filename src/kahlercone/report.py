@@ -3,17 +3,19 @@
 JSON is the primary output format, versioned via "schemaVersion". In exact
 mode every number serializes as a decimal-free rational string ("p/q" or
 "p"); exact-mode residuals of passing points are the literal string "0".
-Float mode computes the same exact values and emits each one rounded once to
-binary64 (`scalars.to_float`) as a plain JSON number (shortest round-trip
-decimal), so a float-mode residual of 0.0 is an exact zero. Reports contain
-no wall-clock data unless explicitly requested, so a fixed command line and
-seed produce byte-identical output.
+Float mode emits each exact value rounded once to binary64
+(`scalars.to_float`) as a plain JSON number (shortest round-trip decimal),
+so a float-mode residual of 0.0 is an exact zero. Reports contain no
+wall-clock data unless explicitly requested, so a fixed command line and
+seed give byte-identical output: `render_json` writes the bytes of
+json.dumps(indent=2, ensure_ascii=False), without the encoder indent forces.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Optional, Sequence
 
 from .scalars import format_point, format_scalar
@@ -67,8 +69,28 @@ class VerificationSummary:
         return doc
 
 
+def _dump(x, pad: str) -> str:
+    """x at indentation pad, each list of scalars in one join."""
+    inner, sep = pad + "  ", ",\n  " + pad
+    if isinstance(x, (list, tuple)) and x:
+        if (kinds := set(map(type, x))) == {str}:
+            items = map(encode_basestring, x)
+        elif kinds <= {int, float, bool, type(None)}:
+            # json's own items: with no str among them, none holds a ", "
+            items = json.dumps(x)[1:-1].split(", ")
+        else:
+            items = [_dump(v, inner) for v in x]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if isinstance(x, dict) and x:
+        items = [encode_basestring(k) + ": " + _dump(v, inner)
+                 for k, v in x.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    return encode_basestring(x) if type(x) is str else json.dumps(x)
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The JSON text of doc, whose keys are str (module docstring)."""
+    return _dump(doc, "") + "\n"
 
 
 def render_text(summary: VerificationSummary,

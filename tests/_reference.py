@@ -42,6 +42,11 @@ lambda-power tables, a `Complex` `invert_rows` of each scaled matrix and the
 (n+1)^4 sum, all over `Fraction`s. It reads f, grad f, g and dg from
 `poly_derivatives` and `reference_jet` at Im t, never from the package's
 integer jet; only lambda and Im t come from the `TildeMetric`.
+
+`reference_doc` is the CLI's JSON value of a scalar, point or container as
+the CLI once built it: one recursion per index, every entry read through the
+container's `__getitem__`, so each stored orbit is formatted once per index
+that reaches it.
 """
 
 import itertools
@@ -55,6 +60,7 @@ from kahlercone import (Complex, CurvTensor, DimensionMismatch, Membership,
 from kahlercone.cubic import GRID_DEN, GRID_NUM
 from kahlercone.linalg import _layout, identity_rows
 from kahlercone.poly import Poly
+from kahlercone.scalars import format_scalar, to_float
 
 
 def reference_inertia(rows):
@@ -544,3 +550,22 @@ def reference_direct_gammas(form, tm):
     factors = _lam_factors(tm.lam)
     return {scaling: _direct_gamma(tm, coef, grads, shift, factors)
             for scaling, shift in (("printed", 0), ("potential", 1))}
+
+
+_RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}
+
+
+def reference_doc(x, mode="exact", index=()):
+    """JSON value of a scalar (None stays None), or nested lists of them, by
+    one recursion per index; in float mode each scalar is first rounded by
+    `to_float`."""
+    rank = _RANK.get(type(x))
+    if rank is not None:
+        if len(index) < rank:
+            return [reference_doc(x, mode, index + (i,)) for i in range(x.n)]
+        x = x[index]
+    elif isinstance(x, (list, tuple)):
+        return [reference_doc(v, mode) for v in x]
+    if x is None:
+        return None
+    return format_scalar(to_float(x) if mode == "float" else x)

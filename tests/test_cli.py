@@ -257,6 +257,13 @@ def test_form_file_input(tmp_path, capsys):
     code, out = run_inproc(capsys, "validate", "--form-file", str(path))
     assert code == 0
     assert json.loads(out)["form"]["text"] == "y1*y2^2 + 2*y2^3"
+    # monomials with the same exponents add up, as in the text grammar
+    doc = {"n": 1, "monomials": [{"exp": [3], "coeff": "1"},
+                                 {"exp": [3], "coeff": "2"}]}
+    path.write_text(json.dumps(doc))
+    code, out = run_inproc(capsys, "validate", "--form-file", str(path))
+    assert code == 0
+    assert json.loads(out)["form"]["text"] == "3*y1^3"
 
 
 def test_byte_identical_reports_across_runs():
@@ -292,7 +299,8 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     not_a_dict.write_text("[1]")
     # "n" and every exponent must be JSON integers, never truncated: a
     # degree-4 monomial [1.5, 1.5, 1] was once read as y1*y2*y3, and
-    # booleans, which Python counts as ints, were read as 0 and 1
+    # booleans, which Python counts as ints, were read as 0 and 1; no
+    # coefficient may be a boolean either
     non_integers = []
     for i, doc in enumerate((
             {"n": 3, "monomials": [{"exp": [1.5, 1.5, 1], "coeff": "1"}]},
@@ -301,7 +309,15 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
             {"n": 3, "monomials": [{"exp": [True, True, True],
                                     "coeff": "1"}]},
             {"n": True, "monomials": [{"exp": [3], "coeff": "1"}]},
-            {"n": True, "monomials": []})):
+            {"n": True, "monomials": []},
+            # a boolean coefficient, which Fraction reads as 0 or 1
+            {"n": 1, "monomials": [{"exp": [3], "coeff": True}]},
+            # a bad exponent vector equal to an earlier good one as a key
+            {"n": 3, "monomials": [{"exp": [1, 1, 1], "coeff": "1"},
+                                   {"exp": [True, True, True],
+                                    "coeff": "1"}]},
+            {"n": 1, "monomials": [{"exp": [3], "coeff": "1"},
+                                   {"exp": [3.0], "coeff": "1"}]})):
         non_integers.append(tmp_path / f"non_integer_{i}.json")
         non_integers[-1].write_text(json.dumps(doc))
     for argv in (("verify", "--form", "y1^3", "--points", "1/0"),

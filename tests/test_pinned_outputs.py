@@ -33,6 +33,8 @@ FORM3 = ("1/2*y1^3 + 3*y1^2*y2 - 1/3*y1^2*y3 + 2/5*y1*y2^2 + 7/4*y1*y2*y3"
 # every cubic monomial in three variables, integer coefficients but 1/6
 FORM_SIXTH = ("1/6*y1^3 + 3*y1^2*y2 - y1^2*y3 + 2*y1*y2^2 + 7*y1*y2*y3"
               " - 2*y1*y3^2 + y2^3 + 5*y2^2*y3 - 3*y2*y3^2 + 4*y3^3")
+FORM6 = "y1*y2*y3 + y4^3 + y5^3 + y6^3"
+POINT6 = "16,2,3,-3/7,-1/2,-10/7"      # cone_sample(FORM6, 1, seed=1)
 
 # (argv, exit code, sha256 of stdout)
 PINNED = [
@@ -124,6 +126,18 @@ PINNED = [
     (["verify", "--mode", "float", "--form", FORM3, "--points", "2,1/2,-1",
       "--convention", "negated"], 1,
      "bcf5a086bcebf1943ab69df2df6cc3082232e5aa2d5cd0409fdbaaa40049a8f8"),
+    # the tensor renderings at a larger n, in both modes; the negated
+    # convention's nonzero residual at n = 4; the float metric at n = 4
+    (["curvature", "--form", FORM6, "--points", POINT6], 0,
+     "b479f64706bf79263234773eba73732e0e12975f84aa5c908c50597226ef1809"),
+    (["curvature", "--mode", "float", "--form", FORM6, "--points", POINT6], 0,
+     "456911655811345d7b10a652611a76ab5b4e729d6647b00c3c701363580585f0"),
+    (["curvature", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1",
+      "--convention", "negated"], 0,
+     "0dd2c02dc70e6b00c578c89634e24fc0e2043a12f8cab3ace2676ab0ab702ee5"),
+    (["metric", "--mode", "float", "--form", "y1*y2*y3 + y4^3",
+      "--points", "2,2,2,-1"], 0,
+     "e56a2d57c38f22d61f533962dd1711f949cbedb006e304df967aadf915493eb4"),
 ]
 
 # sha256 of each parser level's option table (see _option_table), keyed by
@@ -163,15 +177,19 @@ def _test_id(argv, code=0):
                     + [f"exit{code}"] * (code != 0))
 
 
-def _test_ids(cases):
-    """_test_id of each case; a repeated id gets its count: "curvature-2"."""
+def _numbered(names):
+    """The names, a repeated one with its count: "curvature-2"."""
     seen = {}
     ids = []
-    for argv, code, _ in cases:
-        base = _test_id(argv, code)
-        seen[base] = seen.get(base, 0) + 1
-        ids.append(base if seen[base] == 1 else f"{base}-{seen[base]}")
+    for name in names:
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
     return ids
+
+
+def _test_ids(cases):
+    """_test_id of each case, numbered."""
+    return _numbered(_test_id(argv, code) for argv, code, _ in cases)
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED, ids=_test_ids(PINNED))
@@ -258,8 +276,11 @@ def _assert_float_contract(argv):
     return code_fl
 
 
-@pytest.mark.parametrize("argv", [a for a, _, _ in PINNED if "float" in a],
-                         ids=lambda argv: argv[0])
+FLOAT_PINS = [argv for argv, _, _ in PINNED if "float" in argv]
+
+
+@pytest.mark.parametrize("argv", FLOAT_PINS,
+                         ids=_numbered(argv[0] for argv in FLOAT_PINS))
 def test_float_pins_round_the_exact_output(argv):
     _assert_float_contract(argv)
 
