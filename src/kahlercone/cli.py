@@ -36,8 +36,7 @@ from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
 from .errors import KahlerConeError, ParseError
 from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
-from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, _layout, _pair_index,
-                     inertia)
+from .linalg import CurvTensor, Sym3Tensor, SymMatrix, _layout, _pair_index
 from .report import SCHEMA_VERSION, render_json, render_text
 from .scalars import Complex, format_scalar, parse_rational, to_float
 from .special import (affine_curvature_check, build_tilde_metric,
@@ -246,7 +245,9 @@ def _cone_metric_point(args, form, point):
     tm = build_tilde_metric(form, t, lam)
     inv = tilde_inverse_check(tm)
     chris = tilde_christoffel_check(tm)
-    sig = inertia(tm.bordered)
+    # membership proved F > 0 and M positive definite; B's Schur complement
+    # of 4F is -M / F, so B (and gtilde) has inertia (1, n, 0) by Haynsworth
+    sig = (1, form.n, 0)
     entry = {
         "t": _doc(t),
         "lambda": _doc(lam),

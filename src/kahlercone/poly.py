@@ -16,12 +16,6 @@ from .scalars import Complex
 __all__ = ["Poly"]
 
 
-def _is_zero(c):
-    if isinstance(c, Complex):
-        return c.is_zero()
-    return c == 0
-
-
 class Poly:
     __slots__ = ("nvars", "terms")
 
@@ -32,7 +26,7 @@ class Poly:
             for exp, c in terms.items():
                 if len(exp) != nvars:
                     raise DimensionMismatch("exponent length != nvars")
-                if not _is_zero(c):
+                if c != 0:
                     self.terms[tuple(exp)] = c
 
     @classmethod
@@ -57,7 +51,7 @@ class Poly:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             acc = out.get(exp, 0) + c
-            if _is_zero(acc):
+            if acc == 0:
                 out.pop(exp, None)
             else:
                 out[exp] = acc
@@ -83,7 +77,7 @@ class Poly:
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 acc = out.get(exp, 0) + c1 * c2
-                if _is_zero(acc):
+                if acc == 0:
                     out.pop(exp, None)
                 else:
                     out[exp] = acc

@@ -2,8 +2,12 @@
 
 All arithmetic is exact: `fractions.Fraction` (and Python ints inside the
 integer kernels) for reals, and `Complex`, a thin pair type, for the
-complexified-cone computations, where its components are Fractions. There
-is no float backend. Floats appear only in float-mode reports, where
+complexified-cone computations, where its components are Fractions. A
+`Complex` takes a `Complex` or a real (`int`, `Fraction`, `float`) operand
+as it is, so a real times a `Complex` is two products, and dividing by an
+int multiplies by its exact reciprocal; a builtin `complex` is no operand,
+though `Complex.of` builds from one and equality and hashing agree with it.
+There is no float backend. Floats appear only in float-mode reports, where
 `to_float` rounds each exact value once to binary64.
 """
 
@@ -81,11 +85,9 @@ def format_complex(z: "Complex") -> str:
 
 
 class Complex:
-    """Complex number with components of a real backend scalar type.
-
-    The builtin `complex` is float-only; this type keeps Gaussian rationals
-    exact. Arithmetic mixes freely with ints and Fractions.
-    """
+    """Complex number with components of a real backend scalar type; the
+    builtin `complex` is float-only, this type keeps Gaussian rationals
+    exact. Its operands are in the module docstring."""
 
     __slots__ = ("re", "im")
 
@@ -99,16 +101,9 @@ class Complex:
             return value
         if isinstance(value, complex):
             return Complex(value.real, value.imag)
-        if isinstance(value, (int, float, Fraction)):
+        if isinstance(value, _REAL):
             return Complex(value)
         raise TypeError(f"cannot build Complex from {type(value).__name__}")
-
-    @staticmethod
-    def _lift(value):
-        try:
-            return Complex.of(value)
-        except TypeError:
-            return None
 
     def conj(self) -> "Complex":
         return Complex(self.re, -self.im)
@@ -121,58 +116,67 @@ class Complex:
         return self.re == 0 and self.im == 0
 
     def __add__(self, other):
-        o = Complex._lift(other)
-        if o is None:
-            return NotImplemented
-        return Complex(self.re + o.re, self.im + o.im)
+        if isinstance(other, Complex):
+            return Complex(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REAL):
+            return Complex(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Complex._lift(other)
-        if o is None:
-            return NotImplemented
-        return Complex(self.re - o.re, self.im - o.im)
+        if isinstance(other, Complex):
+            return Complex(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REAL):
+            return Complex(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = Complex._lift(other)
-        if o is None:
-            return NotImplemented
-        return Complex(o.re - self.re, o.im - self.im)
+        return -self + other
 
     def __mul__(self, other):
-        o = Complex._lift(other)
-        if o is None:
-            return NotImplemented
-        return Complex(self.re * o.re - self.im * o.im,
-                       self.re * o.im + self.im * o.re)
+        if isinstance(other, Complex):
+            return Complex(self.re * other.re - self.im * other.im,
+                           self.re * other.im + self.im * other.re)
+        if isinstance(other, _REAL):
+            return Complex(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Complex.of(other)
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("complex division by zero")
-        return Complex((self.re * o.re + self.im * o.im) / d,
-                       (self.im * o.re - self.re * o.im) / d)
+        if isinstance(other, Complex):
+            return self * other.conj() / other.abs2()
+        if isinstance(other, int):      # exact, also on an int part
+            return self * Fraction(1, other)
+        if isinstance(other, _REAL):
+            return Complex(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return Complex.of(other) / self
+        return other * self.conj() / self.abs2()
 
     def __neg__(self):
         return Complex(-self.re, -self.im)
 
     def __eq__(self, other):
-        if isinstance(other, (Complex, complex)):
-            o = Complex.of(other)
-            return self.re == o.re and self.im == o.im
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, Complex):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, complex):
+            return self.re == other.real and self.im == other.imag
+        if isinstance(other, _REAL):
             return self.im == 0 and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """The builtin complex hash: equal numbers of every type hash equal."""
+        h = hash(self.re) + sys.hash_info.imag * hash(self.im)
+        m = 1 << (sys.hash_info.width - 1)
+        h = (h & (m - 1)) - (h & m)
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"Complex({self.re!r}, {self.im!r})"
+
+
+_REAL = (int, Fraction, float)

@@ -17,15 +17,19 @@ contract(t, adj H), t = s f3. The inverse of -4 Hess f is that times -1/4.
 
 Fibre extension. `build_tilde_metric` assembles the (n+1) x (n+1) hermitian
 matrix from the published closed-form entries with K = 8 f(Im t) and
-K_i = d/dt_i log K, together with the published inverse entries. Index 0 is
-the fibre direction. With u = (1, K_1, ..., K_n) and g padded by a zero
-fibre row and column, the printed entry is
+K_i = d/dt_i log K = i k_i, k real, together with the published inverse
+entries. Index 0 is the fibre direction. A printed entry carries
+lam^a lambar^b, (a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre
+row, (0,-1) on the fibre column and (0,0) on the base block, so it is a
+real times the phase of its index class, and is built as such (a real
+times a `Complex` is two products):
 
-    gtilde[r][c] = K (conj(u_r) u_c - g[r,c]) lam^a lambar^b,
+    gtilde = K [[1/|lam|^2, i k^T / lam], [-i k / lambar, k k^T - g]],
+    stated inverse = (1/K) [[|lam|^2 (1 - k.ginv.k), i lam (ginv k)^T],
+                            [-i lambar ginv k, -ginv]].
 
-(a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre row, (0,-1) on the
-fibre column and (0,0) on the base block. Two calibrations, fixed at n = 1
-and documented here because the published formulas leave them open:
+Two calibrations, fixed at n = 1 and documented here because the published
+formulas leave them open:
 
   * hermitian placement of the mixed inverse entry: the printed value for
     index pair (0, i-bar) equals entry (row i, column 0) of the true
@@ -70,17 +74,21 @@ serves both, and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 The published formulas stay an independent side, assembled from the printed
 entries and the base Christoffel symbols, never from B. Every quantity they
 read comes from the same integer jet (`geometry._IntegerJet`), one division
-per entry: K = 8 F / (s l^3), K_i = -i l a_i / (2F), Hess f = H / (s l),
-g and ginv. The check compares each formula group under each scaling and
-passes when every group is reproduced by at least one, reporting the full
-match table. The ambiguous recovery relation for the base symbols is
-evaluated under both of its index readings and the verdicts reported.
+per entry: K = 8 F / (s l^3), k = -l a / (2F), Hess f = H / (s l), g and
+ginv. The printed connection reads k and beta, the imaginary parts of the
+base symbols: its base block is i times a real, its mixed entries are 1/lam
+and its fibre-upper block is lam times a real. The check compares each
+formula group under each scaling and passes when every group is reproduced
+by at least one, reporting the full match table. The ambiguous recovery
+relation for the base symbols is evaluated, in literal `Complex`
+arithmetic, under both of its index readings and the verdicts reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Optional
 
@@ -200,39 +208,25 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     ij = _integer_jet(form, y)        # NotInCone unless Im t is interior
     n, l, F, a = form.n, ij.point.l, ij.point.F, ij.point.a
     kval = 8 * ij.point.f
-    k_log = tuple(Complex(Fraction(0), Fraction(-l * v, 2 * F)) for v in a)
-    # the printed entries: lam^-1 on the fibre row, lambar^-1 on the column
-    u = (Complex(Fraction(1)),) + k_log
-    g0 = [[0] * (n + 1)] + [[0] + row for row in ij.g.rows()]
-    lam_inv = u[0] / lam
-    power = {(False, False): lam_inv * lam_inv.conj(), (True, True): u[0],
-             (False, True): lam_inv, (True, False): lam_inv.conj()}
-    gt = [[kval * (u[r].conj() * u[c] - g0[r][c]) * power[r > 0, c > 0]
-           for c in range(n + 1)] for r in range(n + 1)]
+    k = [Fraction(-l * v, 2 * F) for v in a]        # K_i = i k_i
+    m, i_lam = Fraction(lam.abs2()), Complex(-lam.im, lam.re)   # exact on ints
+    g, ginv = ij.g.rows(), ij.ginv.rows()
+    top = [kval * v * Complex(lam.im / m, lam.re / m) for v in k]   # i / lam
+    gt = [[Complex(kval / m)] + top] + [
+        [z.conj()] + [Complex(kval * (u * v - h)) for v, h in zip(k, g_r)]
+        for z, u, g_r in zip(top, k, g)]
+    # calibrated placement: printed (0, i-bar) value sits at (row i, col 0)
+    w = [sum(map(mul, r, k)) for r in ginv]
+    top = [v / kval * i_lam for v in w]
+    inv = [[Complex(m * (1 - sum(map(mul, k, w))) / kval)] + top] + [
+        [z.conj()] + [Complex(-v / kval) for v in r]
+        for z, r in zip(top, ginv)]
     b = [[4 * F] + [2 * v for v in a]] + [
         [2 * v] + row for v, row in zip(a, ij.point.H.rows())]
-
-    ginv = ij.ginv
-    lam_bar = lam.conj()
-    inv = [[None] * (n + 1) for _ in range(n + 1)]
-    cross = sum((k_log[i] * k_log[j].conj() * ginv[j, i]
-                 for i in range(n) for j in range(n)),
-                start=Complex(Fraction(0)))
-    inv[0][0] = (lam * lam_bar / kval) * (Complex(Fraction(1)) - cross)
-    for i in range(n):
-        for j in range(n):
-            inv[i + 1][j + 1] = Complex(-ginv[i, j] / kval)
-        stated = (lam_bar / kval) * sum(
-            (Complex(ginv[k, i]) * k_log[k].conj() for k in range(n)),
-            start=Complex(Fraction(0)))
-        # calibrated placement: printed (0, i-bar) value sits at (row i, col 0)
-        inv[i + 1][0] = stated
-        inv[0][i + 1] = stated.conj()
-
     return TildeMetric(
-        n=n, t=t, lam=lam, y=y, norm_value=kval, k_log=k_log, gtilde=gt,
-        gtilde_inv_stated=inv, ij=ij,
-        bordered=SymMatrix.from_rows(b))
+        n=n, t=t, lam=lam, y=y, norm_value=kval,
+        k_log=tuple(Complex(Fraction(0), v) for v in k), gtilde=gt,
+        gtilde_inv_stated=inv, ij=ij, bordered=SymMatrix.from_rows(b))
 
 
 @dataclass(frozen=True)
@@ -252,35 +246,31 @@ def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
 
 def _gamma_printed(tm: TildeMetric, base):
     """The published connection formulas assembled as an (n+1)^3 array,
-    from the base Christoffel symbols `base`.
+    from the base Christoffel symbols `base` = i beta and K_i = i k_i, each
+    entry a real times its phase (module docstring).
 
     Index 0 is the fibre direction; entries are symmetric in the lower pair.
     The second mixed derivative of K reduces to -2 Hess f = -2 H / (s l).
     """
-    n, lam, k_log, point = tm.n, tm.lam, tm.k_log, tm.ij.point
-    zero = Complex(Fraction(0))
-    kval = tm.norm_value
-    lam_inv = Complex(Fraction(1)) / lam
+    n, lam, point = tm.n, tm.lam, tm.ij.point
+    k = [v.im for v in tm.k_log]
+    beta = [[[v.im for v in r] for r in plane] for plane in base]
+    hess = Fraction(2, point.s * point.l) / tm.norm_value
+    zero, lam_inv = Complex(Fraction(0)), 1 / lam
     gamma = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                v = base[i][j][k]
-                if i == k:
-                    v = v + k_log[j]
+            for c in range(n):
+                v = beta[i][j][c]
+                if i == c:
+                    v += k[j]
                 if i == j:
-                    v = v + k_log[k]
-                gamma[i + 1][j + 1][k + 1] = v
-        gamma[i + 1][i + 1][0] = lam_inv
-        gamma[i + 1][0][i + 1] = lam_inv
-    for i in range(n):
-        for j in range(n):
-            acc = sum((base[k][i][j] * k_log[k] for k in range(n)),
-                      start=zero)
-            ddk = Fraction(-2 * point.H[i, j], point.s * point.l)
-            v = lam * acc + 2 * lam * k_log[i] * k_log[j] \
-                - lam * Complex(ddk) / kval
-            gamma[0][i + 1][j + 1] = v
+                    v += k[c]
+                gamma[i + 1][j + 1][c + 1] = Complex(Fraction(0), v)
+            v = hess * point.H[i, j] - 2 * k[i] * k[j] - sum(
+                beta[c][i][j] * k[c] for c in range(n))
+            gamma[0][i + 1][j + 1] = lam * v
+        gamma[i + 1][i + 1][0] = gamma[i + 1][0][i + 1] = lam_inv
     return gamma
 
 
@@ -291,8 +281,12 @@ def _direct_gammas(tm: TildeMetric):
     l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
     delta, adj = det_adjugate(tm.bordered)
-    zero, lam_inv = Complex(Fraction(0)), Complex(Fraction(1)) / lam
-    lpow = ((l, l * l), (1, l))     # l^(1 - [x>0] + [c>0]), at [x>0][c>0]
+    zero, lam_inv, minus_i = Complex(Fraction(0)), 1 / lam, Complex(0, -1)
+    # at [x>0][c>0]: l^(1 - [x>0] + [c>0]), and the factors -i D_x^-1 D_c
+    # of R = Q / 2 under the (printed, potential) scalings, D and E
+    lpow = ((l, l * l), (1, l))
+    phase = (((minus_i, minus_i), (lam, -lam)),
+             ((-lam_inv, lam_inv), (minus_i, minus_i)))
     printed, potential = ([[[zero] * (n + 1) for _ in range(n + 1)]
                            for _ in range(n + 1)] for _ in range(2))
     printed[0][0][0] = -lam_inv
@@ -307,18 +301,16 @@ def _direct_gammas(tm: TildeMetric):
             for c, col in enumerate(d_b):
                 r = Fraction(lpow[x > 0][c > 0] * sum(map(mul, adj_row, col)),
                              2 * delta)
-                if (x > 0) == (c > 0):              # -(i/2) Q in both
-                    pr[c] = po[c] = Complex(Fraction(0), -r)
-                elif x == 0:                        # +-(lam/2) Q
-                    pr[c] = Complex(lam.re * r, lam.im * r)
-                    po[c] = -pr[c]
-                else:                               # -+(1/(2 lam)) Q
-                    po[c] = Complex(lam_inv.re * r, lam_inv.im * r)
-                    pr[c] = -po[c]
+                f_pr, f_po = phase[x > 0][c > 0]
+                pr[c], po[c] = f_pr * r, f_po * r
     return printed, potential
 
 
 _GROUPS = ("base", "mixed", "fibre-upper", "zeros")
+# the formula group of each index class ([x>0], [b>0], [c>0]) of
+# Gamma[x][b][c]; "zeros" holds the classes where the printed array is 0
+_GROUP_OF = {(1, 1, 1): "base", (1, 1, 0): "mixed", (0, 1, 1): "fibre-upper",
+             (0, 0, 0): "zeros", (0, 1, 0): "zeros", (1, 0, 0): "zeros"}
 
 
 @dataclass(frozen=True)
@@ -340,31 +332,20 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     potential scaling confirms the published vanishing entries and the
     mixed lambda^{-1} delta formula.
     """
-    n = tm.n
-    base = tm.ij.christoffels()
+    n, base = tm.n, tm.ij.christoffels()
     printed = _gamma_printed(tm, base)
     direct = dict(zip(("printed", "potential"), _direct_gammas(tm)))
-    matches = {}
-    symmetric = {}
+    matches, symmetric = {}, {}
+    indices = range(n + 1)
     for scaling, gamma in direct.items():
-        ok = {
-            "base": all(gamma[i + 1][j + 1][k + 1]
-                        == printed[i + 1][j + 1][k + 1]
-                        for i in range(n) for j in range(n) for k in range(n)),
-            "mixed": all(gamma[i + 1][j + 1][0] == printed[i + 1][j + 1][0]
-                         for i in range(n) for j in range(n)),
-            "fibre-upper": all(gamma[0][i + 1][j + 1]
-                               == printed[0][i + 1][j + 1]
-                               for i in range(n) for j in range(n)),
-            "zeros": (gamma[0][0][0].is_zero()
-                      and all(gamma[0][i + 1][0].is_zero()
-                              and gamma[i + 1][0][0].is_zero()
-                              for i in range(n))),
-        }
+        ok = dict.fromkeys(_GROUPS, True)
+        for x, b, c in product(indices, repeat=3):
+            group = _GROUP_OF.get((x > 0, b > 0, c > 0))
+            if group and ok[group] and gamma[x][b][c] != printed[x][b][c]:
+                ok[group] = False
         matches[scaling] = ok
-        symmetric[scaling] = all(
-            gamma[a][b][c] == gamma[a][c][b]
-            for a in range(n + 1) for b in range(n + 1) for c in range(n + 1))
+        symmetric[scaling] = all(gamma[x][b][c] == gamma[x][c][b]
+                                 for x, b, c in product(indices, repeat=3))
 
     lam, k_log = tm.lam, tm.k_log
     relation = {"corrected": True, "as-printed": True}

@@ -1,6 +1,7 @@
 """Affine curvature identity and the fibre-extended metric checks."""
 
 import random
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -172,6 +173,28 @@ def test_tilde_lambda_equivariance():
             assert b[i][j] == a[i][j]
 
 
+def test_int_lambda_keeps_every_entry_exact():
+    # an int lambda, or one with int parts, gives the entries of its
+    # Fraction form, with no part turned into a float by int / int
+    f = parse_text("y1*y2^2", 2)
+    t = [Complex(0, 1), Complex(F(1, 2), 2)]
+    for lam, same in ((2, F(2)), (Complex(1, 2), Complex(F(1), F(2)))):
+        tm, want = (build_tilde_metric(f, t, v) for v in (lam, same))
+        arrays = [tm.gtilde, tm.gtilde_inv_stated,
+                  *tilde_christoffel_check(tm).direct.values()]
+        assert arrays[:2] == [want.gtilde, want.gtilde_inv_stated]
+        assert not any(isinstance(v, float) for v in _parts(arrays))
+
+
+def _parts(rows):
+    """Every real and imaginary part in nested lists of Complex entries."""
+    for r in rows:
+        if isinstance(r, list):
+            yield from _parts(r)
+        else:
+            yield from (r.re, r.im)
+
+
 def test_tilde_inertia_pattern():
     # one positive, n negative directions; float eigenvalue cross-check.
     # (at n = 1 this is the (1,1,0) of the worked example; the pattern
@@ -268,12 +291,12 @@ def test_christoffel_check_on_random_suite():
         assert tilde_christoffel_check(tm).passed
 
 
-def _sympy_direct(text, y, lam):
-    """Gamma[a][b][c] = sum_d conj(h^-1)[a][d] D_b h[c][d] for both scalings,
-    from the published entries written in sympy: K = 8f,
-    K_i = -(i/2) d_i log f, g = -1/4 d^2 log f, with lam and lambar
-    independent, D_0 = d/dlam and D_{k+1} = -(i/2) d/dy_k. Entries are
-    returned as (re, im) pairs of Fractions."""
+def _sympy_tables(text, y, lam):
+    """The published entries of both scalings of the fibre metric written in
+    sympy, with lam and lambar independent symbols: K = 8f,
+    K_i = -(i/2) d_i log f, g = -1/4 d^2 log f. Returns a namespace with
+    the symbols, K, K_i, g, the tables `printed` and `potential`, and
+    `value`, which evaluates an expression at (y, lam) into QQ_I."""
     n, i_ = len(y), sympy.I
     ys = sympy.symbols(f"y1:{n + 1}")
     lam_s, lambar_s = sympy.symbols("lam lambar")
@@ -302,12 +325,25 @@ def _sympy_direct(text, y, lam):
           **{v: sympy.Rational(c) for v, c in zip(ys, y)}}
 
     def value(expr):
-        return QQ_I.from_sympy(sympy.expand_complex(expr.subs(at)))
+        return QQ_I.from_sympy(sympy.expand_complex(sympy.sympify(expr)
+                                                    .subs(at)))
 
-    derivs = [lambda e: sympy.diff(e, lam_s)] + [
-        lambda e, v=v: -(i_ / 2) * sympy.diff(e, v) for v in ys]
+    return types.SimpleNamespace(
+        n=n, ys=ys, lam=lam_s, lambar=lambar_s, f=f, k=k, k_log=k_log,
+        k_log_bar=k_log_bar, g=g, printed=printed, potential=potential,
+        value=value)
+
+
+def _sympy_direct(text, y, lam):
+    """Gamma[a][b][c] = sum_d conj(h^-1)[a][d] D_b h[c][d] for both scalings
+    of `_sympy_tables`, with D_0 = d/dlam and D_{k+1} = -(i/2) d/dy_k.
+    Entries are returned as (re, im) pairs of Fractions."""
+    sp = _sympy_tables(text, y, lam)
+    size, value = sp.n + 1, sp.value
+    derivs = [lambda e: sympy.diff(e, sp.lam)] + [
+        lambda e, v=v: -(sympy.I / 2) * sympy.diff(e, v) for v in sp.ys]
     out = {}
-    for scaling, h in (("printed", printed), ("potential", potential)):
+    for scaling, h in (("printed", sp.printed), ("potential", sp.potential)):
         h_inv = DomainMatrix([[value(e) for e in row] for row in h],
                              (size, size), QQ_I).inv().to_list()
         h_inv_bar = [[QQ_I(z.x, -z.y) for z in row] for row in h_inv]
@@ -318,6 +354,52 @@ def _sympy_direct(text, y, lam):
                           for c in range(size)] for b in range(size)]
                         for a in range(size)]
     return out
+
+
+def _sympy_printed_side(text, y, lam):
+    """(gtilde, stated inverse, printed connection) of the published
+    formulas, transcribed in sympy from the printed table of
+    `_sympy_tables` and evaluated at (y, lam) as (re, im) Fraction pairs.
+    The inverse is placed as calibrated (module docstring of `special`);
+    the base symbols are -(i/2) sum_l ginv[i,l] d_j g[k,l] and the second
+    mixed derivative of K is -2 Hess f."""
+    sp = _sympy_tables(text, y, lam)
+    n, i_, lam_s, lambar_s = sp.n, sympy.I, sp.lam, sp.lambar
+    k, kl, klb = sp.k, sp.k_log, sp.k_log_bar
+    ginv = sympy.Matrix(sp.g).inv()
+    size = n + 1
+    inv = [[None] * size for _ in range(size)]
+    inv[0][0] = lam_s * lambar_s / k * (1 - sum(
+        kl[a] * klb[b] * ginv[b, a] for a in range(n) for b in range(n)))
+    for a in range(n):
+        stated = lambar_s / k * sum(ginv[c, a] * klb[c] for c in range(n))
+        inv[a + 1][0] = stated
+        inv[0][a + 1] = lam_s / k * sum(ginv[c, a] * kl[c] for c in range(n))
+        for b in range(n):
+            inv[a + 1][b + 1] = -ginv[a, b] / k
+    base = [[[-(i_ / 2) * sum(ginv[a, m] * sympy.diff(sp.g[c][m], sp.ys[b])
+                              for m in range(n))
+              for c in range(n)] for b in range(n)] for a in range(n)]
+    gamma = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                gamma[a + 1][b + 1][c + 1] = (base[a][b][c]
+                                              + int(a == c) * kl[b]
+                                              + int(a == b) * kl[c])
+        gamma[a + 1][a + 1][0] = gamma[a + 1][0][a + 1] = 1 / lam_s
+    for a in range(n):
+        for b in range(n):
+            ddk = -2 * sympy.diff(sp.f, sp.ys[a], sp.ys[b])
+            gamma[0][a + 1][b + 1] = (
+                lam_s * sum(base[c][a][b] * kl[c] for c in range(n))
+                + 2 * lam_s * kl[a] * kl[b] - lam_s * ddk / k)
+
+    def values(rows):
+        return [values(r) if isinstance(r, list) else _pair(sp.value(r))
+                for r in rows]
+
+    return values(sp.printed), values(inv), values(gamma)
 
 
 def _pair(z):
@@ -340,9 +422,34 @@ def test_direct_christoffels_match_sympy_oracle():
             direct = tilde_christoffel_check(tm).direct
             want = _sympy_direct(text, y, lam)
             for scaling, gamma in direct.items():
-                got = [[[(F(z.re), F(z.im)) for z in row] for row in plane]
-                       for plane in gamma]
-                assert got == want[scaling], (text, lam, scaling)
+                assert _pairs(gamma) == want[scaling], (text, lam, scaling)
+
+
+def test_printed_side_matches_sympy_oracle():
+    # the published gtilde, stated inverse and connection, exactly, at real
+    # and non-real lambda: the printed phases lam^-1, lambar^-1 and |lam|^-2
+    # and the calibrated inverse placement are pinned entry by entry
+    for text, y in (("y1^3", [1]), ("y1^3", [F(2, 3)]),
+                    ("y1*y2^2", [1, 1]), ("y1*y2^2", [F(1, 2), F(3, 4)]),
+                    ("y1*y2*y3", [1, 2, 3]),
+                    ("y1*y2*y3", [F(1, 3), F(2, 5), F(3, 7)])):
+        form = parse_text(text, len(y))
+        for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
+            tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
+                                    lam)
+            printed = kahlercone.special._gamma_printed(
+                tm, tm.ij.christoffels())
+            want = _sympy_printed_side(text, y, lam)
+            for got, expected in zip((tm.gtilde, tm.gtilde_inv_stated,
+                                      printed), want):
+                assert _pairs(got) == expected, (text, lam)
+
+
+def _pairs(rows):
+    """Nested lists of Complex entries as (re, im) pairs of Fractions; each
+    entry must be a Complex."""
+    return [_pairs(r) if isinstance(r, list) else (F(r.re), F(r.im))
+            for r in rows]
 
 
 def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
