@@ -113,11 +113,12 @@ def _points_for(args, form: CubicForm):
 
 
 def _parse_lambda(text: str) -> Complex:
+    """A rational, or a+bi split at the last sign before i that follows no
+    exponent's e; each part read by `parse_rational`, as in --points."""
+    m = re.fullmatch(r"(.*[^eE])([+-])\s*(.*?)\s*i\s*", text)
     try:
-        m = re.fullmatch(r"\s*([+-]?[\d/]+)\s*([+-]\s*[\d/]+)\s*i\s*", text)
         if m:
-            return Complex(parse_rational(m.group(1)),
-                           parse_rational(m.group(2).replace(" ", "")))
+            return Complex(parse_rational(m[1]), parse_rational(m[2] + m[3]))
         return Complex(parse_rational(text))
     except ValueError as exc:
         raise KahlerConeError(f"bad fibre coordinate {text!r}") from exc

@@ -14,7 +14,7 @@ Text grammar (whitespace insignificant)::
 
     expr   := ["+"|"-"] term (("+"|"-") term)*
     term   := coeff ("*" factor)* | factor ("*" factor)*
-    factor := var ("^" digit)?
+    factor := var ("^" integer)?
     var    := "y" index            # 1-based, y1 ... yn
     coeff  := integer ("/" positive-integer)?
 """
@@ -227,109 +227,51 @@ class CubicForm:
 # ----------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>y\d+)|(?P<op>[+\-*/^]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>y\d+)|(?P<op>[+\-*/^])"
+                    r"|(?P<bad>\S))")
 
 
 def _tokenize(src):
+    """The tokens of `src` as (kind, value, position, text): kind "int" with
+    the integer, "var" with its 1-based index, or an operator itself with
+    None, and last ("end", None, len(src), "")."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            rest = src[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {src[bad]!r}", bad)
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("var"):
-            tokens.append(("var", int(m.group("var")[1:]), m.start("var")))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        if kind == "op":
+            tokens.append((text, None, pos, text))
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(src)))
+            tokens.append((kind, int(text.removeprefix("y")), pos, text))
+    tokens.append(("end", None, len(src), ""))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, n):
-        self.tokens = tokens
-        self.n = n
-        self.i = 0
+def _expected(what, token):
+    """The ParseError of `token` where the grammar needs `what`."""
+    _, _, pos, text = token
+    return ParseError(f"expected {what}, got "
+                      f"{repr(text) if text else 'end of input'}", pos)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expr(self):
-        monomials = {}
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        self._term(monomials, sign)
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and val in "+-":
-                self.take()
-                self._term(monomials, -1 if val == "-" else 1)
-            else:
-                raise ParseError(f"expected '+' or '-', got {val!r}", pos)
-        return monomials
-
-    def _term(self, monomials, sign):
-        coeff = Fraction(sign)
-        exp = [0] * self.n
-        kind, val, pos = self.peek()
-        if kind == "int":
-            self.take()
-            coeff *= val
-            nk, nv, npos = self.peek()
-            if nk == "op" and nv == "/":
-                self.take()
-                dk, dv, dpos = self.take()
-                if dk != "int" or dv == 0:
-                    raise ParseError("expected a positive integer denominator",
-                                     dpos)
-                coeff /= dv
-        elif kind == "var":
-            self._factor(exp)
-        else:
-            raise ParseError(f"expected a coefficient or variable, got {val!r}",
-                             pos)
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                self._factor(exp)
-            else:
-                break
-        key = tuple(exp)
-        monomials[key] = monomials.get(key, Fraction(0)) + coeff
-
-    def _factor(self, exp):
-        kind, val, pos = self.take()
-        if kind != "var":
-            raise ParseError(f"expected a variable, got {val!r}", pos)
-        if not (1 <= val <= self.n):
-            raise ParseError(f"variable y{val} out of range 1..{self.n}", pos)
-        power = 1
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "^":
-            self.take()
-            pk, pv, ppos = self.take()
-            if pk != "int":
-                raise ParseError("expected an integer exponent", ppos)
-            power = pv
-        exp[val - 1] += power
+def _factor(tokens, i, exp, what):
+    """Read `var ("^" integer)?` from tokens[i] into the exponents `exp`;
+    the index after it. `what` is what tokens[i] may be."""
+    kind, var, pos, _ = tokens[i]
+    if kind != "var":
+        raise _expected(what, tokens[i])
+    if not 1 <= var <= len(exp):
+        raise ParseError(f"variable y{var} out of range 1..{len(exp)}", pos)
+    power = 1
+    if tokens[i + 1][0] == "^":
+        i += 2
+        kind, power, pos, _ = tokens[i]
+        if kind != "int":
+            raise ParseError("expected an integer exponent", pos)
+    exp[var - 1] += power
+    return i + 1
 
 
 def parse_text(src: str, n: int) -> CubicForm:
@@ -339,9 +281,36 @@ def parse_text(src: str, n: int) -> CubicForm:
     surviving monomial has degree other than 3, DimensionMismatch on n.
     """
     _check_dimension(n)
-    parser = _Parser(_tokenize(src), n)
-    monomials = parser.expr()
-    return CubicForm(n, monomials)
+    tokens = _tokenize(src)
+    monomials = {}
+    i = 0
+    while True:             # one term per pass, at its sign if it has one
+        sign = tokens[i][0]
+        if sign in ("+", "-"):
+            i += 1
+        coeff = Fraction(-1 if sign == "-" else 1)
+        exp = [0] * n
+        kind, value, _, _ = tokens[i]
+        if kind == "int":
+            coeff *= value
+            i += 1
+            if tokens[i][0] == "/":
+                kind, value, pos, _ = tokens[i + 1]
+                if kind != "int" or value == 0:
+                    raise ParseError("expected a positive integer denominator",
+                                     pos)
+                coeff /= value
+                i += 2
+        else:
+            i = _factor(tokens, i, exp, "a coefficient or variable")
+        while tokens[i][0] == "*":
+            i = _factor(tokens, i + 1, exp, "a variable")
+        key = tuple(exp)
+        monomials[key] = monomials.get(key, Fraction(0)) + coeff
+        if tokens[i][0] == "end":
+            return CubicForm(n, monomials)
+        if tokens[i][0] not in ("+", "-"):
+            raise _expected("'+' or '-'", tokens[i])
 
 
 # ----------------------------------------------------------------------------

@@ -112,9 +112,6 @@ class Complex:
         """Squared modulus, exact for exact components."""
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __add__(self, other):
         if isinstance(other, Complex):
             return Complex(self.re + other.re, self.im + other.im)

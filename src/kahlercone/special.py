@@ -202,7 +202,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     """Assemble the fibre-extended metric and its published inverse at (t, lam)."""
     t = tuple(map(Complex.of, t))
     lam = Complex.of(lam)
-    if lam.is_zero():
+    if lam == 0:
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
     ij = _integer_jet(form, y)        # NotInCone unless Im t is interior

@@ -47,17 +47,22 @@ integer jet; only lambda and Im t come from the `TildeMetric`.
 the CLI once built it: one recursion per index, every entry read through the
 container's `__getitem__`, so each stored orbit is formatted once per index
 that reaches it.
+
+`reference_parse_text` is `cubic.parse_text` as a cursor class over the
+tokens, with one method per production; its messages name a variable token
+by its index and the end of input as None.
 """
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
-from kahlercone import (Complex, CurvTensor, DimensionMismatch, Membership,
-                        SamplingExhausted, Sym3Tensor, SymMatrix,
-                        cone_contains, contract, curvature_lhs,
-                        curvature_rhs, inertia, kahler_metric)
-from kahlercone.cubic import GRID_DEN, GRID_NUM
+from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
+                        Membership, ParseError, SamplingExhausted,
+                        Sym3Tensor, SymMatrix, cone_contains, contract,
+                        curvature_lhs, curvature_rhs, inertia, kahler_metric)
+from kahlercone.cubic import GRID_DEN, GRID_NUM, _check_dimension
 from kahlercone.linalg import _layout, identity_rows
 from kahlercone.poly import Poly
 from kahlercone.scalars import format_scalar, to_float
@@ -569,3 +574,120 @@ def reference_doc(x, mode="exact", index=()):
     if x is None:
         return None
     return format_scalar(to_float(x) if mode == "float" else x)
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>y\d+)|(?P<op>[+\-*/^]))")
+
+
+def _tokenize(src):
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        if not m:
+            rest = src[pos:]
+            if rest.strip() == "":
+                break
+            bad = pos + len(rest) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {src[bad]!r}", bad)
+        if m.group("int"):
+            tokens.append(("int", int(m.group("int")), m.start("int")))
+        elif m.group("var"):
+            tokens.append(("var", int(m.group("var")[1:]), m.start("var")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", None, len(src)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, n):
+        self.tokens = tokens
+        self.n = n
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expr(self):
+        monomials = {}
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+            sign = -1 if val == "-" else 1
+        self._term(monomials, sign)
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "end":
+                break
+            if kind == "op" and val in "+-":
+                self.take()
+                self._term(monomials, -1 if val == "-" else 1)
+            else:
+                raise ParseError(f"expected '+' or '-', got {val!r}", pos)
+        return monomials
+
+    def _term(self, monomials, sign):
+        coeff = Fraction(sign)
+        exp = [0] * self.n
+        kind, val, pos = self.peek()
+        if kind == "int":
+            self.take()
+            coeff *= val
+            nk, nv, npos = self.peek()
+            if nk == "op" and nv == "/":
+                self.take()
+                dk, dv, dpos = self.take()
+                if dk != "int" or dv == 0:
+                    raise ParseError("expected a positive integer denominator",
+                                     dpos)
+                coeff /= dv
+        elif kind == "var":
+            self._factor(exp)
+        else:
+            raise ParseError(f"expected a coefficient or variable, got {val!r}",
+                             pos)
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                self._factor(exp)
+            else:
+                break
+        key = tuple(exp)
+        monomials[key] = monomials.get(key, Fraction(0)) + coeff
+
+    def _factor(self, exp):
+        kind, val, pos = self.take()
+        if kind != "var":
+            raise ParseError(f"expected a variable, got {val!r}", pos)
+        if not (1 <= val <= self.n):
+            raise ParseError(f"variable y{val} out of range 1..{self.n}", pos)
+        power = 1
+        kind, op, _ = self.peek()
+        if kind == "op" and op == "^":
+            self.take()
+            pk, pv, ppos = self.take()
+            if pk != "int":
+                raise ParseError("expected an integer exponent", ppos)
+            power = pv
+        exp[val - 1] += power
+
+
+def reference_parse_text(src: str, n: int) -> CubicForm:
+    """Parse polynomial source text into an exact CubicForm.
+
+    Raises ParseError for malformed input, NotHomogeneousCubic when a
+    surviving monomial has degree other than 3, DimensionMismatch on n.
+    """
+    _check_dimension(n)
+    parser = _Parser(_tokenize(src), n)
+    monomials = parser.expr()
+    return CubicForm(n, monomials)

@@ -11,14 +11,18 @@ from kahlercone import (CubicForm, Membership, SamplingExhausted,
                         cone_contains, cone_sample)
 
 
-def run_cli(*argv):
-    """(exit code, stdout) of `python -m kahlercone.cli` in a child process
-    that imports the same package as the tests, with or without PYTHONPATH."""
+def run_python(*args):
+    """The finished `python *args` child process, which imports the same
+    package as the tests, with or without PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(kahlercone.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "kahlercone.cli", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*argv):
+    """(exit code, stdout) of `python -m kahlercone.cli` in a child process."""
+    proc = run_python("-m", "kahlercone.cli", *argv)
     return proc.returncode, proc.stdout
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from kahlercone.cli import main
 from kahlercone.poly import Poly
 
-from _util import run_cli
+from _util import run_cli, run_python
 
 
 def run_inproc(capsys, *argv):
@@ -75,6 +75,45 @@ def test_sampling_exhausted_reports_distinct_candidates(capsys):
     assert json.loads(out)["error"]["message"].startswith(
         f"found {positive}/200 interior points among {len(grid)} distinct "
         f"candidates in 100000 attempts; ")
+
+
+# runs cli.main on each argv of the JSON list argv[1] and prints the exit
+# codes and the top-level modules it loaded that are not the standard
+# library's (sys.stdlib_module_names, Python 3.10+) or kahlercone
+_RUNTIME_MODULES = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+from kahlercone.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps([codes, sorted(loaded - sys.stdlib_module_names
+                                - {"kahlercone"})]))
+"""
+
+
+def test_runtime_loads_only_the_standard_library():
+    argvs = [["verify", "--form", "y1*y2*y3", "--samples", "2",
+              "--hint", "1,1,1"],
+             # the stated inverse breaks for non-real lambda: exit 1
+             ["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
+              "--lam", "1/2+1i"],
+             ["identity-n8f", "--form", "y1*y2^2"]]
+    proc = run_python("-c", _RUNTIME_MODULES, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 1, 0], []]
+
+
+def test_lambda_parts_read_as_points_read_rationals(capsys):
+    for written, exact in (("1.5+2i", "3/2+2i"), ("1e-2+3i", "1/100+3i"),
+                           ("1-2.5e-1i", "1-1/4i")):
+        argv = ["cone-metric", "--form", "y1*y2^2", "--points", "1,1"]
+        got = run_inproc(capsys, *argv, "--lam", written)
+        assert got == run_inproc(capsys, *argv, "--lam", exact), written
+        assert json.loads(got[1])["points"][0]["lambda"] == exact, written
 
 
 def test_values_may_start_with_minus_and_digit(capsys):

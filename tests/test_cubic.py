@@ -62,6 +62,25 @@ def test_parse_errors_carry_position():
         parse_text("y1^-3", 1)  # negative exponents are not in the grammar
 
 
+@pytest.mark.parametrize("src, n, position, message", [
+    ("y1^3 + @", 1, 7, "unexpected character '@'"),
+    ("y1 y2 y3", 3, 3, "expected '+' or '-', got 'y2'"),
+    ("y1^3 + ", 1, 7, "expected a coefficient or variable, got end of input"),
+    ("y1^3 - *y1^3", 1, 7, "expected a coefficient or variable, got '*'"),
+    ("2*3*y1^2", 1, 2, "expected a variable, got '3'"),
+    ("y5^3", 2, 0, "variable y5 out of range 1..2"),
+    ("1/0*y1^3", 1, 2, "expected a positive integer denominator"),
+    ("y1^y1", 1, 3, "expected an integer exponent"),
+])
+def test_parse_error_kinds(src, n, position, message):
+    """One case per kind of ParseError; each names the token as written."""
+    with pytest.raises(ParseError) as err:
+        parse_text(src, n)
+    assert type(err.value) is ParseError
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
 def test_text_roundtrip_random_forms():
     rng = random.Random(31)
     for _ in range(60):

@@ -1,16 +1,19 @@
 """Property tests of the metric jet under scaling and GL(n, Z) changes of
-variables, at sampled interior points of y1*y2*y3 + y4^3, and of the text
-and JSON round trips of random cubic forms."""
+variables, at sampled interior points of y1*y2*y3 + y4^3, of the text
+and JSON round trips of random cubic forms, and of the parser against the
+cursor-class oracle `_reference.reference_parse_text`."""
 
 import itertools
+import re
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlercone import (CubicForm, cone_sample, kahler_metric, parse_text,
-                        verify_identity)
+from kahlercone import (CubicForm, KahlerConeError, cone_sample,
+                        kahler_metric, parse_text, verify_identity)
 
+from _reference import reference_parse_text
 from _util import mat_vec
 
 FORM = parse_text("y1*y2*y3 + y4^3", 4)
@@ -85,3 +88,49 @@ def test_identity_holds_on_scaled_points(y, c):
 def test_text_and_json_round_trips(form):
     assert parse_text(form.to_text(), form.n) == form
     assert CubicForm.from_json_dict(form.to_json_dict()) == form
+
+
+# form text of three kinds: the grammar's tokens (written with leading
+# zeros or a non-ASCII digit, out of range and as y0 too), whitespace and
+# characters outside the grammar in any order, at any n; text the grammar
+# derives, mostly of degree 3, at n = 3; and that text with one piece
+# inserted
+_PIECES = ["y0", "y1", "y2", "y3", "y4", "y12", "y01", "0", "1", "2", "3",
+           "10", "07", "\u0663", "/", "*", "^", "+", "-", " ", "  ",
+           "\t\u00a0", "@", "x", "."]
+_terms = st.builds(
+    lambda coeff, product: "*".join(coeff + [product]),
+    st.sampled_from([[], [], [], ["2"], ["1/2"], ["5/3"], ["0"], ["4/0"]]),
+    st.sampled_from(["y1^3", "y1*y2*y3", "y2^2*y3", "y1*y1 * y2", "y3^03",
+                     "y2 * y3^2", "y1^2", "y1*y2*y3*y1"]))
+_grammar_texts = st.builds(
+    lambda lead, first, rest: lead + first + "".join(s + t for s, t in rest),
+    st.sampled_from(["", "-", "+ "]), _terms,
+    st.lists(st.tuples(st.sampled_from([" + ", "-", " - "]), _terms),
+             max_size=2))
+_mutated_texts = st.builds(lambda text, i, piece: text[:i] + piece + text[i:],
+                           _grammar_texts, st.integers(0, 30),
+                           st.sampled_from(_PIECES))
+parser_inputs = st.one_of(
+    st.tuples(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+              st.integers(1, 4)),
+    st.tuples(st.one_of(_grammar_texts, _mutated_texts), st.just(3)))
+
+
+def _parse_outcome(parse, src, n):
+    """The monomials of src, or the error's type, position and message with
+    the name of the offending token left out."""
+    try:
+        return parse(src, n).monomials
+    except KahlerConeError as exc:
+        return (type(exc), getattr(exc, "position", None),
+                re.sub(r", got .* \(at position", ", got _ (at position",
+                       str(exc)))
+
+
+@settings(max_examples=400)
+@given(parser_inputs)
+def test_parser_matches_cursor_class_oracle(text_and_n):
+    src, n = text_and_n
+    assert _parse_outcome(parse_text, src, n) == \
+        _parse_outcome(reference_parse_text, src, n)

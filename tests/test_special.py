@@ -254,10 +254,10 @@ def test_christoffel_mixed_formula_under_potential_scaling():
                     else Complex(F(0))
                 assert direct[i + 1][j + 1][0] == want
         # vanishing entries, exactly
-        assert direct[0][0][0].is_zero()
+        assert direct[0][0][0] == 0
         for i in range(n):
-            assert direct[0][i + 1][0].is_zero()
-            assert direct[i + 1][0][0].is_zero()
+            assert direct[0][i + 1][0] == 0
+            assert direct[i + 1][0][0] == 0
 
 
 def test_christoffel_base_formula_matches_both_scalings():
