@@ -33,7 +33,7 @@ import sys
 
 from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
                     norm_identity_check, parse_text)
-from .errors import KahlerConeError, ParseError
+from .errors import KahlerConeError
 from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
 from .linalg import CurvTensor, Sym3Tensor, SymMatrix, _layout, _pair_index
@@ -43,13 +43,6 @@ from .special import (affine_curvature_check, build_tilde_metric,
                       tilde_christoffel_check, tilde_inverse_check)
 
 __all__ = ["main"]
-
-
-def _infer_dimension(src: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"y(\d+)", src)]
-    if not indices:
-        raise ParseError("no variables found; pass --n explicitly", 0)
-    return max(1, *indices)         # at least 1, so the parser names y0
 
 
 def _load_form(args) -> CubicForm:
@@ -63,8 +56,7 @@ def _load_form(args) -> CubicForm:
             raise KahlerConeError(f"cannot load form file: {exc}") from exc
     if not args.form:
         raise KahlerConeError("one of --form or --form-file is required")
-    n = args.n if args.n is not None else _infer_dimension(args.form)
-    return parse_text(args.form, n)
+    return parse_text(args.form, args.n)
 
 
 def _parse_points(text: str, n: int):

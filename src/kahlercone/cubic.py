@@ -35,7 +35,7 @@ from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
 from .linalg import (Sym3Tensor, SymMatrix, _layout, inertia,
                      positive_definite)
 from .poly import Poly
-from .scalars import Complex, format_point
+from .scalars import Complex, format_point, format_scalar
 
 __all__ = [
     "CubicForm",
@@ -97,8 +97,10 @@ class CubicForm:
             if coeff == 0:
                 continue
             if sum(exp) != DEGREE:
-                raise NotHomogeneousCubic(
-                    f"monomial {exp} has degree {sum(exp)}, expected {DEGREE}")
+                raise NotHomogeneousCubic(  # repr(exp), of any length
+                    f"monomial ({', '.join(map(format_scalar, exp))}"
+                    f"{',' * (n == 1)}) has degree "
+                    f"{format_scalar(sum(exp))}, expected {DEGREE}")
             clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.monomials = {e: c for e, c in sorted(clean.items(), reverse=True)
                           if c != 0}
@@ -185,7 +187,7 @@ class CubicForm:
             mag = abs(coeff)
             body = "*".join(factors)
             if mag != 1:
-                body = f"{mag}*{body}"
+                body = f"{format_scalar(mag)}*{body}"
             if idx == 0:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -195,7 +197,7 @@ class CubicForm:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "monomials": [{"exp": list(e), "coeff": str(c)}
+            "monomials": [{"exp": list(e), "coeff": format_scalar(c)}
                           for e, c in self.monomials.items()],
         }
 
@@ -231,6 +233,17 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>y\d+)|(?P<op>[+\-*/^])"
                     r"|(?P<bad>\S))")
 
 
+def _integer(m):
+    """The integer of an "int" or "var" (its index) match of `_TOKEN`; a
+    ParseError at the token if its digits exceed Python's int-string limit."""
+    digits = m.group(m.lastgroup).removeprefix("y")
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits exceeds Python's "
+                         f"int-string limit", m.start(m.lastgroup)) from None
+
+
 def _tokenize(src):
     """The tokens of `src` as (kind, value, position, text): kind "int" with
     the integer, "var" with its 1-based index, or an operator itself with
@@ -244,7 +257,7 @@ def _tokenize(src):
         if kind == "op":
             tokens.append((text, None, pos, text))
         else:
-            tokens.append((kind, int(text.removeprefix("y")), pos, text))
+            tokens.append((kind, _integer(m), pos, text))
     tokens.append(("end", None, len(src), ""))
     return tokens
 
@@ -259,11 +272,11 @@ def _expected(what, token):
 def _factor(tokens, i, exp, what):
     """Read `var ("^" integer)?` from tokens[i] into the exponents `exp`;
     the index after it. `what` is what tokens[i] may be."""
-    kind, var, pos, _ = tokens[i]
+    kind, var, pos, text = tokens[i]
     if kind != "var":
         raise _expected(what, tokens[i])
     if not 1 <= var <= len(exp):
-        raise ParseError(f"variable y{var} out of range 1..{len(exp)}", pos)
+        raise ParseError(f"variable {text} out of range 1..{len(exp)}", pos)
     power = 1
     if tokens[i + 1][0] == "^":
         i += 2
@@ -274,12 +287,19 @@ def _factor(tokens, i, exp, what):
     return i + 1
 
 
-def parse_text(src: str, n: int) -> CubicForm:
-    """Parse polynomial source text into an exact CubicForm.
+def parse_text(src: str, n: Optional[int] = None) -> CubicForm:
+    """Parse polynomial source text into an exact CubicForm in n variables,
+    by default the highest variable index written, at least 1.
 
     Raises ParseError for malformed input, NotHomogeneousCubic when a
     surviving monomial has degree other than 3, DimensionMismatch on n.
     """
+    if n is None:   # scanned before tokenizing: "@y40^3" has n too large
+        indices = [_integer(m) for m in _TOKEN.finditer(src)
+                   if m.lastgroup == "var"]
+        if not indices:
+            raise ParseError("no variables found; pass --n explicitly", 0)
+        n = max(1, *indices)        # at least 1, so the parser names y0
     _check_dimension(n)
     tokens = _tokenize(src)
     monomials = {}

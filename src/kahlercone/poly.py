@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 Terms map exponent tuples to coefficients, which may be Fractions or exact
-`Complex` values; zero coefficients are pruned so equality of term maps is
-equality of polynomials. Just enough ring operations for expanding the
-norm-function identity and pulling forms back along linear maps.
+`Complex` values; the constructor prunes zero coefficients, so equality of
+term maps is equality of polynomials. Just enough ring operations for
+expanding the norm-function identity and pulling forms back along linear maps.
 """
 
 from __future__ import annotations
@@ -50,11 +50,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            acc = out.get(exp, 0) + c
-            if acc == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = acc
+            out[exp] = out.get(exp, 0) + c
         return Poly(self.nvars, out)
 
     __radd__ = __add__
@@ -65,9 +61,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Complex)):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
@@ -76,11 +69,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exp, 0) + c1 * c2
-                if acc == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = acc
+                out[exp] = out.get(exp, 0) + c1 * c2
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -122,18 +111,9 @@ class Poly:
         return total
 
     def compose(self, replacements):
-        """Substitute replacements[i] (a Poly) for variable i."""
-        if len(replacements) != self.nvars:
-            raise DimensionMismatch("need one replacement per variable")
-        nv = replacements[0].nvars
-        total = Poly.zero(nv)
-        for exp, c in self.terms.items():
-            term = Poly.const(nv, c)
-            for r, e in zip(replacements, exp):
-                for _ in range(e):
-                    term = term * r
-            total = total + term
-        return total
+        """Substitute replacements[i] (a Poly) for variable i; the zero start
+        keeps the pullback of the zero polynomial a Poly."""
+        return Poly.zero(replacements[0].nvars) + self.evaluate(replacements)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars

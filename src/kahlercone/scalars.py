@@ -14,6 +14,7 @@ There is no float backend. Floats appear only in float-mode reports, where
 from __future__ import annotations
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import KahlerConeError
@@ -43,13 +44,19 @@ def parse_rational(text: str) -> Fraction:
 def format_scalar(x) -> str | float:
     """Serialize a scalar for reports: rational string "p/q" or a float.
 
-    Fractions keep exactness as decimal-free strings; floats pass through
+    The one writer of exact numbers: Fractions keep exactness as
+    decimal-free strings of any length (past Python's int-string limit,
+    where `str` raises, `decimal` writes the digits); floats pass through
     (json emits the shortest round-trip decimal).
     """
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:
+            p, q = (str(Decimal(v)) for v in x.as_integer_ratio())
+            return p if q == "1" else f"{p}/{q}"
     if isinstance(x, int):
-        return str(Fraction(x))
+        return format_scalar(Fraction(x))
     if isinstance(x, Complex):
         return format_complex(x)
     return float(x)

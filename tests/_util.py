@@ -21,8 +21,11 @@ def run_python(*args):
 
 
 def run_cli(*argv):
-    """(exit code, stdout) of `python -m kahlercone.cli` in a child process."""
+    """(exit code, stdout) of `python -m kahlercone.cli` in a child process,
+    whose stderr must stay empty: the CLI reports every error on stdout, so
+    anything there, such as a traceback, fails the caller."""
     proc = run_python("-m", "kahlercone.cli", *argv)
+    assert not proc.stderr, proc.stderr
     return proc.returncode, proc.stdout
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 from kahlercone.cli import main
@@ -398,6 +399,48 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"]["message"] == (
         "cannot load form file: monomial with exponents [3] has a zero "
         "denominator in its coefficient '1/0'")
+
+
+def _exact(text):
+    """The rational "p" or "p/q" of a report, read through `decimal`, which,
+    unlike `int`, reads digit runs past Python's int-string limit."""
+    p, _, q = text.partition("/")
+    return F(int(Decimal(p)), int(Decimal(q or "1")))
+
+
+def test_integers_past_the_int_string_limit():
+    """Form text with an integer past Python's int-string limit (4300 digits
+    by default) exits 2 with a ParseError; an exact value of any length is
+    printed exactly. No case prints a traceback (`run_cli` checks stderr)."""
+    ones, sevens, nines = "1" * 5000, "7" * 1500, "9" * 4300
+    for argv, position in ((("--form", f"{ones}*y1^3"), 0),
+                           (("--form", f"y{ones}^3"), 0),
+                           (("--n", "1", "--form", f"y1^{ones}"), 3)):
+        code, out = run_cli("validate", *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == {
+            "type": "ParseError", "message": "integer of 5000 digits exceeds "
+            f"Python's int-string limit (at position {position})"}, argv
+    y, big = int(sevens), 2 * int(nines)        # big has 4301 digits
+    code, out = run_cli("curvature", "--form", "y1^3", "--points", sevens)
+    assert code == 0
+    point = json.loads(out)["points"][0]
+    assert _exact(point["normFunction"]) == 8 * y**3
+    assert _exact(point["lhs"][0][0][0][0]) == F(3, 8 * y**4)
+    code, out = run_cli("cone", "check", "--form", "y1^3", "--points", sevens)
+    assert code == 0
+    assert _exact(json.loads(out)["points"][0]["f"]) == y**3
+    code, out = run_cli("validate", "--form", f"{nines}*y1^3 + {nines}*y1^3")
+    assert code == 0
+    form = json.loads(out)["form"]
+    assert _exact(form["monomials"][0]["coeff"]) == big
+    assert form["text"] == f"{form['monomials'][0]['coeff']}*y1^3"
+    code, out = run_cli("validate", "--form", f"y1^{nines}*y1^{nines}")
+    assert code == 2
+    error = json.loads(out)["error"]
+    digits = str(Decimal(big))
+    assert error == {"type": "NotHomogeneousCubic", "message": f"monomial "
+                     f"({digits},) has degree {digits}, expected 3"}
 
 
 def test_oversized_dimension_exits_2(capsys, tmp_path):

@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from kahlercone import (CubicForm, Membership, NotHomogeneousCubic, NotInCone,
-                        ParseError, SamplingExhausted, cone_contains,
-                        cone_sample, norm_identity_check, parse_text)
+from kahlercone import (CubicForm, DimensionMismatch, Membership,
+                        NotHomogeneousCubic, NotInCone, ParseError,
+                        SamplingExhausted, cone_contains, cone_sample,
+                        norm_identity_check, parse_text)
 from kahlercone.poly import Poly
 from _reference import gradient
-from _util import mat_vec, random_cubic, random_fraction, random_invertible
+from _util import (SUITE_HINTS, mat_vec, random_cubic, random_fraction,
+                   random_invertible)
 
 
 # ----------------------------------------------------------------------------
@@ -79,6 +81,29 @@ def test_parse_error_kinds(src, n, position, message):
     assert type(err.value) is ParseError
     assert err.value.position == position
     assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_parse_text_infers_the_dimension():
+    """Without n, parse_text reads the highest variable index, at least 1,
+    before it reads any token, so these errors keep their order."""
+    for text, hint in SUITE_HINTS.items():
+        assert parse_text(text) == parse_text(text, len(hint))
+    for src, error, message in (
+            ("3", ParseError, "no variables found; pass --n explicitly "
+             "(at position 0)"),
+            ("@y40^3", DimensionMismatch, "40 variables; 1 to 32 are "
+             "supported"),
+            ("y33^3", DimensionMismatch, "33 variables; 1 to 32 are "
+             "supported"),
+            ("y0^3", ParseError, "variable y0 out of range 1..1 "
+             "(at position 0)")):
+        with pytest.raises(error) as err:
+            parse_text(src)
+        assert type(err.value) is error and str(err.value) == message, src
+    # the out-of-range variable is named as written
+    with pytest.raises(ParseError) as err:
+        parse_text("y007^3", 2)
+    assert str(err.value) == "variable y007 out of range 1..2 (at position 0)"
 
 
 def test_text_roundtrip_random_forms():
@@ -163,6 +188,11 @@ def test_homogeneity_and_euler_relations():
         h = form.hessian(y)
         for i in range(n):
             assert sum(h[i, k] * y[k] for k in range(n)) == 2 * grad[i]
+
+
+def test_pullback_of_the_zero_form():
+    zero = parse_text("0*y1^3")
+    assert zero.pullback([[F(2)]]) == CubicForm(1, {})
 
 
 def test_gl_covariance_of_hessian_and_membership():

@@ -58,3 +58,22 @@ def test_dimension_guards():
         Poly.variable(2, 0) + Poly.variable(3, 0)
     with pytest.raises(DimensionMismatch):
         Poly.variable(2, 0).evaluate([F(1)])
+
+
+def test_compose_agrees_with_evaluate_on_complex_coefficients():
+    """p(r_1, ..., r_n) evaluated at v is p evaluated at the values r_i(v),
+    for replacements r_i with Gaussian-rational coefficients."""
+    rng = random.Random(8)
+
+    def rand():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    p = 3 * x * x * y - F(1, 2) * y * y * y + x + 2
+    for _ in range(10):
+        reps = [Complex(rand(), rand()) * x + Complex(rand(), rand()) * y
+                + rand() for _ in range(2)]
+        v = [Complex(rand(), rand()), rand()]
+        assert p.compose(reps).evaluate(v) == \
+            p.evaluate([r.evaluate(v) for r in reps])
+    assert Poly.zero(2).compose([x, y]) == Poly.zero(2)

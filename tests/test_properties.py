@@ -119,13 +119,14 @@ parser_inputs = st.one_of(
 
 def _parse_outcome(parse, src, n):
     """The monomials of src, or the error's type, position and message with
-    the name of the offending token left out."""
+    the name of the offending token, or variable, left out."""
     try:
         return parse(src, n).monomials
     except KahlerConeError as exc:
-        return (type(exc), getattr(exc, "position", None),
-                re.sub(r", got .* \(at position", ", got _ (at position",
-                       str(exc)))
+        message = re.sub(r", got .* \(at position", ", got _ (at position",
+                         str(exc))
+        message = re.sub(r"^variable \S+ out", "variable _ out", message)
+        return type(exc), getattr(exc, "position", None), message
 
 
 @settings(max_examples=400)
