@@ -59,8 +59,13 @@ GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)
 
 def _check_dimension(n):
     if not 1 <= n <= MAX_VARIABLES:
-        raise DimensionMismatch(f"{n} variables; 1 to {MAX_VARIABLES} are "
-                                f"supported")
+        raise DimensionMismatch(f"{format_scalar(n)} variables; 1 to "
+                                f"{MAX_VARIABLES} are supported")
+
+
+def _exponent_text(exp):
+    """repr(exp) of an exponent tuple, with integers of any length."""
+    return f"({', '.join(map(format_scalar, exp))}{',' * (len(exp) == 1)})"
 
 
 class Membership(enum.Enum):
@@ -92,14 +97,14 @@ class CubicForm:
         for exp, coeff in monomials.items():
             exp = tuple(map(index, exp))
             if len(exp) != n or any(e < 0 for e in exp):
-                raise DimensionMismatch(f"bad exponent vector {exp}")
+                raise DimensionMismatch(
+                    f"bad exponent vector {_exponent_text(exp)}")
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if sum(exp) != DEGREE:
-                raise NotHomogeneousCubic(  # repr(exp), of any length
-                    f"monomial ({', '.join(map(format_scalar, exp))}"
-                    f"{',' * (n == 1)}) has degree "
+                raise NotHomogeneousCubic(
+                    f"monomial {_exponent_text(exp)} has degree "
                     f"{format_scalar(sum(exp))}, expected {DEGREE}")
             clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.monomials = {e: c for e, c in sorted(clean.items(), reverse=True)

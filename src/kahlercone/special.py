@@ -28,60 +28,56 @@ times a `Complex` is two products):
     stated inverse = (1/K) [[|lam|^2 (1 - k.ginv.k), i lam (ginv k)^T],
                             [-i lambar ginv k, -ginv]].
 
-Two calibrations, fixed at n = 1 and documented here because the published
-formulas leave them open:
+Two calibrations, fixed at n = 1 because the published formulas leave them
+open: the printed value for index pair (0, i-bar) equals entry (row i,
+column 0) of the true inverse, so it is placed there (the conjugate goes to
+(0, i)); and the printed lambda-bar power in that entry matches the true
+inverse only for real lambda, so the exact product check passes on nonzero
+rational lambda (tests sample exactly that) and returns the product matrix
+for diagnosis otherwise.
 
-  * hermitian placement of the mixed inverse entry: the printed value for
-    index pair (0, i-bar) equals entry (row i, column 0) of the true
-    inverse, so it is placed there (the conjugate goes to (0, i));
-  * the printed lambda-bar power in that entry matches the true inverse
-    only for real lambda; the exact product check is therefore expected to
-    pass on nonzero rational lambda (tests sample exactly that) and the
-    product matrix is returned for diagnosis otherwise.
+Christoffel check. Direct differentiation of the entries as printed
+validates the published all-base and fibre-upper connection formulas; the
+mixed formula (lambda^{-1} delta) and the vanishing pure-fibre symbol need
+the potential-consistent scaling lambda lambda-bar K of the same entries,
+under which the matrix is genuinely Kahler (the transposed entries, which
+flips the sign of the fibre row, with every power above raised by (1, 1)).
+Both are differentiated on the integers of the cleared point (`geometry`:
+z = l y, t, H, a = H z / 2, F): with k = -l a / (2F) and a a^T - M = F H,
+the printed metric is K D S D* and the potential one K E S E*, where
 
-Christoffel check. The published connection-coefficient formulas are not
-consistent with any single reading of the published metric entries: direct
-differentiation of the entries as printed validates the all-base and
-fibre-upper formulas, while the mixed formula (lambda^{-1} delta) and the
-vanishing of the pure-fibre symbol require the potential-consistent scaling
-lambda lambda-bar K of the same entries, under which the matrix is
-genuinely Kahler: the transposed entries (K_i being imaginary, this flips
-the sign of the fibre row) with every power above raised by (1, 1).
-
-Both scalings are differentiated on the integers of the cleared point
-(`geometry`: z = l y, t, H, a = H z / 2, F). With K_i = i k_i,
-k = -grad f / (2 f) = -l a / (2F), and a a^T - M = F H, the printed metric is
-K D S D* and the potential one K E S E*, where
-
-    D = diag(1/lam, i, ..., i),    E = diag(1, -i lam, ..., -i lam),
+    D = diag(1/lam, i, ..., i),    E = -lam D J,    J = diag(-1, 1, ..., 1),
     S = [[1, -k^T], [-k, k k^T - g]] = P B P / (4F),
     P = diag(1, l, ..., l),        B = [[4F, 2a^T], [2a, H]],
 
-B the integer bordered Hessian of the cleared cubic, and K / (4F) constant
-in y. In Gamma[x][b][c] = sum_d conj(h^{-1})[x][d] D_b h[c][d], with
-D_0 = d/dlam (lambda-bar fixed) and D_{q+1} = d/dt_q = -(i/2) l d/dz_q, the
-diagonal factors cancel on d, so both scalings read one real array
+B the integer bordered Hessian, and K / (4F) constant in y. In
+Gamma[x][b][c] = sum_d conj(h^{-1})[x][d] D_b h[c][d], with D_0 = d/dlam
+(lambda-bar fixed) and D_{q+1} = d/dt_q = -(i/2) l d/dz_q, the diagonal
+factors cancel on d, so both scalings read one real array
 
     Q[x][q][c] = l^(1 - [x>0] + [c>0]) (adj B . dB_q)[x][c] / det B,
     dB_q = d B / d z_q = [[4 a_q, 2 H[q,.]], [2 H[.,q], t[.,.,q]]],
 
-as Gamma[x][q+1][c] = -(i/2) D_x^{-1} D_c Q[x][q][c], E in place of D under
-the potential scaling. D_0 h = (a / lam) h for an entry of power lam^a, so
-Gamma[x][0][c] is -1/lam at x = c = 0 under the printed scaling, 1/lam at
-x = c > 0 under the potential one, and 0 elsewhere. One `det_adjugate` of B
-serves both, and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
+as Gamma[x][q+1][c] = -(i/2) D_x^{-1} D_c Q[x][q][c], times J_x J_c under
+E (E_x^{-1} E_c = J_x J_c D_x^{-1} D_c). D_0 h = (a / lam) h for an entry
+of power lam^a gives Gamma[x][0][c]. One `det_adjugate` of B serves both,
+and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 
-The published formulas stay an independent side, assembled from the printed
-entries and the base Christoffel symbols, never from B. Every quantity they
-read comes from the same integer jet (`geometry._IntegerJet`), one division
-per entry: K = 8 F / (s l^3), k = -l a / (2F), Hess f = H / (s l), g and
-ginv. The printed connection reads k and beta, the imaginary parts of the
-base symbols: its base block is i times a real, its mixed entries are 1/lam
-and its fibre-upper block is lam times a real. The check compares each
-formula group under each scaling and passes when every group is reproduced
-by at least one, reporting the full match table. The ambiguous recovery
-relation for the base symbols is evaluated, in literal `Complex`
-arithmetic, under both of its index readings and the verdicts reported.
+The phase table `_phases` is the one statement of the connection phases:
+every connection array is a real array times the phase of each index class
+([x>0], [b>0], [c>0]), -i D_x^{-1} D_c where b > 0 and 1/lam where b = 0.
+The match table and the recovery relation compare the reals; `Complex` is
+built only for the returned direct arrays and the lower-symmetry test,
+whose swap of b and c changes the class. The published side is assembled
+from the printed entries and the base symbols i beta, never from B: k,
+beta and Hess f = H / (s l), one division each from the integer jet
+(`geometry._IntegerJet`). The check passes when every formula group is
+reproduced by at least one scaling. The recovery relation
+Gamma[i][j][k] - lam (Gamma[i][j][0] K_k + Gamma[i][0][k] K_m) = i beta_ijk
+is evaluated under both index readings: the corrected one (m = j) holds by
+construction, the published base block being built from the base symbols
+plus exactly those terms; the as-printed one (m = i) differs by
+delta_ik (K_i - K_j), so it holds exactly when all K_i are equal.
 """
 
 from __future__ import annotations
@@ -244,54 +240,59 @@ def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
 
 # --- connection coefficients -------------------------------------------------
 
-def _gamma_printed(tm: TildeMetric, base):
-    """The published connection formulas assembled as an (n+1)^3 array,
-    from the base Christoffel symbols `base` = i beta and K_i = i k_i, each
-    entry a real times its phase (module docstring).
+def _phases(lam):
+    """The phase of each index class ([x>0], [b>0], [c>0]) in the printed
+    scaling (module docstring): -i D_x^-1 D_c where b > 0, 1/lam if b = 0."""
+    minus_i, lam_inv = Complex(0, -1), 1 / lam
+    return {(x, b, c): ((minus_i, lam), (-lam_inv, minus_i))[x][c] if b
+            else lam_inv for x, b, c in product((False, True), repeat=3)}
 
-    Index 0 is the fibre direction; entries are symmetric in the lower pair.
-    The second mixed derivative of K reduces to -2 Hess f = -2 H / (s l).
-    """
-    n, lam, point = tm.n, tm.lam, tm.ij.point
+
+def _in_phase(gamma, phases):
+    """The `Complex` array of a real connection array in the frame."""
+    return [[[phases[x > 0, b > 0, c > 0] * v for c, v in enumerate(row)]
+             for b, row in enumerate(plane)] for x, plane in enumerate(gamma)]
+
+
+def _gamma_printed(tm: TildeMetric, base):
+    """The published connection formulas as an (n+1)^3 real array in the
+    frame of `_phases`, from the base symbols `base` = i beta and
+    K_i = i k_i; symmetric in the lower pair. The second mixed derivative of
+    K reduces to -2 Hess f = -2 H / (s l)."""
+    n, point = tm.n, tm.ij.point
     k = [v.im for v in tm.k_log]
     beta = [[[v.im for v in r] for r in plane] for plane in base]
     hess = Fraction(2, point.s * point.l) / tm.norm_value
-    zero, lam_inv = Complex(Fraction(0)), 1 / lam
-    gamma = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    gamma = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     for i in range(n):
         for j in range(n):
-            for c in range(n):
+            for c in range(n):          # i times v is -v times the phase -i
                 v = beta[i][j][c]
                 if i == c:
                     v += k[j]
                 if i == j:
                     v += k[c]
-                gamma[i + 1][j + 1][c + 1] = Complex(Fraction(0), v)
-            v = hess * point.H[i, j] - 2 * k[i] * k[j] - sum(
-                beta[c][i][j] * k[c] for c in range(n))
-            gamma[0][i + 1][j + 1] = lam * v
-        gamma[i + 1][i + 1][0] = gamma[i + 1][0][i + 1] = lam_inv
+                gamma[i + 1][j + 1][c + 1] = -v
+            gamma[0][i + 1][j + 1] = hess * point.H[i, j] - 2 * k[i] * k[j] \
+                - sum(beta[c][i][j] * k[c] for c in range(n))
+        gamma[i + 1][i + 1][0], gamma[i + 1][0][i + 1] = -1, 1    # 1/lam
     return gamma
 
 
 def _direct_gammas(tm: TildeMetric):
     """(printed, potential): the direct symbols of both scalings of the
-    fibre metric, from the one real array Q (module docstring), R = Q / 2."""
-    n, lam, ij = tm.n, tm.lam, tm.ij
+    fibre metric as real arrays in the frame of `_phases`, from the one real
+    array Q (module docstring): R = Q / 2, and R signed by J_x J_c."""
+    n, ij = tm.n, tm.ij
     l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
     delta, adj = det_adjugate(tm.bordered)
-    zero, lam_inv, minus_i = Complex(Fraction(0)), 1 / lam, Complex(0, -1)
-    # at [x>0][c>0]: l^(1 - [x>0] + [c>0]), and the factors -i D_x^-1 D_c
-    # of R = Q / 2 under the (printed, potential) scalings, D and E
-    lpow = ((l, l * l), (1, l))
-    phase = (((minus_i, minus_i), (lam, -lam)),
-             ((-lam_inv, lam_inv), (minus_i, minus_i)))
-    printed, potential = ([[[zero] * (n + 1) for _ in range(n + 1)]
+    lpow = ((l, l * l), (1, l))         # l^(1 - [x>0] + [c>0])
+    printed, potential = ([[[0] * (n + 1) for _ in range(n + 1)]
                            for _ in range(n + 1)] for _ in range(2))
-    printed[0][0][0] = -lam_inv
+    printed[0][0][0] = -1
     for x in range(1, n + 1):
-        potential[x][0][x] = lam_inv
+        potential[x][0][x] = 1
     for q in range(n):
         d_b = [[4 * a[q]] + [2 * v for v in h[q]]] + [      # symmetric
             [2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
@@ -301,8 +302,7 @@ def _direct_gammas(tm: TildeMetric):
             for c, col in enumerate(d_b):
                 r = Fraction(lpow[x > 0][c > 0] * sum(map(mul, adj_row, col)),
                              2 * delta)
-                f_pr, f_po = phase[x > 0][c > 0]
-                pr[c], po[c] = f_pr * r, f_po * r
+                pr[c], po[c] = r, r if (x > 0) == (c > 0) else -r
     return printed, potential
 
 
@@ -324,44 +324,38 @@ class TildeChristoffelResult:
 
 
 def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
-    """Compare the published connection formulas against direct differentiation.
-
-    Both entry scalings are differentiated exactly, on the integer bordered
-    Hessian B (see module docstring); the check passes when every published
-    formula group is reproduced bit-exactly by at least one scaling and the
-    potential scaling confirms the published vanishing entries and the
-    mixed lambda^{-1} delta formula.
+    """Compare the published connection formulas against direct differentiation
+    of both entry scalings (module docstring): pass when every formula group
+    is reproduced bit-exactly by at least one scaling and the potential one
+    confirms the vanishing entries and the mixed lambda^{-1} delta formula.
     """
     n, base = tm.n, tm.ij.christoffels()
     printed = _gamma_printed(tm, base)
-    direct = dict(zip(("printed", "potential"), _direct_gammas(tm)))
+    reals = dict(zip(("printed", "potential"), _direct_gammas(tm)))
+    phases = _phases(tm.lam)
+    direct = {s: _in_phase(gamma, phases) for s, gamma in reals.items()}
     matches, symmetric = {}, {}
     indices = range(n + 1)
-    for scaling, gamma in direct.items():
+    for scaling, gamma in reals.items():
         ok = dict.fromkeys(_GROUPS, True)
         for x, b, c in product(indices, repeat=3):
             group = _GROUP_OF.get((x > 0, b > 0, c > 0))
             if group and ok[group] and gamma[x][b][c] != printed[x][b][c]:
                 ok[group] = False
         matches[scaling] = ok
+        gamma = direct[scaling]     # swapping b and c changes the class
         symmetric[scaling] = all(gamma[x][b][c] == gamma[x][c][b]
                                  for x, b, c in product(indices, repeat=3))
 
-    lam, k_log = tm.lam, tm.k_log
-    relation = {"corrected": True, "as-printed": True}
-    # lam times the printed mixed symbols, in both lower-index orders
-    mixed = [[lam * v[0] for v in plane[1:]] for plane in printed[1:]]
-    fibre = [[lam * v for v in plane[0][1:]] for plane in printed[1:]]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lead = printed[i + 1][j + 1][k + 1] - mixed[i][j] * k_log[k]
-                corrected = lead - fibre[i][k] * k_log[j]
-                literal = lead - fibre[i][k] * k_log[i]
-                if corrected != base[i][j][k]:
-                    relation["corrected"] = False
-                if literal != base[i][j][k]:
-                    relation["as-printed"] = False
+    # the recovery relation over the base phase -i: lam Gamma[i][j][0] and
+    # lam Gamma[i][0][c] are minus and plus their reals, K_c = i k_c, and
+    # the last factor is K_j (corrected) or K_i (as printed)
+    k, p = [v.im for v in tm.k_log], printed
+    relation = {reading: all(
+        p[i + 1][j + 1][c + 1] - p[i + 1][j + 1][0] * k[c]
+        + p[i + 1][0][c + 1] * k[(j, i)[m]] == -base[i][j][c].im
+        for i, j, c in product(range(n), repeat=3))
+        for m, reading in enumerate(("corrected", "as-printed"))}
 
     mismatches = [(scaling, group) for scaling in matches
                   for group in _GROUPS if not matches[scaling][group]]

@@ -43,6 +43,13 @@ lambda-power tables, a `Complex` `invert_rows` of each scaled matrix and the
 `poly_derivatives` and `reference_jet` at Im t, never from the package's
 integer jet; only lambda and Im t come from the `TildeMetric`.
 
+`reference_christoffel_check` is the fibre connection check as it was
+before the package read each connection array as a real times the phase of
+its index class: the published and direct arrays built in `Complex`, each
+phase written inline or in a per-class table, and the match table, the
+lower-symmetry test and both readings of the recovery relation compared in
+`Complex` arithmetic.
+
 `reference_doc` is the CLI's JSON value of a scalar, point or container as
 the CLI once built it: one recursion per index, every entry read through the
 container's `__getitem__`, so each stored orbit is formatted once per index
@@ -57,15 +64,18 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
                         Membership, ParseError, SamplingExhausted,
                         Sym3Tensor, SymMatrix, cone_contains, contract,
                         curvature_lhs, curvature_rhs, inertia, kahler_metric)
 from kahlercone.cubic import GRID_DEN, GRID_NUM, _check_dimension
-from kahlercone.linalg import _layout, identity_rows
+from kahlercone.linalg import _layout, det_adjugate, identity_rows
 from kahlercone.poly import Poly
 from kahlercone.scalars import format_scalar, to_float
+from kahlercone.special import TildeChristoffelResult
 
 
 def reference_inertia(rows):
@@ -555,6 +565,121 @@ def reference_direct_gammas(form, tm):
     factors = _lam_factors(tm.lam)
     return {scaling: _direct_gamma(tm, coef, grads, shift, factors)
             for scaling, shift in (("printed", 0), ("potential", 1))}
+
+
+def _complex_gamma_printed(tm, base):
+    """The published connection formulas assembled as an (n+1)^3 array,
+    from the base Christoffel symbols `base` = i beta and K_i = i k_i, each
+    entry a real times its phase (`special` module docstring).
+
+    Index 0 is the fibre direction; entries are symmetric in the lower pair.
+    The second mixed derivative of K reduces to -2 Hess f = -2 H / (s l).
+    """
+    n, lam, point = tm.n, tm.lam, tm.ij.point
+    k = [v.im for v in tm.k_log]
+    beta = [[[v.im for v in r] for r in plane] for plane in base]
+    hess = Fraction(2, point.s * point.l) / tm.norm_value
+    zero, lam_inv = Complex(Fraction(0)), 1 / lam
+    gamma = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for i in range(n):
+        for j in range(n):
+            for c in range(n):
+                v = beta[i][j][c]
+                if i == c:
+                    v += k[j]
+                if i == j:
+                    v += k[c]
+                gamma[i + 1][j + 1][c + 1] = Complex(Fraction(0), v)
+            v = hess * point.H[i, j] - 2 * k[i] * k[j] - sum(
+                beta[c][i][j] * k[c] for c in range(n))
+            gamma[0][i + 1][j + 1] = lam * v
+        gamma[i + 1][i + 1][0] = gamma[i + 1][0][i + 1] = lam_inv
+    return gamma
+
+
+def _complex_direct_gammas(tm):
+    """(printed, potential): the direct symbols of both scalings of the
+    fibre metric, from the one real array Q (`special` module docstring),
+    R = Q / 2."""
+    n, lam, ij = tm.n, tm.lam, tm.ij
+    l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
+    lay = _layout(n)
+    delta, adj = det_adjugate(tm.bordered)
+    zero, lam_inv, minus_i = Complex(Fraction(0)), 1 / lam, Complex(0, -1)
+    # at [x>0][c>0]: l^(1 - [x>0] + [c>0]), and the factors -i D_x^-1 D_c
+    # of R = Q / 2 under the (printed, potential) scalings, D and E
+    lpow = ((l, l * l), (1, l))
+    phase = (((minus_i, minus_i), (lam, -lam)),
+             ((-lam_inv, lam_inv), (minus_i, minus_i)))
+    printed, potential = ([[[zero] * (n + 1) for _ in range(n + 1)]
+                           for _ in range(n + 1)] for _ in range(2))
+    printed[0][0][0] = -lam_inv
+    for x in range(1, n + 1):
+        potential[x][0][x] = lam_inv
+    for q in range(n):
+        d_b = [[4 * a[q]] + [2 * v for v in h[q]]] + [      # symmetric
+            [2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
+            for d in range(n)]
+        for x, adj_row in enumerate(adj.rows()):
+            pr, po = printed[x][q + 1], potential[x][q + 1]
+            for c, col in enumerate(d_b):
+                r = Fraction(lpow[x > 0][c > 0] * sum(map(mul, adj_row, col)),
+                             2 * delta)
+                f_pr, f_po = phase[x > 0][c > 0]
+                pr[c], po[c] = f_pr * r, f_po * r
+    return printed, potential
+
+
+_REF_GROUPS = ("base", "mixed", "fibre-upper", "zeros")
+# the formula group of each index class ([x>0], [b>0], [c>0]) of
+# Gamma[x][b][c]; "zeros" holds the classes where the printed array is 0
+_REF_GROUP_OF = {(1, 1, 1): "base", (1, 1, 0): "mixed",
+                 (0, 1, 1): "fibre-upper", (0, 0, 0): "zeros",
+                 (0, 1, 0): "zeros", (1, 0, 0): "zeros"}
+
+
+def reference_christoffel_check(tm):
+    """`special.tilde_christoffel_check` in `Complex` arithmetic (module
+    docstring)."""
+    n, base = tm.n, tm.ij.christoffels()
+    printed = _complex_gamma_printed(tm, base)
+    direct = dict(zip(("printed", "potential"), _complex_direct_gammas(tm)))
+    matches, symmetric = {}, {}
+    indices = range(n + 1)
+    for scaling, gamma in direct.items():
+        ok = dict.fromkeys(_REF_GROUPS, True)
+        for x, b, c in product(indices, repeat=3):
+            group = _REF_GROUP_OF.get((x > 0, b > 0, c > 0))
+            if group and ok[group] and gamma[x][b][c] != printed[x][b][c]:
+                ok[group] = False
+        matches[scaling] = ok
+        symmetric[scaling] = all(gamma[x][b][c] == gamma[x][c][b]
+                                 for x, b, c in product(indices, repeat=3))
+
+    lam, k_log = tm.lam, tm.k_log
+    relation = {"corrected": True, "as-printed": True}
+    # lam times the printed mixed symbols, in both lower-index orders
+    mixed = [[lam * v[0] for v in plane[1:]] for plane in printed[1:]]
+    fibre = [[lam * v for v in plane[0][1:]] for plane in printed[1:]]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lead = printed[i + 1][j + 1][k + 1] - mixed[i][j] * k_log[k]
+                corrected = lead - fibre[i][k] * k_log[j]
+                literal = lead - fibre[i][k] * k_log[i]
+                if corrected != base[i][j][k]:
+                    relation["corrected"] = False
+                if literal != base[i][j][k]:
+                    relation["as-printed"] = False
+
+    mismatches = [(scaling, group) for scaling in matches
+                  for group in _REF_GROUPS if not matches[scaling][group]]
+    covered = all(any(matches[s][g] for s in matches) for g in _REF_GROUPS)
+    passed = (covered and matches["potential"]["zeros"]
+              and matches["potential"]["mixed"])
+    return TildeChristoffelResult(
+        passed=passed, matches=matches, lower_symmetric=symmetric,
+        recovery_relation=relation, mismatches=mismatches, direct=direct)
 
 
 _RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}

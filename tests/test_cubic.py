@@ -106,6 +106,21 @@ def test_parse_text_infers_the_dimension():
     assert str(err.value) == "variable y007 out of range 1..2 (at position 0)"
 
 
+def test_constructor_messages_write_integers_of_any_length():
+    """An exponent or a dimension past Python's int-string limit (4300
+    digits) is a DimensionMismatch that names it in full, not the
+    ValueError of its repr; short ones read as Python writes them."""
+    big, digits = 10**4300, "1" + "0" * 4300
+    for n, monomials, message in (
+            (2, {(-big, 3): 1}, f"bad exponent vector (-{digits}, 3)"),
+            (2, {(1,): 1}, "bad exponent vector (1,)"),
+            (1, {(1, -2): 1}, "bad exponent vector (1, -2)"),
+            (big, {}, f"{digits} variables; 1 to 32 are supported")):
+        with pytest.raises(DimensionMismatch) as err:
+            CubicForm(n, monomials)
+        assert str(err.value) == message
+
+
 def test_text_roundtrip_random_forms():
     rng = random.Random(31)
     for _ in range(60):

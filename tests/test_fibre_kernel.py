@@ -1,6 +1,7 @@
 """The fibre-metric Christoffel check and the base Christoffel symbols on
 the integer jet: both direct arrays against the `Complex` oracle
-`_reference.reference_direct_gammas`, the inertia of the bordered Hessian B
+`_reference.reference_direct_gammas`, the whole real-frame check against
+its `Complex` form `_reference.reference_christoffel_check`, the inertia of the bordered Hessian B
 against that of gtilde, the work one check does, the integer Christoffel
 symbols against `raise_index` on the `Fraction` jet, the commands that
 read the integer jet without its `Fraction` rendering, and the sampler's
@@ -26,9 +27,9 @@ from kahlercone.cli import main
 from kahlercone.geometry import _integer_jet
 from kahlercone.linalg import raise_index
 
-from _reference import (hermitian_inertia, reference_cone_sample,
-                        reference_direct_gammas)
-from _util import counting, random_cubic, random_fraction
+from _reference import (hermitian_inertia, reference_christoffel_check,
+                        reference_cone_sample, reference_direct_gammas)
+from _util import counting, random_cubic, random_fraction, suite_forms
 
 SETTINGS = settings(max_examples=25)
 
@@ -64,6 +65,38 @@ def test_direct_christoffels_match_complex_oracle(seed, n):
     form, tm = _tilde_metric(seed, n)
     assert (tilde_christoffel_check(tm).direct
             == reference_direct_gammas(form, tm))
+
+
+_RATIONAL = st.builds(F, st.integers(1, 9), st.integers(1, 6))
+# real, negative, integer, purely imaginary and non-real fibre coordinates
+_LAMBDA = st.one_of(
+    _RATIONAL, _RATIONAL.map(lambda v: -v),
+    st.integers(-9, 9).filter(bool),
+    st.builds(lambda v, s: Complex(0, s * v), _RATIONAL,
+              st.sampled_from((-1, 1))),
+    st.builds(Complex, _RATIONAL, _RATIONAL.map(lambda v: -v)),
+    st.builds(Complex, st.integers(-5, 5), st.integers(1, 5)))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 8), _LAMBDA)
+def test_christoffel_check_matches_complex_reference(seed, which, lam):
+    """The real-frame check against its `Complex` form, on the suite forms
+    (which < 5) and on dense random cubics with n = which - 4, at a point
+    with every Re t_i nonzero."""
+    if which < 5:
+        form, hint = suite_forms()[which]
+        (y,) = cone_sample(form, 1, seed=seed, hint=hint)
+    else:
+        found = _interior_point(seed, which - 4)
+        assume(found is not None)
+        form, y = found
+    rng = random.Random(seed)
+    t = [Complex(random_fraction(rng, nonzero=True), v) for v in y]
+    tm = build_tilde_metric(form, t, lam)
+    # dataclass equality: passed, matches, lower_symmetric,
+    # recovery_relation, mismatches and the Complex direct arrays
+    assert tilde_christoffel_check(tm) == reference_christoffel_check(tm)
 
 
 @SETTINGS

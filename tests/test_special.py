@@ -269,16 +269,17 @@ def test_christoffel_base_formula_matches_both_scalings():
 
 
 def test_recovery_relation_readings():
-    # the corrected index reading holds identically; the literal one fails
-    # once the mixed log-derivatives differ (any n >= 2 point shows it)
-    f1 = parse_text("y1^3", 1)
-    tm1 = build_tilde_metric(f1, [I], F(1))
-    rel1 = tilde_christoffel_check(tm1).recovery_relation
-    assert rel1["corrected"]  # n = 1 cannot separate the readings
-    f2 = parse_text("y1*y2^2", 2)
-    tm2 = build_tilde_metric(f2, [I, I], F(3))
-    rel2 = tilde_christoffel_check(tm2).recovery_relation
-    assert rel2 == {"corrected": True, "as-printed": False}
+    # the corrected index reading holds by construction; the literal one
+    # holds exactly when every K_i is equal (always at n = 1)
+    both = {"corrected": True, "as-printed": True}
+    corrected = {"corrected": True, "as-printed": False}
+    for text, t, lam, want in (
+            ("y1^3", [I], F(1), both),
+            ("y1*y2^2", [I, I], F(3), corrected),
+            ("y1*y2*y3", [I, I, I], F(3, 2), both),
+            ("y1*y2*y3", [I, 2 * I, 3 * I], F(3, 2), corrected)):
+        tm = build_tilde_metric(parse_text(text), t, lam)
+        assert tilde_christoffel_check(tm).recovery_relation == want, text
 
 
 def test_christoffel_check_on_random_suite():
@@ -427,8 +428,9 @@ def test_direct_christoffels_match_sympy_oracle():
 
 def test_printed_side_matches_sympy_oracle():
     # the published gtilde, stated inverse and connection, exactly, at real
-    # and non-real lambda: the printed phases lam^-1, lambar^-1 and |lam|^-2
-    # and the calibrated inverse placement are pinned entry by entry
+    # and non-real lambda: the printed phases lam^-1, lambar^-1 and |lam|^-2,
+    # the calibrated inverse placement and the connection's real array read
+    # through the phase table are pinned entry by entry
     for text, y in (("y1^3", [1]), ("y1^3", [F(2, 3)]),
                     ("y1*y2^2", [1, 1]), ("y1*y2^2", [F(1, 2), F(3, 4)]),
                     ("y1*y2*y3", [1, 2, 3]),
@@ -437,8 +439,9 @@ def test_printed_side_matches_sympy_oracle():
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
                                     lam)
-            printed = kahlercone.special._gamma_printed(
-                tm, tm.ij.christoffels())
+            printed = kahlercone.special._in_phase(
+                kahlercone.special._gamma_printed(tm, tm.ij.christoffels()),
+                kahlercone.special._phases(tm.lam))
             want = _sympy_printed_side(text, y, lam)
             for got, expected in zip((tm.gtilde, tm.gtilde_inv_stated,
                                       printed), want):
