@@ -21,8 +21,8 @@ K_i = d/dt_i log K = i k_i, k real, together with the published inverse
 entries. Index 0 is the fibre direction. A printed entry carries
 lam^a lambar^b, (a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre
 row, (0,-1) on the fibre column and (0,0) on the base block, so it is a
-real times the phase of its index class, and is built as such (a real
-times a `Complex` is two products):
+real times the phase of its index class: a phase-1 entry (the fibre entry,
+the base block) is stored as a real, the fibre row and column as `Complex`:
 
     gtilde = K [[1/|lam|^2, i k^T / lam], [-i k / lambar, k k^T - g]],
     stated inverse = (1/K) [[|lam|^2 (1 - k.ginv.k), i lam (ginv k)^T],
@@ -32,9 +32,8 @@ Two calibrations, fixed at n = 1 because the published formulas leave them
 open: the printed value for index pair (0, i-bar) equals entry (row i,
 column 0) of the true inverse, so it is placed there (the conjugate goes to
 (0, i)); and the printed lambda-bar power in that entry matches the true
-inverse only for real lambda, so the exact product check passes on nonzero
-rational lambda (tests sample exactly that) and returns the product matrix
-for diagnosis otherwise.
+inverse only for real lambda, so the exact product check passes exactly
+when lambda is real and returns the product matrix for diagnosis otherwise.
 
 Christoffel check. Direct differentiation of the entries as printed
 validates the published all-base and fibre-upper connection formulas; the
@@ -66,9 +65,10 @@ and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 The phase table `_phases` is the one statement of the connection phases:
 every connection array is a real array times the phase of each index class
 ([x>0], [b>0], [c>0]), -i D_x^{-1} D_c where b > 0 and 1/lam where b = 0.
-The match table and the recovery relation compare the reals; `Complex` is
-built only for the returned direct arrays and the lower-symmetry test,
-whose swap of b and c changes the class. The published side is assembled
+The match table, the recovery relation and the lower-symmetry test compare
+the reals; the one pair of classes the swap of b and c crosses,
+Gamma[x][0][c] against Gamma[x][c][0] with c > 0, differs by the phase
+ratio -i lam at x = 0 and -1 at x > 0. The published side is assembled
 from the printed entries and the base symbols i beta, never from B: k,
 beta and Hess f = H / (s l), one division each from the integer jet
 (`geometry._IntegerJet`). The check passes when every formula group is
@@ -188,16 +188,21 @@ class TildeMetric:
     y: tuple                 # Im t
     norm_value: object       # K = 8 f(y)
     k_log: tuple             # K_i = d/dt_i log K, purely imaginary
-    gtilde: list             # the printed entries (module docstring)
+    gtilde: list             # printed entries, phase-1 ones stored as reals
     gtilde_inv_stated: list  # published inverse entries, placement calibrated
     ij: _IntegerJet          # the integer jet every entry is read from
     bordered: SymMatrix      # B = [[4F, 2a^T], [2a, H]], on ints
 
 
+def _exact(z) -> Complex:
+    """z with each part read as the exact rational it stores."""
+    z = Complex.of(z)
+    return Complex(Fraction(z.re), Fraction(z.im))
+
+
 def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     """Assemble the fibre-extended metric and its published inverse at (t, lam)."""
-    t = tuple(map(Complex.of, t))
-    lam = Complex.of(lam)
+    t, lam = tuple(map(_exact, t)), _exact(lam)
     if lam == 0:
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
@@ -205,18 +210,17 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     n, l, F, a = form.n, ij.point.l, ij.point.F, ij.point.a
     kval = 8 * ij.point.f
     k = [Fraction(-l * v, 2 * F) for v in a]        # K_i = i k_i
-    m, i_lam = Fraction(lam.abs2()), Complex(-lam.im, lam.re)   # exact on ints
+    m, i_lam = lam.abs2(), Complex(-lam.im, lam.re)
     g, ginv = ij.g.rows(), ij.ginv.rows()
     top = [kval * v * Complex(lam.im / m, lam.re / m) for v in k]   # i / lam
-    gt = [[Complex(kval / m)] + top] + [
-        [z.conj()] + [Complex(kval * (u * v - h)) for v, h in zip(k, g_r)]
+    gt = [[kval / m] + top] + [
+        [z.conj()] + [kval * (u * v - h) for v, h in zip(k, g_r)]
         for z, u, g_r in zip(top, k, g)]
     # calibrated placement: printed (0, i-bar) value sits at (row i, col 0)
     w = [sum(map(mul, r, k)) for r in ginv]
     top = [v / kval * i_lam for v in w]
-    inv = [[Complex(m * (1 - sum(map(mul, k, w))) / kval)] + top] + [
-        [z.conj()] + [Complex(-v / kval) for v in r]
-        for z, r in zip(top, ginv)]
+    inv = [[m * (1 - sum(map(mul, k, w))) / kval] + top] + [
+        [z.conj()] + [-v / kval for v in r] for z, r in zip(top, ginv)]
     b = [[4 * F] + [2 * v for v in a]] + [
         [2 * v] + row for v, row in zip(a, ij.point.H.rows())]
     return TildeMetric(
@@ -246,12 +250,6 @@ def _phases(lam):
     minus_i, lam_inv = Complex(0, -1), 1 / lam
     return {(x, b, c): ((minus_i, lam), (-lam_inv, minus_i))[x][c] if b
             else lam_inv for x, b, c in product((False, True), repeat=3)}
-
-
-def _in_phase(gamma, phases):
-    """The `Complex` array of a real connection array in the frame."""
-    return [[[phases[x > 0, b > 0, c > 0] * v for c, v in enumerate(row)]
-             for b, row in enumerate(plane)] for x, plane in enumerate(gamma)]
 
 
 def _gamma_printed(tm: TildeMetric, base):
@@ -320,7 +318,6 @@ class TildeChristoffelResult:
     lower_symmetric: dict    # scaling -> bool
     recovery_relation: dict  # {"corrected": bool, "as-printed": bool}
     mismatches: list         # (scaling, group) pairs that fail
-    direct: dict             # scaling -> full (n+1)^3 array
 
 
 def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
@@ -332,8 +329,8 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     n, base = tm.n, tm.ij.christoffels()
     printed = _gamma_printed(tm, base)
     reals = dict(zip(("printed", "potential"), _direct_gammas(tm)))
-    phases = _phases(tm.lam)
-    direct = {s: _in_phase(gamma, phases) for s, gamma in reals.items()}
+    phases = _phases(tm.lam)    # ratio[x>0]: phase of [x][c][0] / [x][0][c]
+    ratio = [phases[x, 1, 0] / phases[x, 0, 1] for x in (0, 1)]
     matches, symmetric = {}, {}
     indices = range(n + 1)
     for scaling, gamma in reals.items():
@@ -343,9 +340,10 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
             if group and ok[group] and gamma[x][b][c] != printed[x][b][c]:
                 ok[group] = False
         matches[scaling] = ok
-        gamma = direct[scaling]     # swapping b and c changes the class
-        symmetric[scaling] = all(gamma[x][b][c] == gamma[x][c][b]
-                                 for x, b, c in product(indices, repeat=3))
+        symmetric[scaling] = all(
+            gamma[x][b][c] == (ratio[x > 0] * gamma[x][c][b] if b == 0
+                               else gamma[x][c][b])
+            for x, b in product(indices, repeat=2) for c in indices[b + 1:])
 
     # the recovery relation over the base phase -i: lam Gamma[i][j][0] and
     # lam Gamma[i][0][c] are minus and plus their reals, K_c = i k_c, and
@@ -364,4 +362,4 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
               and matches["potential"]["mixed"])
     return TildeChristoffelResult(
         passed=passed, matches=matches, lower_symmetric=symmetric,
-        recovery_relation=relation, mismatches=mismatches, direct=direct)
+        recovery_relation=relation, mismatches=mismatches)

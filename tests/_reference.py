@@ -48,7 +48,10 @@ before the package read each connection array as a real times the phase of
 its index class: the published and direct arrays built in `Complex`, each
 phase written inline or in a per-class table, and the match table, the
 lower-symmetry test and both readings of the recovery relation compared in
-`Complex` arithmetic.
+`Complex` arithmetic. `complex_direct_gammas` returns its direct arrays.
+`in_phase` and `phased_direct_gammas` build the `Complex` arrays of the
+package's real connection arrays from `special._phases`, the package
+itself returning none.
 
 `reference_doc` is the CLI's JSON value of a scalar, point or container as
 the CLI once built it: one recursion per index, every entry read through the
@@ -75,7 +78,8 @@ from kahlercone.cubic import GRID_DEN, GRID_NUM, _check_dimension
 from kahlercone.linalg import _layout, det_adjugate, identity_rows
 from kahlercone.poly import Poly
 from kahlercone.scalars import format_scalar, to_float
-from kahlercone.special import TildeChristoffelResult
+from kahlercone.special import (TildeChristoffelResult, _direct_gammas,
+                                _phases)
 
 
 def reference_inertia(rows):
@@ -597,10 +601,10 @@ def _complex_gamma_printed(tm, base):
     return gamma
 
 
-def _complex_direct_gammas(tm):
-    """(printed, potential): the direct symbols of both scalings of the
-    fibre metric, from the one real array Q (`special` module docstring),
-    R = Q / 2."""
+def complex_direct_gammas(tm):
+    """{scaling: (n+1)^3 array}: the direct symbols of both scalings of the
+    fibre metric in `Complex`, from the one real array Q (`special` module
+    docstring), R = Q / 2."""
     n, lam, ij = tm.n, tm.lam, tm.ij
     l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
@@ -627,7 +631,7 @@ def _complex_direct_gammas(tm):
                              2 * delta)
                 f_pr, f_po = phase[x > 0][c > 0]
                 pr[c], po[c] = f_pr * r, f_po * r
-    return printed, potential
+    return {"printed": printed, "potential": potential}
 
 
 _REF_GROUPS = ("base", "mixed", "fibre-upper", "zeros")
@@ -643,7 +647,7 @@ def reference_christoffel_check(tm):
     docstring)."""
     n, base = tm.n, tm.ij.christoffels()
     printed = _complex_gamma_printed(tm, base)
-    direct = dict(zip(("printed", "potential"), _complex_direct_gammas(tm)))
+    direct = complex_direct_gammas(tm)
     matches, symmetric = {}, {}
     indices = range(n + 1)
     for scaling, gamma in direct.items():
@@ -679,7 +683,22 @@ def reference_christoffel_check(tm):
               and matches["potential"]["mixed"])
     return TildeChristoffelResult(
         passed=passed, matches=matches, lower_symmetric=symmetric,
-        recovery_relation=relation, mismatches=mismatches, direct=direct)
+        recovery_relation=relation, mismatches=mismatches)
+
+
+def in_phase(gamma, lam):
+    """The `Complex` array of a real connection array of `special`, each
+    entry times the phase of its index class in `special._phases(lam)`."""
+    phases = _phases(lam)
+    return [[[phases[x > 0, b > 0, c > 0] * v for c, v in enumerate(row)]
+             for b, row in enumerate(plane)] for x, plane in enumerate(gamma)]
+
+
+def phased_direct_gammas(tm):
+    """{scaling: (n+1)^3 array}: the package's direct arrays
+    `special._direct_gammas` of both scalings, in `Complex`."""
+    return {scaling: in_phase(gamma, tm.lam) for scaling, gamma
+            in zip(("printed", "potential"), _direct_gammas(tm))}
 
 
 _RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}

@@ -1,11 +1,13 @@
-"""The fibre-metric Christoffel check and the base Christoffel symbols on
-the integer jet: both direct arrays against the `Complex` oracle
-`_reference.reference_direct_gammas`, the whole real-frame check against
-its `Complex` form `_reference.reference_christoffel_check`, the inertia of the bordered Hessian B
-against that of gtilde, the work one check does, the integer Christoffel
-symbols against `raise_index` on the `Fraction` jet, the commands that
-read the integer jet without its `Fraction` rendering, and the sampler's
-stop once the grid runs out."""
+"""The fibre-metric checks and the base Christoffel symbols on the integer
+jet: both direct arrays against the `Complex` oracle
+`_reference.reference_direct_gammas`, the whole real-frame check and its
+direct arrays against their `Complex` form
+`_reference.reference_christoffel_check`, the stated inverse against the
+reality of lambda, the inertia of the bordered Hessian B against that of
+gtilde, the work one check does, the integer Christoffel symbols against
+`raise_index` on the `Fraction` jet, the commands that read the integer
+jet without its `Fraction` rendering, and the sampler's stop once the grid
+runs out."""
 
 import random
 from fractions import Fraction as F
@@ -22,12 +24,13 @@ from kahlercone import (Complex, SamplingExhausted,
                         build_tilde_metric, christoffels, cone_sample,
                         curvature_lhs, curvature_report, curvature_rhs,
                         inertia, parse_text, sectional,
-                        tilde_christoffel_check)
+                        tilde_christoffel_check, tilde_inverse_check)
 from kahlercone.cli import main
 from kahlercone.geometry import _integer_jet
 from kahlercone.linalg import raise_index
 
-from _reference import (hermitian_inertia, reference_christoffel_check,
+from _reference import (complex_direct_gammas, hermitian_inertia,
+                        phased_direct_gammas, reference_christoffel_check,
                         reference_cone_sample, reference_direct_gammas)
 from _util import counting, random_cubic, random_fraction, suite_forms
 
@@ -63,8 +66,7 @@ def _tilde_metric(seed, n):
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_direct_christoffels_match_complex_oracle(seed, n):
     form, tm = _tilde_metric(seed, n)
-    assert (tilde_christoffel_check(tm).direct
-            == reference_direct_gammas(form, tm))
+    assert phased_direct_gammas(tm) == reference_direct_gammas(form, tm)
 
 
 _RATIONAL = st.builds(F, st.integers(1, 9), st.integers(1, 6))
@@ -78,12 +80,10 @@ _LAMBDA = st.one_of(
     st.builds(Complex, st.integers(-5, 5), st.integers(1, 5)))
 
 
-@settings(max_examples=60)
-@given(st.integers(0, 10**6), st.integers(0, 8), _LAMBDA)
-def test_christoffel_check_matches_complex_reference(seed, which, lam):
-    """The real-frame check against its `Complex` form, on the suite forms
-    (which < 5) and on dense random cubics with n = which - 4, at a point
-    with every Re t_i nonzero."""
+def _suite_or_random_metric(seed, which, lam):
+    """The fibre metric at lam of a suite form (which < 5) or of a dense
+    random cubic with n = which - 4, at a point with every Re t_i
+    nonzero."""
     if which < 5:
         form, hint = suite_forms()[which]
         (y,) = cone_sample(form, 1, seed=seed, hint=hint)
@@ -93,10 +93,29 @@ def test_christoffel_check_matches_complex_reference(seed, which, lam):
         form, y = found
     rng = random.Random(seed)
     t = [Complex(random_fraction(rng, nonzero=True), v) for v in y]
-    tm = build_tilde_metric(form, t, lam)
+    return build_tilde_metric(form, t, lam)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 8), _LAMBDA)
+def test_christoffel_check_matches_complex_reference(seed, which, lam):
+    """The real-frame check against its `Complex` form."""
+    tm = _suite_or_random_metric(seed, which, lam)
     # dataclass equality: passed, matches, lower_symmetric,
-    # recovery_relation, mismatches and the Complex direct arrays
+    # recovery_relation and mismatches
     assert tilde_christoffel_check(tm) == reference_christoffel_check(tm)
+    assert phased_direct_gammas(tm) == complex_direct_gammas(tm)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 8), _LAMBDA)
+def test_stated_inverse_holds_exactly_for_real_lambda(seed, which, lam):
+    """With X the stated inverse, (gtilde X)[0][0] is
+    1 - k.w + (lambar / lam) k.w, k.w = k^T ginv k > 0, so the product is
+    the identity exactly when lambda is real: a purely imaginary lambda
+    (lambar / lam = -1) fails too."""
+    tm = _suite_or_random_metric(seed, which, lam)
+    assert tilde_inverse_check(tm).passed == (tm.lam.im == 0)
 
 
 @SETTINGS
@@ -121,6 +140,22 @@ def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
     monkeypatch.setattr(kahlercone.special, "det_adjugate", det_adjugate)
     assert tilde_christoffel_check(tm).passed
     assert adjugated == [tm.bordered]
+
+
+def test_christoffel_check_makes_few_complex_products(monkeypatch):
+    # the check decides on reals: the (n+1)^3 comparisons multiply no
+    # Complex, only the phases and the few pairs that cross index classes
+    n = 4
+    tm = build_tilde_metric(parse_text("y1*y2*y3 + y4^3", n),
+                            [Complex(F(1), F(2)), Complex(F(-1, 2), F(2)),
+                             Complex(F(2), F(2)), Complex(F(1, 3), F(-1))],
+                            Complex(F(3, 2), F(1, 3)))
+    calls = {"mul": 0}
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Complex, name,
+                            counting(calls, "mul", getattr(Complex, name)))
+    tilde_christoffel_check(tm)
+    assert 0 < calls["mul"] < (n + 1) ** 3
 
 
 @SETTINGS

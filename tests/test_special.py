@@ -19,7 +19,8 @@ from kahlercone import (Complex, CubicForm, DimensionMismatch, NotInCone,
 from kahlercone.cli import main
 from kahlercone.geometry import _IntegerJet
 
-from _reference import hermitian_inertia, invert, invert_rows
+from _reference import (hermitian_inertia, in_phase, invert, invert_rows,
+                        phased_direct_gammas)
 from _util import (counting, random_cubic_with_cone, random_fraction,
                    suite_forms)
 
@@ -175,24 +176,48 @@ def test_tilde_lambda_equivariance():
 
 def test_int_lambda_keeps_every_entry_exact():
     # an int lambda, or one with int parts, gives the entries of its
-    # Fraction form, with no part turned into a float by int / int
-    f = parse_text("y1*y2^2", 2)
-    t = [Complex(0, 1), Complex(F(1, 2), 2)]
-    for lam, same in ((2, F(2)), (Complex(1, 2), Complex(F(1), F(2)))):
-        tm, want = (build_tilde_metric(f, t, v) for v in (lam, same))
-        arrays = [tm.gtilde, tm.gtilde_inv_stated,
-                  *tilde_christoffel_check(tm).direct.values()]
-        assert arrays[:2] == [want.gtilde, want.gtilde_inv_stated]
-        assert not any(isinstance(v, float) for v in _parts(arrays))
+    # Fraction form, with no part turned into a float by int / int; a float
+    # part of lambda or t, also inside a builtin complex or a Complex, is
+    # read as the exact rational it stores, so no product of floats is
+    # rounded (0.1 * 0.1 in |lambda|^2 broke the inverse check)
+    cubic = ("y1*y2*y3 + y4^3", [Complex(F(1, 3), 2), Complex(0, 2),
+                                 Complex(F(-1, 2), 2), Complex(0, -1)])
+    cases = [
+        (("y1*y2^2", [Complex(0, 1), Complex(F(1, 2), 2)]),
+         [(2, F(2)), (Complex(1, 2), Complex(F(1), F(2)))]),
+        (cubic, [(0.1, F(0.1)), (0.1 + 0j, F(0.1)),
+                 (Complex(0.1, 0.0), F(0.1)),
+                 (0.3 - 0.7j, Complex(F(0.3), F(-0.7)))]),
+        (("y1*y2^2", [1j, 0.1 + 2.2j]),
+         [(1.5, F(3, 2)), (0.2 + 1j, Complex(F(0.2), F(1)))]),
+    ]
+    for (text, t), lams in cases:
+        form = parse_text(text)
+        t_exact = [Complex(F(z.re), F(z.im)) for z in map(Complex.of, t)]
+        for lam, same in lams:
+            tm = build_tilde_metric(form, t, lam)
+            want = build_tilde_metric(form, t_exact, same)
+            inv, want_inv = map(tilde_inverse_check, (tm, want))
+            arrays = [tm.gtilde, tm.gtilde_inv_stated, inv.product,
+                      *phased_direct_gammas(tm).values(),
+                      [tm.lam, *tm.t, *tm.y]]
+            assert arrays[:3] == [want.gtilde, want.gtilde_inv_stated,
+                                  want_inv.product]
+            assert (tm.lam, tm.t, tm.y) == (want.lam, want.t, want.y)
+            assert inv.passed == want_inv.passed == (want.lam.im == 0)
+            assert (tilde_christoffel_check(tm)
+                    == tilde_christoffel_check(want))
+            assert not any(isinstance(v, float) for v in _parts(arrays))
 
 
 def _parts(rows):
-    """Every real and imaginary part in nested lists of Complex entries."""
+    """Every real and imaginary part in nested lists of entries, each read
+    through `Complex.of`."""
     for r in rows:
         if isinstance(r, list):
             yield from _parts(r)
         else:
-            yield from (r.re, r.im)
+            yield from (Complex.of(r).re, Complex.of(r).im)
 
 
 def test_tilde_inertia_pattern():
@@ -205,8 +230,8 @@ def test_tilde_inertia_pattern():
         tm = build_tilde_metric(form, t, F(1))
         sig = hermitian_inertia(tm.gtilde)
         assert sig == (1, form.n, 0)
-        rows = np.array([[complex(float(z.re), float(z.im)) for z in row]
-                         for row in tm.gtilde])
+        rows = np.array([[complex(float(z.re), float(z.im))
+                          for z in map(Complex.of, row)] for row in tm.gtilde])
         eigs = np.linalg.eigvalsh(rows)
         assert sum(e > 1e-9 for e in eigs) == sig[0]
         assert sum(e < -1e-9 for e in eigs) == sig[1]
@@ -245,8 +270,7 @@ def test_christoffel_mixed_formula_under_potential_scaling():
         form = parse_text(text, len(t))
         lam = random_fraction(rng, nonzero=True)
         tm = build_tilde_metric(form, t, lam)
-        res = tilde_christoffel_check(tm)
-        direct = res.direct["potential"]
+        direct = phased_direct_gammas(tm)["potential"]
         n = form.n
         for i in range(n):
             for j in range(n):
@@ -420,7 +444,7 @@ def test_direct_christoffels_match_sympy_oracle():
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
                                     lam)
-            direct = tilde_christoffel_check(tm).direct
+            direct = phased_direct_gammas(tm)
             want = _sympy_direct(text, y, lam)
             for scaling, gamma in direct.items():
                 assert _pairs(gamma) == want[scaling], (text, lam, scaling)
@@ -439,9 +463,9 @@ def test_printed_side_matches_sympy_oracle():
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
                                     lam)
-            printed = kahlercone.special._in_phase(
+            printed = in_phase(
                 kahlercone.special._gamma_printed(tm, tm.ij.christoffels()),
-                kahlercone.special._phases(tm.lam))
+                tm.lam)
             want = _sympy_printed_side(text, y, lam)
             for got, expected in zip((tm.gtilde, tm.gtilde_inv_stated,
                                       printed), want):
@@ -449,10 +473,10 @@ def test_printed_side_matches_sympy_oracle():
 
 
 def _pairs(rows):
-    """Nested lists of Complex entries as (re, im) pairs of Fractions; each
-    entry must be a Complex."""
-    return [_pairs(r) if isinstance(r, list) else (F(r.re), F(r.im))
-            for r in rows]
+    """Nested lists of entries as (re, im) pairs of Fractions, each entry
+    read through `Complex.of`."""
+    return [_pairs(r) if isinstance(r, list)
+            else (F(Complex.of(r).re), F(Complex.of(r).im)) for r in rows]
 
 
 def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
