@@ -51,7 +51,9 @@ def _load_form(args) -> CubicForm:
     if args.form_file:
         try:
             with open(args.form_file, "r", encoding="utf-8") as fh:
-                return CubicForm.from_json_dict(json.load(fh))
+                doc = json.load(fh, parse_float=parse_rational,
+                                parse_constant=parse_rational)
+            return CubicForm.from_json_dict(doc)
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise KahlerConeError(f"cannot load form file: {exc}") from exc
     if not args.form:

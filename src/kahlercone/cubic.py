@@ -2,13 +2,15 @@
 
 A form is stored once, as a map from exponent vectors (summing to 3) to
 exact rational coefficients; its constant tensor of third partials and an
-integer multiple of it are built on first use. A rational point is cleared
-to Python ints in two steps: `_clear` gives the value F, and `_cleared`
-the Hessian, gradient and cleared metric M at any sign of F, which decide
+integer multiple of it are built on first use. A point is cleared to
+Python ints in two steps: `_clear` gives the value F, and `_cleared` the
+Hessian, gradient and cleared metric M at any sign of F, which decide
 index-cone membership and are the integers the exact metric jet is built
-from; the sampler builds them only where F > 0. Only homogeneous cubics are
-accepted: the norm-function identity and the cone structure both rest on
-Euler's relation, which fails for inhomogeneous input.
+from; the sampler builds them only where F > 0. `_point` reads a float as
+the exact rational it stores; `evaluate` and `hessian` divide its F and H
+once, the one calculus of f (the tests' oracle evaluates the monomials).
+Only homogeneous cubics are accepted: the norm-function identity and the
+cone structure both rest on Euler's relation, which fails otherwise.
 
 Text grammar (whitespace insignificant)::
 
@@ -145,16 +147,14 @@ class CubicForm:
             self._int_f3 = (s, Sym3Tensor(self.n, data), rows, terms)
         return self._int_f3
 
-    def evaluate(self, y):
-        self._check_len(y)
-        return Poly(self.n, self.monomials).evaluate(y)
+    def evaluate(self, y) -> Fraction:
+        """f(y) = F / (s l^3) of the cleared point (`_point`), exact."""
+        return _point(self, y).f
 
     def hessian(self, y) -> SymMatrix:
-        self._check_len(y)
-        f3 = self.third_tensor
-        n = self.n
-        return SymMatrix.build(
-            n, lambda i, j: sum(f3[i, j, k] * y[k] for k in range(n)))
+        """Hess f(y) = H / (s l) of the cleared point (`_point`), exact."""
+        point = _point(self, y)
+        return point.H.scale(Fraction(1, point.s * point.l))
 
     def pullback(self, a_rows) -> "CubicForm":
         """The form y -> f(A y) for a square rational matrix A (given as rows)."""
@@ -166,11 +166,6 @@ class CubicForm:
                   for i in range(n)]
         composed = Poly(n, self.monomials).compose(images)
         return CubicForm(n, composed.terms)
-
-    def _check_len(self, y):
-        if len(y) != self.n:
-            raise DimensionMismatch(
-                f"point has {len(y)} coordinates, form has {self.n}")
 
     def to_text(self) -> str:
         """The form as parse_text reads it; built on first use."""
@@ -364,7 +359,9 @@ class Cleared(NamedTuple):
 def _clear(form: CubicForm, pairs):
     """(l, z, F) of `Cleared`, with no Hessian, at the rational point y given
     as one pair (p, q), q > 0, per coordinate p/q in lowest terms."""
-    form._check_len(pairs)
+    if len(pairs) != form.n:
+        raise DimensionMismatch(
+            f"point has {len(pairs)} coordinates, form has {form.n}")
     l = math.lcm(*[q for _, q in pairs])
     z = [p * (l // q) for p, q in pairs]
     terms = form._integer_third()[3]
@@ -383,6 +380,13 @@ def _cleared(form: CubicForm, l, z, F) -> Cleared:
     return Cleared(l=l, s=s, z=z, F=F, H=SymMatrix(form.n, h), a=a, M=M)
 
 
+def _point(form: CubicForm, y) -> Cleared:
+    """The complete `Cleared` of a real point y, each coordinate (a float
+    too) read as the exact rational it stores: the one reader of a point."""
+    return _cleared(form, *_clear(form, [
+        (v.numerator, v.denominator) for v in map(Fraction, y)]))
+
+
 def _is_interior(point: Cleared) -> bool:
     """The index-cone interior test: F > 0 and M positive definite.
 
@@ -398,15 +402,12 @@ def _is_interior(point: Cleared) -> bool:
 
 
 def _classify(form: CubicForm, y):
-    """(verdict, inertia of Hess f(y), Cleared) of a rational point, from
-    one exact evaluation on ints. A float coordinate is read as the exact
-    rational it stores. The same integers are the input of the exact
-    metric jet. An interior point has inertia (1, n-1, 0) by the interior
-    test; only elsewhere is `inertia(H)` computed, to tell Boundary from
-    Outside."""
-    y = [Fraction(v) for v in y]
-    point = _cleared(form, *_clear(
-        form, [(v.numerator, v.denominator) for v in y]))
+    """(verdict, inertia of Hess f(y), Cleared) of a real point, from one
+    exact evaluation on ints (`_point`). The same integers are the input of
+    the exact metric jet. An interior point has inertia (1, n-1, 0) by the
+    interior test; only elsewhere is `inertia(H)` computed, to tell
+    Boundary from Outside."""
+    point = _point(form, y)
     if _is_interior(point):
         return Membership.INTERIOR, (1, form.n - 1, 0), point
     sig = plus, minus, zero = inertia(point.H)

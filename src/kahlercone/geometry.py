@@ -56,9 +56,9 @@ and each side of the identity is l^4 side / (16 F^4 Delta), with
 is exactly where F > 0 and M is positive definite; `_integer_jet` makes that
 test (`cubic._classify`) first, so Delta > 0 and `verify_identity` decides
 from the integer residual +-lhs - rhs in either mode; the only Fraction it
-builds is the reported maximum |residual|. There is no float arithmetic: a
-float coordinate is read as the exact rational it stores, and float mode
-only rounds the reported values once to binary64.
+builds is the reported maximum |residual|. No public function does float
+arithmetic: each reads a float as the exact rational it stores, and float
+mode only rounds the reported values once to binary64.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .errors import DimensionMismatch, KahlerConeError, NotInCone, ZeroVector
 from .linalg import (CurvTensor, Sym3Tensor, SymMatrix, _layout, contract,
                      det_adjugate, raise_index)
 from .report import PointResult, VerificationSummary
-from .scalars import Complex, format_point, to_float
+from .scalars import Complex, _exact, format_point, to_float
 
 __all__ = [
     "MetricJet",
@@ -220,9 +220,8 @@ def kahler_metric(form: CubicForm, y) -> MetricJet:
 
     All derivatives are closed-form rational expressions in f, grad f,
     Hess f and the constant third-derivative tensor; derivatives of f above
-    order three vanish, so the jet is exact at rational points, where it is
-    built from the integer jet (module docstring). A float coordinate is
-    read as the exact rational it stores, so the jet is exact there too.
+    order three vanish, so the jet is exact, at a float coordinate too: it
+    is built from the integer jet (module docstring).
     """
     return _integer_jet(form, y).jet()
 
@@ -259,10 +258,9 @@ def sectional(form: CubicForm, y, v):
     integer lhs as a matrix on the pairs, it is
     2 (L(Re w) + L(Im w)) / (Delta (M(p) + M(q))^2).
     """
-    vv = [Complex.of(x) for x in v]
-    if len(vv) != form.n:
+    parts = [x for z in map(_exact, v) for x in (z.re, z.im)]
+    if len(parts) != 2 * form.n:
         raise DimensionMismatch("direction length does not match the form")
-    parts = [Fraction(x) for z in vv for x in (z.re, z.im)]
     if not any(parts):
         raise ZeroVector("sectional curvature needs a nonzero direction")
     ij = _integer_jet(form, y)
@@ -301,7 +299,7 @@ def curvature_report(form: CubicForm, y,
     rhs, residual = ((rhs.scale(c), residual.scale(c)) if worst else
                      (CurvTensor(form.n, lhs._data), CurvTensor(form.n)))
     return CurvatureReport(
-        y=tuple(y), potential_arg=8 * ij.point.f,
+        y=tuple(map(Fraction, y)), potential_arg=8 * ij.point.f,
         yukawa=form.third_tensor.scale(Fraction(1, 2)),
         christoffel=ij.christoffels(), lhs=lhs, rhs=rhs, residual=residual,
         max_abs_residual=c * worst, convention=convention)

@@ -34,7 +34,13 @@ def is_exact_scalar(x) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational; ValueError if q is 0."""
+    """Parse "p", "p/q" or a decimal such as "-1.5e-3" into the exact
+    rational it writes; ValueError if q is 0, or if the exponent alone gives
+    the value more digits than Python's int-string limit (4300 by default)."""
+    if "e" in text or "E" in text:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(int(text.lower().partition("e")[2])) >= limit:
+            raise ValueError(f"exponent of {text.strip()!r} is too large")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
@@ -79,6 +85,12 @@ def to_float(x):
         raise KahlerConeError("a nonzero reported value rounds to 0.0 in "
                               "floats; exact mode reports it")
     return r
+
+
+def _exact(z) -> "Complex":
+    """z as a `Complex`, each part read as the exact rational it stores."""
+    z = Complex.of(z)
+    return Complex(Fraction(z.re), Fraction(z.im))
 
 
 def format_point(y) -> str:

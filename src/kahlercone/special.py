@@ -88,12 +88,12 @@ from itertools import product
 from operator import mul
 from typing import Optional
 
-from .cubic import CubicForm, _clear, _cleared
+from .cubic import CubicForm, _point
 from .errors import SingularHessian, ZeroLambda
 from .geometry import _IntegerJet, _integer_jet
 from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
                      identity_rows, mat_mul)
-from .scalars import Complex, format_point
+from .scalars import Complex, _exact, format_point
 
 __all__ = [
     "AffineCheckResult",
@@ -117,7 +117,7 @@ def affine_tau(form: CubicForm, t):
     For a cubic the Hessian is linear, so at t = x + iy it splits exactly
     into 4 Hess f(x) + 4i Hess f(y); rows of Complex entries.
     """
-    t = tuple(map(Complex.of, t))
+    t = tuple(map(_exact, t))
     hx = form.hessian([v.re for v in t])
     hy = form.hessian([v.im for v in t])
     return [[Complex(4 * hx[i, j], 4 * hy[i, j]) for j in range(form.n)]
@@ -150,8 +150,7 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
     the oracle inverse in `test_affine_kappa_constant_across_suite`.
     """
     y = tuple(map(Fraction, y))
-    point = _cleared(form, *_clear(
-        form, [(v.numerator, v.denominator) for v in y]))
+    point = _point(form, y)
     det, adj = det_adjugate(point.H)
     if det == 0:
         raise SingularHessian(f"Hess f is singular at {format_point(y)}")
@@ -192,12 +191,6 @@ class TildeMetric:
     gtilde_inv_stated: list  # published inverse entries, placement calibrated
     ij: _IntegerJet          # the integer jet every entry is read from
     bordered: SymMatrix      # B = [[4F, 2a^T], [2a, H]], on ints
-
-
-def _exact(z) -> Complex:
-    """z with each part read as the exact rational it stores."""
-    z = Complex.of(z)
-    return Complex(Fraction(z.re), Fraction(z.im))
 
 
 def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:

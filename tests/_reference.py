@@ -9,8 +9,14 @@ a `Complex` hermitian matrix from its real symmetric embedding.
 `invert_rows` is Gauss-Jordan elimination over any field (`Fraction`,
 float or `Complex` entries), and `invert` its symmetric form: the
 package's one inverse is the fraction-free `linalg.det_adjugate`, and these
-are its independent oracles. `reference_membership` decides index-cone
-membership from the `Fraction` value of f and the inertia of Hess f.
+are its independent oracles. `reference_evaluate` and `reference_hessian`
+are f(y) and Hess f(y) = f3 . y as `CubicForm.evaluate` and `hessian`
+computed them before both read the cleared integers: over the monomials as
+a `Poly` and over the third-derivative tensor, in the arithmetic of y's
+coordinates (binary64 for floats), the length check aside. They are the
+oracle of F, H and everything read from them. `reference_membership`
+decides index-cone membership from the `Fraction` value of f and the
+inertia of Hess f.
 `reference_cone_sample` draws the sampler's candidates as `Fraction`s and
 keeps those `reference_membership` calls interior.
 `gradient` is grad f = 1/2 Hess f(y) y by Euler's relation; the package
@@ -218,11 +224,24 @@ def invert(m):
     return SymMatrix(m.n, [inv[i][j] for i, j in _layout(m.n).pairs])
 
 
+def reference_evaluate(form, y):
+    """f(y) over the monomials as a `Poly`, in the arithmetic of y."""
+    return Poly(form.n, form.monomials).evaluate(y)
+
+
+def reference_hessian(form, y):
+    """Hess f(y) = f3 . y as a `SymMatrix`, in the arithmetic of y."""
+    f3 = form.third_tensor
+    n = form.n
+    return SymMatrix.build(
+        n, lambda i, j: sum(f3[i, j, k] * y[k] for k in range(n)))
+
+
 def reference_membership(form, y):
     """The verdict of `cone_contains`, from Fraction f(y) and Hess f(y)."""
     y = [Fraction(v) for v in y]
-    fval = form.evaluate(y)
-    plus, minus, zero = reference_inertia(form.hessian(y).rows())
+    fval = reference_evaluate(form, y)
+    plus, minus, zero = reference_inertia(reference_hessian(form, y).rows())
     n = form.n
     if fval > 0 and (plus, minus, zero) == (1, n - 1, 0):
         return Membership.INTERIOR
@@ -268,7 +287,7 @@ def gradient(form, y):
     """grad f(y) = 1/2 Hess f(y) y, by Euler's relation."""
     half = Fraction(1, 2)
     return [half * sum(h * v for h, v in zip(row, y))
-            for row in form.hessian(y).rows()]
+            for row in reference_hessian(form, y).rows()]
 
 
 def poly_derivatives(form, y):
@@ -361,7 +380,8 @@ def reference_sectional(form, y, v):
 
 def _float_metric(form, y):
     """g = -1/4 (Hess f / f - grad f grad f^T / f^2) at a float point."""
-    fval, grad, hess = form.evaluate(y), gradient(form, y), form.hessian(y)
+    fval, grad = reference_evaluate(form, y), gradient(form, y)
+    hess = reference_hessian(form, y)
     return SymMatrix.build(form.n, lambda i, j: -0.25 * (
         hess[i, j] / fval - grad[i] * grad[j] / fval**2))
 

@@ -289,6 +289,11 @@ def test_identity_n8f_failure_exits_1_with_counterexample(capsys,
     assert F(bad["got"]) != F(bad["expected"])
 
 
+def _coeff_doc(number):
+    """The form file of number * y1^3, with the number as written."""
+    return '{"n": 1, "monomials": [{"exp": [3], "coeff": %s}]}' % number
+
+
 def test_form_file_input(tmp_path, capsys):
     doc = {"n": 2, "monomials": [{"exp": [1, 2], "coeff": "1"},
                                  {"exp": [0, 3], "coeff": "2"}]}
@@ -304,6 +309,17 @@ def test_form_file_input(tmp_path, capsys):
     code, out = run_inproc(capsys, "validate", "--form-file", str(path))
     assert code == 0
     assert json.loads(out)["form"]["text"] == "3*y1^3"
+    # a JSON number is read as the decimal written, like "0.1" and
+    # --points 0.1, never through a binary float: no rounding, no overflow
+    # to a traceback, no underflow to the zero form
+    for number, text in (("0.1", "1/10*y1^3"), ("-2.5E-1", "-1/4*y1^3"),
+                         ("1e400", f"{10**400}*y1^3"),
+                         ("1e-400", f"1/{10**400}*y1^3")):
+        path.write_text(_coeff_doc(number))
+        code, out = run_inproc(capsys, "validate", "--form-file", str(path),
+                               "--text")
+        assert (code, out) == (0, f"valid homogeneous cubic: {text}  "
+                                  "(n=1, 1 monomials)\n"), number
 
 
 def test_byte_identical_reports_across_runs():
@@ -375,11 +391,35 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         assert code == 2, argv
         assert "error" in json.loads(out), argv
         assert "Traceback" not in out, argv
+    # NaN, the infinities and a coefficient whose exponent is past the
+    # int-string limit are no rationals: exit 2, at once
+    for number in ("NaN", "Infinity", "-Infinity", "1e999999999", "1e-5000"):
+        non_integers.append(tmp_path / f"{number}.json")
+        non_integers[-1].write_text(_coeff_doc(number))
+    for doc in ('{"n": 1e0, "monomials": [{"exp": [3], "coeff": "1"}]}',
+                '{"n": 1, "monomials": [{"exp": [3e0], "coeff": "1"}]}'):
+        non_integers.append(tmp_path / f"float_{len(non_integers)}.json")
+        non_integers[-1].write_text(doc)
     for path in non_integers:
         code, out = run_inproc(capsys, "validate", "--form-file", str(path))
         assert code == 2, path
-        assert json.loads(out)["error"]["message"].startswith(
-            "cannot load form file: "), path
+        error = json.loads(out)["error"]
+        assert error["type"] == "KahlerConeError", path
+        assert error["message"].startswith("cannot load form file: "), path
+    # a decimal exponent obeys the int-string limit as a digit run does:
+    # every option that reads a number exits 2 at once
+    for argv in (("verify", "--form", "y1^3", "--points", "1e5000"),
+                 ("verify", "--form", "y1^3", "--points", "1e-999999999"),
+                 ("cone", "sample", "--form", "y1^3", "--hint", "1E5000"),
+                 ("cone-metric", "--form", "y1^3", "--points", "1",
+                  "--x", "1e5000"),
+                 ("cone-metric", "--form", "y1^3", "--points", "1",
+                  "--lam", "1e999999999"),
+                 ("cone-metric", "--form", "y1^3", "--points", "1",
+                  "--lam", "1+1e5000i")):
+        code, out = run_inproc(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "KahlerConeError", argv
     # y0 is named by the parser, not read as a dimension of 0
     for form in ("y0^3", "y0*y2^2"):
         code, out = run_inproc(capsys, "validate", "--form", form)

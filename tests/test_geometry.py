@@ -1,5 +1,6 @@
 """Cone metric, curvature sides, and their invariants."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -9,11 +10,14 @@ import sympy
 
 import kahlercone.cubic
 import kahlercone.geometry
-from kahlercone import (Complex, CubicForm, KahlerConeError, Membership,
-                        NotInCone, ZeroVector, christoffels, cone_contains,
-                        cone_sample, curvature_lhs, curvature_report,
-                        curvature_rhs, inertia, kahler_metric, norm_function,
-                        parse_text, sectional, verify_identity)
+from kahlercone import (Complex, CubicForm, CurvTensor, KahlerConeError,
+                        Membership, NotInCone, Sym3Tensor, SymMatrix,
+                        ZeroVector, affine_curvature_check, affine_metric,
+                        affine_tau, build_tilde_metric, christoffels,
+                        cone_contains, cone_sample, curvature_lhs,
+                        curvature_report, curvature_rhs, inertia,
+                        kahler_metric, norm_function, parse_text, sectional,
+                        verify_identity)
 from kahlercone.geometry import _integer_jet
 from kahlercone.linalg import _layout
 from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
@@ -111,6 +115,61 @@ def test_float_coordinates_give_the_exact_jet():
         assert jet == exact
         assert all(type(v) is F for m in (jet.g, jet.ginv)
                    for row in m.rows() for v in row)
+
+
+def _exactly(x):
+    """x with each float read as the exact rational it stores: a float as
+    a Fraction, a builtin complex as a `Complex` of Fractions."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_exactly, x))
+    if isinstance(x, complex):
+        return Complex(F(x.real), F(x.imag))
+    return F(x) if isinstance(x, float) else x
+
+
+def _scalars(x):
+    """Every scalar of a result: the fields of a dataclass, the entries of a
+    container, list, tuple or dict, and both parts of a `Complex`."""
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif isinstance(x, (SymMatrix, Sym3Tensor, CurvTensor)):
+        x = x._data
+    elif isinstance(x, dict):
+        x = list(x.values())
+    elif isinstance(x, Complex):
+        x = [x.re, x.im]
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _scalars(v)
+    else:
+        yield x
+
+
+def test_float_input_gives_the_exact_answer_everywhere():
+    # every public function that takes a point reads a float (or builtin
+    # complex) coordinate as the exact rational it stores: its answer is
+    # that of the Fraction form, with no float part anywhere
+    form = parse_text("1/3*y1^2*y2")
+    y, v = (0.1, 0.7), (0.5j, 1.25 + 0.1j)
+    t, lam = (0.3 + 0.1j, 0.2 + 0.7j), 1.5 - 0.25j
+    table = {
+        form.evaluate: (y,), form.hessian: (y,),
+        norm_function: (form, y), affine_metric: (form, y),
+        affine_tau: (form, t), kahler_metric: (form, y),
+        curvature_lhs: (form, y), curvature_rhs: (form, y),
+        christoffels: (form, y), curvature_report: (form, y),
+        lambda *a: verify_identity(*a).points: (form, [y, (1.0, 2.5)]),
+        sectional: (form, y, v), build_tilde_metric: (form, t, lam),
+        affine_curvature_check: (form, y),
+    }
+    for fn, args in table.items():
+        got, want = fn(*args), fn(*map(_exactly, args))
+        assert got == want, fn
+        assert not any(isinstance(x, float) for x in _scalars(got)), fn
+    assert type(form.evaluate(y)) is F
+    assert form.evaluate(y) == F(0.1)**2 * F(0.7) / 3
+    with pytest.raises(TypeError):
+        cone_contains(form, y)
 
 
 def test_norm_function():

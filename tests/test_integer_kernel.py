@@ -29,6 +29,7 @@ from kahlercone.cubic import _classify, _clear, _cleared, _is_interior
 from kahlercone.geometry import _integer_jet, _jet
 from kahlercone.linalg import positive_definite
 from _reference import (invert_rows, poly_derivatives, reference_cone_sample,
+                        reference_evaluate, reference_hessian,
                         reference_inertia, reference_membership)
 from _util import mat_vec, suite_forms
 
@@ -106,8 +107,8 @@ def _assert_agrees(z):
     verdict, sig, point = _classify(DENSE, z)
     assert cone_contains(DENSE, z) is verdict
     assert verdict is reference_membership(DENSE, z)
-    assert point.f == DENSE.evaluate(z)
-    assert sig == reference_inertia(DENSE.hessian(z).rows())
+    assert point.f == reference_evaluate(DENSE, z)
+    assert sig == reference_inertia(reference_hessian(DENSE, z).rows())
     return verdict
 
 
@@ -209,8 +210,8 @@ def _assert_interior_test_agrees(form, y):
     n = form.n
     cleared = _clear(form, [(v.numerator, v.denominator) for v in y])
     point = _cleared(form, *cleared)
-    want = (form.evaluate(y) > 0 and reference_inertia(
-        form.hessian(y).rows()) == (1, n - 1, 0))
+    want = (reference_evaluate(form, y) > 0 and reference_inertia(
+        reference_hessian(form, y).rows()) == (1, n - 1, 0))
     assert _is_interior(point) is want
     assert (point.l, point.z, point.F) == cleared
     hz = mat_vec(point.H.rows(), point.z)
@@ -247,7 +248,7 @@ def test_interior_test_sees_both_verdicts_where_f_is_positive():
             dense = CubicForm(n, {e: rng.randint(-6, 6) for e in EXPONENTS[n]})
             y = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
             for form, y in ((dense, y), _near_hint(rng.randint, n)):
-                if form.evaluate(y) > 0:
+                if reference_evaluate(form, y) > 0:
                     seen.add((n, _assert_interior_test_agrees(form, y)))
     # at n = 1, f > 0 is the whole interior test
     assert seen == {(n, v) for n in range(1, 6) for v in (True, False)} - {

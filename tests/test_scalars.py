@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kahlercone import Complex
+from kahlercone.scalars import parse_rational
 
 DYADIC = st.builds(lambda p, e: F(p, 2**e), st.integers(-2**40, 2**40),
                    st.integers(0, 20))
@@ -81,3 +82,20 @@ def test_builtin_complex_is_no_operand_but_builds_and_compares():
             op()
     assert Complex.of(0.5 + 1j) == z == 0.5 + 1j
     assert z != 0.5 - 1j
+
+
+def test_parse_rational_reads_decimals_exactly_within_the_digit_limit():
+    assert parse_rational(" 0.1 ") == F(1, 10)
+    assert parse_rational("-2.5E-1") == F(-1, 4)
+    assert parse_rational("1e400") == 10**400
+    assert parse_rational("3/6") == F(1, 2)
+    # an exponent that alone gives more digits than the int-string limit
+    # is refused, as a digit run that long is, before any power is built
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10**(limit - 1)
+    for text in ("1e5000", "1E-5000", f"1e{limit}", "2.5e999999999"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    for text in ("NaN", "Infinity", "-Infinity", "1/0", "0.1.2"):
+        with pytest.raises(ValueError):
+            parse_rational(text)

@@ -10,6 +10,7 @@ import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+import kahlercone.cubic
 import kahlercone.special
 from kahlercone import (Complex, CubicForm, DimensionMismatch, NotInCone,
                         SingularHessian, ZeroLambda, affine_curvature_check,
@@ -20,7 +21,7 @@ from kahlercone.cli import main
 from kahlercone.geometry import _IntegerJet
 
 from _reference import (hermitian_inertia, in_phase, invert, invert_rows,
-                        phased_direct_gammas)
+                        phased_direct_gammas, reference_hessian)
 from _util import (counting, random_cubic_with_cone, random_fraction,
                    suite_forms)
 
@@ -67,7 +68,8 @@ def test_affine_kappa_constant_across_suite():
             # both sides read one (Hess f)^-1 = s l adj H / det H, so the
             # identity alone cannot see a wrong factor in it: compare with
             # the Gauss-Jordan inverse of Hess f, at points with l > 1 too
-            want = contract(form.third_tensor, invert(form.hessian(y)))
+            want = contract(form.third_tensor,
+                            invert(reference_hessian(form, y)))
             assert res.curvature == res.expected == want
             cleared += any(v.denominator > 1 for v in y)
     assert cleared > 5
@@ -79,7 +81,7 @@ def test_affine_tau_splits_on_complex_points():
     y = [F(1), F(3)]
     t = [Complex(a, b) for a, b in zip(x, y)]
     tau = affine_tau(f, t)
-    hx, hy = f.hessian(x), f.hessian(y)
+    hx, hy = reference_hessian(f, x), reference_hessian(f, y)
     for i in range(2):
         for j in range(2):
             assert tau[i][j] == Complex(4 * hx[i, j], 4 * hy[i, j])
@@ -487,11 +489,13 @@ def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
                         counting(calls, "hessian", CubicForm.hessian))
     monkeypatch.setattr(_IntegerJet, "christoffels", counting(
         calls, "christoffels", _IntegerJet.christoffels))
-    # the cubic, linalg and geometry functions, as bound where `special`
-    # calls them
-    for name in ("_cleared", "det_adjugate", "contract", "_integer_jet"):
+    # the linalg and geometry functions, as bound where `special` calls
+    # them, and the one clearing, where `cubic._point` makes it
+    for name in ("det_adjugate", "contract", "_integer_jet"):
         monkeypatch.setattr(kahlercone.special, name, counting(
             calls, name, getattr(kahlercone.special, name)))
+    monkeypatch.setattr(kahlercone.cubic, "_cleared", counting(
+        calls, "_cleared", kahlercone.cubic._cleared))
     # special imports no invert; the patch would count one it gained
     monkeypatch.setattr(kahlercone.special, "invert",
                         counting(calls, "invert", invert), raising=False)
