@@ -18,9 +18,13 @@ affine-verify, cone-metric) share one handler, `_per_point`: each supplies a
 function from one point to its JSON entry, its text line and its verdict
 (None when the subcommand checks nothing), and `_per_point` builds the
 document, the text and the exit code. `_doc` is the one formatter from
-scalars, points and tensors to JSON values: it formats each stored entry of
-a packed container once, rounded by `scalars.to_float` under `--mode float`
-(every mode computes exactly), and spreads them by the `_layout` slot tables.
+scalars, points and tensors to JSON values, rounded by `scalars.to_float`
+under `--mode float` (every mode computes exactly). A packed container
+becomes a `report.PackedArray`: each stored entry formatted and JSON-encoded
+once, with the container's leaf order, the stored slot that each leaf of
+its nested array shows in row-major order. `_leaf_order` builds that order
+once per (kind, n) from the `_layout` slot tables, and `render_json` fills
+a skeleton of the nested array with it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import KahlerConeError
 from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
 from .linalg import CurvTensor, Sym3Tensor, SymMatrix, _layout, _pair_index
-from .report import SCHEMA_VERSION, render_json, render_text
+from .report import SCHEMA_VERSION, PackedArray, render_json, render_text
 from .scalars import Complex, format_scalar, parse_rational, to_float
 from .special import (affine_curvature_check, build_tilde_metric,
                       tilde_christoffel_check, tilde_inverse_check)
@@ -124,25 +128,38 @@ def _form_echo(form: CubicForm) -> dict:
     return doc
 
 
+_RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}
+
+
+@functools.cache
+def _leaf_order(kind, n) -> tuple:
+    """The stored slot each leaf of a kind container's nested array shows,
+    in row-major order, read from the `_layout(n)` slot tables."""
+    lay = _layout(n)
+    cells = [q for row in lay.slot for q in row]      # (i, k)
+    if kind is SymMatrix:
+        return tuple(cells)
+    if kind is Sym3Tensor:
+        return tuple(p for q in cells for p in lay.pair_triples[q])
+    # R[i,j,k,l] sits at slot (slot[i][k], slot[j][l]) of the pair matrix
+    return tuple(_pair_index(a, b) for row_i in lay.slot
+                 for row_j in lay.slot for a in row_i for b in row_j)
+
+
 def _doc(x, mode="exact"):
     """JSON value of a scalar (None stays None), or nested lists of them for
-    a point, rows, a Christoffel array or a container (module docstring)."""
+    a point, rows or a Christoffel array, or the `PackedArray` of a container
+    (module docstring)."""
     if isinstance(x, (list, tuple)):
         return [_doc(v, mode) for v in x]
     if x is None:
         return None
-    if not isinstance(x, (SymMatrix, Sym3Tensor, CurvTensor)):
+    rank = _RANK.get(type(x))
+    if rank is None:
         return format_scalar(to_float(x) if mode == "float" else x)
-    s, lay = [_doc(v, mode) for v in x._data], _layout(x.n)
-    if isinstance(x, SymMatrix):
-        return [[s[q] for q in row] for row in lay.slot]
-    if isinstance(x, Sym3Tensor):
-        return [[[s[p] for p in lay.pair_triples[q]] for q in row]
-                for row in lay.slot]
-    pairs = range(len(lay.pairs))  # R[i,j,k,l] = rows[slot[i][k]][slot[j][l]]
-    rows = [[s[_pair_index(a, b)] for b in pairs] for a in pairs]
-    return [[[[r[b] for b in row_j] for r in rows_i] for row_j in lay.slot]
-            for rows_i in ([rows[a] for a in row_i] for row_i in lay.slot)]
+    data = map(to_float, x._data) if mode == "float" else x._data
+    return PackedArray(list(map(format_scalar, data)),
+                       _leaf_order(type(x), x.n), x.n, rank)
 
 
 def _coords(y) -> str:
@@ -202,15 +219,16 @@ def _metric_point(args, form, y):
     if args.mode == "exact":
         # _integer_jet proved M, a positive multiple of g, positive definite
         entry["inertia"] = [form.n, 0, 0]
-    return entry, f"y={entry['y']}: g={entry['g']}", None
+    return entry, f"y={entry['y']}: g={entry['g'].tolist()}", None
 
 
 def _curvature_point(args, form, y):
     rep = curvature_report(form, y, convention=args.convention)
     doc = functools.partial(_doc, mode=args.mode)
+    lhs = doc(rep.lhs)
     entry = {"y": doc(y), "normFunction": doc(rep.potential_arg),
              "yukawa": doc(rep.yukawa), "christoffel": doc(rep.christoffel),
-             "lhs": doc(rep.lhs), "rhs": doc(rep.rhs),
+             "lhs": lhs, "rhs": lhs if rep.rhs == rep.lhs else doc(rep.rhs),
              "residual": doc(rep.residual),
              "maxAbsResidual": doc(rep.max_abs_residual)}
     return (entry, f"y={entry['y']}: max|lhs-rhs|={entry['maxAbsResidual']}",

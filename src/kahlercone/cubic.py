@@ -115,36 +115,43 @@ class CubicForm:
         self._int_f3 = None
         self._text = None
 
+    def _third_partials(self):
+        """(q, (i, j, k), prod(e_i!)) per monomial q*y^e, i <= j <= k the
+        index multiset that e counts: the monomial's one nonzero third
+        partial is q * prod(e_i!), at (i, j, k)."""
+        for exp, coeff in self.monomials.items():
+            idx = tuple(i for i, e in enumerate(exp) for _ in range(e))
+            yield coeff, idx, math.prod(map(math.factorial, exp))
+
     @property
     def third_tensor(self) -> Sym3Tensor:
-        """Constant tensor of third partials; f = (1/6) sum f3[i,j,k] yi yj yk.
-        A monomial q*y^e has one nonzero third partial, q * prod(e_i!), at
-        the index multiset that e counts."""
+        """Constant tensor of third partials; f = (1/6) sum f3[i,j,k] yi yj yk
+        (`_third_partials`)."""
         if self._f3 is None:
             self._f3 = Sym3Tensor.zeros(self.n)
-            for exp, coeff in self.monomials.items():
-                idx = tuple(i for i, e in enumerate(exp) for _ in range(e))
-                self._f3[idx] = coeff * math.prod(map(math.factorial, exp))
+            for q, idx, weight in self._third_partials():
+                self._f3[idx] = q * weight
         return self._f3
 
     def _integer_third(self):
         """(s, t, rows, terms): s = 6c, c > 0 the lcm of the coefficient
         denominators; t the integer Sym3Tensor s * f3, the third-derivative
-        tensor of the integer cubic s*f; for each SymMatrix slot (i, j), in
-        packed order, the row t[i, j, 0..n-1], so that the Hessian of s*f at
-        an integer z is the integer SymMatrix of rows . z; and per monomial
-        w z_i z_j z_k (i <= j <= k) of s*f, (w, SymMatrix slot of (i, j), k):
-        t[i, j, k] with its multinomial weight baked in."""
+        tensor of the integer cubic s*f, built on ints from the monomials;
+        for each SymMatrix slot (i, j), in packed order, the row
+        t[i, j, 0..n-1], so that the Hessian of s*f at an integer z is the
+        integer SymMatrix of rows . z; and per monomial w z_i z_j z_k
+        (i <= j <= k) of s*f, (w, SymMatrix slot of (i, j), k): t[i, j, k]
+        with its multinomial weight baked in."""
         if self._int_f3 is None:
+            n, lay = self.n, _layout(self.n)
             s = 6 * math.lcm(*[v.denominator for v in self.monomials.values()])
-            data = [int(s * v) for v in self.third_tensor._data]
-            lay = _layout(self.n)
-            rows = [[data[q] for q in slots] for slots in lay.pair_triples]
-            terms = []
-            for exp, coeff in self.monomials.items():
-                i, j, k = (i for i, e in enumerate(exp) for _ in range(e))
-                terms.append((int(s * coeff), lay.slot[i][j], k))
-            self._int_f3 = (s, Sym3Tensor(self.n, data), rows, terms)
+            t, terms = Sym3Tensor(n, [0] * Sym3Tensor._size(n)), []
+            for q, (i, j, k), weight in self._third_partials():
+                w = s // q.denominator * q.numerator
+                t[i, j, k] = w * weight
+                terms.append((w, lay.slot[i][j], k))
+            rows = [[t._data[p] for p in slots] for slots in lay.pair_triples]
+            self._int_f3 = (s, t, rows, terms)
         return self._int_f3
 
     def evaluate(self, y) -> Fraction:

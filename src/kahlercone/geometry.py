@@ -185,7 +185,8 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
     """The integer jet at an exact interior point y; NotInCone elsewhere."""
     verdict, _, point = _classify(form, y)
     if verdict is not Membership.INTERIOR:
-        raise NotInCone(f"point {format_point(y)} is not interior")
+        read = [Fraction(v, point.l) for v in point.z]  # y as `_point` reads it
+        raise NotInCone(f"point {format_point(read)} is not interior")
     return _jet(form, point)
 
 

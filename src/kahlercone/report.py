@@ -9,6 +9,16 @@ so a float-mode residual of 0.0 is an exact zero. Reports contain no
 wall-clock data unless explicitly requested, so a fixed command line and
 seed give byte-identical output: `render_json` writes the bytes of
 json.dumps(indent=2, ensure_ascii=False), without the encoder indent forces.
+
+`_dump` appends the pieces of the text to one list, which `render_json`
+joins once, so a large array is not copied again at each enclosing level;
+each list of scalars is one piece, from one join. A `PackedArray` is a dense
+n^rank array of JSON scalars kept as its packed container stores it: the
+JSON text of each stored entry, encoded once, and the leaf order, the stored
+slot that each leaf of the nested array shows, in row-major order.
+`render_json` writes it by filling a skeleton of the nested array, built for
+(n, rank, indentation) with one "%s" per leaf, by one `%`; the skeleton
+costs microseconds and is built per write.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from .scalars import format_point, format_scalar
 
 SCHEMA_VERSION = 1
 
-__all__ = ["PointResult", "VerificationSummary", "render_json", "render_text"]
+__all__ = ["PackedArray", "PointResult", "VerificationSummary", "render_json",
+           "render_text"]
 
 
 @dataclass(frozen=True)
@@ -69,28 +80,74 @@ class VerificationSummary:
         return doc
 
 
-def _dump(x, pad: str) -> str:
-    """x at indentation pad, each list of scalars in one join."""
+class PackedArray:
+    """A dense n^rank array of JSON scalars from a packed container: the
+    JSON text of values, one per stored entry, and order, the stored slot of
+    each leaf in row-major order (module docstring)."""
+
+    __slots__ = ("texts", "order", "n", "rank")
+
+    def __init__(self, values: list, order: tuple, n: int, rank: int):
+        self.texts, self.order = _scalar_texts(values), order
+        self.n, self.rank = n, rank
+
+    def tolist(self) -> list:
+        """The nested lists of the array."""
+        values = json.loads("[" + ",".join(self.texts) + "]")
+        leaves, n = [values[s] for s in self.order], self.n
+        for _ in range(self.rank - 1):
+            leaves = [leaves[k:k + n] for k in range(0, len(leaves), n)]
+        return leaves
+
+
+def _skeleton(n: int, rank: int, pad: str) -> str:
+    """The text of a dense n^rank array at indentation pad, "%s" per leaf."""
+    if rank == 0:
+        return "%s"
+    inner = pad + "  "
+    item = _skeleton(n, rank - 1, inner)
+    return f"[\n{inner}" + f",\n{inner}".join([item] * n) + f"\n{pad}]"
+
+
+def _scalar_texts(x):
+    """json.dumps's text of each item of the list x, from one encoder call,
+    when the items are all str or all non-str scalars; else None."""
+    if (kinds := set(map(type, x))) == {str}:
+        return list(map(encode_basestring, x))
+    if kinds <= {int, float, bool, type(None)}:
+        # json's own items: with no str among them, none holds a ", "
+        return json.dumps(x)[1:-1].split(", ")
+    return None
+
+
+def _dump(x, pad: str, out: list) -> None:
+    """Append the text of x at indentation pad to out (module docstring)."""
     inner, sep = pad + "  ", ",\n  " + pad
-    if isinstance(x, (list, tuple)) and x:
-        if (kinds := set(map(type, x))) == {str}:
-            items = map(encode_basestring, x)
-        elif kinds <= {int, float, bool, type(None)}:
-            # json's own items: with no str among them, none holds a ", "
-            items = json.dumps(x)[1:-1].split(", ")
-        else:
-            items = [_dump(v, inner) for v in x]
-        return f"[\n{inner}{sep.join(items)}\n{pad}]"
-    if isinstance(x, dict) and x:
-        items = [encode_basestring(k) + ": " + _dump(v, inner)
-                 for k, v in x.items()]
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    return encode_basestring(x) if type(x) is str else json.dumps(x)
+    if isinstance(x, PackedArray):
+        out.append(_skeleton(x.n, x.rank, pad)
+                   % tuple(map(x.texts.__getitem__, x.order)))
+    elif (isinstance(x, (list, tuple)) and x
+          and (texts := _scalar_texts(x)) is not None):
+        out.append(f"[\n{inner}{sep.join(texts)}\n{pad}]")
+    elif isinstance(x, (list, tuple, dict)) and x:
+        keyed = isinstance(x, dict)
+        items = ([(encode_basestring(k) + ": ", v) for k, v in x.items()]
+                 if keyed else [("", v) for v in x])
+        out.append("{" if keyed else "[")
+        for k, (head, v) in enumerate(items):
+            out.append((sep if k else "\n" + inner) + head)
+            _dump(v, inner, out)
+        out.append(f"\n{pad}" + ("}" if keyed else "]"))
+    else:
+        out.append(encode_basestring(x) if type(x) is str else json.dumps(x))
 
 
 def render_json(doc: dict) -> str:
     """The JSON text of doc, whose keys are str (module docstring)."""
-    return _dump(doc, "") + "\n"
+    out = []
+    _dump(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(summary: VerificationSummary,

@@ -178,6 +178,21 @@ def test_third_tensor_against_sympy():
                     assert F(str(want)) == f3[i, j, k]
 
 
+def test_integer_third_is_s_times_third_tensor():
+    # built on ints from the monomials, it is the Fraction tensor scaled by s
+    rng = random.Random(29)
+    forms = [parse_text(text, len(hint)) for text, hint in SUITE_HINTS.items()]
+    forms += [random_cubic(rng, n, num_bound=9, den_bound=12)
+              for n in (1, 2, 3, 4, 5, 6) for _ in range(4)]
+    forms.append(parse_text("-7/12*y1^3 + 5/8*y1*y2*y3 - 3/20*y2^2*y3", 3))
+    for form in forms:
+        s, t, rows, terms = form._integer_third()
+        assert all(type(v) is int for v in t._data)
+        assert t._data == [s * v for v in form.third_tensor._data]
+        assert [w for w, _, _ in terms] == [s * q for q in
+                                             form.monomials.values()]
+
+
 def test_form_is_sixth_of_tensor_contraction():
     rng = random.Random(19)
     for _ in range(20):

@@ -56,6 +56,18 @@ def test_metric_requires_interior():
         kahler_metric(f, [F(0)])
 
 
+@pytest.mark.parametrize("fn", [kahler_metric, christoffels, curvature_report])
+def test_not_in_cone_names_the_point_as_read(fn):
+    # a 'p/q' string and a float are read as the exact rational they write
+    # or store, and the message names that rational
+    f = parse_text("y1*y2^2")
+    for y in (["-1/2", "3"], [-0.5, 3.0], [-0.5, "6/2"]):
+        with pytest.raises(NotInCone, match=r"^point \(-1/2, 3\) is not "):
+            fn(f, y)
+    with pytest.raises(NotInCone, match=r"^point \(1/10, 0\) is not "):
+        fn(f, [F(1, 10), 0])
+
+
 def test_metric_jet_symmetries():
     rng = random.Random(41)
     form, pts = random_cubic_with_cone(rng, 3, points_needed=3)

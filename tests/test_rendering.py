@@ -2,7 +2,8 @@
 against `json.dumps(doc, indent=2, ensure_ascii=False)` on random JSON
 values, and the CLI's `_doc` of every packed container kind against the
 per-index recursion it replaced (`_reference.reference_doc`), over int,
-Fraction and Complex entries in both modes."""
+Fraction and Complex entries in both modes: its nested lists, and the bytes
+`render_json` fills its skeleton with."""
 
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercone import Complex, CurvTensor, Sym3Tensor, SymMatrix
-from kahlercone.cli import _doc
+from kahlercone.cli import _doc, _leaf_order
 from kahlercone.linalg import _layout
 from kahlercone.report import render_json
 
@@ -72,7 +73,10 @@ def test_doc_of_packed_containers_matches_the_per_index_recursion(
     for n in range(1, 7):
         size = len(cls.zeros(n)._data)
         x = cls(n, [_entry(kind, k) for k in range(size)])
-        assert _doc(x, mode) == reference_doc(x, mode), (n, mode)
+        got, want = _doc(x, mode), reference_doc(x, mode)
+        assert got.tolist() == want, (n, mode)
+        assert render_json({"a": [{"b": got}]}) \
+            == _dumps({"a": [{"b": want}]}), (n, mode)
 
 
 def test_doc_of_scalars_points_and_arrays_matches_the_recursion():
@@ -87,6 +91,7 @@ def test_doc_of_scalars_points_and_arrays_matches_the_recursion():
 def test_doc_reads_only_the_layout_of_its_own_dimension():
     # a rank-4 expansion addresses the pair matrix by `_pair_index`; it
     # never builds `_layout` at the pair dimension n(n+1)/2
+    _leaf_order.cache_clear()
     _layout.cache_clear()
     _doc(CurvTensor(8))
     assert _layout.cache_info().currsize == 1
