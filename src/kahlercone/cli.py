@@ -261,14 +261,12 @@ def _cone_metric_point(args, form, point):
     # membership proved F > 0 and M positive definite; B's Schur complement
     # of 4F is -M / F, so B (and gtilde) has inertia (1, n, 0) by Haynsworth
     sig = (1, form.n, 0)
-    gt, inv_stated = ([[*map(Complex.of, r)] for r in rows]   # each one a+bi
-                      for rows in (tm.gtilde, tm.gtilde_inv_stated))
     entry = {
         "t": _doc(t),
         "lambda": _doc(lam),
         "normFunction": _doc(tm.norm_value),
-        "gTilde": _doc(gt),
-        "gTildeInvStated": _doc(inv_stated),
+        "gTilde": _doc(tm.gtilde),
+        "gTildeInvStated": _doc(tm.gtilde_inv_stated),
         "inverseCheck": inv.passed,
         "inertia": list(sig),
         "christoffelCheck": {

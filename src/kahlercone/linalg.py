@@ -39,8 +39,6 @@ __all__ = [
     "det_adjugate",
     "contract",
     "raise_index",
-    "identity_rows",
-    "mat_mul",
 ]
 
 
@@ -314,17 +312,6 @@ def det_adjugate(m: SymMatrix):
     c, b = _charpoly(m)
     sign = -1 if m.n % 2 else 1
     return sign * c[0], SymMatrix(m.n, [-sign * v for v in b])
-
-
-def identity_rows(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m)]
-            for i in range(n)]
 
 
 def _raised(s: Sym3Tensor, minv: SymMatrix):

@@ -15,25 +15,40 @@ point (`cubic.Cleared`) and inverted once, by `det_adjugate` of the integer
 H: (Hess f)^{-1} = s l adj H / det H, so the right side is l / (s det H)
 contract(t, adj H), t = s f3. The inverse of -4 Hess f is that times -1/4.
 
-Fibre extension. `build_tilde_metric` assembles the (n+1) x (n+1) hermitian
-matrix from the published closed-form entries with K = 8 f(Im t) and
-K_i = d/dt_i log K = i k_i, k real, together with the published inverse
-entries. Index 0 is the fibre direction. A printed entry carries
-lam^a lambar^b, (a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre
-row, (0,-1) on the fibre column and (0,0) on the base block, so it is a
-real times the phase of its index class: a phase-1 entry (the fibre entry,
-the base block) is stored as a real, the fibre row and column as `Complex`:
+Fibre extension. `build_tilde_metric` states the (n+1) x (n+1) hermitian
+matrix of the published closed-form entries, with K = 8 f(Im t) and
+K_i = d/dt_i log K = i k_i, k real, and the published inverse entries.
+Index 0 is the fibre direction. A printed entry carries lam^a lambar^b,
+(a, b) = (-1,-1) at the fibre entry, (-1,0) on the fibre row, (0,-1) on
+the fibre column and (0,0) on the base block:
 
     gtilde = K [[1/|lam|^2, i k^T / lam], [-i k / lambar, k k^T - g]],
     stated inverse = (1/K) [[|lam|^2 (1 - k.ginv.k), i lam (ginv k)^T],
                             [-i lambar ginv k, -ginv]].
 
+With the integers of the cleared point (`geometry`: z = l y, t, H,
+a = H z / 2, F, M = a a^T - F H, A = adj M, Delta = det M), k = -l a / (2F)
+and ginv = 4F^2 A / (l^2 Delta), each is a diagonal rescaling of one
+integer matrix, which `TildeMetric` stores and renders with its phases:
+
+    gtilde = K D S D*,   S = [[1, -k^T], [-k, k k^T - g]] = P B P / (4F),
+    stated = conj(D')^-1 P^-1 C P^-1 D'^-1 / (K Delta),
+    D = diag(1/lam, i, ..., i),   D' = diag(1/lambar, i, ..., i),
+    P = diag(1, l, ..., l),       B = [[4F, 2a^T], [2a, H]],
+    C = [[Delta - a^T A a, 2F (A a)^T], [2F A a, -4F^2 A]],
+    B C = 4 F Delta I,  C = (-1)^n F^n adj B,  F^(n-1) det B = 4 (-1)^n Delta.
+
 Two calibrations, fixed at n = 1 because the published formulas leave them
 open: the printed value for index pair (0, i-bar) equals entry (row i,
 column 0) of the true inverse, so it is placed there (the conjugate goes to
 (0, i)); and the printed lambda-bar power in that entry matches the true
-inverse only for real lambda, so the exact product check passes exactly
-when lambda is real and returns the product matrix for diagnosis otherwise.
+inverse only for real lambda. With Phi = D^-1 D' = diag(lam / lambar, 1,
+..., 1), gtilde . stated = D P (B Phi C) P^-1 D'^-1 / (4 F Delta), so the
+check decides B Phi C = 4 F Delta Phi, on Gaussian integers. By
+B C = 4 F Delta I the two differ by (lam / lambar - 1) (B[.,0] C[0,.] -
+4 F Delta e_0 e_0^T), whose fibre entry is -4F a^T A a != 0: the check
+passes exactly when lambda is real and returns the product matrix for
+diagnosis otherwise.
 
 Christoffel check. Direct differentiation of the entries as printed
 validates the published all-base and fibre-upper connection formulas; the
@@ -41,15 +56,9 @@ mixed formula (lambda^{-1} delta) and the vanishing pure-fibre symbol need
 the potential-consistent scaling lambda lambda-bar K of the same entries,
 under which the matrix is genuinely Kahler (the transposed entries, which
 flips the sign of the fibre row, with every power above raised by (1, 1)).
-Both are differentiated on the integers of the cleared point (`geometry`:
-z = l y, t, H, a = H z / 2, F): with k = -l a / (2F) and a a^T - M = F H,
-the printed metric is K D S D* and the potential one K E S E*, where
-
-    D = diag(1/lam, i, ..., i),    E = -lam D J,    J = diag(-1, 1, ..., 1),
-    S = [[1, -k^T], [-k, k k^T - g]] = P B P / (4F),
-    P = diag(1, l, ..., l),        B = [[4F, 2a^T], [2a, H]],
-
-B the integer bordered Hessian, and K / (4F) constant in y. In
+Both are differentiated on the integers of B: the printed metric is
+K D S D*, the potential one K E S E* with E = -lam D J and
+J = diag(-1, 1, ..., 1), and K / (4F) is constant in y. In
 Gamma[x][b][c] = sum_d conj(h^{-1})[x][d] D_b h[c][d], with D_0 = d/dlam
 (lambda-bar fixed) and D_{q+1} = d/dt_q = -(i/2) l d/dz_q, the diagonal
 factors cancel on d, so both scalings read one real array
@@ -59,8 +68,9 @@ factors cancel on d, so both scalings read one real array
 
 as Gamma[x][q+1][c] = -(i/2) D_x^{-1} D_c Q[x][q][c], times J_x J_c under
 E (E_x^{-1} E_c = J_x J_c D_x^{-1} D_c). D_0 h = (a / lam) h for an entry
-of power lam^a gives Gamma[x][0][c]. One `det_adjugate` of B serves both,
-and inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
+of power lam^a gives Gamma[x][0][c]. The check makes its own
+`det_adjugate` of B, independent of C, for both scalings, and
+inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 
 The phase table `_phases` is the one statement of the connection phases:
 every connection array is a real array times the phase of each index class
@@ -91,8 +101,7 @@ from typing import Optional
 from .cubic import CubicForm, _point
 from .errors import SingularHessian, ZeroLambda
 from .geometry import _IntegerJet, _integer_jet
-from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
-                     identity_rows, mat_mul)
+from .linalg import CurvTensor, SymMatrix, _layout, contract, det_adjugate
 from .scalars import Complex, _exact, format_point
 
 __all__ = [
@@ -187,39 +196,63 @@ class TildeMetric:
     y: tuple                 # Im t
     norm_value: object       # K = 8 f(y)
     k_log: tuple             # K_i = d/dt_i log K, purely imaginary
-    gtilde: list             # printed entries, phase-1 ones stored as reals
-    gtilde_inv_stated: list  # published inverse entries, placement calibrated
     ij: _IntegerJet          # the integer jet every entry is read from
     bordered: SymMatrix      # B = [[4F, 2a^T], [2a, H]], on ints
+    stated: SymMatrix        # C, the cleared stated inverse, on ints
+
+    @property
+    def gtilde(self) -> list:
+        """The printed entries K (D P) B (D P)* / (4F)."""
+        s, l = self.norm_value / (4 * self.ij.point.F), self.ij.point.l
+        return _hermitian(self.bordered.rows(), s / self.lam.abs2(),
+                          s * l * Complex(0, -1) / self.lam, s * l * l)
+
+    @property
+    def gtilde_inv_stated(self) -> list:
+        """The published inverse entries conj(D')^-1 P^-1 C P^-1 D'^-1
+        / (K Delta), placement calibrated."""
+        s, l = 1 / (self.norm_value * self.ij.delta), self.ij.point.l
+        return _hermitian(self.stated.rows(), s * self.lam.abs2(),
+                          s / l * Complex(0, -1) * self.lam, s / (l * l))
+
+
+def _hermitian(rows, corner, edge, base) -> list:
+    """The `Complex` rows of the real symmetric matrix `rows`, each entry
+    times the factor of its index class: the real `corner` at the fibre
+    entry, `edge` on the fibre row, its conjugate on the fibre column and the
+    real `base` on the base block."""
+    (head, *top), *rest = rows
+    top = [edge * v for v in top]
+    return [[Complex(corner * head)] + top] + [
+        [z.conj()] + [Complex(base * v) for v in r[1:]]
+        for z, r in zip(top, rest)]
+
+
+def _bordered(corner, edge, block) -> SymMatrix:
+    """[[corner, edge^T], [edge, block]], the block given as rows."""
+    return SymMatrix.from_rows(
+        [[corner, *edge]] + [[v, *r] for v, r in zip(edge, block)])
 
 
 def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
-    """Assemble the fibre-extended metric and its published inverse at (t, lam)."""
+    """The fibre-extended metric and its published inverse at (t, lam), as
+    the integer matrices B and C (module docstring)."""
     t, lam = tuple(map(_exact, t)), _exact(lam)
     if lam == 0:
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
     ij = _integer_jet(form, y)        # NotInCone unless Im t is interior
-    n, l, F, a = form.n, ij.point.l, ij.point.F, ij.point.a
-    kval = 8 * ij.point.f
-    k = [Fraction(-l * v, 2 * F) for v in a]        # K_i = i k_i
-    m, i_lam = lam.abs2(), Complex(-lam.im, lam.re)
-    g, ginv = ij.g.rows(), ij.ginv.rows()
-    top = [kval * v * Complex(lam.im / m, lam.re / m) for v in k]   # i / lam
-    gt = [[kval / m] + top] + [
-        [z.conj()] + [kval * (u * v - h) for v, h in zip(k, g_r)]
-        for z, u, g_r in zip(top, k, g)]
-    # calibrated placement: printed (0, i-bar) value sits at (row i, col 0)
-    w = [sum(map(mul, r, k)) for r in ginv]
-    top = [v / kval * i_lam for v in w]
-    inv = [[m * (1 - sum(map(mul, k, w))) / kval] + top] + [
-        [z.conj()] + [-v / kval for v in r] for z, r in zip(top, ginv)]
-    b = [[4 * F] + [2 * v for v in a]] + [
-        [2 * v] + row for v, row in zip(a, ij.point.H.rows())]
+    F, a, adj = ij.point.F, ij.point.a, ij.adj.rows()
+    adj_a = [sum(map(mul, r, a)) for r in adj]
     return TildeMetric(
-        n=n, t=t, lam=lam, y=y, norm_value=kval,
-        k_log=tuple(Complex(Fraction(0), v) for v in k), gtilde=gt,
-        gtilde_inv_stated=inv, ij=ij, bordered=SymMatrix.from_rows(b))
+        n=form.n, t=t, lam=lam, y=y, norm_value=8 * ij.point.f,
+        k_log=tuple(Complex(Fraction(0), Fraction(-ij.point.l * v, 2 * F))
+                    for v in a),                 # K_i = i k_i, k = -l a / 2F
+        ij=ij,
+        bordered=_bordered(4 * F, [2 * v for v in a], ij.point.H.rows()),
+        stated=_bordered(ij.delta - sum(map(mul, a, adj_a)),
+                         [2 * F * v for v in adj_a],
+                         [[-4 * F * F * v for v in r] for r in adj]))
 
 
 @dataclass(frozen=True)
@@ -229,10 +262,34 @@ class TildeInverseResult:
 
 
 def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
-    """Exact product gtilde * stated inverse against the identity matrix."""
-    product = mat_mul(tm.gtilde, tm.gtilde_inv_stated)
-    return TildeInverseResult(passed=product == identity_rows(tm.n + 1),
-                              product=product)
+    """gtilde * stated inverse against the identity, decided as
+    B Phi C = 4 F Delta Phi (module docstring) times N = |pi|^2, lam = pi / d:
+    N B Phi C = N R + pi^2 u, R = B[.,1:] C[1:,.] and u = B[.,0] C[0,.], on
+    Gaussian integers. Each product entry divides once."""
+    re, im, l = tm.lam.re, tm.lam.im, tm.ij.point.l
+    d = re.denominator * im.denominator
+    pi = Complex(re.numerator * im.denominator, im.numerator * re.denominator)
+    n, s, pi2 = pi.abs2(), 4 * tm.ij.point.F * tm.ij.delta, pi * pi
+    b, c = tm.bordered.rows(), tm.stated.rows()
+    w = [[pi2 * (b_x[0] * c_y[0]) + n * sum(map(mul, b_x[1:], c_y[1:]))
+          for c_y in c] for b_x in b]                       # N B Phi C
+    phi = [pi2] + [n] * tm.n                                # N Phi
+    passed = all(v == (s * phi[x] if x == y else 0)
+                 for x, row in enumerate(w) for y, v in enumerate(row))
+    # (numerator, denominator) of D_x v_c l^([x>0] - [c>0]) / (4 F Delta N),
+    # v = (lambar, -i, ..., -i) the diagonal of D'^-1
+    pb, i = pi.conj(), Complex(0, 1)
+    f = (((pb * pb, n * n * s), (-i * d * pb, n * n * s * l)),
+         ((i * l * pb, d * n * s), (1, n * s)))
+    return TildeInverseResult(passed=passed, product=[
+        [_over(*f[x > 0][y > 0], v) for y, v in enumerate(row)]
+        for x, row in enumerate(w)])
+
+
+def _over(m, den, v):
+    """m v / den for Gaussian integers m, v and an int den > 0."""
+    z = m * v
+    return Complex(Fraction(z.re, den), Fraction(z.im, den))
 
 
 # --- connection coefficients -------------------------------------------------

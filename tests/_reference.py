@@ -41,6 +41,13 @@ numeric oracle that shares no arithmetic with the exact kernel;
 `float_oracle_errors` measures its residual and its distance from the exact
 sides.
 
+`reference_inverse_check` is the fibre inverse check as it was before
+the package decided it as B Phi C = 4 F Delta Phi on the cleared integers:
+the `Complex` product `mat_mul` of the printed rows of gtilde and of its
+stated inverse against `identity_rows`. Both helpers moved here from
+`linalg`, which no longer has a general matrix product; `invert_rows` and
+the linalg tests read them from here too.
+
 `reference_direct_gammas` differentiates both scalings of the fibre
 metric the way the package did before it read them from the integer
 bordered Hessian: the y-gradients of the `Complex` coefficient table, the
@@ -81,11 +88,11 @@ from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
                         Sym3Tensor, SymMatrix, cone_contains, contract,
                         curvature_lhs, curvature_rhs, inertia, kahler_metric)
 from kahlercone.cubic import GRID_DEN, GRID_NUM, _check_dimension
-from kahlercone.linalg import _layout, det_adjugate, identity_rows
+from kahlercone.linalg import _layout, det_adjugate
 from kahlercone.poly import Poly
 from kahlercone.scalars import format_scalar, to_float
-from kahlercone.special import (TildeChristoffelResult, _direct_gammas,
-                                _phases)
+from kahlercone.special import (TildeChristoffelResult, TildeInverseResult,
+                                _direct_gammas, _phases)
 
 
 def reference_inertia(rows):
@@ -184,6 +191,17 @@ def _lift_int(x):
     if isinstance(x, Complex):
         return Complex(_lift_int(x.re), _lift_int(x.im))
     return x
+
+
+def identity_rows(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    n, m = len(a), len(b[0])
+    inner = len(b)
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m)]
+            for i in range(n)]
 
 
 def invert_rows(rows):
@@ -504,6 +522,14 @@ def float_oracle_errors(form, y):
                                             (rhs, curvature_rhs(form, exact)))
                    for a, b in zip(side.entries(), exact_side.entries()))
     return (lhs - rhs).max_abs() / scale, distance / scale
+
+
+def reference_inverse_check(tm):
+    """`special.tilde_inverse_check` as the package once decided it: the
+    `Complex` product of the printed rows against the identity."""
+    product = mat_mul(tm.gtilde, tm.gtilde_inv_stated)
+    return TildeInverseResult(passed=product == identity_rows(tm.n + 1),
+                              product=product)
 
 
 def _lam_factors(lam):

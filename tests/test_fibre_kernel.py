@@ -7,10 +7,15 @@ reality of lambda, the inertia of the bordered Hessian B against that of
 gtilde, the work one check does, the integer Christoffel symbols against
 `raise_index` on the `Fraction` jet, the commands that read the integer
 jet without its `Fraction` rendering, and the sampler's stop once the grid
-runs out."""
+runs out. The inverse check, decided on the cleared integers B and C, is
+compared with the `Complex` product `_reference.reference_inverse_check`,
+shown to read every published term of C, and tied to the connection
+check's B by the identities of the `special` module docstring."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,18 +25,19 @@ import kahlercone.cubic
 import kahlercone.geometry
 import kahlercone.linalg
 import kahlercone.special
-from kahlercone import (Complex, SamplingExhausted,
+from kahlercone import (Complex, SamplingExhausted, SymMatrix,
                         build_tilde_metric, christoffels, cone_sample,
                         curvature_lhs, curvature_report, curvature_rhs,
                         inertia, parse_text, sectional,
                         tilde_christoffel_check, tilde_inverse_check)
 from kahlercone.cli import main
 from kahlercone.geometry import _integer_jet
-from kahlercone.linalg import raise_index
+from kahlercone.linalg import det_adjugate, raise_index
 
 from _reference import (complex_direct_gammas, hermitian_inertia,
                         phased_direct_gammas, reference_christoffel_check,
-                        reference_cone_sample, reference_direct_gammas)
+                        reference_cone_sample, reference_direct_gammas,
+                        reference_inverse_check)
 from _util import counting, random_cubic, random_fraction, suite_forms
 
 SETTINGS = settings(max_examples=25)
@@ -70,10 +76,11 @@ def test_direct_christoffels_match_complex_oracle(seed, n):
 
 
 _RATIONAL = st.builds(F, st.integers(1, 9), st.integers(1, 6))
+_REAL_LAMBDA = st.one_of(_RATIONAL, _RATIONAL.map(lambda v: -v),
+                         st.integers(-9, 9).filter(bool))
 # real, negative, integer, purely imaginary and non-real fibre coordinates
 _LAMBDA = st.one_of(
-    _RATIONAL, _RATIONAL.map(lambda v: -v),
-    st.integers(-9, 9).filter(bool),
+    _REAL_LAMBDA,
     st.builds(lambda v, s: Complex(0, s * v), _RATIONAL,
               st.sampled_from((-1, 1))),
     st.builds(Complex, _RATIONAL, _RATIONAL.map(lambda v: -v)),
@@ -116,6 +123,59 @@ def test_stated_inverse_holds_exactly_for_real_lambda(seed, which, lam):
     (lambar / lam = -1) fails too."""
     tm = _suite_or_random_metric(seed, which, lam)
     assert tilde_inverse_check(tm).passed == (tm.lam.im == 0)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 8), _LAMBDA)
+def test_inverse_check_matches_complex_reference(seed, which, lam):
+    """B Phi C = 4 F Delta Phi on ints against the `Complex` product of the
+    printed rows: the same verdict and the same product, entry by entry."""
+    tm = _suite_or_random_metric(seed, which, lam)
+    assert tilde_inverse_check(tm) == reference_inverse_check(tm)
+
+
+def _broken_stated(tm):
+    """C with one published term broken at a time: a^T A a dropped from the
+    fibre entry, the 2F A a row (and column) halved, -4F^2 A negated."""
+    rows, delta = tm.stated.rows(), tm.ij.delta
+    dropped = [[delta if x == y == 0 else v for y, v in enumerate(r)]
+               for x, r in enumerate(rows)]
+    halved = [[v // 2 if (x == 0) != (y == 0) else v for y, v in enumerate(r)]
+              for x, r in enumerate(rows)]
+    flipped = [[-v if x and y else v for y, v in enumerate(r)]
+               for x, r in enumerate(rows)]
+    return [SymMatrix.from_rows(m) for m in (dropped, halved, flipped)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 10**6), lam=_REAL_LAMBDA)
+def test_inverse_check_reads_every_term_of_the_stated_inverse(n, seed, lam):
+    # at real lambda the intact C passes, so a check that ignored C would
+    # pass each broken one too
+    tm = _suite_or_random_metric(seed, n + 4, lam)
+    assert tilde_inverse_check(tm).passed
+    for stated in _broken_stated(tm):
+        assert stated != tm.stated
+        assert not tilde_inverse_check(replace(tm, stated=stated)).passed
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.integers(0, 8))
+def test_stated_inverse_is_the_scaled_adjugate_of_the_bordered_hessian(
+        seed, which):
+    """B C = 4 F Delta I, C = (-1)^n F^n adj B and
+    F^(n-1) det B = 4 (-1)^n Delta: the published inverse and the matrix
+    the connection check inverts are one."""
+    tm = _suite_or_random_metric(seed, which, F(1))
+    n, big_f, delta = tm.n, tm.ij.point.F, tm.ij.delta
+    b, c = tm.bordered.rows(), tm.stated.rows()
+    assert [[sum(map(mul, r, col)) for col in c] for r in b] == [
+        [4 * big_f * delta * (x == y) for y in range(n + 1)]
+        for x in range(n + 1)]
+    det_b, adj_b = det_adjugate(tm.bordered)
+    assert tm.stated == adj_b.scale((-big_f) ** n)
+    assert big_f ** (n - 1) * det_b == 4 * (-1) ** n * delta
 
 
 @SETTINGS

@@ -13,10 +13,10 @@ import sympy
 
 from kahlercone import (Complex, CurvTensor, DimensionMismatch, Sym3Tensor,
                         SymMatrix, contract, inertia)
-from kahlercone.linalg import (_charpoly, _layout, det_adjugate, identity_rows,
-                               mat_mul)
+from kahlercone.linalg import _charpoly, _layout, det_adjugate
 
-from _reference import SingularMatrix, hermitian_inertia, invert, invert_rows
+from _reference import (SingularMatrix, hermitian_inertia, identity_rows,
+                        invert, invert_rows, mat_mul)
 from _util import random_invertible, random_symmetric
 
 
