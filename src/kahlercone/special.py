@@ -50,44 +50,52 @@ B C = 4 F Delta I the two differ by (lam / lambar - 1) (B[.,0] C[0,.] -
 passes exactly when lambda is real and returns the product matrix for
 diagnosis otherwise.
 
-Christoffel check. Direct differentiation of the entries as printed
-validates the published all-base and fibre-upper connection formulas; the
-mixed formula (lambda^{-1} delta) and the vanishing pure-fibre symbol need
-the potential-consistent scaling lambda lambda-bar K of the same entries,
-under which the matrix is genuinely Kahler (the transposed entries, which
-flips the sign of the fibre row, with every power above raised by (1, 1)).
-Both are differentiated on the integers of B: the printed metric is
-K D S D*, the potential one K E S E* with E = -lam D J and
-J = diag(-1, 1, ..., 1), and K / (4F) is constant in y. In
-Gamma[x][b][c] = sum_d conj(h^{-1})[x][d] D_b h[c][d], with D_0 = d/dlam
+Christoffel check. Direct differentiation of the printed entries
+K D S D* validates the published all-base and fibre-upper connection
+formulas; the mixed formula (lambda^{-1} delta) and the vanishing
+pure-fibre symbol need the potential-consistent scaling lambda lambda-bar K
+of the transposed entries, K E S E* with E = -lam D J and
+J = diag(-1, 1, ..., 1), under which the matrix is genuinely Kahler. In
+Gamma[x][b][c] = sum_e conj(h^{-1})[x][e] D_b h[c][e], with D_0 = d/dlam
 (lambda-bar fixed) and D_{q+1} = d/dt_q = -(i/2) l d/dz_q, the diagonal
-factors cancel on d, so both scalings read one real array
+factors cancel on e and K / (4F) is constant in y, so with d = det B,
 
-    Q[x][q][c] = l^(1 - [x>0] + [c>0]) (adj B . dB_q)[x][c] / det B,
+    W[q][x][c] = (adj B . dB_q)[x][c],
     dB_q = d B / d z_q = [[4 a_q, 2 H[q,.]], [2 H[.,q], t[.,.,q]]],
 
-as Gamma[x][q+1][c] = -(i/2) D_x^{-1} D_c Q[x][q][c], times J_x J_c under
-E (E_x^{-1} E_c = J_x J_c D_x^{-1} D_c). D_0 h = (a / lam) h for an entry
-of power lam^a gives Gamma[x][0][c]. The check makes its own
-`det_adjugate` of B, independent of C, for both scalings, and
-inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
+Gamma[x][q+1][c] = -(i/2) l^(1 - [x>0] + [c>0]) D_x^{-1} D_c W[q][x][c] / d,
+times J_x J_c under E. D_0 h = (a / lam) h for an entry of power lam^a
+gives Gamma[x][0][c]: -1/lam at x = c = 0 as printed, 1/lam at x = c > 0
+under E, 0 elsewhere. The published side reads the jet: the base symbols
+i beta = -(i l / (2 F Delta)) U, U[p][j][c] = (A . Dg)[p][j,c], and
+K_i = i k_i, k = -l a / (2F), Hess f = H / (s l). With sigma = +1 for the
+printed and -1 for the potential scaling, each comparison clears to an
+identity on ints, in which lambda does not appear:
 
-The phase table `_phases` is the one statement of the connection phases:
-every connection array is a real array times the phase of each index class
-([x>0], [b>0], [c>0]), -i D_x^{-1} D_c where b > 0 and 1/lam where b = 0.
-The match table, the recovery relation and the lower-symmetry test compare
-the reals; the one pair of classes the swap of b and c crosses,
-Gamma[x][0][c] against Gamma[x][c][0] with c > 0, differs by the phase
-ratio -i lam at x = 0 and -1 at x > 0. The published side is assembled
-from the printed entries and the base symbols i beta, never from B: k,
-beta and Hess f = H / (s l), one division each from the integer jet
-(`geometry._IntegerJet`). The check passes when every formula group is
-reproduced by at least one scaling. The recovery relation
-Gamma[i][j][k] - lam (Gamma[i][j][0] K_k + Gamma[i][0][k] K_m) = i beta_ijk
-is evaluated under both index readings: the corrected one (m = j) holds by
-construction, the published base block being built from the base symbols
-plus exactly those terms; the as-printed one (m = i) differs by
-delta_ik (K_i - K_j), so it holds exactly when all K_i are equal.
+    base         F Delta W[j][i+1][c+1]
+                     = d (U[i][j][c] + Delta (delta_ic a_j + delta_ij a_c)),
+    fibre-upper  2 F^2 Delta sigma W[i][0][j+1]
+                     = d (F Delta H[i,j] - 2 Delta a_i a_j
+                          - sum_c a_c U[c][i][j]),
+    mixed        sigma W[j][i+1][0] = -2 d delta_ij,
+    zeros        never as printed; under E, W[q][0][0] = 0 for every q.
+
+The lower symmetry Gamma[x][b][c] = Gamma[x][c][b] is W[b][x][c+1] =
+W[c][x][b+1] for b < c, W[c][0][0] = 0, and W[c][x+1][0] = 2 d delta_xc
+under E (its mixed identity) or 0 as printed. The check passes when every
+formula group is reproduced by at least one scaling and E gives the mixed
+and zero entries. The recovery relation, Gamma[i][j][c] - lam
+(Gamma[i][j][0] K_c + Gamma[i][0][c] K_m) = i beta_ijc on the potential
+array, read as m = j (corrected) or m = i (as printed), is
+
+    2 F Delta W[j][i+1][c+1] - Delta a_c W[j][i+1][0]
+        - 2 d Delta delta_ic a_m = 2 d U[i][j][c].
+
+By the base and potential mixed identities its left side is 2 d U[i][j][c]
++ 2 d Delta delta_ic (a_j - a_m): the corrected reading holds and the
+as-printed one exactly when all K_i are equal, and a wrong Dg or B breaks
+both. The check makes its own `det_adjugate` of B, independent of C;
+inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 """
 
 from __future__ import annotations
@@ -101,7 +109,8 @@ from typing import Optional
 from .cubic import CubicForm, _point
 from .errors import SingularHessian, ZeroLambda
 from .geometry import _IntegerJet, _integer_jet
-from .linalg import CurvTensor, SymMatrix, _layout, contract, det_adjugate
+from .linalg import (CurvTensor, SymMatrix, _layout, contract, det_adjugate,
+                     raise_index)
 from .scalars import Complex, _exact, format_point
 
 __all__ = [
@@ -294,71 +303,7 @@ def _over(m, den, v):
 
 # --- connection coefficients -------------------------------------------------
 
-def _phases(lam):
-    """The phase of each index class ([x>0], [b>0], [c>0]) in the printed
-    scaling (module docstring): -i D_x^-1 D_c where b > 0, 1/lam if b = 0."""
-    minus_i, lam_inv = Complex(0, -1), 1 / lam
-    return {(x, b, c): ((minus_i, lam), (-lam_inv, minus_i))[x][c] if b
-            else lam_inv for x, b, c in product((False, True), repeat=3)}
-
-
-def _gamma_printed(tm: TildeMetric, base):
-    """The published connection formulas as an (n+1)^3 real array in the
-    frame of `_phases`, from the base symbols `base` = i beta and
-    K_i = i k_i; symmetric in the lower pair. The second mixed derivative of
-    K reduces to -2 Hess f = -2 H / (s l)."""
-    n, point = tm.n, tm.ij.point
-    k = [v.im for v in tm.k_log]
-    beta = [[[v.im for v in r] for r in plane] for plane in base]
-    hess = Fraction(2, point.s * point.l) / tm.norm_value
-    gamma = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            for c in range(n):          # i times v is -v times the phase -i
-                v = beta[i][j][c]
-                if i == c:
-                    v += k[j]
-                if i == j:
-                    v += k[c]
-                gamma[i + 1][j + 1][c + 1] = -v
-            gamma[0][i + 1][j + 1] = hess * point.H[i, j] - 2 * k[i] * k[j] \
-                - sum(beta[c][i][j] * k[c] for c in range(n))
-        gamma[i + 1][i + 1][0], gamma[i + 1][0][i + 1] = -1, 1    # 1/lam
-    return gamma
-
-
-def _direct_gammas(tm: TildeMetric):
-    """(printed, potential): the direct symbols of both scalings of the
-    fibre metric as real arrays in the frame of `_phases`, from the one real
-    array Q (module docstring): R = Q / 2, and R signed by J_x J_c."""
-    n, ij = tm.n, tm.ij
-    l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
-    lay = _layout(n)
-    delta, adj = det_adjugate(tm.bordered)
-    lpow = ((l, l * l), (1, l))         # l^(1 - [x>0] + [c>0])
-    printed, potential = ([[[0] * (n + 1) for _ in range(n + 1)]
-                           for _ in range(n + 1)] for _ in range(2))
-    printed[0][0][0] = -1
-    for x in range(1, n + 1):
-        potential[x][0][x] = 1
-    for q in range(n):
-        d_b = [[4 * a[q]] + [2 * v for v in h[q]]] + [      # symmetric
-            [2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
-            for d in range(n)]
-        for x, adj_row in enumerate(adj.rows()):
-            pr, po = printed[x][q + 1], potential[x][q + 1]
-            for c, col in enumerate(d_b):
-                r = Fraction(lpow[x > 0][c > 0] * sum(map(mul, adj_row, col)),
-                             2 * delta)
-                pr[c], po[c] = r, r if (x > 0) == (c > 0) else -r
-    return printed, potential
-
-
 _GROUPS = ("base", "mixed", "fibre-upper", "zeros")
-# the formula group of each index class ([x>0], [b>0], [c>0]) of
-# Gamma[x][b][c]; "zeros" holds the classes where the printed array is 0
-_GROUP_OF = {(1, 1, 1): "base", (1, 1, 0): "mixed", (0, 1, 1): "fibre-upper",
-             (0, 0, 0): "zeros", (0, 1, 0): "zeros", (1, 0, 0): "zeros"}
 
 
 @dataclass(frozen=True)
@@ -371,40 +316,50 @@ class TildeChristoffelResult:
 
 
 def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
-    """Compare the published connection formulas against direct differentiation
-    of both entry scalings (module docstring): pass when every formula group
-    is reproduced bit-exactly by at least one scaling and the potential one
-    confirms the vanishing entries and the mixed lambda^{-1} delta formula.
-    """
-    n, base = tm.n, tm.ij.christoffels()
-    printed = _gamma_printed(tm, base)
-    reals = dict(zip(("printed", "potential"), _direct_gammas(tm)))
-    phases = _phases(tm.lam)    # ratio[x>0]: phase of [x][c][0] / [x][0][c]
-    ratio = [phases[x, 1, 0] / phases[x, 0, 1] for x in (0, 1)]
+    """Compare the published connection formulas against direct
+    differentiation of both entry scalings, as identities on the integers W,
+    U and the jet (module docstring). Raises SingularHessian when B is
+    singular."""
+    n, ij, lay, t = tm.n, tm.ij, _layout(tm.n), tm.ij.t._data
+    f, a, h, delta = ij.point.F, ij.point.a, ij.point.H.rows(), ij.delta
+    det, adj = det_adjugate(tm.bordered)
+    if det == 0:
+        raise SingularHessian("the bordered Hessian B is singular")
+    w = []                              # w[q] = adj B . dB_q, dB_q symmetric
+    for q in range(n):
+        d_b = [[4 * a[q]] + [2 * v for v in h[q]]] + [
+            [2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
+            for d in range(n)]
+        w.append([[sum(map(mul, r, col)) for col in d_b] for r in adj.rows()])
+    u = [m.rows() for m in raise_index(ij.Dg, ij.adj)]         # U = A . Dg
+    pairs, triples = (list(product(range(n), repeat=k)) for k in (2, 3))
+    base = all(f * delta * w[j][i + 1][c + 1] == det * (
+        u[i][j][c] + delta * ((i == c) * a[j] + (i == j) * a[c]))
+        for i, j, c in triples)
+    upper = [(2 * f * f * delta * w[i][0][j + 1],
+              det * (f * delta * h[i][j] - 2 * delta * a[i] * a[j]
+                     - sum(a[c] * u[c][i][j] for c in range(n))))
+             for i, j in pairs]
+    zeros = all(w_q[0][0] == 0 for w_q in w)
+    swapped = zeros and all(w[b][x][c + 1] == w[c][x][b + 1]
+                            for x in range(n + 1) for b, c in pairs if b < c)
     matches, symmetric = {}, {}
-    indices = range(n + 1)
-    for scaling, gamma in reals.items():
-        ok = dict.fromkeys(_GROUPS, True)
-        for x, b, c in product(indices, repeat=3):
-            group = _GROUP_OF.get((x > 0, b > 0, c > 0))
-            if group and ok[group] and gamma[x][b][c] != printed[x][b][c]:
-                ok[group] = False
-        matches[scaling] = ok
-        symmetric[scaling] = all(
-            gamma[x][b][c] == (ratio[x > 0] * gamma[x][c][b] if b == 0
-                               else gamma[x][c][b])
-            for x, b in product(indices, repeat=2) for c in indices[b + 1:])
-
-    # the recovery relation over the base phase -i: lam Gamma[i][j][0] and
-    # lam Gamma[i][0][c] are minus and plus their reals, K_c = i k_c, and
-    # the last factor is K_j (corrected) or K_i (as printed)
-    k, p = [v.im for v in tm.k_log], printed
+    for scaling, sigma in (("printed", 1), ("potential", -1)):
+        mixed = all(w[j][i + 1][0] == -2 * sigma * det * (i == j)
+                    for i, j in pairs)
+        matches[scaling] = {
+            "base": base, "mixed": mixed,
+            "fibre-upper": all(sigma * v == r for v, r in upper),
+            "zeros": sigma < 0 and zeros}   # printed: Gamma[0][0][0] = -1/lam
+        # Gamma[x][c+1][0] against Gamma[x][0][c+1]: mixed under E, 0 printed
+        symmetric[scaling] = swapped and (mixed if sigma < 0 else all(
+            w[c][x + 1][0] == 0 for x, c in pairs))
+    # the recovery relation on the potential array, read as m = j or m = i
     relation = {reading: all(
-        p[i + 1][j + 1][c + 1] - p[i + 1][j + 1][0] * k[c]
-        + p[i + 1][0][c + 1] * k[(j, i)[m]] == -base[i][j][c].im
-        for i, j, c in product(range(n), repeat=3))
+        2 * f * delta * w[j][i + 1][c + 1] - delta * a[c] * w[j][i + 1][0]
+        - 2 * det * delta * (i == c) * a[(j, i)[m]] == 2 * det * u[i][j][c]
+        for i, j, c in triples)
         for m, reading in enumerate(("corrected", "as-printed"))}
-
     mismatches = [(scaling, group) for scaling in matches
                   for group in _GROUPS if not matches[scaling][group]]
     covered = all(any(matches[s][g] for s in matches) for g in _GROUPS)

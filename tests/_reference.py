@@ -57,14 +57,13 @@ lambda-power tables, a `Complex` `invert_rows` of each scaled matrix and the
 integer jet; only lambda and Im t come from the `TildeMetric`.
 
 `reference_christoffel_check` is the fibre connection check as it was
-before the package read each connection array as a real times the phase of
-its index class: the published and direct arrays built in `Complex`, each
-phase written inline or in a per-class table, and the match table, the
-lower-symmetry test and both readings of the recovery relation compared in
-`Complex` arithmetic. `complex_direct_gammas` returns its direct arrays.
-`in_phase` and `phased_direct_gammas` build the `Complex` arrays of the
-package's real connection arrays from `special._phases`, the package
-itself returning none.
+before the package decided it as integer identities in adj B . dB and the
+jet: the published and direct arrays built in `Complex`, each phase written
+inline or in a per-class table, and the match table, the lower-symmetry
+test and both readings of the recovery relation, the latter on the
+potential scaling's direct array, compared in `Complex` arithmetic.
+`complex_gamma_printed` and `complex_direct_gammas` return its published
+and direct arrays; the package itself builds no connection array.
 
 `reference_doc` is the CLI's JSON value of a scalar, point or container as
 the CLI once built it: one recursion per index, every entry read through the
@@ -91,8 +90,7 @@ from kahlercone.cubic import GRID_DEN, GRID_NUM, _check_dimension
 from kahlercone.linalg import _layout, det_adjugate
 from kahlercone.poly import Poly
 from kahlercone.scalars import format_scalar, to_float
-from kahlercone.special import (TildeChristoffelResult, TildeInverseResult,
-                                _direct_gammas, _phases)
+from kahlercone.special import TildeChristoffelResult, TildeInverseResult
 
 
 def reference_inertia(rows):
@@ -617,10 +615,11 @@ def reference_direct_gammas(form, tm):
             for scaling, shift in (("printed", 0), ("potential", 1))}
 
 
-def _complex_gamma_printed(tm, base):
+def complex_gamma_printed(tm, base):
     """The published connection formulas assembled as an (n+1)^3 array,
     from the base Christoffel symbols `base` = i beta and K_i = i k_i, each
-    entry a real times its phase (`special` module docstring).
+    entry a real times i on the base block, lam on the fibre row and 1/lam
+    at the mixed entries.
 
     Index 0 is the fibre direction; entries are symmetric in the lower pair.
     The second mixed derivative of K reduces to -2 Hess f = -2 H / (s l).
@@ -649,15 +648,18 @@ def _complex_gamma_printed(tm, base):
 
 def complex_direct_gammas(tm):
     """{scaling: (n+1)^3 array}: the direct symbols of both scalings of the
-    fibre metric in `Complex`, from the one real array Q (`special` module
-    docstring), R = Q / 2."""
+    fibre metric in `Complex`, from the integers W[q] = adj B . dB_q
+    (`special` module docstring): Gamma[x][q+1][c] is
+    -(i/2) l^(1 - [x>0] + [c>0]) D_x^-1 D_c W[q][x][c] / det B, times
+    J_x J_c under E."""
     n, lam, ij = tm.n, tm.lam, tm.ij
     l, a, h, t = ij.point.l, ij.point.a, ij.point.H.rows(), ij.t._data
     lay = _layout(n)
     delta, adj = det_adjugate(tm.bordered)
     zero, lam_inv, minus_i = Complex(Fraction(0)), 1 / lam, Complex(0, -1)
     # at [x>0][c>0]: l^(1 - [x>0] + [c>0]), and the factors -i D_x^-1 D_c
-    # of R = Q / 2 under the (printed, potential) scalings, D and E
+    # of the real l^(...) W / (2 det B) under the (printed, potential)
+    # scalings, D and E
     lpow = ((l, l * l), (1, l))
     phase = (((minus_i, minus_i), (lam, -lam)),
              ((-lam_inv, lam_inv), (minus_i, minus_i)))
@@ -692,7 +694,7 @@ def reference_christoffel_check(tm):
     """`special.tilde_christoffel_check` in `Complex` arithmetic (module
     docstring)."""
     n, base = tm.n, tm.ij.christoffels()
-    printed = _complex_gamma_printed(tm, base)
+    printed = complex_gamma_printed(tm, base)
     direct = complex_direct_gammas(tm)
     matches, symmetric = {}, {}
     indices = range(n + 1)
@@ -706,15 +708,16 @@ def reference_christoffel_check(tm):
         symmetric[scaling] = all(gamma[x][b][c] == gamma[x][c][b]
                                  for x, b, c in product(indices, repeat=3))
 
-    lam, k_log = tm.lam, tm.k_log
+    lam, k_log, potential = tm.lam, tm.k_log, direct["potential"]
     relation = {"corrected": True, "as-printed": True}
-    # lam times the printed mixed symbols, in both lower-index orders
-    mixed = [[lam * v[0] for v in plane[1:]] for plane in printed[1:]]
-    fibre = [[lam * v for v in plane[0][1:]] for plane in printed[1:]]
+    # lam times the potential scaling's mixed symbols, in both lower-index
+    # orders
+    mixed = [[lam * v[0] for v in plane[1:]] for plane in potential[1:]]
+    fibre = [[lam * v for v in plane[0][1:]] for plane in potential[1:]]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lead = printed[i + 1][j + 1][k + 1] - mixed[i][j] * k_log[k]
+                lead = potential[i + 1][j + 1][k + 1] - mixed[i][j] * k_log[k]
                 corrected = lead - fibre[i][k] * k_log[j]
                 literal = lead - fibre[i][k] * k_log[i]
                 if corrected != base[i][j][k]:
@@ -730,21 +733,6 @@ def reference_christoffel_check(tm):
     return TildeChristoffelResult(
         passed=passed, matches=matches, lower_symmetric=symmetric,
         recovery_relation=relation, mismatches=mismatches)
-
-
-def in_phase(gamma, lam):
-    """The `Complex` array of a real connection array of `special`, each
-    entry times the phase of its index class in `special._phases(lam)`."""
-    phases = _phases(lam)
-    return [[[phases[x > 0, b > 0, c > 0] * v for c, v in enumerate(row)]
-             for b, row in enumerate(plane)] for x, plane in enumerate(gamma)]
-
-
-def phased_direct_gammas(tm):
-    """{scaling: (n+1)^3 array}: the package's direct arrays
-    `special._direct_gammas` of both scalings, in `Complex`."""
-    return {scaling: in_phase(gamma, tm.lam) for scaling, gamma
-            in zip(("printed", "potential"), _direct_gammas(tm))}
 
 
 _RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}

@@ -2,6 +2,8 @@
 
 import json
 import re
+
+import pytest
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -205,6 +207,22 @@ def test_empty_point_list_exits_2(capsys):
                            "--points", ";")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "KahlerConeError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--points", "1"], "one of --form or --form-file is required"),
+    (["verify", "--form", "y1*y2^2", "--points", "1,2,3"],
+     "point group '1,2,3' has 3 coordinates, expected 2"),
+    (["verify", "--form", "y1^3"],
+     "no points given: pass --points or --samples"),
+    (["cone-metric", "--form", "y1*y2^2", "--points", "1,1;1,2",
+      "--x", "1,0"], "--x must give one group per point"),
+])
+def test_missing_or_mismatched_inputs_exit_2(capsys, argv, message):
+    code, out = run_inproc(capsys, *argv)
+    assert code == 2 and "Traceback" not in out
+    assert json.loads(out)["error"] == {"type": "KahlerConeError",
+                                        "message": message}
 
 
 def test_verify_with_sampled_points(capsys):

@@ -10,14 +10,14 @@ import sympy
 
 import kahlercone.cubic
 import kahlercone.geometry
-from kahlercone import (Complex, CubicForm, CurvTensor, KahlerConeError,
-                        Membership, NotInCone, Sym3Tensor, SymMatrix,
-                        ZeroVector, affine_curvature_check, affine_metric,
-                        affine_tau, build_tilde_metric, christoffels,
-                        cone_contains, cone_sample, curvature_lhs,
-                        curvature_report, curvature_rhs, inertia,
-                        kahler_metric, norm_function, parse_text, sectional,
-                        verify_identity)
+from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
+                        KahlerConeError, Membership, NotInCone, Sym3Tensor,
+                        SymMatrix, ZeroVector, affine_curvature_check,
+                        affine_metric, affine_tau, build_tilde_metric,
+                        christoffels, cone_contains, cone_sample,
+                        curvature_lhs, curvature_report, curvature_rhs,
+                        inertia, kahler_metric, norm_function, parse_text,
+                        sectional, verify_identity)
 from kahlercone.geometry import _integer_jet
 from kahlercone.linalg import _layout
 from _reference import (dense_sides, fd_curvature_lhs, float_oracle_errors,
@@ -469,6 +469,20 @@ def test_verify_empty_is_rejected():
     f = parse_text("y1^3", 1)
     with pytest.raises(KahlerConeError):
         verify_identity(f, [], mode="exact")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda f: curvature_report(f, [F(1)], convention="flipped"),
+     ValueError, "unknown convention 'flipped'"),
+    (lambda f: verify_identity(f, [(F(1),)], mode="rounded"),
+     ValueError, "unknown mode 'rounded'"),
+    (lambda f: sectional(f, [F(1)], [F(1), F(0)]),
+     DimensionMismatch, "direction length does not match the form"),
+    (lambda f: cone_sample(f, 0, seed=1), ValueError, "count must be >= 1"),
+])
+def test_library_guards_reject_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call(parse_text("y1^3", 1))
 
 
 def test_verify_negated_convention_fails():

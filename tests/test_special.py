@@ -20,8 +20,9 @@ from kahlercone import (Complex, CubicForm, DimensionMismatch, NotInCone,
 from kahlercone.cli import main
 from kahlercone.geometry import _IntegerJet
 
-from _reference import (hermitian_inertia, in_phase, invert, invert_rows,
-                        phased_direct_gammas, reference_hessian)
+from _reference import (complex_direct_gammas, complex_gamma_printed,
+                        hermitian_inertia, invert, invert_rows,
+                        reference_hessian)
 from _util import (counting, random_cubic_with_cone, random_fraction,
                    suite_forms)
 
@@ -201,7 +202,7 @@ def test_int_lambda_keeps_every_entry_exact():
             want = build_tilde_metric(form, t_exact, same)
             inv, want_inv = map(tilde_inverse_check, (tm, want))
             arrays = [tm.gtilde, tm.gtilde_inv_stated, inv.product,
-                      *phased_direct_gammas(tm).values(),
+                      *complex_direct_gammas(tm).values(),
                       [tm.lam, *tm.t, *tm.y]]
             assert arrays[:3] == [want.gtilde, want.gtilde_inv_stated,
                                   want_inv.product]
@@ -272,7 +273,7 @@ def test_christoffel_mixed_formula_under_potential_scaling():
         form = parse_text(text, len(t))
         lam = random_fraction(rng, nonzero=True)
         tm = build_tilde_metric(form, t, lam)
-        direct = phased_direct_gammas(tm)["potential"]
+        direct = complex_direct_gammas(tm)["potential"]
         n = form.n
         for i in range(n):
             for j in range(n):
@@ -295,8 +296,9 @@ def test_christoffel_base_formula_matches_both_scalings():
 
 
 def test_recovery_relation_readings():
-    # the corrected index reading holds by construction; the literal one
-    # holds exactly when every K_i is equal (always at n = 1)
+    # on the differentiated potential array the corrected index reading
+    # holds wherever the base and mixed formulas do; the literal one also
+    # needs every K_i equal (always at n = 1)
     both = {"corrected": True, "as-printed": True}
     corrected = {"corrected": True, "as-printed": False}
     for text, t, lam, want in (
@@ -437,7 +439,7 @@ def _pair(z):
 def test_direct_christoffels_match_sympy_oracle():
     # guards the coefficient gradients and the potential transposition,
     # which the match table only reports as booleans; the non-integer
-    # points (l > 1) guard each power of l in the array Q
+    # points (l > 1) guard each power of l in W (`special` module docstring)
     for text, y in (("y1^3", [1]), ("y1^3", [F(2, 3)]),
                     ("y1*y2^2", [1, 1]), ("y1*y2^2", [F(1, 2), F(3, 4)]),
                     ("y1*y2*y3", [1, 2, 3]),
@@ -446,7 +448,7 @@ def test_direct_christoffels_match_sympy_oracle():
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
                                     lam)
-            direct = phased_direct_gammas(tm)
+            direct = complex_direct_gammas(tm)
             want = _sympy_direct(text, y, lam)
             for scaling, gamma in direct.items():
                 assert _pairs(gamma) == want[scaling], (text, lam, scaling)
@@ -455,8 +457,8 @@ def test_direct_christoffels_match_sympy_oracle():
 def test_printed_side_matches_sympy_oracle():
     # the published gtilde, stated inverse and connection, exactly, at real
     # and non-real lambda: the printed phases lam^-1, lambar^-1 and |lam|^-2,
-    # the calibrated inverse placement and the connection's real array read
-    # through the phase table are pinned entry by entry
+    # the calibrated inverse placement and the published connection of the
+    # `Complex` oracle are pinned entry by entry
     for text, y in (("y1^3", [1]), ("y1^3", [F(2, 3)]),
                     ("y1*y2^2", [1, 1]), ("y1*y2^2", [F(1, 2), F(3, 4)]),
                     ("y1*y2*y3", [1, 2, 3]),
@@ -465,9 +467,7 @@ def test_printed_side_matches_sympy_oracle():
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
                                     lam)
-            printed = in_phase(
-                kahlercone.special._gamma_printed(tm, tm.ij.christoffels()),
-                tm.lam)
+            printed = complex_gamma_printed(tm, tm.ij.christoffels())
             want = _sympy_printed_side(text, y, lam)
             for got, expected in zip((tm.gtilde, tm.gtilde_inv_stated,
                                       printed), want):
@@ -510,4 +510,4 @@ def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
                  "--lam", "1/2"]) == 0
     capsys.readouterr()
     assert (calls["_integer_jet"], calls["christoffels"],
-            calls["invert"]) == (1, 1, 0)
+            calls["invert"]) == (1, 0, 0)
