@@ -147,9 +147,8 @@ def _leaf_order(kind, n) -> tuple:
 
 
 def _doc(x, mode="exact"):
-    """JSON value of a scalar (None stays None), or nested lists of them for
-    a point, rows or a Christoffel array, or the `PackedArray` of a container
-    (module docstring)."""
+    """JSON value of a scalar (None stays None), the `PackedArray` of a
+    container (module docstring), or a list of these, nested or not."""
     if isinstance(x, (list, tuple)):
         return [_doc(v, mode) for v in x]
     if x is None:
@@ -213,13 +212,14 @@ def _cone_sample_point(args, form, y):
 
 
 def _metric_point(args, form, y):
-    ij = _integer_jet(form, y)
-    doc = functools.partial(_doc, mode=args.mode)
-    entry = {"y": doc(y), "g": doc(ij.g), "gInv": doc(ij.ginv)}
+    ij, doc = _integer_jet(form, y), functools.partial(_doc, mode=args.mode)
+    # each stored entry formatted once, then spread over the rows
+    g, ginv = (SymMatrix(form.n, doc(m._data)).rows() for m in (ij.g, ij.ginv))
+    entry = {"y": doc(y), "g": g, "gInv": ginv}
     if args.mode == "exact":
         # _integer_jet proved M, a positive multiple of g, positive definite
         entry["inertia"] = [form.n, 0, 0]
-    return entry, f"y={entry['y']}: g={entry['g'].tolist()}", None
+    return entry, f"y={entry['y']}: g={entry['g']}", None
 
 
 def _curvature_point(args, form, y):

@@ -1,14 +1,15 @@
 """Homogeneous cubic forms: parsing, calculus, and index-cone membership.
 
 A form is stored once, as a map from exponent vectors (summing to 3) to
-exact rational coefficients; its constant tensor of third partials and an
-integer multiple of it are built on first use. A point is cleared to
-Python ints in two steps: `_clear` gives the value F, and `_cleared` the
-Hessian, gradient and cleared metric M at any sign of F, which decide
-index-cone membership and are the integers the exact metric jet is built
-from; the sampler builds them only where F > 0. `_point` reads a float as
-the exact rational it stores; `evaluate` and `hessian` divide its F and H
-once, the one calculus of f (the tests' oracle evaluates the monomials).
+exact rational coefficients; on first use it builds its one integer tensor
+t = s f3 (f3 the third partials, s = 6 lcm of the coefficient denominators),
+and `third_tensor` is t / s. A point is cleared to Python ints in two steps:
+`_clear` gives the value F, and `_cleared` the Hessian, gradient and cleared
+metric M at any sign of F, which decide index-cone membership and are the
+integers the exact metric jet is built from; the sampler builds them only
+where F > 0. `_point` reads a float as the exact rational it stores;
+`evaluate` and `hessian` divide its F and H once, the one calculus of f
+(the tests' oracle evaluates the monomials).
 Only homogeneous cubics are accepted: the norm-function identity and the
 cone structure both rest on Euler's relation, which fails otherwise.
 
@@ -115,40 +116,31 @@ class CubicForm:
         self._int_f3 = None
         self._text = None
 
-    def _third_partials(self):
-        """(q, (i, j, k), prod(e_i!)) per monomial q*y^e, i <= j <= k the
-        index multiset that e counts: the monomial's one nonzero third
-        partial is q * prod(e_i!), at (i, j, k)."""
-        for exp, coeff in self.monomials.items():
-            idx = tuple(i for i, e in enumerate(exp) for _ in range(e))
-            yield coeff, idx, math.prod(map(math.factorial, exp))
-
     @property
     def third_tensor(self) -> Sym3Tensor:
-        """Constant tensor of third partials; f = (1/6) sum f3[i,j,k] yi yj yk
-        (`_third_partials`)."""
+        """Constant tensor of third partials, f = (1/6) sum f3[i,j,k] yi yj yk:
+        t / s of `_integer_third`, built on first use."""
         if self._f3 is None:
-            self._f3 = Sym3Tensor.zeros(self.n)
-            for q, idx, weight in self._third_partials():
-                self._f3[idx] = q * weight
+            s, t, _, _ = self._integer_third()
+            self._f3 = t.scale(Fraction(1, s))
         return self._f3
 
     def _integer_third(self):
         """(s, t, rows, terms): s = 6c, c > 0 the lcm of the coefficient
-        denominators; t the integer Sym3Tensor s * f3, the third-derivative
-        tensor of the integer cubic s*f, built on ints from the monomials;
-        for each SymMatrix slot (i, j), in packed order, the row
-        t[i, j, 0..n-1], so that the Hessian of s*f at an integer z is the
-        integer SymMatrix of rows . z; and per monomial w z_i z_j z_k
-        (i <= j <= k) of s*f, (w, SymMatrix slot of (i, j), k): t[i, j, k]
-        with its multinomial weight baked in."""
+        denominators; t = s * f3, the integer third-derivative tensor of s*f,
+        whose monomial q*y^e has q * prod(e_i!) at the multiset e counts; per
+        SymMatrix slot (i, j), in packed order, the row t[i, j, 0..n-1], so
+        the Hessian of s*f at an integer z is the integer SymMatrix of
+        rows . z; and per monomial w z_i z_j z_k (i <= j <= k) of s*f,
+        (w, SymMatrix slot of (i, j), k): t[i, j, k], its weight baked in."""
         if self._int_f3 is None:
             n, lay = self.n, _layout(self.n)
             s = 6 * math.lcm(*[v.denominator for v in self.monomials.values()])
             t, terms = Sym3Tensor(n, [0] * Sym3Tensor._size(n)), []
-            for q, (i, j, k), weight in self._third_partials():
+            for exp, q in self.monomials.items():
+                i, j, k = (v for v, e in enumerate(exp) for _ in range(e))
                 w = s // q.denominator * q.numerator
-                t[i, j, k] = w * weight
+                t[i, j, k] = w * math.prod(map(math.factorial, exp))
                 terms.append((w, lay.slot[i][j], k))
             rows = [[t._data[p] for p in slots] for slots in lay.pair_triples]
             self._int_f3 = (s, t, rows, terms)
@@ -362,6 +354,9 @@ class Cleared(NamedTuple):
     def f(self) -> Fraction:
         return Fraction(self.F, self.s * self.l**3)
 
+    # the point as `_point` read it, z / l
+    y = property(lambda self: tuple(Fraction(v, self.l) for v in self.z))
+
 
 def _clear(form: CubicForm, pairs):
     """(l, z, F) of `Cleared`, with no Hessian, at the rational point y given
@@ -434,6 +429,7 @@ def cone_contains(form: CubicForm, y) -> Membership:
     everything else. Floats are never accepted here; membership is a
     boundary-sensitive decision and is only made exactly, on integers.
     """
+    y = tuple(y)                # read once: y may be an iterator
     if any(isinstance(v, float) for v in y):
         raise TypeError("cone membership needs exact rational coordinates; "
                         "pass Fractions, ints, or 'p/q' strings")

@@ -67,7 +67,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .cubic import Cleared, CubicForm, Membership, _classify
 from .errors import DimensionMismatch, KahlerConeError, NotInCone, ZeroVector
@@ -148,12 +148,12 @@ class _IntegerJet(NamedTuple):
                          d2g=self.E.scale(Fraction(l**4, 4 * F**4)),
                          ginv=self.ginv)
 
-    def christoffels(self):
-        """gamma[i][j][k] = -(i/2) sum_l ginv[i,l] dg[l,k,j], purely
-        imaginary and symmetric in j, k (module docstring)."""
+    def christoffels(self) -> list:
+        """Gamma[i][j,k] = -(i/2) sum_l ginv[i,l] dg[l,j,k], purely imaginary,
+        as n packed `SymMatrix`, one per i (module docstring)."""
         l, den = self.point.l, 2 * self.point.F * self.delta
         return [SymMatrix(u.n, [Complex(Fraction(0), Fraction(-l * v, den))
-                                for v in u._data]).rows()
+                                for v in u._data])
                 for u in raise_index(self.Dg, self.adj)]
 
     def lhs(self, convention: str) -> CurvTensor:
@@ -185,8 +185,7 @@ def _integer_jet(form: CubicForm, y) -> _IntegerJet:
     """The integer jet at an exact interior point y; NotInCone elsewhere."""
     verdict, _, point = _classify(form, y)
     if verdict is not Membership.INTERIOR:
-        read = [Fraction(v, point.l) for v in point.z]  # y as `_point` reads it
-        raise NotInCone(f"point {format_point(read)} is not interior")
+        raise NotInCone(f"point {format_point(point.y)} is not interior")
     return _jet(form, point)
 
 
@@ -239,9 +238,9 @@ def curvature_rhs(form: CubicForm, y) -> CurvTensor:
     return ij.rhs().scale(ij.side_scale)
 
 
-def christoffels(form: CubicForm, y):
-    """Christoffel symbols of the cone metric (`_IntegerJet.christoffels`)."""
-    return _integer_jet(form, y).christoffels()
+def christoffels(form: CubicForm, y) -> list:
+    """Christoffel symbols gamma[i][j][k] (`_IntegerJet.christoffels`)."""
+    return [m.rows() for m in _integer_jet(form, y).christoffels()]
 
 
 def _quadratic(packed, x):
@@ -282,7 +281,7 @@ class CurvatureReport:
     y: tuple
     potential_arg: object              # N = 8 f(y)
     yukawa: Sym3Tensor                 # (1/2) f3, the special-geometry cubic
-    christoffel: list
+    christoffel: list                  # n SymMatrix, Gamma[i][j,k]
     lhs: CurvTensor
     rhs: CurvTensor
     residual: CurvTensor
@@ -300,13 +299,13 @@ def curvature_report(form: CubicForm, y,
     rhs, residual = ((rhs.scale(c), residual.scale(c)) if worst else
                      (CurvTensor(form.n, lhs._data), CurvTensor(form.n)))
     return CurvatureReport(
-        y=tuple(map(Fraction, y)), potential_arg=8 * ij.point.f,
+        y=ij.point.y, potential_arg=8 * ij.point.f,
         yukawa=form.third_tensor.scale(Fraction(1, 2)),
         christoffel=ij.christoffels(), lhs=lhs, rhs=rhs, residual=residual,
         max_abs_residual=c * worst, convention=convention)
 
 
-def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
+def verify_identity(form: CubicForm, points: Iterable, mode: str = "exact",
                     convention: str = "standard",
                     seed: Optional[int] = None) -> VerificationSummary:
     """Check the curvature identity at each point and summarize.
@@ -315,19 +314,16 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
     passes when it is exactly zero. Exact mode reports the maximum
     |residual| as a Fraction. Float mode reports the point, that maximum and
     the maximum relative to the larger of the two sides, each rounded once
-    to binary64 by `to_float`. An empty point list is an error, never a
-    vacuous pass.
+    to binary64 by `to_float`. The points and each point are read once, so
+    iterators serve; no points at all is an error, never a vacuous pass.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not points:
-        raise KahlerConeError("no points to verify")
     start = time.perf_counter()
     results = []
     for y in points:
-        y = tuple(map(Fraction, y))
         ij = _integer_jet(form, y)
-        lhs, rhs = ij.lhs(convention), ij.rhs()
+        y, lhs, rhs = ij.point.y, ij.lhs(convention), ij.rhs()
         worst = (lhs - rhs).max_abs()
         max_abs, rel = worst * ij.side_scale, None
         if mode == "float":
@@ -340,6 +336,8 @@ def verify_identity(form: CubicForm, points: Sequence, mode: str = "exact",
         results.append(PointResult(y=y, verdict=verdict,
                                    max_abs_residual=max_abs,
                                    max_rel_residual=rel))
+    if not results:
+        raise KahlerConeError("no points to verify")
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     overall = "PASS" if all(r.verdict == "PASS" for r in results) else "FAIL"

@@ -18,12 +18,13 @@ JSON text of each stored entry, encoded once, and the leaf order, the stored
 slot that each leaf of the nested array shows, in row-major order.
 `render_json` writes it by filling a skeleton of the nested array, built for
 (n, rank, indentation) with one "%s" per leaf, by one `%`; the skeleton
-costs microseconds and is built per write.
+costs microseconds and is built per write. It is only written, never read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Optional, Sequence
@@ -91,14 +92,6 @@ class PackedArray:
         self.texts, self.order = _scalar_texts(values), order
         self.n, self.rank = n, rank
 
-    def tolist(self) -> list:
-        """The nested lists of the array."""
-        values = json.loads("[" + ",".join(self.texts) + "]")
-        leaves, n = [values[s] for s in self.order], self.n
-        for _ in range(self.rank - 1):
-            leaves = [leaves[k:k + n] for k in range(0, len(leaves), n)]
-        return leaves
-
 
 def _skeleton(n: int, rank: int, pad: str) -> str:
     """The text of a dense n^rank array at indentation pad, "%s" per leaf."""
@@ -110,10 +103,12 @@ def _skeleton(n: int, rank: int, pad: str) -> str:
 
 
 def _scalar_texts(x):
-    """json.dumps's text of each item of the list x, from one encoder call,
-    when the items are all str or all non-str scalars; else None."""
+    """json.dumps's text of each item of the list x, when the items are all
+    str or all non-str scalars (a finite float's is its repr); else None."""
     if (kinds := set(map(type, x))) == {str}:
         return list(map(encode_basestring, x))
+    if kinds == {float} and all(map(math.isfinite, x)):
+        return list(map(float.__repr__, x))
     if kinds <= {int, float, bool, type(None)}:
         # json's own items: with no str among them, none holds a ", "
         return json.dumps(x)[1:-1].split(", ")

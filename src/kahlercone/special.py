@@ -204,8 +204,7 @@ class TildeMetric:
     lam: Complex
     y: tuple                 # Im t
     norm_value: object       # K = 8 f(y)
-    k_log: tuple             # K_i = d/dt_i log K, purely imaginary
-    ij: _IntegerJet          # the integer jet every entry is read from
+    ij: _IntegerJet          # every entry, and k = -l a / (2F), read from it
     bordered: SymMatrix      # B = [[4F, 2a^T], [2a, H]], on ints
     stated: SymMatrix        # C, the cleared stated inverse, on ints
 
@@ -254,10 +253,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
     F, a, adj = ij.point.F, ij.point.a, ij.adj.rows()
     adj_a = [sum(map(mul, r, a)) for r in adj]
     return TildeMetric(
-        n=form.n, t=t, lam=lam, y=y, norm_value=8 * ij.point.f,
-        k_log=tuple(Complex(Fraction(0), Fraction(-ij.point.l * v, 2 * F))
-                    for v in a),                 # K_i = i k_i, k = -l a / 2F
-        ij=ij,
+        n=form.n, t=t, lam=lam, y=y, norm_value=8 * ij.point.f, ij=ij,
         bordered=_bordered(4 * F, [2 * v for v in a], ij.point.H.rows()),
         stated=_bordered(ij.delta - sum(map(mul, a, adj_a)),
                          [2 * F * v for v in adj_a],

@@ -615,17 +615,24 @@ def reference_direct_gammas(form, tm):
             for scaling, shift in (("printed", 0), ("potential", 1))}
 
 
+def k_log(tm):
+    """K_i = d/dt_i log K = i k_i, k = -l a / (2F) of the cleared point."""
+    point = tm.ij.point
+    return [Complex(Fraction(0), Fraction(-point.l * v, 2 * point.F))
+            for v in point.a]
+
+
 def complex_gamma_printed(tm, base):
     """The published connection formulas assembled as an (n+1)^3 array,
-    from the base Christoffel symbols `base` = i beta and K_i = i k_i, each
-    entry a real times i on the base block, lam on the fibre row and 1/lam
-    at the mixed entries.
+    from the base Christoffel symbols `base` = i beta (nested lists) and
+    K_i = i k_i (`k_log`), each entry a real times i on the base block, lam
+    on the fibre row and 1/lam at the mixed entries.
 
     Index 0 is the fibre direction; entries are symmetric in the lower pair.
     The second mixed derivative of K reduces to -2 Hess f = -2 H / (s l).
     """
     n, lam, point = tm.n, tm.lam, tm.ij.point
-    k = [v.im for v in tm.k_log]
+    k = [v.im for v in k_log(tm)]
     beta = [[[v.im for v in r] for r in plane] for plane in base]
     hess = Fraction(2, point.s * point.l) / tm.norm_value
     zero, lam_inv = Complex(Fraction(0)), 1 / lam
@@ -693,7 +700,7 @@ _REF_GROUP_OF = {(1, 1, 1): "base", (1, 1, 0): "mixed",
 def reference_christoffel_check(tm):
     """`special.tilde_christoffel_check` in `Complex` arithmetic (module
     docstring)."""
-    n, base = tm.n, tm.ij.christoffels()
+    n, base = tm.n, [m.rows() for m in tm.ij.christoffels()]
     printed = complex_gamma_printed(tm, base)
     direct = complex_direct_gammas(tm)
     matches, symmetric = {}, {}
@@ -708,7 +715,7 @@ def reference_christoffel_check(tm):
         symmetric[scaling] = all(gamma[x][b][c] == gamma[x][c][b]
                                  for x, b, c in product(indices, repeat=3))
 
-    lam, k_log, potential = tm.lam, tm.k_log, direct["potential"]
+    lam, log_k, potential = tm.lam, k_log(tm), direct["potential"]
     relation = {"corrected": True, "as-printed": True}
     # lam times the potential scaling's mixed symbols, in both lower-index
     # orders
@@ -717,9 +724,9 @@ def reference_christoffel_check(tm):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lead = potential[i + 1][j + 1][k + 1] - mixed[i][j] * k_log[k]
-                corrected = lead - fibre[i][k] * k_log[j]
-                literal = lead - fibre[i][k] * k_log[i]
+                lead = potential[i + 1][j + 1][k + 1] - mixed[i][j] * log_k[k]
+                corrected = lead - fibre[i][k] * log_k[j]
+                literal = lead - fibre[i][k] * log_k[i]
                 if corrected != base[i][j][k]:
                     relation["corrected"] = False
                 if literal != base[i][j][k]:

@@ -1,5 +1,6 @@
 """Cubic forms: parser, calculus, cone membership, sampling, norm identity."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from kahlercone import (CubicForm, DimensionMismatch, Membership,
                         SamplingExhausted, cone_contains, cone_sample,
                         norm_identity_check, parse_text)
 from kahlercone.poly import Poly
-from _reference import gradient
+from _reference import gradient, poly_third
 from _util import (SUITE_HINTS, mat_vec, random_cubic, random_fraction,
                    random_invertible)
 
@@ -179,7 +180,8 @@ def test_third_tensor_against_sympy():
 
 
 def test_integer_third_is_s_times_third_tensor():
-    # built on ints from the monomials, it is the Fraction tensor scaled by s
+    # built on ints from the monomials, it is s times the third partials of
+    # the `Poly` oracle at every ordered index
     rng = random.Random(29)
     forms = [parse_text(text, len(hint)) for text, hint in SUITE_HINTS.items()]
     forms += [random_cubic(rng, n, num_bound=9, den_bound=12)
@@ -188,7 +190,9 @@ def test_integer_third_is_s_times_third_tensor():
     for form in forms:
         s, t, rows, terms = form._integer_third()
         assert all(type(v) is int for v in t._data)
-        assert t._data == [s * v for v in form.third_tensor._data]
+        assert s == 6 * math.lcm(*[q.denominator
+                                   for q in form.monomials.values()])
+        assert all(t[idx] == s * v for idx, v in poly_third(form).items())
         assert [w for w, _, _ in terms] == [s * q for q in
                                              form.monomials.values()]
 

@@ -287,9 +287,11 @@ def test_integer_christoffels_match_fraction_raise_index(seed, n):
     jet = ij.jet()
     want = [[[Complex(F(0), -v / 2) for v in row] for row in u.rows()]
             for u in raise_index(jet.dg, jet.ginv)]
-    assert ij.christoffels() == want
+    packed = ij.christoffels()
+    assert all(type(m) is SymMatrix for m in packed)
+    assert [m.rows() for m in packed] == want
     assert christoffels(form, y) == want
-    assert curvature_report(form, y).christoffel == want
+    assert curvature_report(form, y).christoffel == packed
 
 
 def test_each_curvature_side_builds_only_itself(monkeypatch, capsys):

@@ -413,7 +413,7 @@ def test_christoffel_product_form_vanishing_mixed():
     form, y = parse_text("y1*y2*y3 + y4^3", 4), [F(2), F(2), F(2), F(-1)]
     jet = kahler_metric(form, y)
     minus_half_i = Complex(F(0), F(-1, 2))
-    assert _integer_jet(form, y).christoffels() == [[[
+    assert christoffels(form, y) == [[[
         minus_half_i * sum(jet.ginv[i, l] * jet.dg[l, k, j] for l in range(4))
         for k in range(4)] for j in range(4)] for i in range(4)]
 
@@ -469,6 +469,24 @@ def test_verify_empty_is_rejected():
     f = parse_text("y1^3", 1)
     with pytest.raises(KahlerConeError):
         verify_identity(f, [], mode="exact")
+
+
+def test_point_arguments_are_read_once():
+    # an iterator is read once: no points of any type are an error, never a
+    # vacuous pass, and the echoed point and the verdict are those of y
+    form = parse_text("y1*y2*y3 + y4^3", 4)
+    y = (F(2), F(2), F(2), F(-1))
+    for empty in ([], (), iter([]), (p for p in [])):
+        with pytest.raises(KahlerConeError):
+            verify_identity(form, empty)
+    for fn in (curvature_report, cone_contains):
+        with pytest.raises(KahlerConeError):
+            fn(form, iter([]))
+    summary = verify_identity(form, (iter(p) for p in [y, y]))
+    assert [p.y for p in summary.points] == [y, y]
+    assert summary.overall == "PASS"
+    assert curvature_report(form, (v for v in y)).y == y
+    assert cone_contains(form, (v for v in y)) is Membership.INTERIOR
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import sympy
 
-from kahlercone import (Complex, CurvTensor, DimensionMismatch, Sym3Tensor,
-                        SymMatrix, contract, inertia)
+from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
+                        Sym3Tensor, SymMatrix, contract, inertia, parse_text)
 from kahlercone.linalg import _charpoly, _layout, det_adjugate
 
 from _reference import (SingularMatrix, hermitian_inertia, identity_rows,
@@ -355,3 +355,31 @@ def test_curvtensor_subtraction_and_max_abs():
     d = a - b
     assert d[0, 0, 0, 0] == F(1, 2)
     assert d.max_abs() == F(1, 2)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: SymMatrix.from_rows([[1, 2], [2]]),
+     (DimensionMismatch, "ragged rows")),
+    (lambda: SymMatrix.from_rows([[1, 2], [3, 4]]),
+     (ValueError, r"entries \(0,1\) and \(1,0\) differ")),
+    (lambda: CurvTensor(2) - CurvTensor(3),
+     (DimensionMismatch, "tensor dimensions differ")),
+    (lambda: parse_text("y1*y2^2", 2).pullback([[1, 0], [0, 1], [1, 1]]),
+     (DimensionMismatch, "matrix shape does not match the form")),
+    (lambda: parse_text("y1*y2^2", 2).pullback([[1, 0], [0, 1, 1]]),
+     (DimensionMismatch, "matrix shape does not match the form")),
+    (lambda: CubicForm(2, {}).to_text(), "0"),
+    (lambda: repr(CubicForm(2, {(1, 2): 0})), "CubicForm(2, '0')"),
+    (lambda: Complex.of("x"), (TypeError, "cannot build Complex from str")),
+], ids=["ragged-rows", "asymmetric-rows", "curvtensor-dimensions",
+        "pullback-non-square", "pullback-ragged", "zero-form-text",
+        "zero-form-repr", "complex-of-str"])
+def test_rarely_reached_guards(call, expected):
+    # malformed containers, forms and scalars are refused with a message,
+    # and the zero form prints as "0"
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error, match=message):
+            call()
+    else:
+        assert call() == expected

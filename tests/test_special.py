@@ -118,7 +118,9 @@ def test_tilde_worked_values_univariate():
     f = parse_text("y1^3", 1)
     tm = build_tilde_metric(f, [I], F(1))
     assert tm.norm_value == 8
-    assert tm.k_log[0] == Complex(F(0), F(-3, 2))
+    # k = -l a / (2F), K_1 = i k_1 = -(i/2) d/dy log y^3 = -3i/2 at y = 1
+    point = tm.ij.point
+    assert F(-point.l * point.a[0], 2 * point.F) == F(-3, 2)
     assert tm.gtilde[0][0] == 8
     assert tm.gtilde[0][1] == Complex(F(0), F(-12))
     assert tm.gtilde[1][0] == Complex(F(0), F(12))
@@ -467,7 +469,8 @@ def test_printed_side_matches_sympy_oracle():
         for lam in (Complex(F(3, 2)), Complex(F(3, 5), F(4, 5))):
             tm = build_tilde_metric(form, [Complex(F(0), F(v)) for v in y],
                                     lam)
-            printed = complex_gamma_printed(tm, tm.ij.christoffels())
+            printed = complex_gamma_printed(
+                tm, [m.rows() for m in tm.ij.christoffels()])
             want = _sympy_printed_side(text, y, lam)
             for got, expected in zip((tm.gtilde, tm.gtilde_inv_stated,
                                       printed), want):
