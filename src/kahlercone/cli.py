@@ -212,14 +212,15 @@ def _cone_sample_point(args, form, y):
 
 
 def _metric_point(args, form, y):
-    ij, doc = _integer_jet(form, y), functools.partial(_doc, mode=args.mode)
-    # each stored entry formatted once, then spread over the rows
-    g, ginv = (SymMatrix(form.n, doc(m._data)).rows() for m in (ij.g, ij.ginv))
-    entry = {"y": doc(y), "g": g, "gInv": ginv}
+    ij, n = _integer_jet(form, y), form.n
+    doc = functools.partial(_doc, mode=args.mode)
+    g = doc(ij.g._data)     # formatted once, for the JSON and the text line
+    entry = {"y": doc(y), "g": PackedArray(g, _leaf_order(SymMatrix, n), n, 2),
+             "gInv": doc(ij.ginv)}
     if args.mode == "exact":
         # _integer_jet proved M, a positive multiple of g, positive definite
-        entry["inertia"] = [form.n, 0, 0]
-    return entry, f"y={entry['y']}: g={entry['g']}", None
+        entry["inertia"] = [n, 0, 0]
+    return entry, f"y={entry['y']}: g={SymMatrix(n, g).rows()}", None
 
 
 def _curvature_point(args, form, y):

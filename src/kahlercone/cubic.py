@@ -91,7 +91,7 @@ class ConePoint:
 class CubicForm:
     """A homogeneous cubic f in n variables with exact rational coefficients."""
 
-    __slots__ = ("n", "monomials", "_f3", "_int_f3", "_text")
+    __slots__ = ("n", "monomials", "_int_f3", "_text")
 
     def __init__(self, n, monomials):
         _check_dimension(n)
@@ -112,18 +112,15 @@ class CubicForm:
             clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.monomials = {e: c for e, c in sorted(clean.items(), reverse=True)
                           if c != 0}
-        self._f3 = None
         self._int_f3 = None
         self._text = None
 
     @property
     def third_tensor(self) -> Sym3Tensor:
         """Constant tensor of third partials, f = (1/6) sum f3[i,j,k] yi yj yk:
-        t / s of `_integer_third`, built on first use."""
-        if self._f3 is None:
-            s, t, _, _ = self._integer_third()
-            self._f3 = t.scale(Fraction(1, s))
-        return self._f3
+        t / s of `_integer_third`, built per read."""
+        s, t, _, _ = self._integer_third()
+        return t.scale(Fraction(1, s))
 
     def _integer_third(self):
         """(s, t, rows, terms): s = 6c, c > 0 the lcm of the coefficient
@@ -354,8 +351,10 @@ class Cleared(NamedTuple):
     def f(self) -> Fraction:
         return Fraction(self.F, self.s * self.l**3)
 
-    # the point as `_point` read it, z / l
-    y = property(lambda self: tuple(Fraction(v, self.l) for v in self.z))
+    @property
+    def y(self) -> tuple:
+        """The point as `_point` read it, z / l."""
+        return tuple(Fraction(v, self.l) for v in self.z)
 
 
 def _clear(form: CubicForm, pairs):

@@ -291,7 +291,7 @@ class CurvatureReport:
 
 def curvature_report(form: CubicForm, y,
                      convention: str = "standard") -> CurvatureReport:
-    ij = _integer_jet(form, y)
+    ij, (s, t, _, _) = _integer_jet(form, y), form._integer_third()
     lhs, rhs, c = ij.lhs(convention), ij.rhs(), ij.side_scale
     residual = lhs - rhs
     worst, lhs = residual.max_abs(), lhs.scale(c)
@@ -300,7 +300,7 @@ def curvature_report(form: CubicForm, y,
                      (CurvTensor(form.n, lhs._data), CurvTensor(form.n)))
     return CurvatureReport(
         y=ij.point.y, potential_arg=8 * ij.point.f,
-        yukawa=form.third_tensor.scale(Fraction(1, 2)),
+        yukawa=t.scale(Fraction(1, 2 * s)),
         christoffel=ij.christoffels(), lhs=lhs, rhs=rhs, residual=residual,
         max_abs_residual=c * worst, convention=convention)
 

@@ -24,7 +24,6 @@ costs microseconds and is built per write. It is only written, never read.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Optional, Sequence
@@ -103,12 +102,10 @@ def _skeleton(n: int, rank: int, pad: str) -> str:
 
 
 def _scalar_texts(x):
-    """json.dumps's text of each item of the list x, when the items are all
-    str or all non-str scalars (a finite float's is its repr); else None."""
+    """json.dumps's text of each item of the list x, from one encoder call,
+    when the items are all str or all non-str scalars; else None."""
     if (kinds := set(map(type, x))) == {str}:
         return list(map(encode_basestring, x))
-    if kinds == {float} and all(map(math.isfinite, x)):
-        return list(map(float.__repr__, x))
     if kinds <= {int, float, bool, type(None)}:
         # json's own items: with no str among them, none holds a ", "
         return json.dumps(x)[1:-1].split(", ")
