@@ -9,9 +9,8 @@ cone-metric inverse and connection formulas, and the norm-function identity
 N = 8 f(Im t)).
 """
 
-from .cubic import (ConePoint, CubicForm, Membership, NormIdentityResult,
-                    cone_contains, cone_sample, norm_identity_check,
-                    parse_text)
+from .cubic import (CubicForm, Membership, NormIdentityResult, cone_contains,
+                    cone_sample, norm_identity_check, parse_text)
 from .errors import (DimensionMismatch, KahlerConeError, NotHomogeneousCubic,
                      NotInCone, ParseError, SamplingExhausted, SingularHessian,
                      ZeroLambda, ZeroVector)
@@ -30,7 +29,7 @@ from .special import (AffineCheckResult, TildeChristoffelResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CubicForm", "ConePoint", "Membership", "NormIdentityResult",
+    "CubicForm", "Membership", "NormIdentityResult",
     "parse_text", "cone_contains", "cone_sample", "norm_identity_check",
     "MetricJet", "CurvatureReport", "kahler_metric", "curvature_lhs",
     "curvature_rhs", "curvature_report", "christoffels", "sectional",

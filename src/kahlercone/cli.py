@@ -20,11 +20,9 @@ function from one point to its JSON entry, its text line and its verdict
 document, the text and the exit code. `_doc` is the one formatter from
 scalars, points and tensors to JSON values, rounded by `scalars.to_float`
 under `--mode float` (every mode computes exactly). A packed container
-becomes a `report.PackedArray`: each stored entry formatted and JSON-encoded
-once, with the container's leaf order, the stored slot that each leaf of
-its nested array shows in row-major order. `_leaf_order` builds that order
-once per (kind, n) from the `_layout` slot tables, and `render_json` fills
-a skeleton of the nested array with it.
+becomes a container of its own class holding its formatted stored entries,
+each formatted once; `render_json` writes it as its dense nested array, and
+`metric`'s text line prints its `.rows()`.
 """
 
 from __future__ import annotations
@@ -35,13 +33,13 @@ import json
 import re
 import sys
 
-from .cubic import (ConePoint, CubicForm, _classify, cone_sample,
-                    norm_identity_check, parse_text)
+from .cubic import (CubicForm, _classify, cone_sample, norm_identity_check,
+                    parse_text)
 from .errors import KahlerConeError
 from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
-from .linalg import CurvTensor, Sym3Tensor, SymMatrix, _layout, _pair_index
-from .report import SCHEMA_VERSION, PackedArray, render_json, render_text
+from .linalg import _Packed
+from .report import SCHEMA_VERSION, render_json, render_text
 from .scalars import Complex, format_scalar, parse_rational, to_float
 from .special import (affine_curvature_check, build_tilde_metric,
                       tilde_christoffel_check, tilde_inverse_check)
@@ -58,7 +56,8 @@ def _load_form(args) -> CubicForm:
                 doc = json.load(fh, parse_float=parse_rational,
                                 parse_constant=parse_rational)
             return CubicForm.from_json_dict(doc)
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError,
+                RecursionError) as exc:
             raise KahlerConeError(f"cannot load form file: {exc}") from exc
     if not args.form:
         raise KahlerConeError("one of --form or --form-file is required")
@@ -128,37 +127,18 @@ def _form_echo(form: CubicForm) -> dict:
     return doc
 
 
-_RANK = {SymMatrix: 2, Sym3Tensor: 3, CurvTensor: 4}
-
-
-@functools.cache
-def _leaf_order(kind, n) -> tuple:
-    """The stored slot each leaf of a kind container's nested array shows,
-    in row-major order, read from the `_layout(n)` slot tables."""
-    lay = _layout(n)
-    cells = [q for row in lay.slot for q in row]      # (i, k)
-    if kind is SymMatrix:
-        return tuple(cells)
-    if kind is Sym3Tensor:
-        return tuple(p for q in cells for p in lay.pair_triples[q])
-    # R[i,j,k,l] sits at slot (slot[i][k], slot[j][l]) of the pair matrix
-    return tuple(_pair_index(a, b) for row_i in lay.slot
-                 for row_j in lay.slot for a in row_i for b in row_j)
-
-
 def _doc(x, mode="exact"):
-    """JSON value of a scalar (None stays None), the `PackedArray` of a
-    container (module docstring), or a list of these, nested or not."""
+    """JSON value of a scalar (None stays None), a packed container of the
+    same class holding the JSON values of its stored entries, or a list of
+    these, nested or not."""
     if isinstance(x, (list, tuple)):
         return [_doc(v, mode) for v in x]
     if x is None:
         return None
-    rank = _RANK.get(type(x))
-    if rank is None:
+    if not isinstance(x, _Packed):
         return format_scalar(to_float(x) if mode == "float" else x)
     data = map(to_float, x._data) if mode == "float" else x._data
-    return PackedArray(list(map(format_scalar, data)),
-                       _leaf_order(type(x), x.n), x.n, rank)
+    return type(x)(x.n, list(map(format_scalar, data)))
 
 
 def _coords(y) -> str:
@@ -214,13 +194,11 @@ def _cone_sample_point(args, form, y):
 def _metric_point(args, form, y):
     ij, n = _integer_jet(form, y), form.n
     doc = functools.partial(_doc, mode=args.mode)
-    g = doc(ij.g._data)     # formatted once, for the JSON and the text line
-    entry = {"y": doc(y), "g": PackedArray(g, _leaf_order(SymMatrix, n), n, 2),
-             "gInv": doc(ij.ginv)}
+    entry = {"y": doc(y), "g": doc(ij.g), "gInv": doc(ij.ginv)}
     if args.mode == "exact":
         # _integer_jet proved M, a positive multiple of g, positive definite
         entry["inertia"] = [n, 0, 0]
-    return entry, f"y={entry['y']}: g={SymMatrix(n, g).rows()}", None
+    return entry, f"y={entry['y']}: g={entry['g'].rows()}", None
 
 
 def _curvature_point(args, form, y):
@@ -247,11 +225,12 @@ def _affine_point(args, form, y):
 def _cone_metric_points(args, form):
     """(t, lambda) per point: t = x + i y, x from --x or 0."""
     points = _points_for(args, form)
-    xs = _parse_points(args.x, form.n) if args.x else [None] * len(points)
+    xs = (_parse_points(args.x, form.n) if args.x
+          else [(0,) * form.n] * len(points))
     if len(xs) != len(points):
         raise KahlerConeError("--x must give one group per point")
     lam = _parse_lambda(args.lam)
-    return [(ConePoint(y, x).complexified(), lam) for y, x in zip(points, xs)]
+    return [(tuple(map(Complex, x, y)), lam) for y, x in zip(points, xs)]
 
 
 def _cone_metric_point(args, form, point):

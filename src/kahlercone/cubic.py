@@ -42,7 +42,6 @@ from .scalars import Complex, format_point, format_scalar
 
 __all__ = [
     "CubicForm",
-    "ConePoint",
     "Membership",
     "NormIdentityResult",
     "parse_text",
@@ -75,17 +74,6 @@ class Membership(enum.Enum):
     INTERIOR = "Interior"
     BOUNDARY = "Boundary"
     OUTSIDE = "Outside"
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    """A real point of the index cone, optionally complexified as x + iy."""
-    y: tuple
-    x: Optional[tuple] = None
-
-    def complexified(self):
-        x = self.x if self.x is not None else (Fraction(0),) * len(self.y)
-        return tuple(Complex(a, b) for a, b in zip(x, self.y))
 
 
 class CubicForm:

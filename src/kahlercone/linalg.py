@@ -7,8 +7,11 @@ orbit's slot, so `m[i, j] == m[j, i]` holds by construction, and each distinct
 entry is computed once. The accessors serve single-entry reads; `build` and the
 kernels instead read the slot tables `_layout(n)` builds once per dimension
 from `_pair_index` and `_triple_index`, the one definition of the packing, and
-loop over the flat `_data` lists. Dimensions stay small here (n of order a
-few), so n^4 kernels are not a concern; the cost is in the scalars. Contraction
+loop over the flat `_data` lists. The leaf order lives here too: `_leaf_order`
+reads the same tables for the stored slot that each leaf of a container's
+dense n^rank array (`_RANK` indices) shows, the order in which
+`report.render_json` writes it. Dimensions stay small here (n of order a few),
+so n^4 kernels are not a concern; the cost is in the scalars. Contraction
 works verbatim over any scalars. `inertia`, `positive_definite` and
 `det_adjugate` are exact only: they work on Python ints, each of whose
 operations costs a small fraction of a `Fraction` one (`inertia` clears the
@@ -93,9 +96,25 @@ def _layout(n) -> _Layout:
         triples=triples, quads=quads, quartets=quartets, orbits=orbits)
 
 
+@functools.cache
+def _leaf_order(kind, n) -> tuple:
+    """The stored slot each leaf of a kind container's dense n^rank array
+    shows, in row-major order, read from the `_layout(n)` slot tables."""
+    lay = _layout(n)
+    cells = [q for row in lay.slot for q in row]      # (i, k)
+    if kind is SymMatrix:
+        return tuple(cells)
+    if kind is Sym3Tensor:
+        return tuple(p for q in cells for p in lay.pair_triples[q])
+    # R[i,j,k,l] sits at slot (slot[i][k], slot[j][l]) of the pair matrix
+    return tuple(_pair_index(a, b) for row_i in lay.slot
+                 for row_j in lay.slot for a in row_i for b in row_j)
+
+
 class _Packed:
     """n and `_data`, one entry per orbit. Subclasses give `_size(n)` in closed
-    form (sizing builds no `_layout`), `_ORBITS` and the accessors."""
+    form (sizing builds no `_layout`), `_ORBITS`, `_RANK` (the number of
+    indices) and the accessors."""
 
     __slots__ = ("n", "_data")
 
@@ -127,6 +146,7 @@ class SymMatrix(_Packed):
 
     __slots__ = ()
     _ORBITS = "pairs"
+    _RANK = 2
 
     @staticmethod
     def _size(n):
@@ -163,6 +183,7 @@ class Sym3Tensor(_Packed):
 
     __slots__ = ()
     _ORBITS = "triples"
+    _RANK = 3
 
     @staticmethod
     def _size(n):
@@ -191,6 +212,7 @@ class CurvTensor(_Packed):
 
     __slots__ = ()
     _ORBITS = "quartets"
+    _RANK = 4
 
     @staticmethod
     def _size(n):

@@ -12,13 +12,13 @@ json.dumps(indent=2, ensure_ascii=False), without the encoder indent forces.
 
 `_dump` appends the pieces of the text to one list, which `render_json`
 joins once, so a large array is not copied again at each enclosing level;
-each list of scalars is one piece, from one join. A `PackedArray` is a dense
-n^rank array of JSON scalars kept as its packed container stores it: the
-JSON text of each stored entry, encoded once, and the leaf order, the stored
-slot that each leaf of the nested array shows, in row-major order.
-`render_json` writes it by filling a skeleton of the nested array, built for
-(n, rank, indentation) with one "%s" per leaf, by one `%`; the skeleton
-costs microseconds and is built per write. It is only written, never read.
+each list of scalars is one piece, from one join. A packed container
+(`linalg.SymMatrix`, `Sym3Tensor` or `CurvTensor`) whose stored entries are
+JSON scalars is written as its dense n^rank array: each stored entry is
+encoded once, and a skeleton of the nested array, built for (n, rank,
+indentation) with one "%s" per leaf, is filled by one `%` in the
+container's leaf order (`linalg._leaf_order`); the skeleton costs
+microseconds and is built per write.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Optional, Sequence
 
+from .linalg import _leaf_order, _Packed
 from .scalars import format_point, format_scalar
 
 SCHEMA_VERSION = 1
 
-__all__ = ["PackedArray", "PointResult", "VerificationSummary", "render_json",
-           "render_text"]
+__all__ = ["PointResult", "VerificationSummary", "render_json", "render_text"]
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,6 @@ class VerificationSummary:
         return doc
 
 
-class PackedArray:
-    """A dense n^rank array of JSON scalars from a packed container: the
-    JSON text of values, one per stored entry, and order, the stored slot of
-    each leaf in row-major order (module docstring)."""
-
-    __slots__ = ("texts", "order", "n", "rank")
-
-    def __init__(self, values: list, order: tuple, n: int, rank: int):
-        self.texts, self.order = _scalar_texts(values), order
-        self.n, self.rank = n, rank
-
-
 def _skeleton(n: int, rank: int, pad: str) -> str:
     """The text of a dense n^rank array at indentation pad, "%s" per leaf."""
     if rank == 0:
@@ -115,9 +103,10 @@ def _scalar_texts(x):
 def _dump(x, pad: str, out: list) -> None:
     """Append the text of x at indentation pad to out (module docstring)."""
     inner, sep = pad + "  ", ",\n  " + pad
-    if isinstance(x, PackedArray):
-        out.append(_skeleton(x.n, x.rank, pad)
-                   % tuple(map(x.texts.__getitem__, x.order)))
+    if isinstance(x, _Packed):
+        texts = _scalar_texts(x._data)
+        out.append(_skeleton(x.n, x._RANK, pad)
+                   % tuple(map(texts.__getitem__, _leaf_order(type(x), x.n))))
     elif (isinstance(x, (list, tuple)) and x
           and (texts := _scalar_texts(x)) is not None):
         out.append(f"[\n{inner}{sep.join(texts)}\n{pad}]")

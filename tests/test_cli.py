@@ -371,6 +371,11 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
                           '[{"exp": [3], "coeff": "1/0"}]}')
     not_a_dict = tmp_path / "not_a_dict.json"
     not_a_dict.write_text("[1]")
+    # nesting past the recursion limit, where json.load raises
+    # RecursionError, at the top and under "monomials"
+    deep = [tmp_path / "deep.json", tmp_path / "deep_monomials.json"]
+    deep[0].write_text("[" * 100000)
+    deep[1].write_text('{"n": 1, "monomials": ' + "[" * 100000)
     # "n" and every exponent must be JSON integers, never truncated: a
     # degree-4 monomial [1.5, 1.5, 1] was once read as y1*y2*y3, and
     # booleans, which Python counts as ints, were read as 0 and 1; no
@@ -404,7 +409,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
                  ("cone", "check", "--form", "y1^3", "--point", "1/0"),
                  ("cone", "sample", "--form", "y1^3", "--hint", "1/0"),
                  ("validate", "--form-file", str(zero_coeff)),
-                 ("validate", "--form-file", str(not_a_dict))):
+                 ("validate", "--form-file", str(not_a_dict)),
+                 ("validate", "--form-file", str(deep[0])),
+                 ("validate", "--form-file", str(deep[1]))):
         code, out = run_inproc(capsys, *argv)
         assert code == 2, argv
         assert "error" in json.loads(out), argv

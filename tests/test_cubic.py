@@ -266,14 +266,6 @@ def test_membership_sum_of_cubes():
     assert cone_contains(f, [F(2), F(-1)]) is Membership.INTERIOR
 
 
-def test_cone_point_complexified():
-    from kahlercone import Complex, ConePoint
-    p = ConePoint(y=(F(1), F(2)), x=(F(3), F(0)))
-    assert p.complexified() == (Complex(F(3), F(1)), Complex(F(0), F(2)))
-    q = ConePoint(y=(F(1),))
-    assert q.complexified() == (Complex(F(0), F(1)),)
-
-
 def test_membership_rejects_floats():
     f = parse_text("y1^3", 1)
     with pytest.raises(TypeError):

@@ -2,8 +2,8 @@
 against `json.dumps(doc, indent=2, ensure_ascii=False)` on random JSON
 values, and the CLI's `_doc` of every packed container kind against the
 per-index recursion it replaced (`_reference.reference_doc`), over int,
-Fraction and Complex entries in both modes: its leaves in row-major order,
-and the bytes `render_json` fills its skeleton with."""
+Fraction and Complex entries in both modes: its stored entries read in
+`linalg._leaf_order`, and the bytes `render_json` writes for it."""
 
 import json
 import math
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlercone import Complex, CurvTensor, Sym3Tensor, SymMatrix
-from kahlercone.cli import _doc, _leaf_order
-from kahlercone.linalg import _layout
+from kahlercone.cli import _doc
+from kahlercone.linalg import _layout, _leaf_order
 from kahlercone.report import render_json
 
 from _reference import reference_doc
@@ -75,10 +75,9 @@ def test_doc_of_packed_containers_matches_the_per_index_recursion(
         x = cls(n, [_entry(kind, k) for k in range(size)])
         got, want = _doc(x, mode), reference_doc(x, mode)
         flat = want
-        for _ in range(got.rank - 1):
+        for _ in range(cls._RANK - 1):
             flat = [v for row in flat for v in row]
-        assert [json.loads(got.texts[s]) for s in got.order] == flat, \
-            (n, mode)
+        assert [got._data[s] for s in _leaf_order(cls, n)] == flat, (n, mode)
         assert render_json({"a": [{"b": got}]}) \
             == _dumps({"a": [{"b": want}]}), (n, mode)
 
@@ -97,5 +96,5 @@ def test_doc_reads_only_the_layout_of_its_own_dimension():
     # never builds `_layout` at the pair dimension n(n+1)/2
     _leaf_order.cache_clear()
     _layout.cache_clear()
-    _doc(CurvTensor(8))
+    render_json(_doc(CurvTensor(8)))
     assert _layout.cache_info().currsize == 1
