@@ -14,12 +14,11 @@ from .cubic import (CubicForm, Membership, NormIdentityResult, cone_contains,
 from .errors import (DimensionMismatch, KahlerConeError, NotHomogeneousCubic,
                      NotInCone, ParseError, SamplingExhausted, SingularHessian,
                      ZeroLambda, ZeroVector)
-from .geometry import (CurvatureReport, MetricJet, christoffels,
-                       curvature_lhs, curvature_report, curvature_rhs,
-                       kahler_metric, norm_function, sectional,
-                       verify_identity)
+from .geometry import (CurvatureReport, MetricJet, PointResult,
+                       VerificationSummary, christoffels, curvature_lhs,
+                       curvature_report, curvature_rhs, kahler_metric,
+                       norm_function, sectional, verify_identity)
 from .linalg import CurvTensor, Sym3Tensor, SymMatrix, contract, inertia
-from .report import PointResult, VerificationSummary
 from .scalars import Complex
 from .special import (AffineCheckResult, TildeChristoffelResult,
                       TildeInverseResult, TildeMetric, affine_curvature_check,

@@ -2,8 +2,9 @@
 
 Subcommands: validate, cone check, cone sample, metric, curvature, verify,
 affine-verify, cone-metric, identity-n8f. JSON on stdout is the default
-(schemaVersion 1); --text switches to a human-readable rendering. Exit codes:
-0 success, 1 a verification check failed, 2 parse or domain errors.
+(schemaVersion 1, written by `report.render_json`); --text switches to a
+human-readable rendering. Exit codes: 0 success, 1 a verification check
+failed, 2 parse or domain errors.
 
 Forms come from --form (grammar in `kahlercone.cubic`) or --form-file (JSON
 with fields "n" and "monomials"). The variable count is inferred from the
@@ -12,17 +13,27 @@ rationals; semicolons separate points of dimension > 1 ("1,2;3,4" is two
 2-dimensional points; for n = 1, "1,2,1/3" is three points).
 
 `COMMANDS` is the one table of subcommands: their words, help, arguments
-beyond the form group, and handler; `build_parser` reads nothing else. The
-per-point subcommands (cone check, cone sample, metric, curvature,
-affine-verify, cone-metric) share one handler, `_per_point`: each supplies a
-function from one point to its JSON entry, its text line and its verdict
-(None when the subcommand checks nothing), and `_per_point` builds the
-document, the text and the exit code. `_doc` is the one formatter from
-scalars, points and tensors to JSON values, rounded by `scalars.to_float`
-under `--mode float` (every mode computes exactly). A packed container
-becomes a container of its own class holding its formatted stored entries,
-each formatted once; `render_json` writes it as its dense nested array, and
-`metric`'s text line prints its `.rows()`.
+beyond the form group, and body; `build_parser` reads nothing else.
+`_command` is the one handler: it loads the form, runs the body, which
+returns (fields, text, passed), and writes the document - schemaVersion,
+command, the form, then the fields - or the text. It alone decides exit 0
+or 1: 1 when passed is False, 0 when it is True or None (the subcommand
+checks nothing); `main` alone maps a `KahlerConeError` to its error
+document and exit 2. The per-point subcommands (cone check, cone sample,
+metric, curvature, affine-verify, cone-metric) share one body,
+`_per_point`: each supplies a function from one point to its JSON entry,
+its text line and its verdict (None when it checks nothing).
+
+`_doc` is the one formatter from scalars, points and tensors to JSON
+values: exact rationals become decimal-free strings ("p/q" or "p"); under
+`--mode float` each value is first rounded once by `scalars.to_float`, and
+a real one is written as a JSON number (every mode computes exactly). A
+packed container becomes a container of its own class holding its
+formatted stored entries, each formatted once; `render_json` writes it as
+its dense nested array, and `metric`'s text line prints its `.rows()`. No
+report holds wall-clock time unless `verify --timing` asks for the time
+the CLI measures around `verify_identity`, so a fixed command line and seed
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ import functools
 import json
 import re
 import sys
+import time
 
 from .cubic import (CubicForm, _classify, cone_sample, norm_identity_check,
                     parse_text)
@@ -39,8 +51,9 @@ from .errors import KahlerConeError
 from .geometry import (CONVENTIONS, MODES, _integer_jet, curvature_report,
                        verify_identity)
 from .linalg import _Packed
-from .report import SCHEMA_VERSION, render_json, render_text
-from .scalars import Complex, format_scalar, parse_rational, to_float
+from .report import SCHEMA_VERSION, render_json
+from .scalars import (Complex, format_point, format_scalar, parse_rational,
+                      to_float)
 from .special import (affine_curvature_check, build_tilde_metric,
                       tilde_christoffel_check, tilde_inverse_check)
 
@@ -149,33 +162,37 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    sys.stdout.write(text if args.text else render_json(doc))
-
-
 # ----------------------------------------------------------------------------
-# handlers: each takes the command name and the parsed arguments and
-# returns a process exit code
+# the one handler and its bodies: a body takes the parsed arguments and the
+# form and returns (fields, text, passed)
+
+def _command(body, command, args):
+    """The handler of every subcommand (module docstring): its exit code is
+    1 when the body's verdict `passed` is False, else 0."""
+    form = _load_form(args)
+    fields, text, passed = body(args, form)
+    doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
+           "form": _form_echo(form), **fields}
+    sys.stdout.write(text if args.text else render_json(doc))
+    return 1 if passed is False else 0
+
 
 def _per_point(body, points=_points_for, echo=()):
-    """Handler that runs body(args, form, point) -> (entry, line, passed) at
-    each point of points(args, form). The document echoes the options named
-    in `echo`; it has an "overall" verdict, and the text an "overall:" line,
+    """Body that runs body(args, form, point) -> (entry, line, passed) at
+    each point of points(args, form). The fields echo the options named in
+    `echo`; they have an "overall" verdict, and the text an "overall:" line,
     when the body checks something (passed is not None)."""
-    def run(command, args):
-        form = _load_form(args)
+    def run(args, form):
         results = [body(args, form, p) for p in points(args, form)]
-        doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
-               "form": _form_echo(form)}
-        doc.update((key, getattr(args, key)) for key in echo)
-        doc["points"] = [entry for entry, _, _ in results]
+        fields = {key: getattr(args, key) for key in echo}
+        fields["points"] = [entry for entry, _, _ in results]
         text = "".join(line + "\n" for _, line, _ in results)
         verdicts = [passed for _, _, passed in results]
-        if None not in verdicts:
-            doc["overall"] = _verdict(all(verdicts))
-            text += f"overall: {doc['overall']}\n"
-        _emit(args, doc, text)
-        return 0 if doc.get("overall", "PASS") == "PASS" else 1
+        if None in verdicts:
+            return fields, text, None
+        passed = all(verdicts)
+        fields["overall"] = _verdict(passed)
+        return fields, text + f"overall: {fields['overall']}\n", passed
     return run
 
 
@@ -261,38 +278,52 @@ def _cone_metric_point(args, form, point):
             inv.passed and chris.passed)
 
 
-def _cmd_validate(command, args):
-    form = _load_form(args)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
-           "form": _form_echo(form), "monomialCount": len(form.monomials)}
-    _emit(args, doc, f"valid homogeneous cubic: {form.to_text()}  "
-                     f"(n={form.n}, {len(form.monomials)} monomials)\n")
-    return 0
+def _validate(args, form):
+    count = len(form.monomials)
+    return ({"monomialCount": count}, f"valid homogeneous cubic: "
+            f"{form.to_text()}  (n={form.n}, {count} monomials)\n", None)
 
 
-def _cmd_verify(command, args):
-    form = _load_form(args)
-    summary = verify_identity(form, _points_for(args, form), mode=args.mode,
-                              convention=args.convention, seed=args.seed)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": command}
-    doc.update(summary.to_json_dict(include_timing=args.timing))
-    doc["form"] = _form_echo(form)
-    _emit(args, doc, render_text(summary, include_timing=args.timing))
-    return 0 if summary.overall == "PASS" else 1
+def _verify(args, form):
+    """verify_identity at the points, timed for --timing; the fields echo n
+    and the options that shape the report."""
+    points = _points_for(args, form)
+    start = time.perf_counter()
+    summary = verify_identity(form, points, mode=args.mode,
+                              convention=args.convention)
+    ms = int((time.perf_counter() - start) * 1000)
+    entries = []
+    lines = [f"form: {form.to_text()}   (n={form.n}, mode={args.mode}, "
+             f"convention={args.convention})"]
+    for p in summary.points:
+        entry = {"y": _doc(p.y), "verdict": p.verdict,
+                 "maxAbsResidual": _doc(p.max_abs_residual)}
+        rel = ""
+        if p.max_rel_residual is not None:
+            entry["maxRelResidual"] = p.max_rel_residual
+            rel = f"  rel={p.max_rel_residual:.3e}"
+        entries.append(entry)
+        lines.append(f"  y={format_point(p.y)}: {p.verdict}  "
+                     f"max|residual|={entry['maxAbsResidual']}{rel}")
+    fields = {"n": form.n, "mode": args.mode, "convention": args.convention,
+              "seed": args.seed, "points": entries, "overall": summary.overall}
+    timing = ""
+    if args.timing:
+        fields["timingMs"] = ms
+        timing = f"   [{ms} ms]"
+    lines.append(f"overall: {summary.overall}{timing}")
+    return fields, "\n".join(lines) + "\n", summary.overall == "PASS"
 
 
-def _cmd_identity_n8f(command, args):
-    form = _load_form(args)
+def _identity_n8f(args, form):
     res = norm_identity_check(form)
-    doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
-           "form": _form_echo(form), "holds": res.holds}
+    fields = {"holds": res.holds}
     if not res.holds:
         exp, got, want = res.counterexample
-        doc["counterexample"] = {"exponents": list(exp), "got": _doc(got),
-                                 "expected": _doc(want)}
-    _emit(args, doc, f"norm function equals 8*f: "
-                     f"{'HOLDS' if res.holds else 'FAILS'}\n")
-    return 0 if res.holds else 1
+        fields["counterexample"] = {"exponents": list(exp), "got": _doc(got),
+                                    "expected": _doc(want)}
+    return (fields, f"norm function equals 8*f: "
+                    f"{'HOLDS' if res.holds else 'FAILS'}\n", res.holds)
 
 
 # ----------------------------------------------------------------------------
@@ -320,10 +351,10 @@ _MODE_ARGS = ((("--mode",), dict(choices=MODES, default="exact")),)
 _CONVENTION_ARGS = ((("--convention",),
                      dict(choices=CONVENTIONS, default="standard")),)
 
-# (words, help, arguments beyond _FORM_ARGS, handler); a row without a
-# handler groups the subcommands whose words extend its own
+# (words, help, arguments beyond _FORM_ARGS, body); a row without a body
+# groups the subcommands whose words extend its own
 COMMANDS = (
-    (("validate",), "parse and echo a form", (), _cmd_validate),
+    (("validate",), "parse and echo a form", (), _validate),
     (("cone",), "index-cone membership and sampling", (), None),
     (("cone", "check"), "classify points", _POINT_ARGS,
      _per_point(_cone_check_point)),
@@ -342,7 +373,7 @@ COMMANDS = (
      + ((("--timing",), dict(action="store_true", help="include wall-clock "
                              "timing in the report (off by default so "
                              "reports are byte-reproducible)")),),
-     _cmd_verify),
+     _verify),
     (("affine-verify",), "verify the flat-prepotential curvature identity",
      _POINT_ARGS, _per_point(_affine_point)),
     (("cone-metric",),
@@ -353,7 +384,7 @@ COMMANDS = (
      _per_point(_cone_metric_point, points=_cone_metric_points)),
     (("identity-n8f",),
      "check the norm-function identity N = 8 f symbolically", (),
-     _cmd_identity_n8f),
+     _identity_n8f),
 )
 
 
@@ -372,16 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact curvature checks for the Kahler geometry of "
                     "cubic-form index cones.")
     groups = {(): top.add_subparsers(dest="command", required=True)}
-    for words, help_text, specs, handler in COMMANDS:
+    for words, help_text, specs, body in COMMANDS:
         p = groups[words[:-1]].add_parser(words[-1], help=help_text)
         p._negative_number_matcher = _NEGATIVE_VALUE
-        if handler is None:
+        if body is None:
             groups[words] = p.add_subparsers(
                 dest="_".join(words + ("command",)), required=True)
             continue
         for flags, kwargs in _FORM_ARGS + specs:
             p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=functools.partial(handler, "-".join(words)))
+        p.set_defaults(func=functools.partial(_command, body,
+                                              "-".join(words)))
     return top
 
 

@@ -537,3 +537,54 @@ def test_text_mode_renders(capsys):
     code, out = run_inproc(capsys, *argv, "--timing")
     assert code == 0
     assert re.fullmatch(r"overall: PASS   \[\d+ ms\]", out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_timing_is_the_last_key(capsys, mode):
+    argv = ["verify", "--form", "y1*y2^2", "--points", "1,1;1,2",
+            "--mode", mode]
+    code, out = run_inproc(capsys, *argv)
+    timed_code, timed_out = run_inproc(capsys, *argv, "--timing")
+    assert code == timed_code == 0
+    timed = json.loads(timed_out)
+    assert list(timed)[-1] == "timingMs"
+    ms = timed.pop("timingMs")
+    assert type(ms) is int and ms >= 0
+    assert timed == json.loads(out)
+
+
+# a passing input of every subcommand, the failing identity and fibre
+# inverse, and an input error of every subcommand that has one
+EXIT_CASES = [
+    (0, ["validate", "--form", "y1*y2^2"]),
+    (0, ["identity-n8f", "--form", "y1*y2^2"]),
+    (0, ["cone", "check", "--form", "y1*y2^2", "--points", "1,1"]),
+    (0, ["cone", "sample", "--form", "y1*y2^2", "--samples", "2"]),
+    (0, ["metric", "--form", "y1*y2^2", "--points", "1,1"]),
+    (0, ["curvature", "--form", "y1*y2^2", "--points", "1,1"]),
+    (0, ["verify", "--form", "y1*y2^2", "--points", "1,1"]),
+    (0, ["affine-verify", "--form", "y1*y2*y3", "--points", "1,1,1"]),
+    (0, ["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
+         "--lam", "1/2"]),
+    (1, ["verify", "--form", "y1*y2^2", "--points", "1,1",
+         "--convention", "negated"]),
+    (1, ["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
+         "--lam", "1+2i"]),
+    (2, ["validate", "--form", "y1^2"]),
+    (2, ["identity-n8f", "--form", "y1^2"]),
+    (2, ["cone", "check", "--form", "y1^3", "--points", "1/0"]),
+    (2, ["cone", "sample", "--form", "y1^3", "--samples", "0"]),
+    (2, ["metric", "--form", "y1^3", "--points", "-1"]),
+    (2, ["curvature", "--form", "y1^3", "--points", "-1"]),
+    (2, ["verify", "--form", "y1^3", "--points", "-1"]),
+    (2, ["affine-verify", "--form", "y1*y2*y3", "--points", "0,0,1"]),
+    (2, ["cone-metric", "--form", "y1^3", "--points", "1", "--lam", "0"]),
+]
+
+
+@pytest.mark.parametrize("code,argv", EXIT_CASES, ids=[
+    "-".join([w for w in argv[:2] if not w.startswith("-")]
+             + [f"exit{code}"]) for code, argv in EXIT_CASES])
+def test_text_keeps_the_exit_code(capsys, code, argv):
+    assert run_inproc(capsys, *argv)[0] == code
+    assert run_inproc(capsys, *argv, "--text")[0] == code
