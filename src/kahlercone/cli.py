@@ -4,7 +4,8 @@ Subcommands: validate, cone check, cone sample, metric, curvature, verify,
 affine-verify, cone-metric, identity-n8f. JSON on stdout is the default
 (schemaVersion 1, written by `report.render_json`); --text switches to a
 human-readable rendering. Exit codes: 0 success, 1 a verification check
-failed, 2 parse or domain errors.
+failed, 2 parse or domain errors. A reader that closes stdout early changes
+neither the exit code nor stderr: `_write` writes every document.
 
 Forms come from --form (grammar in `kahlercone.cubic`) or --form-file (JSON
 with fields "n" and "monomials"). The variable count is inferred from the
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -162,6 +164,17 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+def _write(text: str) -> None:
+    """Write and flush text to stdout. When the reader has closed the pipe,
+    point stdout's descriptor at os.devnull, so the exit flush succeeds."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+
+
 # ----------------------------------------------------------------------------
 # the one handler and its bodies: a body takes the parsed arguments and the
 # form and returns (fields, text, passed)
@@ -173,7 +186,7 @@ def _command(body, command, args):
     fields, text, passed = body(args, form)
     doc = {"schemaVersion": SCHEMA_VERSION, "command": command,
            "form": _form_echo(form), **fields}
-    sys.stdout.write(text if args.text else render_json(doc))
+    _write(text if args.text else render_json(doc))
     return 1 if passed is False else 0
 
 
@@ -424,10 +437,8 @@ def main(argv=None) -> int:
     except KahlerConeError as exc:
         doc = {"schemaVersion": SCHEMA_VERSION,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
-        if getattr(args, "text", False):
-            sys.stdout.write(f"error: {type(exc).__name__}: {exc}\n")
-        else:
-            sys.stdout.write(render_json(doc))
+        _write(f"error: {type(exc).__name__}: {exc}\n"
+               if getattr(args, "text", False) else render_json(doc))
         return 2
 
 

@@ -28,7 +28,6 @@ import enum
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, mul
 from typing import NamedTuple, Optional
@@ -519,8 +518,7 @@ def cone_sample(form: CubicForm, count: int, seed: int,
 # ----------------------------------------------------------------------------
 # norm-function identity
 
-@dataclass(frozen=True)
-class NormIdentityResult:
+class NormIdentityResult(NamedTuple):
     holds: bool
     counterexample: Optional[tuple] = None  # (exponents, got, expected)
 

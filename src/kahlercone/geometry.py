@@ -64,7 +64,6 @@ mode only rounds the reported values once to binary64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -93,8 +92,7 @@ CONVENTIONS = ("standard", "negated")
 MODES = ("exact", "float")
 
 
-@dataclass(frozen=True)
-class MetricJet:
+class MetricJet(NamedTuple):
     """Metric with its first and second y-derivatives and inverse at a point:
     the `Fraction` rendering of the integer jet, one division per entry.
 
@@ -275,8 +273,7 @@ def sectional(form: CubicForm, y, v):
                     ij.delta * g * g)
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Everything the identity involves at one point, plus the residual."""
     y: tuple
     potential_arg: object              # N = 8 f(y)
@@ -304,8 +301,7 @@ def curvature_report(form: CubicForm, y,
         max_abs_residual=c * worst)
 
 
-@dataclass(frozen=True)
-class PointResult:
+class PointResult(NamedTuple):
     """The identity at one point: the point, "PASS" when the residual is
     exactly zero and "FAIL" otherwise, the maximum |residual| and, in float
     mode only, that maximum relative to the larger of the two sides."""
@@ -315,8 +311,7 @@ class PointResult:
     max_rel_residual: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     """`verify_identity`'s result: a `PointResult` per point, in order, and
     "PASS" when every point passes, else "FAIL"."""
     points: Sequence[PointResult]

@@ -100,11 +100,10 @@ inertia(gtilde) = inertia(B) (K > 0; D, P invertible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cubic import CubicForm, _point
 from .errors import SingularHessian, ZeroLambda
@@ -147,8 +146,7 @@ def affine_metric(form: CubicForm, y) -> SymMatrix:
     return form.hessian(y).scale(Fraction(-4))
 
 
-@dataclass(frozen=True)
-class AffineCheckResult:
+class AffineCheckResult(NamedTuple):
     passed: bool
     kappa: Optional[Fraction]
     kappa_constant: bool
@@ -197,8 +195,7 @@ def affine_curvature_check(form: CubicForm, y) -> AffineCheckResult:
 # ----------------------------------------------------------------------------
 # fibre-extended metric
 
-@dataclass(frozen=True)
-class TildeMetric:
+class TildeMetric(NamedTuple):
     n: int
     t: tuple                 # complex coordinates, Im t interior
     lam: Complex
@@ -260,8 +257,7 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
                          [[-4 * F * F * v for v in r] for r in adj]))
 
 
-@dataclass(frozen=True)
-class TildeInverseResult:
+class TildeInverseResult(NamedTuple):
     passed: bool
     product: list
 
@@ -302,8 +298,7 @@ def _over(m, den, v):
 _GROUPS = ("base", "mixed", "fibre-upper", "zeros")
 
 
-@dataclass(frozen=True)
-class TildeChristoffelResult:
+class TildeChristoffelResult(NamedTuple):
     passed: bool
     matches: dict            # scaling -> {group -> bool}
     lower_symmetric: dict    # scaling -> bool

@@ -11,13 +11,16 @@ from kahlercone import (CubicForm, Membership, SamplingExhausted,
                         cone_contains, cone_sample)
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE, env=()):
     """The finished `python *args` child process, which imports the same
-    package as the tests, with or without PYTHONPATH."""
+    package as the tests, with or without PYTHONPATH, and writes stdout to
+    `stdout`; `env` sets environment variables, a None value unsets one."""
     src = os.path.dirname(os.path.dirname(kahlercone.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ, **dict(env), "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env={k: v for k, v in env.items() if v is not None})
 
 
 def run_cli(*argv):

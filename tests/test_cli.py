@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import re
 
 import pytest
@@ -108,6 +109,27 @@ def test_runtime_loads_only_the_standard_library():
     proc = run_python("-c", _RUNTIME_MODULES, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 1, 0], []]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--form", "y1*y2^2", "--points", "1,1"], 0),
+    (["verify", "--convention", "negated", "--form", "y1^3",
+      "--points", "3,7"], 1),
+    (["verify", "--form", "y1^3+y2^3", "--points", "4,-8"], 2),
+], ids=["pass", "fail", "input-error"])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # the reader of stdout has gone before the report is written: the exit
+    # code is still the command's own, and nothing reaches stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python("-m", "kahlercone.cli", *argv, stdout=write,
+                          env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_lambda_parts_read_as_points_read_rationals(capsys):

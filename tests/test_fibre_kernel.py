@@ -14,7 +14,6 @@ shown to read every published term of C, and tied to the connection
 check's B by the identities of the `special` module docstring."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from operator import mul
 
@@ -108,7 +107,7 @@ def _suite_or_random_metric(seed, which, lam):
 def test_christoffel_check_matches_complex_reference(seed, which, lam):
     """The integer check against its `Complex` form."""
     tm = _suite_or_random_metric(seed, which, lam)
-    # dataclass equality: passed, matches, lower_symmetric,
+    # record equality: passed, matches, lower_symmetric,
     # recovery_relation and mismatches
     assert tilde_christoffel_check(tm) == reference_christoffel_check(tm)
 
@@ -120,8 +119,8 @@ def _corrupted(tm, in_bordered, slot, offset):
     data = list(m._data)
     data[slot % len(data)] += offset
     m = type(m)(m.n, data)
-    return (replace(tm, bordered=m) if in_bordered
-            else replace(tm, ij=tm.ij._replace(Dg=m)))
+    return (tm._replace(bordered=m) if in_bordered
+            else tm._replace(ij=tm.ij._replace(Dg=m)))
 
 
 def test_christoffel_check_matches_the_reference_on_corrupted_input():
@@ -171,7 +170,7 @@ def test_christoffel_check_raises_on_a_singular_bordered_hessian():
                                    + [[0] * len(rows)])
     assert det_adjugate(singular)[0] == 0
     with pytest.raises(SingularHessian):
-        tilde_christoffel_check(replace(tm, bordered=singular))
+        tilde_christoffel_check(tm._replace(bordered=singular))
 
 
 @settings(max_examples=60)
@@ -217,7 +216,7 @@ def test_inverse_check_reads_every_term_of_the_stated_inverse(n, seed, lam):
     assert tilde_inverse_check(tm).passed
     for stated in _broken_stated(tm):
         assert stated != tm.stated
-        assert not tilde_inverse_check(replace(tm, stated=stated)).passed
+        assert not tilde_inverse_check(tm._replace(stated=stated)).passed
 
 
 @SETTINGS

@@ -1,6 +1,5 @@
 """Cone metric, curvature sides, and their invariants."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -140,11 +139,10 @@ def _exactly(x):
 
 
 def _scalars(x):
-    """Every scalar of a result: the fields of a dataclass, the entries of a
-    container, list, tuple or dict, and both parts of a `Complex`."""
-    if dataclasses.is_dataclass(x):
-        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
-    elif isinstance(x, (SymMatrix, Sym3Tensor, CurvTensor)):
+    """Every scalar of a result: the fields of a record (a tuple), the
+    entries of a container, list, tuple or dict, and both parts of a
+    `Complex`."""
+    if isinstance(x, (SymMatrix, Sym3Tensor, CurvTensor)):
         x = x._data
     elif isinstance(x, dict):
         x = list(x.values())
