@@ -299,7 +299,8 @@ def _validate(args, form):
 
 def _verify(args, form):
     """verify_identity at the points, timed for --timing; the fields echo n
-    and the options that shape the report."""
+    and the options that shape the report, and the seed when it sampled
+    the points."""
     points = _points_for(args, form)
     start = time.perf_counter()
     summary = verify_identity(form, points, mode=args.mode,
@@ -318,8 +319,10 @@ def _verify(args, form):
         entries.append(entry)
         lines.append(f"  y={format_point(p.y)}: {p.verdict}  "
                      f"max|residual|={entry['maxAbsResidual']}{rel}")
-    fields = {"n": form.n, "mode": args.mode, "convention": args.convention,
-              "seed": args.seed, "points": entries, "overall": summary.overall}
+    fields = {"n": form.n, "mode": args.mode, "convention": args.convention}
+    if not args.points:                         # the points were sampled
+        fields["seed"] = args.seed
+    fields.update(points=entries, overall=summary.overall)
     timing = ""
     if args.timing:
         fields["timingMs"] = ms
@@ -431,7 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse wrote --help itself; flush it here, where a closed
+        # stdout keeps the exit code, not at interpreter exit
+        _write("")
+        raise
     try:
         return args.func(args)
     except KahlerConeError as exc:

@@ -8,6 +8,8 @@ import pytest
 from decimal import Decimal
 from fractions import Fraction as F
 
+import kahlercone.cli
+from kahlercone import SymMatrix, build_tilde_metric
 from kahlercone.cli import main
 from kahlercone.poly import Poly
 
@@ -118,7 +120,9 @@ def test_runtime_loads_only_the_standard_library():
     (["verify", "--convention", "negated", "--form", "y1^3",
       "--points", "3,7"], 1),
     (["verify", "--form", "y1^3+y2^3", "--points", "4,-8"], 2),
-], ids=["pass", "fail", "input-error"])
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+], ids=["pass", "fail", "input-error", "help", "command-help"])
 def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     # the reader of stdout has gone before the report is written: the exit
     # code is still the command's own, and nothing reaches stderr
@@ -299,6 +303,27 @@ def test_cone_metric_checks(capsys):
     assert entry["inverseCheck"] is True
     assert entry["inertia"] == [1, 1, 0]
     assert entry["christoffelCheck"]["passed"] is True
+
+
+@pytest.mark.parametrize("form,point", [
+    ("y1^3", "1"), ("y1*y2^2", "1,1"), ("y1*y2*y3 + y4^3", "2,2,2,-1")])
+def test_a_wrong_bordered_hessian_fails_cone_metric(capsys, monkeypatch,
+                                                    form, point):
+    # B with its edge 2a halved: the connection verdicts fixed by how B is
+    # built guard nothing, so the decided ones and the inverse check must
+    def build(*args):
+        tm = build_tilde_metric(*args)
+        (corner, *edge), *rest = tm.bordered.rows()
+        return tm._replace(bordered=SymMatrix.from_rows(
+            [[corner, *(v // 2 for v in edge)]]
+            + [[r[0] // 2, *r[1:]] for r in rest]))
+
+    monkeypatch.setattr(kahlercone.cli, "build_tilde_metric", build)
+    code, out = run_inproc(capsys, "cone-metric", "--form", form,
+                           "--points", point)
+    entry = json.loads(out)["points"][0]
+    assert (code, entry["christoffelCheck"]["passed"],
+            entry["inverseCheck"]) == (1, False, False)
 
 
 def test_affine_verify(capsys):
@@ -573,6 +598,19 @@ def test_verify_timing_is_the_last_key(capsys, mode):
     ms = timed.pop("timingMs")
     assert type(ms) is int and ms >= 0
     assert timed == json.loads(out)
+
+
+def test_verify_echoes_the_seed_only_when_it_sampled(capsys):
+    head = ["verify", "--form", "y1*y2^2"]
+    for extra, seed in ((["--points", "1,1"], None),
+                        (["--points", "1,1", "--samples", "2", "--seed", "5"],
+                         None),
+                        (["--samples", "2", "--seed", "5"], 5),
+                        (["--samples", "2"], 0)):
+        code, out = run_inproc(capsys, *head, *extra)
+        doc = json.loads(out)
+        assert (code, doc.get("seed")) == (0, seed), extra
+        assert list(doc)[-2:] == ["points", "overall"], extra
 
 
 # a passing input of every subcommand, the failing identity and fibre

@@ -124,13 +124,13 @@ def _corrupted(tm, in_bordered, slot, offset):
 
 
 def test_christoffel_check_matches_the_reference_on_corrupted_input():
-    """With one entry of B or of Dg moved, the integer identities give the
-    `Complex` reference's report field for field, and the draws reach both
-    values of every verdict that input can change. A wrong Dg breaks the
-    base symbols and so the recovery relation on the differentiated array;
-    the printed scaling is never lower-symmetric: dB_c e_0 = 2 B' e_(c+1),
-    B' the B of the jet, so its Gamma[x][c+1][0] vanish for all x only
-    where B' has a zero column."""
+    """With one entry of B or of Dg moved, the verdicts the check decides -
+    base and fibre-upper under both scalings, and passed - are the
+    `Complex` reference's, the draws reach both values of each, and every
+    moved entry fails base, the check and both recovery readings. The other
+    verdicts are fixed by how `build_tilde_metric` makes B (`special` module
+    docstring), so they are compared on built input only, by
+    `test_christoffel_check_matches_complex_reference`."""
     seen = {}
 
     @settings(max_examples=150)
@@ -141,24 +141,26 @@ def test_christoffel_check_matches_the_reference_on_corrupted_input():
                         in_bordered, slot, offset)
         assume(det_adjugate(tm.bordered)[0] != 0)
         got = tilde_christoffel_check(tm)
-        assert got == reference_christoffel_check(tm)
-        verdicts = {"passed": got.passed, **got.recovery_relation}
-        verdicts.update(((s, g), v) for s, row in got.matches.items()
-                        for g, v in row.items())
-        verdicts.update(((s, "symmetric"), v)
-                        for s, v in got.lower_symmetric.items())
+        want = reference_christoffel_check(tm)
+        assert got.passed == want.passed == (offset == 0)
+        if offset:          # base fails, and so both recovery readings
+            assert not got.matches["potential"]["base"]
+            assert not any(got.recovery_relation.values())
+        verdicts = {"passed": got.passed}
+        for scaling in ("printed", "potential"):
+            for group in ("base", "fibre-upper"):
+                v = got.matches[scaling][group]
+                assert v == want.matches[scaling][group], (scaling, group)
+                verdicts[scaling, group] = v
         for key, v in verdicts.items():
             seen.setdefault(key, set()).add(v)
 
     draw()
     both = {True, False}
-    for group in ("base", "mixed", "fibre-upper", "zeros"):
+    for group in ("base", "fibre-upper"):
         assert both in (seen["printed", group],
                         seen["potential", group]), group
-    assert seen["potential", "symmetric"] == both
-    assert seen["printed", "symmetric"] == {False}
-    for key in ("corrected", "as-printed", "passed"):
-        assert seen[key] == both, key
+    assert seen["passed"] == both
 
 
 def test_christoffel_check_raises_on_a_singular_bordered_hessian():

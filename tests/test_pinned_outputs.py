@@ -100,18 +100,18 @@ PINNED = [
     # whose maximum entry is reported exactly
     (["verify", "--form", FORM3, "--points", "2,1/2,-1",
       "--convention", "negated"], 1,
-     "dd75f3b7a256f75416163baf637b49c461507d13b8732fb34d4101f93c573335"),
+     "df1effd1ee451d461348dec22d4113e06efd30e27b4e9476dbc02de31e509e42"),
     (["verify", "--text", "--form", FORM3, "--points", "2,1/2,-1",
       "--convention", "negated"], 1,
      "1a5b933e4bc73efa5c62b0a35583190aa3c2868aefe5dd8368f06c55e1f7a792"),
     (["verify", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1",
       "--convention", "negated"], 1,
-     "8ee094ea2461cabd2b34015359b03f85d8a679dd996cf9c55c50299219585137"),
+     "fd98e10e7232afe6f71a8cffceba8e23c5a0d61a4f016cbabbd3f0b0f2a7abbb"),
     # a dense cubic whose only fractional coefficient is 1/6, at a point
     # with an odd first coordinate once cleared: an integer gradient from
     # f3 scaled by anything less than 6c would be rounded here
     (["verify", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
-     "96122835bdb6f67b86216bcddf9cf914e48275969e046868af47a969f1792911"),
+     "1a9d6f88609af6244ab148fd1b2ec398d05172031e5d0699e8a4dd977074c5ef"),
     (["curvature", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
      "94d1f053c50c394873516bd2b4c1022922f6f7e10710b819e3e2f7f7ced267a7"),
     (["metric", "--form", FORM_SIXTH, "--points", "1/4,-5/2,9/5"], 0,
@@ -125,7 +125,7 @@ PINNED = [
      "562db1eef05407ba4f4a0404054f3fd9ae135e8d7f0fff2039ed1126211003b9"),
     (["verify", "--mode", "float", "--form", FORM3, "--points", "2,1/2,-1",
       "--convention", "negated"], 1,
-     "bcf5a086bcebf1943ab69df2df6cc3082232e5aa2d5cd0409fdbaaa40049a8f8"),
+     "1b7992ea74138497f981ac0ea8277fe01b33fe2651efa8e10738b8e4a05b83e1"),
     (["verify", "--mode", "float", "--text", "--form", FORM3,
       "--points", "2,1/2,-1", "--convention", "negated"], 1,
      "fcfba4bfed420c1305622023a36db063d520c408896d14a3989a61acabb14efc"),
