@@ -3,15 +3,17 @@ jet: the `Complex` direct arrays of `_reference.complex_direct_gammas`
 against the oracle `_reference.reference_direct_gammas`, the integer
 connection check against its `Complex` form
 `_reference.reference_christoffel_check`, on well-formed input and with one
-entry of B or Dg corrupted, a singular B, the stated inverse against the
-reality of lambda, the inertia of the bordered Hessian B against that of
-gtilde, the work one check does, the integer Christoffel symbols against
-`raise_index` on the `Fraction` jet, the commands that read the integer
-jet without its `Fraction` rendering, and the sampler's stop once the grid
-runs out. The inverse check, decided on the cleared integers B and C, is
-compared with the `Complex` product `_reference.reference_inverse_check`,
-shown to read every published term of C, and tied to the connection
-check's B by the identities of the `special` module docstring."""
+entry of B or Dg corrupted, the identity R_up = -sum_m a_m R_base[m] by
+which fibre-upper is read off base, a singular B, the stated inverse
+against the reality of lambda, the inertia of the bordered Hessian B
+against that of gtilde, the work one check does, the integer Christoffel
+symbols against `raise_index` on the `Fraction` jet, the commands that read
+the integer jet without its `Fraction` rendering, and the sampler's stop
+once the grid runs out. The inverse check, decided on the cleared integers
+B and C, is compared with the `Complex` product
+`_reference.reference_inverse_check`, shown to read every published term of
+C, and tied to the connection check's B by the identities of the `special`
+module docstring."""
 
 import random
 from fractions import Fraction as F
@@ -125,13 +127,14 @@ def _corrupted(tm, in_bordered, slot, offset):
 
 def test_christoffel_check_matches_the_reference_on_corrupted_input():
     """With one entry of B or of Dg moved, the verdicts the check decides -
-    base and fibre-upper under both scalings, and passed - are the
-    `Complex` reference's, the draws reach both values of each, and every
-    moved entry fails base, the check and both recovery readings. The other
-    verdicts are fixed by how `build_tilde_metric` makes B (`special` module
-    docstring), so they are compared on built input only, by
-    `test_christoffel_check_matches_complex_reference`."""
-    seen = {}
+    base under both scalings, and passed - are the `Complex` reference's,
+    the draws reach both values of each, and every moved entry fails base,
+    the check and both recovery readings. The other verdicts are read off
+    base or fixed by how `build_tilde_metric` makes B (`special` module
+    docstring): fibre-upper is base's verdict as printed and false under
+    the potential scaling. They are compared with the reference on built
+    input only, by `test_christoffel_check_matches_complex_reference`."""
+    seen = {"base": set(), "passed": set()}
 
     @settings(max_examples=150)
     @given(st.integers(0, 10**6), st.integers(1, 4), _LAMBDA, st.booleans(),
@@ -146,21 +149,84 @@ def test_christoffel_check_matches_the_reference_on_corrupted_input():
         if offset:          # base fails, and so both recovery readings
             assert not got.matches["potential"]["base"]
             assert not any(got.recovery_relation.values())
-        verdicts = {"passed": got.passed}
         for scaling in ("printed", "potential"):
-            for group in ("base", "fibre-upper"):
-                v = got.matches[scaling][group]
-                assert v == want.matches[scaling][group], (scaling, group)
-                verdicts[scaling, group] = v
-        for key, v in verdicts.items():
-            seen.setdefault(key, set()).add(v)
+            base = got.matches[scaling]["base"]
+            assert base == want.matches[scaling]["base"], scaling
+        assert got.matches["printed"]["fibre-upper"] == base
+        assert got.matches["potential"]["fibre-upper"] is False
+        seen["base"].add(base)
+        seen["passed"].add(got.passed)
 
     draw()
-    both = {True, False}
-    for group in ("base", "fibre-upper"):
-        assert both in (seen["printed", group],
-                        seen["potential", group]), group
-    assert seen["passed"] == both
+    assert seen == {"base": {True, False}, "passed": {True, False}}
+
+
+def _fibre_upper_follows_from_base(tm):
+    """(R_base, R_up) of the `special` module docstring, built here from B,
+    the jet's H, t, a, F and Delta, and its Dg, each R the left side minus
+    the right side of the printed identity (sigma = +1), after asserting
+    what B's fibre row (4F, 2a) gives for every Dg: R_up = -sum_m a_m
+    R_base[m], and W's row 0 is 2 (-1)^(n+1) Delta H / F^n, never zero."""
+    n, ij, idx = tm.n, tm.ij, range(tm.n)
+    big_f, a, h, delta = ij.point.F, ij.point.a, ij.point.H.rows(), ij.delta
+    det, adj = det_adjugate(tm.bordered)
+    adj = adj.rows()
+    w = []                              # W_q = adj B . dB_q, dB_q = dB/dz_q
+    for q in idx:
+        d_b = [[4 * a[q]] + [2 * h[q][c] for c in idx]] + [
+            [2 * h[r][q]] + [ij.t[r, c, q] for c in idx] for r in idx]
+        w.append([[sum(adj[x][e] * d_b[e][c] for e in range(n + 1))
+                   for c in range(n + 1)] for x in range(n + 1)])
+    u = [m.rows() for m in raise_index(ij.Dg, ij.adj)]
+    r_base = [[[big_f * delta * w[j][i + 1][c + 1] - det * (
+        u[i][j][c] + delta * ((i == c) * a[j] + (i == j) * a[c]))
+        for c in idx] for j in idx] for i in idx]
+    r_up = [[2 * big_f**2 * delta * w[i][0][j + 1] - det * (
+        big_f * delta * h[i][j] - 2 * delta * a[i] * a[j]
+        - sum(a[c] * u[c][i][j] for c in idx)) for j in idx] for i in idx]
+    assert r_up == [[-sum(a[m] * r_base[m][i][j] for m in idx) for j in idx]
+                    for i in idx]
+    assert [[big_f**n * w[i][0][j + 1] for j in idx] for i in idx] == [
+        [2 * (-1) ** (n + 1) * delta * v for v in r] for r in h]
+    return r_base, r_up
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 8), st.integers(0, 10**3),
+       st.integers(-2, 2))
+def test_fibre_upper_residual_is_minus_a_times_the_base_residual(
+        seed, which, slot, offset):
+    """The identity the check's constants rest on, on built input and with
+    one entry of Dg moved; the check's base verdict is that of the residual
+    built here, and holds on built input."""
+    tm = _corrupted(_suite_or_random_metric(seed, which, F(1)), False, slot,
+                    offset)
+    r_base, _ = _fibre_upper_follows_from_base(tm)
+    base = not any(v for plane in r_base for r in plane for v in r)
+    got = tilde_christoffel_check(tm)
+    assert got.matches["printed"]["base"] == got.passed == base
+    if not offset:
+        assert base
+
+
+def test_fibre_upper_can_hold_where_base_fails():
+    """Where a coordinate of a = H z / 2 is zero, a wrong Dg can break base
+    yet keep sum_m a_m R_base[m] = 0, so fibre-upper as printed holds alone;
+    the check still fails, since it passes exactly when base holds."""
+    form = parse_text("y1*y2^2 - y1*y3^2", 3)
+    tm = build_tilde_metric(form, [Complex(0, v) for v in (-4, 0, F(15, 8))],
+                            F(1))
+    assert 0 in tm.ij.point.a
+    dg = tm.ij.Dg
+    moved = type(dg)(dg.n, dg._data)
+    moved[1, 1, 1] += 1
+    tm = tm._replace(ij=tm.ij._replace(Dg=moved))
+    r_base, r_up = _fibre_upper_follows_from_base(tm)
+    assert any(v for plane in r_base for r in plane for v in r)
+    assert not any(v for r in r_up for v in r)
+    got = tilde_christoffel_check(tm)
+    assert not got.passed and not got.matches["printed"]["fibre-upper"]
+    assert not reference_christoffel_check(tm).passed
 
 
 def test_christoffel_check_raises_on_a_singular_bordered_hessian():
