@@ -22,7 +22,7 @@ from .linalg import CurvTensor, Sym3Tensor, SymMatrix, contract, inertia
 from .scalars import Complex
 from .special import (AffineCheckResult, TildeChristoffelResult,
                       TildeInverseResult, TildeMetric, affine_curvature_check,
-                      affine_metric, affine_tau, build_tilde_metric,
+                      affine_metric, build_tilde_metric,
                       tilde_christoffel_check, tilde_inverse_check)
 
 __version__ = "0.1.0"
@@ -36,8 +36,7 @@ __all__ = [
     "SymMatrix", "Sym3Tensor", "CurvTensor", "inertia", "contract", "Complex",
     "AffineCheckResult", "TildeMetric", "TildeInverseResult",
     "TildeChristoffelResult", "affine_curvature_check", "affine_metric",
-    "affine_tau", "build_tilde_metric", "tilde_inverse_check",
-    "tilde_christoffel_check",
+    "build_tilde_metric", "tilde_inverse_check", "tilde_christoffel_check",
     "PointResult", "VerificationSummary",
     "KahlerConeError", "ParseError", "NotHomogeneousCubic",
     "DimensionMismatch", "SingularHessian", "NotInCone", "SamplingExhausted",

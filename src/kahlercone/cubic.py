@@ -37,7 +37,8 @@ from .errors import (DimensionMismatch, NotHomogeneousCubic, NotInCone,
 from .linalg import (Sym3Tensor, SymMatrix, _layout, inertia,
                      positive_definite)
 from .poly import Poly
-from .scalars import Complex, format_point, format_scalar
+from .scalars import (Complex, format_point, format_scalar,
+                      parse_rational)
 
 __all__ = [
     "CubicForm",
@@ -190,15 +191,20 @@ class CubicForm:
             raise TypeError("n must be a JSON integer, not a boolean")
         monos = {}
         for m in doc["monomials"]:
-            if any(type(v) is bool for v in (m["coeff"], *m["exp"])):
+            coeff = m["coeff"]
+            if any(type(v) is bool for v in (coeff, *m["exp"])):
                 raise TypeError(f"monomial {m} holds a boolean")
             exp = tuple(map(index, m["exp"]))
             try:    # repeated exponents add up, as in parse_text
-                monos[exp] = monos.get(exp, 0) + Fraction(m["coeff"])
-            except ZeroDivisionError:
-                raise ValueError(f"monomial with exponents {list(exp)} has a "
-                                 f"zero denominator in its coefficient "
-                                 f"{m['coeff']!r}") from None
+                monos[exp] = monos.get(exp, 0) + (
+                    parse_rational(coeff) if type(coeff) is str
+                    else Fraction(coeff))
+            except ValueError as exc:
+                why = (f" has a zero denominator in its coefficient {coeff!r}"
+                       if isinstance(exc.__cause__, ZeroDivisionError)
+                       else f": {exc}")
+                raise ValueError(f"monomial with exponents {list(exp)}{why}"
+                                 ) from None
         return cls(index(doc["n"]), monos)
 
     def __eq__(self, other):

@@ -39,7 +39,11 @@ def parse_rational(text: str) -> Fraction:
     the value more digits than Python's int-string limit (4300 by default)."""
     if "e" in text or "E" in text:
         limit = sys.get_int_max_str_digits()
-        if limit and abs(int(text.lower().partition("e")[2])) >= limit:
+        try:
+            exponent = abs(int(text.lower().partition("e")[2]))
+        except ValueError:      # malformed: Fraction's message names the text
+            exponent = 0
+        if limit and exponent >= limit:
             raise ValueError(f"exponent of {text.strip()!r} is too large")
     try:
         return Fraction(text.strip())

@@ -3,8 +3,10 @@ fibre-extended cone metric.
 
 Affine side. The flat prepotential metric is a(y) = -4 Hess f(y), linear in
 y, so its second derivatives vanish identically and the same real-reduction
-curvature formula as in `geometry` collapses to a single contraction. The
-normative identity checked here is convention-free:
+curvature formula as in `geometry` collapses to a single contraction. It is
+-Im tau, tau(x + iy) = 4 Hess f(x) + 4i Hess f(y) the period map, which is
+not built: no check reads its real part. The normative identity checked
+here is convention-free:
 
     R_aff[i,j,k,l] = sum_{p,q} (Hess f)^{-1}[p,q] f3[i,k,p] f3[j,l,q].
 
@@ -37,8 +39,11 @@ integer matrix, which `TildeMetric` stores and renders with its phases:
     stated = conj(D')^-1 P^-1 C P^-1 D'^-1 / (K Delta),
     D = diag(1/lam, i, ..., i),   D' = diag(1/lambar, i, ..., i),
     P = diag(1, l, ..., l),       B = [[4F, 2a^T], [2a, H]],
-    C = [[Delta - a^T A a, 2F (A a)^T], [2F A a, -4F^2 A]],
+    C = [[-2 Delta, 2 Delta z^T], [2 Delta z, -4F^2 A]],
     B C = 4 F Delta I,  C = (-1)^n F^n adj B,  F^(n-1) det B = 4 (-1)^n Delta.
+
+C's fibre row is the published (Delta - a^T A a, 2F (A a)^T): M z = F a
+gives A a = Delta z / F and a^T A a = 3 Delta, so 1 - k.ginv.k = -2.
 
 Two calibrations, fixed at n = 1 because the published formulas leave them
 open: the printed value for index pair (0, i-bar) equals entry (row i,
@@ -48,7 +53,7 @@ inverse only for real lambda. With Phi = D^-1 D' = diag(lam / lambar, 1,
 ..., 1), gtilde . stated = D P (B Phi C) P^-1 D'^-1 / (4 F Delta), so the
 check decides B Phi C = 4 F Delta Phi, on Gaussian integers. By
 B C = 4 F Delta I the two differ by (lam / lambar - 1) (B[.,0] C[0,.] -
-4 F Delta e_0 e_0^T), whose fibre entry is -4F a^T A a != 0: the check
+4 F Delta e_0 e_0^T), whose fibre entry is -12 F Delta != 0: the check
 passes exactly when lambda is real and returns the product matrix for
 diagnosis otherwise.
 
@@ -83,19 +88,22 @@ identity on ints, in which lambda does not appear:
     zeros        never as printed; under E, W[q][0][0] = 0 for every q.
 
 Only base, which compares differentiation with the jet's Dg, is decided,
-and the check passes exactly when it holds. The rest is fixed by how B is
-built, and row 0 and column 0 of W are never formed. B's fibre row is
-(4F, 2a), so row 0 of B W_i = d dB_i gives, with each R the left side minus
-the right side of its identity above, R_up[i][j] = -sum_m a_m
-R_base[m][i][j] for every Dg: fibre-upper holds as printed where base does.
-Both scalings' fibre-upper would need W[i][0][j+1] = 0, but by
-Aa = Delta z / F that row is 2 (-1)^(n+1) Delta H / F^n != 0, so under E it
-is reported false. Mixed and zeros hold under E and fail as printed: B and
-dB_c are read from the same a and H, so dB_c e_0 = 2 B e_(c+1) and
-W[c][x][0] = 2 d delta_(x,c+1). So does the lower symmetry Gamma[x][b][c] =
-Gamma[x][c][b]: to the mixed and zero entries it adds W[b][x][c+1] =
-W[c][x][b+1], true for every B as dB_c e_(b+1) = dB_b e_(c+1). The recovery
-relation, Gamma[i][j][c] - lam (Gamma[i][j][0] K_c + Gamma[i][0][c] K_m) =
+and the check passes exactly when it holds. Its sides are symmetric in
+(j, c): U as Dg is, the delta term, and W, as dB_j e_(c+1) =
+(2 H[j,c], t[.,j,c]) = dB_c e_(j+1) for every B. So it is decided over
+j <= c, n^2 (n+1) / 2 identities, one column of dB per `SymMatrix` slot.
+The rest is fixed by how B is built, and row 0 and column 0 of W are never
+formed. B's fibre row is (4F, 2a), so row 0 of B W_i = d dB_i gives, with
+each R the left side minus the right side of its identity above,
+R_up[i][j] = -sum_m a_m R_base[m][i][j] for every Dg: fibre-upper holds as
+printed where base does. Both scalings' fibre-upper would need
+W[i][0][j+1] = 0, but by Aa = Delta z / F that row is
+2 (-1)^(n+1) Delta H / F^n != 0, so under E it is reported false. Mixed
+and zeros hold under E and fail as printed: B and dB_c are read from the
+same a and H, so dB_c e_0 = 2 B e_(c+1) and W[c][x][0] = 2 d delta_(x,c+1).
+So does the lower symmetry Gamma[x][b][c] = Gamma[x][c][b]: to the mixed
+and zero entries it adds the symmetry of W above. The recovery relation,
+Gamma[i][j][c] - lam (Gamma[i][j][0] K_c + Gamma[i][0][c] K_m) =
 i beta_ijc on the potential array, read as m = j (corrected) or m = i (as
 printed), is
 
@@ -113,7 +121,6 @@ K_i) are equal and false otherwise. The check makes its own
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -131,26 +138,12 @@ __all__ = [
     "TildeChristoffelResult",
     "affine_curvature_check",
     "affine_metric",
-    "affine_tau",
     "build_tilde_metric",
     "tilde_inverse_check",
     "tilde_christoffel_check",
 ]
 
 LITERATURE_KAPPA = Fraction(-4)
-
-
-def affine_tau(form: CubicForm, t):
-    """The period map tau(t) = 4 * Hess F(t) of the holomorphic extension.
-
-    For a cubic the Hessian is linear, so at t = x + iy it splits exactly
-    into 4 Hess f(x) + 4i Hess f(y); rows of Complex entries.
-    """
-    t = tuple(map(_exact, t))
-    hx = form.hessian([v.re for v in t])
-    hy = form.hessian([v.im for v in t])
-    return [[Complex(4 * hx[i, j], 4 * hy[i, j]) for j in range(form.n)]
-            for i in range(form.n)]
 
 
 def affine_metric(form: CubicForm, y) -> SymMatrix:
@@ -247,14 +240,12 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
         raise ZeroLambda("fibre coordinate must be nonzero")
     y = tuple(v.im for v in t)
     ij = _integer_jet(form, y)        # NotInCone unless Im t is interior
-    F, a, adj = ij.point.F, ij.point.a, ij.adj.rows()
-    adj_a = [sum(map(mul, r, a)) for r in adj]
+    F, a, delta = ij.point.F, ij.point.a, ij.delta
     return TildeMetric(
         n=form.n, t=t, lam=lam, y=y, norm_value=8 * ij.point.f, ij=ij,
         bordered=_bordered(4 * F, [2 * v for v in a], ij.point.H.rows()),
-        stated=_bordered(ij.delta - sum(map(mul, a, adj_a)),
-                         [2 * F * v for v in adj_a],
-                         [[-4 * F * F * v for v in r] for r in adj]))
+        stated=_bordered(-2 * delta, [2 * delta * v for v in ij.point.z],
+                         [[-4 * F * F * v for v in r] for r in ij.adj.rows()]))
 
 
 class TildeInverseResult(NamedTuple):
@@ -305,23 +296,22 @@ class TildeChristoffelResult(NamedTuple):
 
 def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     """Decide the base connection formula on the integers W, U and the
-    jet, and read every other verdict off it (module docstring). Raises
-    SingularHessian when B is singular."""
-    n, ij, lay, t = tm.n, tm.ij, _layout(tm.n), tm.ij.t._data
-    f, a, h, delta = ij.point.F, ij.point.a, ij.point.H.rows(), ij.delta
+    jet, one column of dB per index pair j <= c, and read every other
+    verdict off it (module docstring). Raises SingularHessian when B is
+    singular."""
+    ij, lay, t = tm.ij, _layout(tm.n), tm.ij.t._data
+    f, a, delta = ij.point.F, ij.point.a, ij.delta
     det, adj = det_adjugate(tm.bordered)
     if det == 0:
         raise SingularHessian("the bordered Hessian B is singular")
-    w = []              # w[q][x][c] = (adj B . dB_q)[x+1][c+1], dB_q symmetric
-    for q in range(n):
-        d_b = [[2 * h[d][q]] + [t[lay.pair_triples[s][q]] for s in lay.slot[d]]
-               for d in range(n)]
-        w.append([[sum(map(mul, r, col)) for col in d_b]
-                  for r in adj.rows()[1:]])
-    u = [m.rows() for m in raise_index(ij.Dg, ij.adj)]         # U = A . Dg
-    base = all(f * delta * w[j][i][c] == det * (
-        u[i][j][c] + delta * ((i == c) * a[j] + (i == j) * a[c]))
-        for i, j, c in product(range(n), repeat=3))
+    # dB_j e_(c+1) = (2 H[j,c], t[.,j,c]), one column per SymMatrix slot
+    cols = [[2 * h, *(t[q] for q in triples)]
+            for h, triples in zip(ij.point.H._data, lay.pair_triples)]
+    u = raise_index(ij.Dg, ij.adj)                  # U[i] = (A . Dg)[i]
+    base = all(f * delta * sum(map(mul, r, col)) == det * (
+        u_i._data[s] + delta * ((i == c) * a[j] + (i == j) * a[c]))
+        for s, ((j, c), col) in enumerate(zip(lay.pairs, cols))
+        for i, (r, u_i) in enumerate(zip(adj.rows()[1:], u)))
     # fibre-upper, mixed, zeros and lower symmetry: fixed by how B is built
     matches = {"printed": {"base": base, "mixed": False,
                            "fibre-upper": base, "zeros": False},

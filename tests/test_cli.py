@@ -468,6 +468,11 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     for number in ("NaN", "Infinity", "-Infinity", "1e999999999", "1e-5000"):
         non_integers.append(tmp_path / f"{number}.json")
         non_integers[-1].write_text(_coeff_doc(number))
+    # so are such exponents in a string coefficient, read as --points reads
+    # a number, and the message names the monomial
+    for number in ("1e5000", "1e-5000"):
+        non_integers.append(tmp_path / f"string_{number}.json")
+        non_integers[-1].write_text(_coeff_doc(f'"{number}"'))
     for doc in ('{"n": 1e0, "monomials": [{"exp": [3], "coeff": "1"}]}',
                 '{"n": 1, "monomials": [{"exp": [3e0], "coeff": "1"}]}'):
         non_integers.append(tmp_path / f"float_{len(non_integers)}.json")
@@ -478,6 +483,10 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         error = json.loads(out)["error"]
         assert error["type"] == "KahlerConeError", path
         assert error["message"].startswith("cannot load form file: "), path
+        if path.name.startswith("string_"):
+            assert error["message"].startswith(
+                "cannot load form file: monomial with exponents [3]: "
+                "exponent of '1e"), path
     # a decimal exponent obeys the int-string limit as a digit run does:
     # every option that reads a number exits 2 at once
     for argv in (("verify", "--form", "y1^3", "--points", "1e5000"),
@@ -511,6 +520,15 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"]["message"] == (
         "cannot load form file: monomial with exponents [3] has a zero "
         "denominator in its coefficient '1/0'")
+    # so does a malformed exponent's, which names the text as written
+    bad_exponent = tmp_path / "bad_exponent.json"
+    bad_exponent.write_text(_coeff_doc('"1e"'))
+    code, out = run_inproc(capsys, "validate", "--form-file",
+                           str(bad_exponent))
+    message = json.loads(out)["error"]["message"]
+    assert code == 2 and "'1e'" in message
+    assert message.startswith(
+        "cannot load form file: monomial with exponents [3]: ")
 
 
 def _exact(text):

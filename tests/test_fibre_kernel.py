@@ -3,17 +3,18 @@ jet: the `Complex` direct arrays of `_reference.complex_direct_gammas`
 against the oracle `_reference.reference_direct_gammas`, the integer
 connection check against its `Complex` form
 `_reference.reference_christoffel_check`, on well-formed input and with one
-entry of B or Dg corrupted, the identity R_up = -sum_m a_m R_base[m] by
-which fibre-upper is read off base, a singular B, the stated inverse
-against the reality of lambda, the inertia of the bordered Hessian B
-against that of gtilde, the work one check does, the integer Christoffel
-symbols against `raise_index` on the `Fraction` jet, the commands that read
-the integer jet without its `Fraction` rendering, and the sampler's stop
-once the grid runs out. The inverse check, decided on the cleared integers
-B and C, is compared with the `Complex` product
-`_reference.reference_inverse_check`, shown to read every published term of
-C, and tied to the connection check's B by the identities of the `special`
-module docstring."""
+entry of B or Dg corrupted, the symmetry of W by which base is read over
+j <= c, the identity R_up = -sum_m a_m R_base[m] by which fibre-upper is
+read off base, a singular B, the stated inverse against the reality of
+lambda, the inertia of the bordered Hessian B against that of gtilde, the
+work one check does, the integer Christoffel symbols against `raise_index`
+on the `Fraction` jet, the commands that read the integer jet without its
+`Fraction` rendering, and the sampler's stop once the grid runs out. The
+inverse check, decided on the cleared integers B and C, is compared with
+the `Complex` product `_reference.reference_inverse_check`, shown to read
+every published term of C, and tied to the connection check's B by the
+identities of the `special` module docstring; C's fibre row is the
+published one of the jet."""
 
 import random
 from fractions import Fraction as F
@@ -133,7 +134,10 @@ def test_christoffel_check_matches_the_reference_on_corrupted_input():
     base or fixed by how `build_tilde_metric` makes B (`special` module
     docstring): fibre-upper is base's verdict as printed and false under
     the potential scaling. They are compared with the reference on built
-    input only, by `test_christoffel_check_matches_complex_reference`."""
+    input only, by `test_christoffel_check_matches_complex_reference`.
+    The check reads base over the pairs j <= c only: W, built here over
+    every (j, c), is symmetric in them, and base is the verdict of the
+    comparison over every index triple."""
     seen = {"base": set(), "passed": set()}
 
     @settings(max_examples=150)
@@ -154,6 +158,11 @@ def test_christoffel_check_matches_the_reference_on_corrupted_input():
             assert base == want.matches[scaling]["base"], scaling
         assert got.matches["printed"]["fibre-upper"] == base
         assert got.matches["potential"]["fibre-upper"] is False
+        _, w, _, r_base = _base_residual(tm)
+        assert all(w[j][x][c + 1] == w[c][x][j + 1] for x in range(n + 1)
+                   for j in range(n) for c in range(n))
+        assert base == (not any(v for plane in r_base for r in plane
+                                for v in r))
         seen["base"].add(base)
         seen["passed"].add(got.passed)
 
@@ -161,17 +170,17 @@ def test_christoffel_check_matches_the_reference_on_corrupted_input():
     assert seen == {"base": {True, False}, "passed": {True, False}}
 
 
-def _fibre_upper_follows_from_base(tm):
-    """(R_base, R_up) of the `special` module docstring, built here from B,
-    the jet's H, t, a, F and Delta, and its Dg, each R the left side minus
-    the right side of the printed identity (sigma = +1), after asserting
-    what B's fibre row (4F, 2a) gives for every Dg: R_up = -sum_m a_m
-    R_base[m], and W's row 0 is 2 (-1)^(n+1) Delta H / F^n, never zero."""
+def _base_residual(tm):
+    """(d, W, U, R_base) of the `special` module docstring, built here over
+    every index triple from det_adjugate(B), the jet's H, t, a, F and
+    Delta, and its Dg: d = det B, W_q = adj B . dB_q with dB_q = dB/dz_q,
+    every row and column, U = A . Dg and R_base the left side minus the
+    right side of the base identity."""
     n, ij, idx = tm.n, tm.ij, range(tm.n)
     big_f, a, h, delta = ij.point.F, ij.point.a, ij.point.H.rows(), ij.delta
     det, adj = det_adjugate(tm.bordered)
     adj = adj.rows()
-    w = []                              # W_q = adj B . dB_q, dB_q = dB/dz_q
+    w = []
     for q in idx:
         d_b = [[4 * a[q]] + [2 * h[q][c] for c in idx]] + [
             [2 * h[r][q]] + [ij.t[r, c, q] for c in idx] for r in idx]
@@ -181,6 +190,18 @@ def _fibre_upper_follows_from_base(tm):
     r_base = [[[big_f * delta * w[j][i + 1][c + 1] - det * (
         u[i][j][c] + delta * ((i == c) * a[j] + (i == j) * a[c]))
         for c in idx] for j in idx] for i in idx]
+    return det, w, u, r_base
+
+
+def _fibre_upper_follows_from_base(tm):
+    """(R_base, R_up) of the `special` module docstring (`_base_residual`),
+    each R the left side minus the right side of the printed identity
+    (sigma = +1), after asserting what B's fibre row (4F, 2a) gives for
+    every Dg: R_up = -sum_m a_m R_base[m], and W's row 0 is
+    2 (-1)^(n+1) Delta H / F^n, never zero."""
+    n, ij, idx = tm.n, tm.ij, range(tm.n)
+    big_f, a, h, delta = ij.point.F, ij.point.a, ij.point.H.rows(), ij.delta
+    det, w, u, r_base = _base_residual(tm)
     r_up = [[2 * big_f**2 * delta * w[i][0][j + 1] - det * (
         big_f * delta * h[i][j] - 2 * delta * a[i] * a[j]
         - sum(a[c] * u[c][i][j] for c in idx)) for j in idx] for i in idx]
@@ -303,6 +324,12 @@ def test_stated_inverse_is_the_scaled_adjugate_of_the_bordered_hessian(
     det_b, adj_b = det_adjugate(tm.bordered)
     assert tm.stated == adj_b.scale((-big_f) ** n)
     assert big_f ** (n - 1) * det_b == 4 * (-1) ** n * delta
+    # C's fibre row, which the builder writes as (-2 Delta, 2 Delta z), is
+    # the published (Delta - a^T A a, 2F A a) of the jet
+    a, adj = tm.ij.point.a, tm.ij.adj.rows()
+    adj_a = [sum(map(mul, r, a)) for r in adj]
+    assert c[0] == [delta - sum(map(mul, a, adj_a))] + [
+        2 * big_f * v for v in adj_a]
 
 
 @SETTINGS

@@ -12,7 +12,7 @@ import kahlercone.geometry
 from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
                         KahlerConeError, Membership, NotInCone, Sym3Tensor,
                         SymMatrix, ZeroVector, affine_curvature_check,
-                        affine_metric, affine_tau, build_tilde_metric,
+                        affine_metric, build_tilde_metric,
                         christoffels, cone_contains, cone_sample,
                         curvature_lhs, curvature_report, curvature_rhs,
                         inertia, kahler_metric, norm_function, parse_text,
@@ -165,7 +165,7 @@ def test_float_input_gives_the_exact_answer_everywhere():
     table = {
         form.evaluate: (y,), form.hessian: (y,),
         norm_function: (form, y), affine_metric: (form, y),
-        affine_tau: (form, t), kahler_metric: (form, y),
+        kahler_metric: (form, y),
         curvature_lhs: (form, y), curvature_rhs: (form, y),
         christoffels: (form, y), curvature_report: (form, y),
         lambda *a: verify_identity(*a).points: (form, [y, (1.0, 2.5)]),

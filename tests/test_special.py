@@ -12,11 +12,12 @@ from sympy.polys.matrices import DomainMatrix
 
 import kahlercone.cubic
 import kahlercone.special
-from kahlercone import (Complex, CubicForm, DimensionMismatch, NotInCone,
-                        SingularHessian, ZeroLambda, affine_curvature_check,
-                        affine_metric, affine_tau, build_tilde_metric,
-                        cone_sample, contract, inertia, parse_text,
-                        tilde_christoffel_check, tilde_inverse_check)
+from kahlercone import (Complex, CubicForm, CurvTensor, DimensionMismatch,
+                        NotInCone, SingularHessian, ZeroLambda,
+                        affine_curvature_check, affine_metric,
+                        build_tilde_metric, cone_sample, contract, inertia,
+                        parse_text, tilde_christoffel_check,
+                        tilde_inverse_check)
 from kahlercone.cli import main
 from kahlercone.geometry import _IntegerJet
 
@@ -66,6 +67,8 @@ def test_affine_kappa_constant_across_suite():
         for y in cone_sample(form, 5, seed=11, hint=hint):
             res = affine_curvature_check(form, y)
             assert res.passed and res.kappa == -4 and res.kappa_constant
+            assert res.residual == CurvTensor.zeros(form.n)
+            assert res.max_abs_residual == 0
             # both sides read one (Hess f)^-1 = s l adj H / det H, so the
             # identity alone cannot see a wrong factor in it: compare with
             # the Gauss-Jordan inverse of Hess f, at points with l > 1 too
@@ -76,18 +79,15 @@ def test_affine_kappa_constant_across_suite():
     assert cleared > 5
 
 
-def test_affine_tau_splits_on_complex_points():
+def test_affine_metric_is_minus_four_times_the_hessian():
+    # -Im tau of the period map tau(t) = 4 Hess F(t), whose imaginary part
+    # at t = x + iy is 4 Hess f(y)
     f = parse_text("y1*y2^2", 2)
-    x = [F(2), F(-1)]
     y = [F(1), F(3)]
-    t = [Complex(a, b) for a, b in zip(x, y)]
-    tau = affine_tau(f, t)
-    hx, hy = reference_hessian(f, x), reference_hessian(f, y)
+    h = reference_hessian(f, y)
     for i in range(2):
         for j in range(2):
-            assert tau[i][j] == Complex(4 * hx[i, j], 4 * hy[i, j])
-            # affine metric is -Im tau
-            assert affine_metric(f, y)[i, j] == -tau[i][j].im
+            assert affine_metric(f, y)[i, j] == -4 * h[i, j]
 
 
 def test_affine_metric_inertia_and_linearity():
