@@ -50,12 +50,11 @@ open: the printed value for index pair (0, i-bar) equals entry (row i,
 column 0) of the true inverse, so it is placed there (the conjugate goes to
 (0, i)); and the printed lambda-bar power in that entry matches the true
 inverse only for real lambda. With Phi = D^-1 D' = diag(lam / lambar, 1,
-..., 1), gtilde . stated = D P (B Phi C) P^-1 D'^-1 / (4 F Delta), so the
-check decides B Phi C = 4 F Delta Phi, on Gaussian integers. By
-B C = 4 F Delta I the two differ by (lam / lambar - 1) (B[.,0] C[0,.] -
-4 F Delta e_0 e_0^T), whose fibre entry is -12 F Delta != 0: the check
-passes exactly when lambda is real and returns the product matrix for
-diagnosis otherwise.
+..., 1), gtilde . stated = D P (B Phi C) P^-1 D'^-1 / (4 F Delta). Given
+B C = 4 F Delta I, B Phi C - 4 F Delta Phi = (lam / lambar - 1) (B e_0
+C[0,.] - 4 F Delta e_0 e_0^T), whose fibre entry is -12 F Delta != 0. So
+the check decides the lambda-free B C = 4 F Delta I on the integers
+(`_inverts`), and passes exactly when it holds and lambda is real.
 
 Christoffel check. Direct differentiation of the printed entries
 K D S D* validates the published all-base and fibre-upper connection
@@ -87,14 +86,21 @@ identity on ints, in which lambda does not appear:
     mixed        sigma W[j][i+1][0] = -2 d delta_ij,
     zeros        never as printed; under E, W[q][0][0] = 0 for every q.
 
-Only base, which compares differentiation with the jet's Dg, is decided,
-and the check passes exactly when it holds. Its sides are symmetric in
-(j, c): U as Dg is, the delta term, and W, as dB_j e_(c+1) =
-(2 H[j,c], t[.,j,c]) = dB_c e_(j+1) for every B. So it is decided over
-j <= c, n^2 (n+1) / 2 identities, one column of dB per `SymMatrix` slot.
-The rest is fixed by how B is built, and row 0 and column 0 of W are never
-formed. B's fibre row is (4F, 2a), so row 0 of B W_i = d dB_i gives, with
-each R the left side minus the right side of its identity above,
+Only base, which compares differentiation with the jet's Dg, is decided.
+Given B C = 4 F Delta I, adj B = d C / (4 F Delta) (a built B is never
+singular: F^(n-1) d = 4 (-1)^n Delta), so base reads through rows 1..n
+of C, and the check makes no inverse of B. It passes exactly when
+B C = 4 F Delta I (`_inverts`) and
+
+    (C . dB_j)[i+1][c+1] = 4 (U[i][j][c] + Delta (delta_ic a_j + delta_ij a_c))
+
+hold. Both sides are symmetric in (j, c): U as Dg is, the delta term,
+and C . dB_j, as dB_j e_(c+1) = (2 H[j,c], t[.,j,c]) = dB_c e_(j+1) for
+every B. So base is decided over j <= c, n^2 (n+1) / 2 identities, one
+column of dB per `SymMatrix` slot.
+The rest is fixed by how B is built, and W is never formed. B's fibre
+row is (4F, 2a), so row 0 of B W_i = d dB_i gives, with each R the left
+side minus the right side of its identity above,
 R_up[i][j] = -sum_m a_m R_base[m][i][j] for every Dg: fibre-upper holds as
 printed where base does. Both scalings' fibre-upper would need
 W[i][0][j+1] = 0, but by Aa = Delta z / F that row is
@@ -102,7 +108,7 @@ W[i][0][j+1] = 0, but by Aa = Delta z / F that row is
 and zeros hold under E and fail as printed: B and dB_c are read from the
 same a and H, so dB_c e_0 = 2 B e_(c+1) and W[c][x][0] = 2 d delta_(x,c+1).
 So does the lower symmetry Gamma[x][b][c] = Gamma[x][c][b]: to the mixed
-and zero entries it adds the symmetry of W above. The recovery relation,
+and zero entries it adds the symmetry of dB above. The recovery relation,
 Gamma[i][j][c] - lam (Gamma[i][j][0] K_c + Gamma[i][0][c] K_m) =
 i beta_ijc on the potential array, read as m = j (corrected) or m = i (as
 printed), is
@@ -113,9 +119,8 @@ printed), is
 whose sides differ by twice the base residual plus 2 d Delta delta_ic
 (a_j - a_m), by the potential mixed identity: the corrected reading is
 base's verdict, and the as-printed one is base's when all a_i (so all
-K_i) are equal and false otherwise. The check makes its own
-`det_adjugate` of B, independent of C; inertia(gtilde) = inertia(B)
-(K > 0; D, P invertible).
+K_i) are equal and false otherwise. inertia(gtilde) = inertia(B) (K > 0;
+D, P invertible).
 """
 
 from __future__ import annotations
@@ -250,38 +255,21 @@ def build_tilde_metric(form: CubicForm, t, lam) -> TildeMetric:
 
 class TildeInverseResult(NamedTuple):
     passed: bool
-    product: list
+
+
+def _inverts(tm: TildeMetric) -> bool:
+    """B C = 4 F Delta I on ints, which both fibre checks read (module
+    docstring); C is symmetric, so its rows are its columns."""
+    s, c = 4 * tm.ij.point.F * tm.ij.delta, tm.stated.rows()
+    return all(sum(map(mul, b_x, c_y)) == (s if x == y else 0)
+               for x, b_x in enumerate(tm.bordered.rows())
+               for y, c_y in enumerate(c))
 
 
 def tilde_inverse_check(tm: TildeMetric) -> TildeInverseResult:
-    """gtilde * stated inverse against the identity, decided as
-    B Phi C = 4 F Delta Phi (module docstring) times N = |pi|^2, lam = pi / d:
-    N B Phi C = N R + pi^2 u, R = B[.,1:] C[1:,.] and u = B[.,0] C[0,.], on
-    Gaussian integers. Each product entry divides once."""
-    re, im, l = tm.lam.re, tm.lam.im, tm.ij.point.l
-    d = re.denominator * im.denominator
-    pi = Complex(re.numerator * im.denominator, im.numerator * re.denominator)
-    n, s, pi2 = pi.abs2(), 4 * tm.ij.point.F * tm.ij.delta, pi * pi
-    b, c = tm.bordered.rows(), tm.stated.rows()
-    w = [[pi2 * (b_x[0] * c_y[0]) + n * sum(map(mul, b_x[1:], c_y[1:]))
-          for c_y in c] for b_x in b]                       # N B Phi C
-    phi = [pi2] + [n] * tm.n                                # N Phi
-    passed = all(v == (s * phi[x] if x == y else 0)
-                 for x, row in enumerate(w) for y, v in enumerate(row))
-    # (numerator, denominator) of D_x v_c l^([x>0] - [c>0]) / (4 F Delta N),
-    # v = (lambar, -i, ..., -i) the diagonal of D'^-1
-    pb, i = pi.conj(), Complex(0, 1)
-    f = (((pb * pb, n * n * s), (-i * d * pb, n * n * s * l)),
-         ((i * l * pb, d * n * s), (1, n * s)))
-    return TildeInverseResult(passed=passed, product=[
-        [_over(*f[x > 0][y > 0], v) for y, v in enumerate(row)]
-        for x, row in enumerate(w)])
-
-
-def _over(m, den, v):
-    """m v / den for Gaussian integers m, v and an int den > 0."""
-    z = m * v
-    return Complex(Fraction(z.re, den), Fraction(z.im, den))
+    """gtilde * stated inverse against the identity: it holds exactly when
+    B C = 4 F Delta I and lambda is real (module docstring)."""
+    return TildeInverseResult(passed=tm.lam.im == 0 and _inverts(tm))
 
 
 # --- connection coefficients -------------------------------------------------
@@ -295,23 +283,19 @@ class TildeChristoffelResult(NamedTuple):
 
 
 def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
-    """Decide the base connection formula on the integers W, U and the
-    jet, one column of dB per index pair j <= c, and read every other
-    verdict off it (module docstring). Raises SingularHessian when B is
-    singular."""
+    """Decide the base connection formula through rows 1..n of C, with U,
+    the jet and B C = 4 F Delta I, one column of dB per index pair j <= c,
+    and read every other verdict off it (module docstring)."""
     ij, lay, t = tm.ij, _layout(tm.n), tm.ij.t._data
-    f, a, delta = ij.point.F, ij.point.a, ij.delta
-    det, adj = det_adjugate(tm.bordered)
-    if det == 0:
-        raise SingularHessian("the bordered Hessian B is singular")
+    a, delta = ij.point.a, ij.delta
     # dB_j e_(c+1) = (2 H[j,c], t[.,j,c]), one column per SymMatrix slot
     cols = [[2 * h, *(t[q] for q in triples)]
             for h, triples in zip(ij.point.H._data, lay.pair_triples)]
     u = raise_index(ij.Dg, ij.adj)                  # U[i] = (A . Dg)[i]
-    base = all(f * delta * sum(map(mul, r, col)) == det * (
+    base = _inverts(tm) and all(sum(map(mul, r, col)) == 4 * (
         u_i._data[s] + delta * ((i == c) * a[j] + (i == j) * a[c]))
         for s, ((j, c), col) in enumerate(zip(lay.pairs, cols))
-        for i, (r, u_i) in enumerate(zip(adj.rows()[1:], u)))
+        for i, (r, u_i) in enumerate(zip(tm.stated.rows()[1:], u)))
     # fibre-upper, mixed, zeros and lower symmetry: fixed by how B is built
     matches = {"printed": {"base": base, "mixed": False,
                            "fibre-upper": base, "zeros": False},

@@ -7,14 +7,14 @@ entry of B or Dg corrupted, the symmetry of W by which base is read over
 j <= c, the identity R_up = -sum_m a_m R_base[m] by which fibre-upper is
 read off base, a singular B, the stated inverse against the reality of
 lambda, the inertia of the bordered Hessian B against that of gtilde, the
-work one check does, the integer Christoffel symbols against `raise_index`
+work the checks do, the integer Christoffel symbols against `raise_index`
 on the `Fraction` jet, the commands that read the integer jet without its
 `Fraction` rendering, and the sampler's stop once the grid runs out. The
-inverse check, decided on the cleared integers B and C, is compared with
-the `Complex` product `_reference.reference_inverse_check`, shown to read
-every published term of C, and tied to the connection check's B by the
-identities of the `special` module docstring; C's fibre row is the
-published one of the jet."""
+inverse check, decided as B C = 4 F Delta I on the cleared integers and
+the reality of lambda, is compared with the `Complex` product
+`_reference.reference_inverse_check`; both checks are shown to read every
+published term of C, and C is tied to B by the identities of the `special`
+module docstring; C's fibre row is the published one of the jet."""
 
 import random
 from fractions import Fraction as F
@@ -28,10 +28,10 @@ import kahlercone.cubic
 import kahlercone.geometry
 import kahlercone.linalg
 import kahlercone.special
-from kahlercone import (Complex, SamplingExhausted, SingularHessian,
-                        SymMatrix, build_tilde_metric, christoffels,
-                        cone_sample, curvature_lhs, curvature_report,
-                        curvature_rhs, inertia, parse_text, sectional,
+from kahlercone import (Complex, SamplingExhausted, SymMatrix,
+                        build_tilde_metric, christoffels, cone_sample,
+                        curvature_lhs, curvature_report, curvature_rhs,
+                        inertia, parse_text, sectional,
                         tilde_christoffel_check, tilde_inverse_check)
 from kahlercone.cli import main
 from kahlercone.geometry import _integer_jet
@@ -250,7 +250,11 @@ def test_fibre_upper_can_hold_where_base_fails():
     assert not reference_christoffel_check(tm).passed
 
 
-def test_christoffel_check_raises_on_a_singular_bordered_hessian():
+def test_fibre_checks_fail_on_a_singular_bordered_hessian():
+    """A singular B breaks B C = 4 F Delta I, which both checks read, so each
+    reports a failure and neither raises. `build_tilde_metric` makes no
+    singular B: F^(n-1) det B = 4 (-1)^n Delta
+    (`test_stated_inverse_is_the_scaled_adjugate_of_the_bordered_hessian`)."""
     tm = build_tilde_metric(parse_text("y1*y2^2", 2),
                             [Complex(F(0), F(1))] * 2, F(1))
     # B with its last row and column zeroed
@@ -258,8 +262,9 @@ def test_christoffel_check_raises_on_a_singular_bordered_hessian():
     singular = SymMatrix.from_rows([r[:-1] + [0] for r in rows[:-1]]
                                    + [[0] * len(rows)])
     assert det_adjugate(singular)[0] == 0
-    with pytest.raises(SingularHessian):
-        tilde_christoffel_check(tm._replace(bordered=singular))
+    tm = tm._replace(bordered=singular)
+    assert not tilde_christoffel_check(tm).passed
+    assert not tilde_inverse_check(tm).passed
 
 
 @settings(max_examples=60)
@@ -276,10 +281,11 @@ def test_stated_inverse_holds_exactly_for_real_lambda(seed, which, lam):
 @settings(max_examples=60)
 @given(st.integers(0, 10**6), st.integers(0, 8), _LAMBDA)
 def test_inverse_check_matches_complex_reference(seed, which, lam):
-    """B Phi C = 4 F Delta Phi on ints against the `Complex` product of the
-    printed rows: the same verdict and the same product, entry by entry."""
+    """B C = 4 F Delta I on ints and the reality of lambda against the
+    `Complex` product of the printed rows: that product is the identity
+    exactly when the check passes."""
     tm = _suite_or_random_metric(seed, which, lam)
-    assert tilde_inverse_check(tm) == reference_inverse_check(tm)
+    assert tilde_inverse_check(tm).passed == reference_inverse_check(tm)
 
 
 def _broken_stated(tm):
@@ -299,13 +305,17 @@ def _broken_stated(tm):
 @settings(max_examples=10)
 @given(seed=st.integers(0, 10**6), lam=_REAL_LAMBDA)
 def test_inverse_check_reads_every_term_of_the_stated_inverse(n, seed, lam):
-    # at real lambda the intact C passes, so a check that ignored C would
-    # pass each broken one too
+    # at real lambda the intact C passes both checks, so a check that
+    # ignored C would pass each broken one too; the connection check reads
+    # base through C, decided together with B C = 4 F Delta I
     tm = _suite_or_random_metric(seed, n + 4, lam)
     assert tilde_inverse_check(tm).passed
+    assert tilde_christoffel_check(tm).passed
     for stated in _broken_stated(tm):
         assert stated != tm.stated
-        assert not tilde_inverse_check(tm._replace(stated=stated)).passed
+        broken = tm._replace(stated=stated)
+        assert not tilde_inverse_check(broken).passed
+        assert not tilde_christoffel_check(broken).passed
 
 
 @SETTINGS
@@ -339,12 +349,13 @@ def test_bordered_hessian_has_the_inertia_of_gtilde(seed, n):
     assert inertia(tm.bordered) == hermitian_inertia(tm.gtilde) == (1, n, 0)
 
 
-def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
+def test_fibre_checks_make_no_inverse(monkeypatch):
     tm = build_tilde_metric(parse_text("y1*y2*y3 + y4^3", 4),
                             [Complex(F(1), F(2)), Complex(F(0), F(2)),
                              Complex(F(-1, 2), F(2)), Complex(F(0), F(-1))],
                             Complex(F(2), F(1, 3)))
-    # det_adjugate is the package's one inverse: the check makes one, of B
+    # det_adjugate is the package's one inverse: both checks read C, the
+    # stated inverse, instead of making one
     adjugated = []
 
     def det_adjugate(m):
@@ -353,7 +364,8 @@ def test_christoffel_check_inverts_only_the_bordered_hessian(monkeypatch):
 
     monkeypatch.setattr(kahlercone.special, "det_adjugate", det_adjugate)
     assert tilde_christoffel_check(tm).passed
-    assert adjugated == [tm.bordered]
+    assert not tilde_inverse_check(tm).passed
+    assert adjugated == []
 
 
 def test_christoffel_check_makes_few_complex_products(monkeypatch):

@@ -141,6 +141,29 @@ PINNED = [
     (["metric", "--mode", "float", "--form", "y1*y2*y3 + y4^3",
       "--points", "2,2,2,-1"], 0,
      "e56a2d57c38f22d61f533962dd1711f949cbedb006e304df967aadf915493eb4"),
+    # the fibre checks above n = 2, at a nonzero Re t: a real lambda
+    # passes; a non-real and a purely imaginary one fail the inverse alone
+    (["cone-metric", "--form", FORM3, "--points", "2,1/2,-1",
+      "--x", "1,-1,1/3", "--lam", "3/2"], 0,
+     "14200fee6df4b9a5d3d99116c76af9bf0b31eed72dd914f7868b0d57d9390788"),
+    (["cone-metric", "--form", FORM3, "--points", "2,1/2,-1",
+      "--x", "1,-1,1/3", "--lam", "1/2+1i"], 1,
+     "0f095945890a17148b1fb53362dca496d1090476082b5bb8d811f4ee8ba02f43"),
+    (["cone-metric", "--form", FORM3, "--points", "2,1/2,-1",
+      "--x", "1,-1,1/3", "--lam", "0+2i"], 1,
+     "3dd0d9473cf7b1c7bb945f4298241e47a395031e3f25092d1177e72ddd62aeb5"),
+    (["cone-metric", "--text", "--form", FORM3, "--points", "2,1/2,-1",
+      "--x", "1,-1,1/3", "--lam", "1/2+1i"], 1,
+     "15ed4f6cbc2027ede685eb52a33a4b908a5600a76f903e1412f4ae4d6b633376"),
+    (["cone-metric", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1",
+      "--x", "1,0,-1/2,0", "--lam", "3/2"], 0,
+     "8aa400a5c295d2837ce8729abaa811a5d0b8d3b08609c008f3fde68af0580ec2"),
+    (["cone-metric", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1",
+      "--x", "1,0,-1/2,0", "--lam", "1/2+1i"], 1,
+     "fc3b4d17ed1c4568b964859221fe39bd22d313f8fcd24528a493d896e34f707b"),
+    (["cone-metric", "--form", "y1*y2*y3 + y4^3", "--points", "2,2,2,-1",
+      "--x", "1,0,-1/2,0", "--lam", "0+2i"], 1,
+     "69e465779e08022adfe17c5f77ad5ec05f5d7d145dedffdb3117ff4d227fb844"),
 ]
 
 # sha256 of each parser level's option table (see _option_table), keyed by

@@ -203,11 +203,10 @@ def test_int_lambda_keeps_every_entry_exact():
             tm = build_tilde_metric(form, t, lam)
             want = build_tilde_metric(form, t_exact, same)
             inv, want_inv = map(tilde_inverse_check, (tm, want))
-            arrays = [tm.gtilde, tm.gtilde_inv_stated, inv.product,
+            arrays = [tm.gtilde, tm.gtilde_inv_stated,
                       *complex_direct_gammas(tm).values(),
                       [tm.lam, *tm.t, *tm.y]]
-            assert arrays[:3] == [want.gtilde, want.gtilde_inv_stated,
-                                  want_inv.product]
+            assert arrays[:2] == [want.gtilde, want.gtilde_inv_stated]
             assert (tm.lam, tm.t, tm.y) == (want.lam, want.t, want.y)
             assert inv.passed == want_inv.passed == (want.lam.im == 0)
             assert (tilde_christoffel_check(tm)
