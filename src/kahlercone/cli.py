@@ -56,8 +56,7 @@ from .linalg import _Packed
 from .report import SCHEMA_VERSION, render_json
 from .scalars import (Complex, format_point, format_scalar, parse_rational,
                       to_float)
-from .special import (affine_curvature_check, build_tilde_metric,
-                      tilde_christoffel_check, tilde_inverse_check)
+from .special import _fibre_checks, affine_curvature_check, build_tilde_metric
 
 __all__ = ["main"]
 
@@ -266,8 +265,7 @@ def _cone_metric_points(args, form):
 def _cone_metric_point(args, form, point):
     t, lam = point
     tm = build_tilde_metric(form, t, lam)
-    inv = tilde_inverse_check(tm)
-    chris = tilde_christoffel_check(tm)
+    inv, chris = _fibre_checks(tm)
     # membership proved F > 0 and M positive definite; B's Schur complement
     # of 4F is -M / F, so B (and gtilde) has inertia (1, n, 0) by Haynsworth
     sig = (1, form.n, 0)

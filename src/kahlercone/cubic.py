@@ -4,12 +4,14 @@ A form is stored once, as a map from exponent vectors (summing to 3) to
 exact rational coefficients; on first use it builds its one integer tensor
 t = s f3 (f3 the third partials, s = 6 lcm of the coefficient denominators),
 and `third_tensor` is t / s. A point is cleared to Python ints in two steps:
-`_clear` gives the value F, and `_cleared` the Hessian, gradient and cleared
-metric M at any sign of F, which decide index-cone membership and are the
-integers the exact metric jet is built from; the sampler builds them only
-where F > 0. `_point` reads a float as the exact rational it stores;
-`evaluate` and `hessian` divide its F and H once, the one calculus of f
-(the tests' oracle evaluates the monomials).
+`_clear` gives the value F and the products z_j z_k it is built from, and
+`_cleared` the Hessian, gradient (from those products) and cleared metric M
+at any sign of F, which decide index-cone membership and are the integers
+the exact metric jet is built from. The sampler draws reduced pairs from
+`GRID` and decides in the order F's sign, M's diagonal, M's minors, building
+`_cleared` only where the first two pass. `_point` reads a float as the
+exact rational it stores; `evaluate` and `hessian` divide its F and H once,
+the one calculus of f (the tests' oracle evaluates the monomials).
 Only homogeneous cubics are accepted: the norm-function identity and the
 cone structure both rest on Euler's relation, which fails otherwise.
 
@@ -54,9 +56,13 @@ DEGREE = 3
 MAX_VARIABLES = 32           # `_layout(32)` takes about 0.3 s and 58 MiB
 GRID_NUM, GRID_DEN = 16, 8    # cone_sample's largest |numerator|, denominator
 JITTER_R, JITTER_S = (-1, 1), (4, 8)  # bounds of r, s in a jitter (s + r)/s
+# p/q reduced at GRID[p + GRID_NUM][q - 1]: choice(choice(GRID)) draws as
+# randint(-GRID_NUM, GRID_NUM) and then randint(1, GRID_DEN) do
+GRID = tuple(tuple((p // g, q // g) for q in range(1, GRID_DEN + 1)
+                   for g in (math.gcd(p, q),))
+             for p in range(-GRID_NUM, GRID_NUM + 1))
 # the distinct positive grid values p/q
-GRID_POSITIVE = sum(math.gcd(p, q) == 1 for p in range(1, GRID_NUM + 1)
-                    for q in range(1, GRID_DEN + 1))
+GRID_POSITIVE = len({pq for row in GRID[GRID_NUM + 1:] for pq in row})
 
 
 def _check_dimension(n):
@@ -107,17 +113,20 @@ class CubicForm:
     def third_tensor(self) -> Sym3Tensor:
         """Constant tensor of third partials, f = (1/6) sum f3[i,j,k] yi yj yk:
         t / s of `_integer_third`, built per read."""
-        s, t, _, _ = self._integer_third()
+        s, t = self._integer_third()[:2]
         return t.scale(Fraction(1, s))
 
     def _integer_third(self):
-        """(s, t, rows, terms): s = 6c, c > 0 the lcm of the coefficient
-        denominators; t = s * f3, the integer third-derivative tensor of s*f,
-        whose monomial q*y^e has q * prod(e_i!) at the multiset e counts; per
-        SymMatrix slot (i, j), in packed order, the row t[i, j, 0..n-1], so
-        the Hessian of s*f at an integer z is the integer SymMatrix of
-        rows . z; and per monomial w z_i z_j z_k (i <= j <= k) of s*f,
-        (w, SymMatrix slot of (i, j), k): t[i, j, k], its weight baked in."""
+        """(s, t, rows, terms, grads): s = 6c, c > 0 the lcm of the
+        coefficient denominators; t = s * f3, the integer third-derivative
+        tensor of s*f, whose monomial q*y^e has q * prod(e_i!) at the
+        multiset e counts; per SymMatrix slot (i, j), in packed order, the
+        row t[i, j, 0..n-1], so the Hessian of s*f at an integer z is the
+        integer SymMatrix of rows . z; per monomial w z_i z_j z_k
+        (i <= j <= k) of s*f, (w, SymMatrix slot of (i, j), k): t[i, j, k],
+        its weight baked in; per i, (g, t[i, i, .]), g over the SymMatrix
+        pairs (j, k) t[i, j, k], halved at j = k (e_j >= 2 makes it even),
+        so the gradient is a_i = g . (z_j z_k) and H_ii = t[i, i, .] . z."""
         if self._int_f3 is None:
             n, lay = self.n, _layout(self.n)
             s = 6 * math.lcm(*[v.denominator for v in self.monomials.values()])
@@ -128,7 +137,10 @@ class CubicForm:
                 t[i, j, k] = w * math.prod(map(math.factorial, exp))
                 terms.append((w, lay.slot[i][j], k))
             rows = [[t._data[p] for p in slots] for slots in lay.pair_triples]
-            self._int_f3 = (s, t, rows, terms)
+            grads = [([t._data[slots[i]] // (1 + (j == k)) for (j, k), slots
+                       in zip(lay.pairs, lay.pair_triples)],
+                      rows[lay.slot[i][i]]) for i in range(n)]
+            self._int_f3 = (s, t, rows, terms, grads)
         return self._int_f3
 
     def evaluate(self, y) -> Fraction:
@@ -351,8 +363,9 @@ class Cleared(NamedTuple):
 
 
 def _clear(form: CubicForm, pairs):
-    """(l, z, F) of `Cleared`, with no Hessian, at the rational point y given
-    as one pair (p, q), q > 0, per coordinate p/q in lowest terms."""
+    """(l, z, F) of `Cleared`, with no Hessian, and zz, z_j z_k per
+    SymMatrix pair, at the rational point y given as one pair (p, q),
+    q > 0, per coordinate p/q in lowest terms."""
     if len(pairs) != form.n:
         raise DimensionMismatch(
             f"point has {len(pairs)} coordinates, form has {form.n}")
@@ -360,18 +373,28 @@ def _clear(form: CubicForm, pairs):
     z = [p * (l // q) for p, q in pairs]
     terms = form._integer_third()[3]
     zz = [z[i] * z[j] for i, j in _layout(form.n).pairs]
-    return l, z, sum(w * zz[ij] * z[k] for w, ij, k in terms)
+    return l, z, sum(w * zz[ij] * z[k] for w, ij, k in terms), zz
 
 
-def _cleared(form: CubicForm, l, z, F) -> Cleared:
-    """The complete `Cleared` of `_clear`'s (l, z, F), at any integer z."""
-    s, _, rows, _ = form._integer_third()
-    lay = _layout(form.n)
+def _cleared(form: CubicForm, l, z, F, zz) -> Cleared:
+    """The complete `Cleared` of `_clear`'s (l, z, F, zz), at any z."""
+    s, _, rows, _, grads = form._integer_third()
     h = [sum(map(mul, row, z)) for row in rows]
-    a = [sum(map(mul, [h[q] for q in row], z)) // 2 for row in lay.slot]
+    a = [sum(map(mul, g, zz)) for g, _ in grads]
     M = SymMatrix(form.n, [a[i] * a[k] - F * v
-                           for (i, k), v in zip(lay.pairs, h)])
+                           for (i, k), v in zip(_layout(form.n).pairs, h)])
     return Cleared(l=l, s=s, z=z, F=F, H=SymMatrix(form.n, h), a=a, M=M)
+
+
+def _diagonal_positive(form: CubicForm, z, F, zz) -> bool:
+    """Whether every diagonal entry a_i^2 - F H_ii of M is positive, a as in
+    `_cleared`, stopping at the first that is not: a necessary condition
+    for M to be positive definite (`_is_interior`)."""
+    for g, diagonal in form._integer_third()[4]:
+        a = sum(map(mul, g, zz))
+        if a * a <= F * sum(map(mul, diagonal, z)):
+            return False
+    return True
 
 
 def _point(form: CubicForm, y) -> Cleared:
@@ -386,9 +409,10 @@ def _is_interior(point: Cleared) -> bool:
 
     Since z^T H z = 6F > 0 and H z = 2a, H has inertia (1, n-1, 0) exactly
     when it is negative definite on a^perp, and M z = F a, z^T M z = 3F^2
-    and M = -F H on a^perp, so exactly when M is positive definite. The
-    sign of F decides most points (`cone_sample` reads it from `_clear`);
-    `positive_definite` reads the leading minors of M and stops early.
+    and M = -F H on a^perp, so exactly when M is positive definite. In
+    order, the sign of F, M's diagonal and M's leading minors decide, each
+    stopping early (`positive_definite`); `cone_sample` reads F from
+    `_clear` and the diagonal by `_diagonal_positive` before building M.
 
     Membership is unchanged by y -> l*y with l > 0 and by f -> s*f with
     s > 0, so the integers of `Cleared` decide it for y."""
@@ -442,8 +466,7 @@ def _off_grid(hint):
     """The number of distinct hint candidates c * h * m, c a positive grid
     value and each m_i a jitter factor, that are no grid vector; `hint` as
     (numerator, denominator) pairs."""
-    values = {Fraction(p, q) for p in range(-GRID_NUM, GRID_NUM + 1)
-              for q in range(1, GRID_DEN + 1)}
+    values = {Fraction(p, q) for row in GRID for p, q in row}
     jitters = {Fraction(s + r, s) for r in range(JITTER_R[0], JITTER_R[1] + 1)
                for s in range(JITTER_S[0], JITTER_S[1] + 1)}
     rays = [()]
@@ -459,17 +482,18 @@ def cone_sample(form: CubicForm, count: int, seed: int,
     """Sample `count` distinct exact interior points, deterministically.
 
     Strategy: random rational grid points with numerators in [-GRID_NUM,
-    GRID_NUM] and denominators up to GRID_DEN; when a hint is given, also
-    jittered positive scalings of it (rays from an interior point stay
-    interior, the jitter is re-checked like any other candidate). Each
-    candidate is kept as integer pairs (numerator, denominator) in lowest
-    terms and decided by the same interior test as `cone_contains`: on its
-    cleared integers, with no Hessian when f <= 0. Only accepted points
-    become Fractions. Raises SamplingExhausted after `budget` attempts, or
-    at the first repeat once every candidate the grid (and the hint) can
-    give was seen: the nonzero grid vectors, and c * h * m for c a positive
-    grid value and each m_i a jitter factor, counted exactly (`_off_grid`)
-    once the grid's own count is reached.
+    GRID_NUM] and denominators up to GRID_DEN, drawn reduced from `GRID`;
+    when a hint is given, also jittered positive scalings of it (rays from
+    an interior point stay interior, the jitter is re-checked like any
+    other candidate). Each candidate is kept as integer pairs (numerator,
+    denominator) in lowest terms and decided by the same interior test as
+    `cone_contains`, on its cleared integers: F's sign, then M's diagonal,
+    and only where both pass the complete `_cleared` and M's minors. Only
+    accepted points become Fractions. Raises SamplingExhausted after
+    `budget` attempts, or at the first repeat once every candidate the grid
+    (and the hint) can give was seen: the nonzero grid vectors, and
+    c * h * m for c a positive grid value and each m_i a jitter factor,
+    counted exactly (`_off_grid`) once the grid's own count is reached.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -478,7 +502,8 @@ def cone_sample(form: CubicForm, count: int, seed: int,
         if cone_contains(form, hint) is not Membership.INTERIOR:
             raise NotInCone(f"hint point {format_point(hint)} is not interior")
         hint = [(h.numerator, h.denominator) for h in hint]
-    randint = random.Random(seed).randint
+    rng = random.Random(seed)
+    randint, choice = rng.randint, rng.choice
     n = form.n
     found = []
     seen = set()
@@ -492,10 +517,9 @@ def cone_sample(form: CubicForm, count: int, seed: int,
             for hp, hq in hint:
                 r, s = randint(*JITTER_R), randint(*JITTER_S)
                 cand.append((cp * hp * (s + r), cq * hq * s))
+            cand = _reduced(cand)
         else:
-            cand = [(randint(-GRID_NUM, GRID_NUM), randint(1, GRID_DEN))
-                    for _ in range(n)]
-        cand = _reduced(cand)
+            cand = tuple([choice(choice(GRID)) for _ in range(n)])
         if cand in seen or not any(p for p, _ in cand):
             if len(seen) < grid:
                 continue
@@ -509,8 +533,9 @@ def cone_sample(form: CubicForm, count: int, seed: int,
                 f"the grid{' and the hint' * bool(hint)} can give, drawn "
                 f"within {attempt + 1} attempts")
         seen.add(cand)
-        l, z, F = _clear(form, cand)
-        if F > 0 and _is_interior(_cleared(form, l, z, F)):
+        _, z, F, zz = cleared = _clear(form, cand)
+        if (F > 0 and _diagonal_positive(form, z, F, zz)
+                and _is_interior(_cleared(form, *cleared))):
             found.append(tuple(Fraction(p, q) for p, q in cand))
             if len(found) == count:
                 return found

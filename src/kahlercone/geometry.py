@@ -191,7 +191,7 @@ def _jet(form: CubicForm, point: Cleared) -> _IntegerJet:
     """The integer jet at any complete `Cleared`, F <= 0 and Delta = 0 too."""
     n, F = form.n, point.F
     lay = _layout(n)
-    _, t, t_rows, _ = form._integer_third()
+    t, t_rows = form._integer_third()[1:3]
     h, a, m_rows = point.H.rows(), point.a, point.M.rows()
     delta, adj = det_adjugate(point.M)
     f2 = F * F
@@ -287,7 +287,7 @@ class CurvatureReport(NamedTuple):
 
 def curvature_report(form: CubicForm, y,
                      convention: str = "standard") -> CurvatureReport:
-    ij, (s, t, _, _) = _integer_jet(form, y), form._integer_third()
+    ij, (s, t, *_) = _integer_jet(form, y), form._integer_third()
     lhs, rhs, c = ij.lhs(convention), ij.rhs(), ij.side_scale
     residual = lhs - rhs
     worst, lhs = residual.max_abs(), lhs.scale(c)

@@ -286,13 +286,18 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
     """Decide the base connection formula through rows 1..n of C, with U,
     the jet and B C = 4 F Delta I, one column of dB per index pair j <= c,
     and read every other verdict off it (module docstring)."""
-    ij, lay, t = tm.ij, _layout(tm.n), tm.ij.t._data
+    return _fibre_checks(tm)[1]
+
+
+def _fibre_checks(tm: TildeMetric):
+    """Both fibre checks' records, from one B C decision (`_inverts`)."""
+    ij, lay, t, inverts = tm.ij, _layout(tm.n), tm.ij.t._data, _inverts(tm)
     a, delta = ij.point.a, ij.delta
     # dB_j e_(c+1) = (2 H[j,c], t[.,j,c]), one column per SymMatrix slot
     cols = [[2 * h, *(t[q] for q in triples)]
             for h, triples in zip(ij.point.H._data, lay.pair_triples)]
     u = raise_index(ij.Dg, ij.adj)                  # U[i] = (A . Dg)[i]
-    base = _inverts(tm) and all(sum(map(mul, r, col)) == 4 * (
+    base = inverts and all(sum(map(mul, r, col)) == 4 * (
         u_i._data[s] + delta * ((i == c) * a[j] + (i == j) * a[c]))
         for s, ((j, c), col) in enumerate(zip(lay.pairs, cols))
         for i, (r, u_i) in enumerate(zip(tm.stated.rows()[1:], u)))
@@ -303,9 +308,10 @@ def tilde_christoffel_check(tm: TildeMetric) -> TildeChristoffelResult:
                              "fibre-upper": False, "zeros": True}}
     mismatches = [(scaling, group) for scaling, row in matches.items()
                   for group, ok in row.items() if not ok]
-    return TildeChristoffelResult(
+    chris = TildeChristoffelResult(
         passed=base, matches=matches,
         lower_symmetric={"printed": False, "potential": True},
         recovery_relation={"corrected": base,
                            "as-printed": base and len(set(a)) == 1},
         mismatches=mismatches)
+    return TildeInverseResult(passed=tm.lam.im == 0 and inverts), chris

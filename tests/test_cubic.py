@@ -11,6 +11,7 @@ from kahlercone import (CubicForm, DimensionMismatch, Membership,
                         NotHomogeneousCubic, NotInCone, ParseError,
                         SamplingExhausted, cone_contains, cone_sample,
                         norm_identity_check, parse_text)
+from kahlercone.linalg import _layout
 from kahlercone.poly import Poly
 from _reference import gradient, poly_third
 from _util import (SUITE_HINTS, mat_vec, random_cubic, random_fraction,
@@ -188,13 +189,21 @@ def test_integer_third_is_s_times_third_tensor():
               for n in (1, 2, 3, 4, 5, 6) for _ in range(4)]
     forms.append(parse_text("-7/12*y1^3 + 5/8*y1*y2*y3 - 3/20*y2^2*y3", 3))
     for form in forms:
-        s, t, rows, terms = form._integer_third()
+        s, t, rows, terms, grads = form._integer_third()
         assert all(type(v) is int for v in t._data)
         assert s == 6 * math.lcm(*[q.denominator
                                    for q in form.monomials.values()])
         assert all(t[idx] == s * v for idx, v in poly_third(form).items())
         assert [w for w, _, _ in terms] == [s * q for q in
                                              form.monomials.values()]
+        # the gradient rows: t[i, j, k] at j < k and the integer
+        # t[i, j, j] / 2, each paired with the Hessian row t[i, i, .]
+        pairs = _layout(form.n).pairs
+        for i, (g, diagonal) in enumerate(grads):
+            assert all(type(v) is int for v in g)
+            assert [(1 + (j == k)) * v for (j, k), v in zip(pairs, g)] == [
+                t[i, j, k] for j, k in pairs]
+            assert diagonal == [t[i, i, k] for k in range(form.n)]
 
 
 def test_form_is_sixth_of_tensor_contraction():

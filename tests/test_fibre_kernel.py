@@ -36,6 +36,7 @@ from kahlercone import (Complex, SamplingExhausted, SymMatrix,
 from kahlercone.cli import main
 from kahlercone.geometry import _integer_jet
 from kahlercone.linalg import det_adjugate, raise_index
+from kahlercone.special import _fibre_checks
 
 from _reference import (complex_direct_gammas, hermitian_inertia,
                         reference_christoffel_check, reference_cone_sample,
@@ -150,6 +151,8 @@ def test_christoffel_check_matches_the_reference_on_corrupted_input():
         got = tilde_christoffel_check(tm)
         want = reference_christoffel_check(tm)
         assert got.passed == want.passed == (offset == 0)
+        # the report's one B C decision gives both checks' results
+        assert _fibre_checks(tm) == (tilde_inverse_check(tm), got)
         if offset:          # base fails, and so both recovery readings
             assert not got.matches["potential"]["base"]
             assert not any(got.recovery_relation.values())
@@ -428,15 +431,19 @@ def test_each_curvature_side_builds_only_itself(monkeypatch, capsys):
 
 
 def test_sampler_stops_when_the_grid_runs_out(monkeypatch):
-    # y1^3 has 166 distinct nonzero grid values, 83 of them positive
-    calls = {"attempts": 0}
-    monkeypatch.setattr(kahlercone.cubic, "_reduced", counting(
-        calls, "attempts", kahlercone.cubic._reduced))
+    # y1^3 has 166 distinct nonzero grid values, 83 of them positive; an
+    # attempt at n = 1 draws one coordinate, a row of the grid table and a
+    # pair in it
+    calls = {"draws": 0}
+    monkeypatch.setattr(random.Random, "choice", counting(
+        calls, "draws", random.Random.choice))
     form = parse_text("y1^3", 1)
     with pytest.raises(SamplingExhausted, match="among 166 distinct "
-                       "candidates in 100000 attempts; that is all the grid"):
+                       "candidates in 100000 attempts; that is all the grid"
+                       ) as info:
         cone_sample(form, 200, seed=3)
-    assert 166 < calls["attempts"] < 100_000 // 20
+    assert 166 < calls["draws"] // 2 < 100_000 // 20
+    assert str(info.value).endswith(f"within {calls['draws'] // 2} attempts")
     # the draws before the stop are unchanged: all 83 interior values, in
     # the order of the Fraction oracle's draws
     points = cone_sample(form, 83, seed=3)

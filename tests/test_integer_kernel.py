@@ -7,7 +7,8 @@ The interior test (F > 0 and M positive definite) against f > 0 and the
 Fraction inertia of Hess f on dense cubics, near interior hints and at
 boundary points, and `positive_definite` against sympy's leading minors.
 `cone_sample`, which draws and decides its candidates on integer pairs,
-against the Fraction sampler of `_reference`. The integer jet's two sides
+against the Fraction sampler of `_reference`, and its diagonal pre-check
+against `_classify`. The integer jet's two sides
 agree at every nonzero integer point of small dense cubics, interior or
 not."""
 
@@ -25,12 +26,14 @@ from hypothesis import strategies as st
 import kahlercone.cubic
 from kahlercone import (CubicForm, Membership, SymMatrix, cone_contains,
                         cone_sample, inertia, parse_text)
-from kahlercone.cubic import _classify, _clear, _cleared, _is_interior
+from kahlercone.cubic import (_classify, _clear, _cleared,
+                              _diagonal_positive, _is_interior)
 from kahlercone.geometry import _integer_jet, _jet
 from kahlercone.linalg import positive_definite
-from _reference import (invert_rows, poly_derivatives, reference_cone_sample,
-                        reference_evaluate, reference_hessian,
-                        reference_inertia, reference_membership)
+from _reference import (gradient, invert_rows, poly_derivatives,
+                        reference_cone_sample, reference_evaluate,
+                        reference_hessian, reference_inertia,
+                        reference_membership)
 from _util import mat_vec, suite_forms
 
 KERNEL_SETTINGS = settings(max_examples=150)
@@ -213,7 +216,7 @@ def _assert_interior_test_agrees(form, y):
     want = (reference_evaluate(form, y) > 0 and reference_inertia(
         reference_hessian(form, y).rows()) == (1, n - 1, 0))
     assert _is_interior(point) is want
-    assert (point.l, point.z, point.F) == cleared
+    assert (point.l, point.z, point.F) == cleared[:3]
     hz = mat_vec(point.H.rows(), point.z)
     assert hz == [2 * v for v in point.a]
     assert sum(map(mul, hz, point.z)) == 6 * point.F
@@ -331,23 +334,67 @@ def _recording(log, fn, arg=False):
 
 def test_sampler_eliminates_only_where_f_is_positive(monkeypatch):
     cubic = kahlercone.cubic
-    drawn, values, complete, eliminated = [], [], [], []
-    for name, log in (("_reduced", drawn), ("_clear", values),
-                      ("_cleared", complete)):
-        monkeypatch.setattr(cubic, name, _recording(log, getattr(cubic, name)))
-    monkeypatch.setattr(cubic, "positive_definite",
-                        _recording(eliminated, positive_definite, arg=True))
+    values, diagonal, complete, eliminated = [], [], [], []
+    for name, log, arg in (("_clear", values, False),
+                           ("_diagonal_positive", diagonal, False),
+                           ("_cleared", complete, False),
+                           ("positive_definite", eliminated, True)):
+        monkeypatch.setattr(cubic, name,
+                            _recording(log, getattr(cubic, name), arg=arg))
     cone_sample(DENSE, 4, seed=31)
-    # F once per candidate: each distinct nonzero draw, in order
-    candidates = dict.fromkeys(c for c in drawn if any(p for p, _ in c))
-    assert [tuple(F(v, l) for v in z) for l, z, _ in values] == [
-        tuple(F(p, q) for p, q in c) for c in candidates]
-    # H, a and M exactly where F > 0, and M alone decides there
+    # F once per candidate: each distinct nonzero draw of the sampler's
+    # stream, randint(-16, 16) / randint(1, 8) per coordinate, in order
+    rng, candidates = random.Random(31), {}
+    while len(candidates) < len(values):
+        y = tuple(F(rng.randint(-16, 16), rng.randint(1, 8))
+                  for _ in range(5))
+        if any(y):
+            candidates[y] = None
+    ys = [tuple(F(v, l) for v in z) for l, z, _, _ in values]
+    assert ys == list(candidates)
+    # M's diagonal exactly where F > 0, with the verdict of the Fraction
+    # oracle: as a = s l^2 grad f, F = s l^3 f and H = s l Hess f, the
+    # entry a_i^2 - F H_ii has the sign of (d_i f)^2 - f d_ii f
+    def diagonal_positive(y):
+        f, h = reference_evaluate(DENSE, y), reference_hessian(DENSE, y)
+        return f > 0 and all(g * g > f * h[i, i]
+                             for i, g in enumerate(gradient(DENSE, y)))
+    passed = list(map(diagonal_positive, ys))
+    assert diagonal == [ok for ok, v in zip(passed, values) if v[2] > 0]
+    # the complete H, a, M and its minors exactly where F > 0 and every
+    # diagonal entry of M is positive, and M alone decides there
     assert [(p.l, p.z, p.F) for p in complete] == [
-        v for v in values if v[2] > 0]
+        v[:3] for v, ok in zip(values, passed) if ok]
     assert eliminated == [p.M for p in complete]
-    # about half the candidates have f < 0 and are rejected by its sign
-    assert sum(f < 0 for _, _, f in values) > len(values) // 4
+    # about half the candidates have f < 0 and are rejected by its sign,
+    # and the diagonal rejects more than the minors do
+    assert sum(v[2] < 0 for v in values) > len(values) // 4
+    assert len(diagonal) - len(complete) > len(complete) - 4
+
+
+# the suite (y1*y2^2 among it), the dense pullback, and y1^3 + y2^3, which
+# like y1*y2^2 has many boundary points on the grid
+PRECHECKED = [form for form, _ in suite_forms()] + [
+    DENSE, parse_text("y1^3 + y2^3", 2)]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(PRECHECKED), st.integers(0, 10**9))
+def test_diagonal_precheck_rejects_no_interior_point(form, seed):
+    """`_diagonal_positive` reads M's diagonal, and a grid candidate with
+    F > 0 that it rejects is not interior."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        y = [F(rng.randint(-16, 16), rng.randint(1, 8))
+             for _ in range(form.n)]
+        l, z, f, zz = _clear(form, [(v.numerator, v.denominator) for v in y])
+        if f <= 0:
+            continue
+        point = _cleared(form, l, z, f, zz)
+        ok = _diagonal_positive(form, z, f, zz)
+        assert ok is all(point.M[i, i] > 0 for i in range(form.n))
+        if not ok:
+            assert _classify(form, y)[0] is not Membership.INTERIOR
 
 
 def test_jet_identity_holds_at_every_integer_point():

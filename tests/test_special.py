@@ -486,14 +486,15 @@ def _pairs(rows):
 def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
                                                             capsys):
     calls = dict.fromkeys(["hessian", "_cleared", "det_adjugate", "invert",
-                           "contract", "_integer_jet", "christoffels"], 0)
+                           "contract", "_integer_jet", "christoffels",
+                           "_inverts"], 0)
     monkeypatch.setattr(CubicForm, "hessian",
                         counting(calls, "hessian", CubicForm.hessian))
     monkeypatch.setattr(_IntegerJet, "christoffels", counting(
         calls, "christoffels", _IntegerJet.christoffels))
     # the linalg and geometry functions, as bound where `special` calls
     # them, and the one clearing, where `cubic._point` makes it
-    for name in ("det_adjugate", "contract", "_integer_jet"):
+    for name in ("det_adjugate", "contract", "_integer_jet", "_inverts"):
         monkeypatch.setattr(kahlercone.special, name, counting(
             calls, name, getattr(kahlercone.special, name)))
     monkeypatch.setattr(kahlercone.cubic, "_cleared", counting(
@@ -506,10 +507,11 @@ def test_special_checks_compute_each_quantity_once_per_point(monkeypatch,
     # one contraction serves both sides of the algebraic identity
     assert calls == {"hessian": 0, "_cleared": 1, "det_adjugate": 1,
                      "invert": 0, "contract": 1, "_integer_jet": 0,
-                     "christoffels": 0}
+                     "christoffels": 0, "_inverts": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert main(["cone-metric", "--form", "y1*y2^2", "--points", "1,1",
                  "--lam", "1/2"]) == 0
     capsys.readouterr()
+    # both fibre checks read one decision of B C = 4 F Delta I
     assert (calls["_integer_jet"], calls["christoffels"],
-            calls["invert"]) == (1, 0, 0)
+            calls["invert"], calls["_inverts"]) == (1, 0, 0, 1)
